@@ -14,8 +14,10 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,9 +40,6 @@ from .experiments import (
 OUT_DIR_ENV = "CQLAB_OUT_DIR"
 
 DEFAULT_ALPHA_GRID = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
-
-SUBCOMMANDS = ("sweep", "pure-state", "higher-order", "nongaussian",
-               "finite-qm", "moments-check", "chebyshev")
 
 _TOP_KEYS = {"dim", "alpha_grid", "functional", "state", "mc_samples", "seed",
              "order", "slope_band"}
@@ -80,8 +79,11 @@ def config_from_dict(raw: dict) -> tuple[ExperimentConfig, dict]:
     if not isinstance(functional, dict):
         raise ConfigError("'functional' must be an object")
     _reject_unknown(functional, _FUNCTIONAL_KEYS, "functional")
-    if isinstance(functional.get("quartic"), dict):
-        _reject_unknown(functional["quartic"], _QUARTIC_KEYS, "functional.quartic")
+    quartic = functional.get("quartic")
+    if quartic is not None:
+        if not isinstance(quartic, dict):
+            raise ConfigError("'functional.quartic' must be an object")
+        _reject_unknown(quartic, _QUARTIC_KEYS, "functional.quartic")
     state = raw.get("state", {"shape": "isotropic"})
     if not isinstance(state, dict):
         raise ConfigError("'state' must be an object")
@@ -162,121 +164,94 @@ def emit_plot_data(result: SweepResult, out_dir: Path) -> list[Path]:
     return files
 
 
-def _sweep_to_rows(result: SweepResult) -> list[list]:
-    return [[r.alpha, r.classical_mc, r.classical_analytic, r.quantum_term,
-             r.remainder, r.stderr] for r in result.rows]
+def _pure_state(cfg: ExperimentConfig, workers: int) -> dict:
+    psi = cfg.state_spec.get("psi")
+    if psi is None:
+        raise ConfigError("pure-state runs need state.psi")
+    a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
+    return pure_state_experiment(np.asarray(psi, dtype=np.float64), cfg.alpha_grid[0],
+                                 a, cfg.mc_samples, cfg.seed, workers=workers)
 
 
-def _run_sweep(cfg: ExperimentConfig, echoed: dict, out_dir: Path, workers: int):
-    result = alpha_sweep(cfg, workers=workers)
-    csv_path = out_dir / "sweep.csv"
-    write_csv(csv_path, ["alpha", "classical_mc", "classical_analytic", "quantum_term",
-                         "remainder", "stderr"], _sweep_to_rows(result))
-    files = [csv_path] + emit_plot_data(result, out_dir)
-    band = echoed.get("slope_band")
-    passed = result.passed(*band) if band else True
-    doc = {
+def _nongaussian(cfg: ExperimentConfig, workers: int) -> dict:
+    state = build_second_moment_state(cfg.state_spec, cfg.dim, cfg.alpha_grid[0])
+    a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
+    return nongaussian_experiment(state, a, cfg.mc_samples, cfg.seed, workers=workers)
+
+
+def _sweep_doc(result: SweepResult, band: list | None) -> dict:
+    return {
         "fitted_slope": result.fitted_slope,
         "fitted_intercept": result.fitted_intercept,
         "noise_limited": result.noise_limited,
         "excluded_rows": result.excluded,
         "slope_band": band,
-        "passed": passed,
-        "rows": [{"alpha": r.alpha, "classical_mc": r.classical_mc,
-                  "classical_analytic": r.classical_analytic,
-                  "quantum_term": r.quantum_term, "remainder": r.remainder,
-                  "stderr": r.stderr, "below_noise": r.below_noise}
-                 for r in result.rows],
+        "passed": result.passed(*band) if band else True,
+        "rows": [asdict(r) for r in result.rows],
     }
-    return doc, files
 
 
-def _run_pure_state(cfg: ExperimentConfig, echoed: dict, out_dir: Path, workers: int):
-    psi = cfg.state_spec.get("psi")
-    if psi is None:
-        raise ConfigError("pure-state runs need state.psi")
-    a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
-    report = pure_state_experiment(np.asarray(psi, dtype=np.float64), cfg.alpha_grid[0],
-                                   a, cfg.mc_samples, cfg.seed, workers=workers)
-    csv_path = out_dir / "pure_state.csv"
-    write_csv(csv_path, ["metric", "value"], [
-        ["amplified_mc", report["amplified_average"]["mc"]],
-        ["amplified_stderr", report["amplified_average"]["stderr"]],
-        ["amplified_expected", report["amplified_average"]["expected"]],
-        ["span_exact_fraction", report["span"]["exact_fraction"]],
-        ["covariance_max_error", report["covariance_shape"]["max_error"]],
-    ])
-    return report, [csv_path]
+class _Table(NamedTuple):
+    """How one subcommand produces its report and lays out its CSV table."""
+
+    produce: Callable  # (cfg, workers) -> report
+    csv_name: str
+    header: list[str]
+    rows: Callable  # report -> list of CSV rows
 
 
-def _run_higher_order(cfg: ExperimentConfig, echoed: dict, out_dir: Path, workers: int):
-    report = higher_order_check(cfg, workers=workers)
-    csv_path = out_dir / "higher_order.csv"
-    write_csv(csv_path, ["metric", "value"], [
-        ["alpha", report["alpha"]],
-        ["classical_analytic", report["classical_analytic"]],
-        ["generalized_times_alpha", report["generalized_times_alpha"]],
-        ["relative_error", report["relative_error"]],
-        ["mc", report["mc"]],
-        ["stderr", report["stderr"]],
-    ])
-    return report, [csv_path]
-
-
-def _run_nongaussian(cfg: ExperimentConfig, echoed: dict, out_dir: Path, workers: int):
-    state = build_second_moment_state(cfg.state_spec, cfg.dim, cfg.alpha_grid[0])
-    a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
-    report = nongaussian_experiment(state, a, cfg.mc_samples, cfg.seed, workers=workers)
-    csv_path = out_dir / "nongaussian.csv"
-    write_csv(csv_path, ["statistic", "mc", "stderr", "reference"], [
-        ["quadratic", report["quadratic"]["mc"], report["quadratic"]["stderr"],
-         report["quadratic"]["expected"]],
-        ["quartic", report["quartic"]["mc"], report["quartic"]["stderr"],
-         report["quartic"]["gaussian_prediction"]],
-    ])
-    return report, [csv_path]
-
-
-def _run_finite_qm(cfg: ExperimentConfig, echoed: dict, out_dir: Path, workers: int):
-    report = finite_qm_demo(cfg, workers=workers)
-    csv_path = out_dir / "finite_qm.csv"
-    write_csv(csv_path, ["check", "value", "reference"], [
-        ["pure_amplified_mc", report["pure_state"]["amplified_average"]["mc"],
-         report["pure_state"]["amplified_average"]["expected"]],
-        ["mixed_amplified_mc", report["mixed_quadratic"]["mc"],
-         report["mixed_quadratic"]["expected"]],
-        ["higher_order_classical", report["higher_order"]["classical"],
-         report["higher_order"]["generalized_times_alpha"]],
-    ])
-    return report, [csv_path]
-
-
-def _run_moments_check(cfg: ExperimentConfig, echoed: dict, out_dir: Path, workers: int):
-    report = moments_check(cfg, workers=workers)
-    csv_path = out_dir / "moments.csv"
-    write_csv(csv_path, ["order", "analytic", "mc", "stderr"], [
-        [str(report["order"]), report["analytic"], report["mc"], report["stderr"]],
-    ])
-    return report, [csv_path]
-
-
-def _run_chebyshev(cfg: ExperimentConfig, echoed: dict, out_dir: Path, workers: int):
-    report = chebyshev_experiment(cfg, workers=workers)
-    csv_path = out_dir / "chebyshev.csv"
-    write_csv(csv_path, ["alpha", "C", "bound", "empirical", "noise"], [
-        [r["alpha"], r["C"], r["bound"], r["empirical"], r["noise"]] for r in report["rows"]
-    ])
-    return report, [csv_path]
-
-
-_RUNNERS = {
-    "sweep": _run_sweep,
-    "pure-state": _run_pure_state,
-    "higher-order": _run_higher_order,
-    "nongaussian": _run_nongaussian,
-    "finite-qm": _run_finite_qm,
-    "moments-check": _run_moments_check,
-    "chebyshev": _run_chebyshev,
+# The lambdas look the experiment functions up when they run, so a caller
+# that rebinds a module global (a profiler, a test double) still sees it.
+_TABLES = {
+    "sweep": _Table(
+        lambda cfg, workers: alpha_sweep(cfg, workers=workers), "sweep.csv",
+        ["alpha", "classical_mc", "classical_analytic", "quantum_term", "remainder", "stderr"],
+        lambda res: [[r.alpha, r.classical_mc, r.classical_analytic, r.quantum_term,
+                      r.remainder, r.stderr] for r in res.rows]),
+    "pure-state": _Table(
+        _pure_state, "pure_state.csv", ["metric", "value"],
+        lambda rep: [
+            ["amplified_mc", rep["amplified_average"]["mc"]],
+            ["amplified_stderr", rep["amplified_average"]["stderr"]],
+            ["amplified_expected", rep["amplified_average"]["expected"]],
+            ["span_exact_fraction", rep["span"]["exact_fraction"]],
+            ["covariance_max_error", rep["covariance_shape"]["max_error"]],
+        ]),
+    "higher-order": _Table(
+        lambda cfg, workers: higher_order_check(cfg, workers=workers), "higher_order.csv",
+        ["metric", "value"],
+        lambda rep: [[key, rep[key]] for key in (
+            "alpha", "classical_analytic", "generalized_times_alpha", "relative_error",
+            "mc", "stderr")]),
+    "nongaussian": _Table(
+        _nongaussian, "nongaussian.csv",
+        ["statistic", "mc", "stderr", "reference"],
+        lambda rep: [
+            ["quadratic", rep["quadratic"]["mc"], rep["quadratic"]["stderr"],
+             rep["quadratic"]["expected"]],
+            ["quartic", rep["quartic"]["mc"], rep["quartic"]["stderr"],
+             rep["quartic"]["gaussian_prediction"]],
+        ]),
+    "finite-qm": _Table(
+        lambda cfg, workers: finite_qm_demo(cfg, workers=workers), "finite_qm.csv",
+        ["check", "value", "reference"],
+        lambda rep: [
+            ["pure_amplified_mc", rep["pure_state"]["amplified_average"]["mc"],
+             rep["pure_state"]["amplified_average"]["expected"]],
+            ["mixed_amplified_mc", rep["mixed_quadratic"]["mc"],
+             rep["mixed_quadratic"]["expected"]],
+            ["higher_order_classical", rep["higher_order"]["classical"],
+             rep["higher_order"]["generalized_times_alpha"]],
+        ]),
+    "moments-check": _Table(
+        lambda cfg, workers: moments_check(cfg, workers=workers), "moments.csv",
+        ["order", "analytic", "mc", "stderr"],
+        lambda rep: [[str(rep["order"]), rep["analytic"], rep["mc"], rep["stderr"]]]),
+    "chebyshev": _Table(
+        lambda cfg, workers: chebyshev_experiment(cfg, workers=workers), "chebyshev.csv",
+        ["alpha", "C", "bound", "empirical", "noise"],
+        lambda rep: [[r["alpha"], r["C"], r["bound"], r["empirical"], r["noise"]]
+                     for r in rep["rows"]]),
 }
 
 
@@ -286,11 +261,18 @@ def run(subcommand: str, cfg: ExperimentConfig, echoed: dict, out_dir,
 
     Exit status 0 on success, 2 when an acceptance band fails.
     """
-    if subcommand not in _RUNNERS:
+    if subcommand not in _TABLES:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc, files = _RUNNERS[subcommand](cfg, echoed, out, workers)
+    table = _TABLES[subcommand]
+    doc = table.produce(cfg, workers)
+    csv_path = out / table.csv_name
+    write_csv(csv_path, table.header, table.rows(doc))
+    files = [csv_path]
+    if isinstance(doc, SweepResult):
+        files += emit_plot_data(doc, out)
+        doc = _sweep_doc(doc, echoed.get("slope_band"))
 
     result_path = out / "result.json"
     result_doc = {"subcommand": subcommand, "version": __version__,
@@ -319,7 +301,7 @@ def main(argv=None) -> int:
         prog="cqlab",
         description="Classical-to-quantum correspondence experiments on Gaussian "
                     "field ensembles.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=tuple(_TABLES))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help=f"output directory "
                         f"(default ${OUT_DIR_ENV} or ./cqlab-out)")
@@ -337,10 +319,7 @@ def main(argv=None) -> int:
         cfg, echoed = load_config(args.config)
         if args.seed is not None:
             echoed["seed"] = int(args.seed)
-            cfg = ExperimentConfig(
-                dim=cfg.dim, alpha_grid=cfg.alpha_grid, functional_spec=cfg.functional_spec,
-                state_spec=cfg.state_spec, mc_samples=cfg.mc_samples,
-                seed=int(args.seed), order=cfg.order)
+            cfg = replace(cfg, seed=int(args.seed))
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         return run(args.subcommand, cfg, echoed, out_dir, workers=args.threads)

@@ -29,6 +29,7 @@ from .functionals import (
     CosQuadMinusOne,
     EvenPolynomial,
     Functional,
+    QuadFormFunctional,
     Quadratic,
     ScaledFunctional,
     SinQuad,
@@ -42,7 +43,9 @@ from .gaussian import (
     chebyshev_tail,
     draw_chunked,
     exact_span_coefficients,
+    mean_stderr,
     pure_state_measure,
+    substream,
 )
 from .hilbert import as_vector, operator_norm, symmetric_from_entries, trace_product
 from .wick import gaussian_integral_multilinear, moment_form_eval, moment_mc_check
@@ -108,7 +111,7 @@ def build_operator(spec, dim: int) -> np.ndarray:
         extra = set(payload) - {"seed", "scale"}
         if extra:
             raise ConfigError(f"unknown random-operator keys: {sorted(extra)}")
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        rng = substream(seed, 0)
         return symmetric_from_entries(scale * rng.standard_normal((dim, dim)))
     raise ConfigError(f"unknown operator kind {kind!r}")
 
@@ -153,7 +156,7 @@ def build_state(spec: dict, dim: int, alpha: float) -> GaussianState:
         return pure_state_measure(psi / math.sqrt(nrm2), alpha)
     if shape == "random":
         seed = int(spec.get("seed", 0))
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+        rng = substream(seed, 1)
         m = rng.standard_normal((dim, dim))
         b = m @ m.T
         return GaussianState(b * (alpha / np.trace(b)))
@@ -229,10 +232,7 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     batch = state.sample(seed, n_samples, workers=workers)
-    values = f.eval_batch(batch.samples)
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
-    return mean, stderr
+    return mean_stderr(f.eval_batch(batch.samples))
 
 
 def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float:
@@ -253,26 +253,17 @@ def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float
 def closed_form_average(f: Functional, rho: GaussianState) -> float | None:
     """Exact classical average when one is known for the family, else None.
 
-    For sin/cos of a quadratic form the average follows from the
-    characteristic function of (A psi, psi) under the Gaussian measure:
-    E exp(i (A psi, psi)) = prod_j (1 - 2 i mu_j)^(-1/2) with mu_j the
-    eigenvalues of F^T A F, F F^T = B.
+    A g((A psi, psi)) family supplies its own closed form; even polynomials
+    integrate term by term.
     """
     if isinstance(f, ScaledFunctional):
         inner = closed_form_average(f.base, rho)
         return None if inner is None else f.factor * inner
-    if isinstance(f, Quadratic):
-        return trace_product(rho.covariance, f.operator)
+    if isinstance(f, QuadFormFunctional):
+        return f.closed_form(rho, f.operator)
     if isinstance(f, EvenPolynomial):
         return float(sum(
             gaussian_integral_multilinear(q, rho.covariance) for q in f.terms.values()))
-    if isinstance(f, (SinQuad, CosQuadMinusOne)):
-        fmat = rho.sampling_matrix()
-        mu = np.linalg.eigvalsh(fmat.T @ f.operator @ fmat)
-        char = complex(np.prod((1.0 - 2.0j * mu) ** -0.5))
-        if isinstance(f, SinQuad):
-            return float(char.imag)
-        return float(char.real) - 1.0
     return None
 
 
@@ -306,7 +297,7 @@ class SweepResult:
     def passed(self, lo: float | None = None, hi: float | None = None) -> bool:
         if lo is None and hi is None:
             return True
-        if self.fitted_slope is None:
+        if self.fitted_slope is None or not math.isfinite(self.fitted_slope):
             return False
         if lo is not None and self.fitted_slope < lo:
             return False
@@ -375,9 +366,7 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int,
     x = batch.samples
 
     f = Quadratic(am)
-    values = f.eval_batch(x) / alpha
-    amp_mean = float(np.mean(values))
-    amp_stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
+    amp_mean, amp_stderr = mean_stderr(f.eval_batch(x) / alpha)
     expected = float(v @ am @ v)
 
     direction = rho.sampling_matrix()[:, 0]
@@ -465,9 +454,7 @@ def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: in
 
     quartic = SymmetricForm.from_quadratic_power(np.eye(state.dim), 2, 1.0)
     batch = state.sample(derive_seed(seed, 1), n_samples, workers=workers)
-    q_values = quartic.eval_diag_batch(batch.samples)
-    q_mean = float(np.mean(q_values))
-    q_stderr = float(np.std(q_values, ddof=1) / math.sqrt(n_samples))
+    q_mean, q_stderr = mean_stderr(quartic.eval_diag_batch(batch.samples))
     gaussian_pred = gaussian_integral_multilinear(quartic, state.covariance)
     separation = abs(q_mean - gaussian_pred) / q_stderr if q_stderr > 0.0 else math.inf
 
@@ -492,7 +479,7 @@ def finite_qm_demo(cfg: ExperimentConfig, workers: int = 1) -> dict:
         raise ConfigError("the end-to-end demo runs at dim <= 4")
     alpha = cfg.alpha_grid[0]
     n = cfg.dim
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 2], dtype=np.uint64)))
+    rng = substream(cfg.seed, 2)
 
     # pure state branch
     psi = np.ones(n) / math.sqrt(n)
@@ -552,7 +539,7 @@ def moments_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
         d = build_state(cfg.state_spec, cfg.dim, float(cfg.dim)).covariance
     rho = GaussianState(d)
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 5], dtype=np.uint64)))
+    rng = substream(cfg.seed, 5)
     ak = SymmetricForm.from_dense(rng.standard_normal((cfg.dim,) * (2 * k)))
     batch = rho.sample(derive_seed(cfg.seed, 6), cfg.mc_samples, workers=workers)
     analytic, mc, stderr = moment_mc_check(d, ak, batch)
@@ -608,7 +595,7 @@ def higher_order_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
     if cfg.functional_spec.get("family") == "even-polynomial":
         f = build_functional(cfg.functional_spec, cfg.dim)
     else:
-        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 3], dtype=np.uint64)))
+        rng = substream(cfg.seed, 3)
         f = EvenPolynomial({
             2: SymmetricForm.from_matrix(symmetric_from_entries(rng.standard_normal((cfg.dim, cfg.dim)))),
             4: SymmetricForm.from_quadratic_power(

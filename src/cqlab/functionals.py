@@ -17,7 +17,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DimensionMismatchError, OrderError, SizeError
-from .hilbert import as_vector, operator_norm, symmetric_from_entries
+from .hilbert import as_vector, operator_norm, symmetric_from_entries, trace_product
 from .pairings import double_factorial, perfect_matchings
 
 # Dense tensors beyond order 6 are never materialized; factored forms may
@@ -25,6 +25,11 @@ from .pairings import double_factorial, perfect_matchings
 MAX_DENSE_ORDER = 6
 MAX_FORM_ORDER = 8
 _DENSE_SIZE_LIMIT = 20_000_000
+
+
+def quadratic_form_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(A x_p, x_p) for every row x_p of x, shape (N,)."""
+    return np.einsum("pi,ij,pj->p", x, a, x)
 
 
 def symmetrize_tensor(t: np.ndarray) -> np.ndarray:
@@ -155,7 +160,7 @@ class SymmetricForm:
         if self.kind == "zero":
             return np.zeros(x.shape[0])
         if self.kind == "pairing":
-            q = np.einsum("pi,ij,pj->p", x, self.matrix, x)
+            q = quadratic_form_rows(x, self.matrix)
             return self.coeff * double_factorial(2 * self.npairs - 1) * q ** self.npairs
         out = np.empty(x.shape[0])
         flat = self.tensor.reshape(self.dim, -1)
@@ -233,92 +238,90 @@ class Functional:
             raise OrderError(f"Taylor data capped at order {MAX_FORM_ORDER}")
 
 
-class Quadratic(Functional):
+class QuadFormFunctional(Functional):
+    """f(psi) = g((A psi, psi)) for an entire g with g(0) = 0.
+
+    A subclass describes g by four class attributes:
+
+    - ``g(q)``: g applied elementwise to a float or an array;
+    - ``g_derivative(m)``: the integer g^(m)(0) for m >= 1, so the Maclaurin
+      coefficient is c_m = g^(m)(0) / m! and the order-2m Taylor form is
+      c_m (2m)! times the pairing form of A^(x)m;
+    - ``closed_form(rho, a)``: the exact average of g((A psi, psi)) under
+      the Gaussian state rho;
+    - ``sup_abs``: sup |g| over the reals, or None when only |g(q)| <= |q|
+      is known.
+    """
+
+    def __init__(self, a):
+        self.operator = symmetric_from_entries(a)
+        self.dim = self.operator.shape[0]
+
+    def eval(self, psi) -> float:
+        v = as_vector(psi, self.dim)
+        return float(self.g(v @ self.operator @ v))
+
+    def eval_batch(self, x: np.ndarray) -> np.ndarray:
+        return self.g(quadratic_form_rows(x, self.operator))
+
+    def taylor_form(self, k: int) -> SymmetricForm:
+        self._check_order(k)
+        m, odd = divmod(k, 2)
+        derivative = 0 if odd else self.g_derivative(m)
+        if derivative == 0:
+            return SymmetricForm.zero(k, self.dim)
+        # c_m (2m)! = g^(m)(0) (2m)! / m!, exact in integer arithmetic
+        scale = float(derivative * (math.factorial(k) // math.factorial(m)))
+        if m == 1:
+            return SymmetricForm.from_matrix(scale * self.operator)
+        return SymmetricForm.from_quadratic_power(self.operator, m, scale)
+
+    def quad_growth_constants(self) -> tuple[float, float]:
+        if self.sup_abs is None:
+            return 0.0, operator_norm(self.operator)
+        return self.sup_abs, 0.0
+
+    def growth_bound(self) -> tuple[float, float]:
+        if self.sup_abs is None:
+            # x^2 <= 2 e^x for x >= 0
+            return 2.0 * operator_norm(self.operator), 1.0
+        return self.sup_abs, 0.0
+
+
+def quadratic_form_characteristic(rho, a) -> complex:
+    """E exp(i (A psi, psi)) = prod_j (1 - 2 i mu_j)^(-1/2) under the Gaussian
+    state rho, with mu_j the eigenvalues of F^T A F, F F^T = B."""
+    fmat = rho.sampling_matrix()
+    mu = np.linalg.eigvalsh(fmat.T @ a @ fmat)
+    return complex(np.prod((1.0 - 2.0j * mu) ** -0.5))
+
+
+class Quadratic(QuadFormFunctional):
     """f(psi) = (A psi, psi)."""
 
-    def __init__(self, a):
-        self.operator = symmetric_from_entries(a)
-        self.dim = self.operator.shape[0]
-
-    def eval(self, psi) -> float:
-        v = as_vector(psi, self.dim)
-        return float(v @ self.operator @ v)
-
-    def eval_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("pi,ij,pj->p", x, self.operator, x)
-
-    def taylor_form(self, k: int) -> SymmetricForm:
-        self._check_order(k)
-        if k == 2:
-            return SymmetricForm.from_matrix(2.0 * self.operator)
-        return SymmetricForm.zero(k, self.dim)
-
-    def quad_growth_constants(self) -> tuple[float, float]:
-        return 0.0, operator_norm(self.operator)
-
-    def growth_bound(self) -> tuple[float, float]:
-        # x^2 <= 2 e^x for x >= 0
-        return 2.0 * operator_norm(self.operator), 1.0
+    g = staticmethod(lambda q: q)
+    g_derivative = staticmethod(lambda m: int(m == 1))
+    closed_form = staticmethod(lambda rho, a: trace_product(rho.covariance, a))
+    sup_abs = None
 
 
-class SinQuad(Functional):
+class SinQuad(QuadFormFunctional):
     """f(psi) = sin((A psi, psi))."""
 
-    def __init__(self, a):
-        self.operator = symmetric_from_entries(a)
-        self.dim = self.operator.shape[0]
-
-    def eval(self, psi) -> float:
-        v = as_vector(psi, self.dim)
-        return float(np.sin(v @ self.operator @ v))
-
-    def eval_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.sin(np.einsum("pi,ij,pj->p", x, self.operator, x))
-
-    def taylor_form(self, k: int) -> SymmetricForm:
-        # sin q = q - q^3/6 + ... contributes at degrees 2, 6, 10, ...
-        self._check_order(k)
-        if k == 2:
-            return SymmetricForm.from_matrix(2.0 * self.operator)
-        if k == 6:
-            return SymmetricForm.from_quadratic_power(self.operator, 3, -120.0)
-        return SymmetricForm.zero(k, self.dim)
-
-    def quad_growth_constants(self) -> tuple[float, float]:
-        return 1.0, 0.0
-
-    def growth_bound(self) -> tuple[float, float]:
-        return 1.0, 0.0
+    g = staticmethod(np.sin)
+    g_derivative = staticmethod(lambda m: (0, 1, 0, -1)[m % 4])
+    closed_form = staticmethod(lambda rho, a: float(quadratic_form_characteristic(rho, a).imag))
+    sup_abs = 1.0
 
 
-class CosQuadMinusOne(Functional):
+class CosQuadMinusOne(QuadFormFunctional):
     """f(psi) = cos((A psi, psi)) - 1."""
 
-    def __init__(self, a):
-        self.operator = symmetric_from_entries(a)
-        self.dim = self.operator.shape[0]
-
-    def eval(self, psi) -> float:
-        v = as_vector(psi, self.dim)
-        return float(np.cos(v @ self.operator @ v) - 1.0)
-
-    def eval_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.cos(np.einsum("pi,ij,pj->p", x, self.operator, x)) - 1.0
-
-    def taylor_form(self, k: int) -> SymmetricForm:
-        # cos q - 1 = -q^2/2 + q^4/24 - ... contributes at degrees 4, 8, ...
-        self._check_order(k)
-        if k == 4:
-            return SymmetricForm.from_quadratic_power(self.operator, 2, -12.0)
-        if k == 8:
-            return SymmetricForm.from_quadratic_power(self.operator, 4, 1680.0)
-        return SymmetricForm.zero(k, self.dim)
-
-    def quad_growth_constants(self) -> tuple[float, float]:
-        return 2.0, 0.0
-
-    def growth_bound(self) -> tuple[float, float]:
-        return 2.0, 0.0
+    g = staticmethod(lambda q: np.cos(q) - 1.0)
+    g_derivative = staticmethod(lambda m: (1, 0, -1, 0)[m % 4])
+    closed_form = staticmethod(
+        lambda rho, a: float(quadratic_form_characteristic(rho, a).real) - 1.0)
+    sup_abs = 2.0
 
 
 class EvenPolynomial(Functional):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,16 @@ class SampleBatch:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(chunk_index)], dtype=np.uint64)
+def substream(seed: int, tag: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed mod 2^64, tag); every seeded draw
+    in the package comes from one of these."""
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(tag)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean of a 1-D array and its standard error (ddof=1)."""
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.shape[0]))
 
 
 def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -99,7 +107,7 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
 
     def make(c: int) -> np.ndarray:
         m = min(chunk_size, count - c * chunk_size)
-        return fill(_chunk_generator(seed, c), m)
+        return fill(substream(seed, c), m)
 
     if workers > 1 and n_chunks > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

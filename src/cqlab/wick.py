@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import OrderError, ParityError, SizeError
 from .functionals import SymmetricForm
-from .gaussian import SampleBatch
+from .gaussian import SampleBatch, mean_stderr
 from .hilbert import as_vector, require_symmetric, trace_product
 from .pairings import perfect_matchings
 
@@ -103,8 +103,6 @@ def moment_mc_check(d, ak: SymmetricForm, batch: SampleBatch) -> tuple[float, fl
 
     The batch must have been drawn from the Gaussian state with covariance D.
     """
-    values = ak.eval_diag_batch(batch.samples)
-    mc = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(batch.count))
+    mc, stderr = mean_stderr(ak.eval_diag_batch(batch.samples))
     analytic = gaussian_integral_multilinear(ak, d)
     return analytic, mc, stderr

@@ -193,6 +193,54 @@ def test_seed_override_changes_results(tmp_path):
     assert manifest["config"]["seed"] == 99
 
 
+def test_nan_slope_fails_its_band(tmp_path):
+    assert not SweepResult((), float("nan"), 0.0, False, 0).passed(1.9, 2.1)
+    nan_op = dict(COS_SWEEP, functional={"family": "cos-quad-minus-one",
+                                         "operator": {"matrix": [[float("nan")]]}})
+    rc = main(["sweep", "--config", str(_write(tmp_path, nan_op)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
+def test_negative_seeds_are_taken_mod_2_64(tmp_path):
+    def operator_seed(seed):
+        return dict(COS_SWEEP, functional={"family": "cos-quad-minus-one",
+                                           "operator": {"random": {"seed": seed}}})
+
+    for name, seed in (("neg", -1), ("wrapped", 2 ** 64 - 1)):
+        rc = main(["sweep", "--config", str(_write(tmp_path, operator_seed(seed), f"{name}.json")),
+                   "--out", str(tmp_path / name)])
+        assert rc == 0
+    assert (tmp_path / "neg" / "sweep.csv").read_bytes() == \
+        (tmp_path / "wrapped" / "sweep.csv").read_bytes()
+
+    cfg = {
+        "dim": 3,
+        "functional": {"family": "quadratic", "operator": "identity"},
+        "alpha_grid": [0.05],
+        "mc_samples": 20_000,
+        "seed": 23,
+        "state": {"shape": "random", "seed": 5},
+    }
+    cfg_path = _write(tmp_path, cfg, "fqm.json")
+    for name, seed in (("fneg", "-3"), ("fwrapped", str(2 ** 64 - 3))):
+        rc = main(["finite-qm", "--config", str(cfg_path), "--out", str(tmp_path / name),
+                   "--seed", seed])
+        assert rc == 0
+    assert (tmp_path / "fneg" / "finite_qm.csv").read_bytes() == \
+        (tmp_path / "fwrapped" / "finite_qm.csv").read_bytes()
+
+
+def test_non_object_quartic_is_a_one_line_error(tmp_path, capsys):
+    cfg = dict(MINIMAL, functional={"family": "even-polynomial", "quartic": [1]})
+    with pytest.raises(ConfigError, match="quartic"):
+        load_config(_write(tmp_path, cfg))
+    rc = main(["higher-order", "--config", str(_write(tmp_path, cfg)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_threads_do_not_change_bytes(tmp_path):
     cfg_path = _write(tmp_path, COS_SWEEP)
     main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "t1"), "--threads", "1"])

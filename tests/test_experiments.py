@@ -24,6 +24,7 @@ from cqlab.experiments import (
     sub_alpha_states,
 )
 from cqlab.functionals import (
+    MAX_FORM_ORDER,
     CosQuadMinusOne,
     EvenPolynomial,
     Quadratic,
@@ -33,6 +34,7 @@ from cqlab.functionals import (
 )
 from cqlab.gaussian import make_gaussian
 from cqlab.hilbert import symmetric_from_entries, trace_product
+from cqlab.pairings import double_factorial
 
 # frozen characteristic-function oracle values for psi ~ N(0, 0.1), a = 1:
 # E exp(i a psi^2) = (1 - 2i a alpha)^(-1/2)
@@ -201,6 +203,46 @@ def test_extended_map_trace_formula_exact_for_quadratics():
     lhs = closed_form_average(Quadratic(a), rho)
     rhs = rho.dispersion() * quantum_average(t_state_extended(rho), a)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# (kind, c_m (2m)!) of every nonzero Taylor form at orders 1..8
+_TAYLOR_REFERENCE = {
+    Quadratic: {2: ("dense", 2)},
+    SinQuad: {2: ("dense", 2), 6: ("pairing", -120)},
+    CosQuadMinusOne: {4: ("pairing", -12), 8: ("pairing", 1680)},
+}
+
+
+def _reference_closed_form(f, rho):
+    if type(f) is Quadratic:
+        return trace_product(rho.covariance, f.operator)
+    fmat = rho.sampling_matrix()
+    mu = np.linalg.eigvalsh(fmat.T @ f.operator @ fmat)
+    char = complex(np.prod((1.0 - 2.0j * mu) ** -0.5))
+    return float(char.imag) if type(f) is SinQuad else float(char.real) - 1.0
+
+
+@pytest.mark.parametrize("family", list(_TAYLOR_REFERENCE), ids=lambda c: c.__name__)
+def test_quadratic_form_families_match_reference_bit_for_bit(family):
+    rng = np.random.default_rng(71)
+    f = family(rng.normal(size=(3, 3)))
+    for k in range(1, MAX_FORM_ORDER + 1):
+        form = f.taylor_form(k)
+        kind, scale = _TAYLOR_REFERENCE[family].get(k, ("zero", 0))
+        assert (form.kind, form.order, form.dim) == (kind, k, 3)
+        if kind == "dense":
+            assert form.coeff == 0.0
+            assert np.array_equal(form.tensor, scale * f.operator)
+        elif kind == "pairing":
+            assert form.npairs == k // 2
+            assert form.coeff == scale / double_factorial(k - 1)
+            assert np.array_equal(form.matrix, f.operator)
+        else:
+            assert form.coeff == 0.0 and form.tensor is None and form.matrix is None
+    m = rng.normal(size=(3, 3))
+    rho = make_gaussian(m @ m.T * 0.05)
+    assert closed_form_average(f, rho) == _reference_closed_form(f, rho)
+    assert closed_form_average(amplify(f, 0.1), rho) == 10.0 * _reference_closed_form(f, rho)
 
 
 def test_noninjectivity_witness_pair():
