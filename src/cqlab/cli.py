@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -126,6 +127,21 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) if not isinstance(x, str) else x for x in row) + "\n")
+
+
+def _strict_json(doc) -> str:
+    """Standard JSON text for a report: non-finite floats become null."""
+
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return x
+
+    return json.dumps(finite(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -277,8 +293,7 @@ def run(subcommand: str, cfg: ExperimentConfig, echoed: dict, out_dir,
     result_path = out / "result.json"
     result_doc = {"subcommand": subcommand, "version": __version__,
                   "passed": bool(doc.get("passed", True)), "report": doc}
-    result_path.write_text(json.dumps(result_doc, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    result_path.write_text(_strict_json(result_doc), encoding="utf-8")
 
     manifest = {
         "version": __version__,
@@ -291,8 +306,7 @@ def run(subcommand: str, cfg: ExperimentConfig, echoed: dict, out_dir,
             "files": {f.name: _sha256(f) for f in files},
         },
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                       encoding="utf-8")
+    (out / "manifest.json").write_text(_strict_json(manifest), encoding="utf-8")
     return 0 if result_doc["passed"] else 2
 
 

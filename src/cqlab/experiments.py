@@ -170,18 +170,18 @@ def build_state(spec: dict, dim: int, alpha: float) -> GaussianState:
 class SecondMomentState:
     """Zero-mean non-Gaussian state with a known covariance operator."""
 
-    def __init__(self, kind: str, covariance: np.ndarray, sampler):
+    def __init__(self, kind: str, covariance: np.ndarray, fill):
         self.kind = kind
         self.covariance = covariance
         self.dim = covariance.shape[0]
-        self._sampler = sampler
+        self.fill = fill  # fill(rng, m): m rows drawn using only rng
 
     def dispersion(self) -> float:
         return float(np.trace(self.covariance))
 
     def sample(self, seed: int, count: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
                workers: int = 1) -> SampleBatch:
-        return draw_chunked(seed, count, self._sampler, chunk_size=chunk_size, workers=workers)
+        return draw_chunked(seed, count, self.fill, chunk_size=chunk_size, workers=workers)
 
     @classmethod
     def product_laplace(cls, variances) -> "SecondMomentState":
@@ -224,15 +224,21 @@ def build_second_moment_state(spec: dict, dim: int, alpha: float) -> SecondMomen
 
 def mc_average(f: Functional, state, n_samples: int, seed: int,
                workers: int = 1) -> tuple[float, float]:
-    """Sample mean and standard error of f over a deterministic batch.
+    """Sample mean and standard error of f over a deterministic stream of
+    draws.
 
-    The mean is a pairwise reduction over the assembled value array, so it
-    does not depend on how many workers filled the batch.
+    Each chunk of draws is evaluated as soon as it is drawn and only its
+    values are kept, so memory is O(n_samples + workers * chunk * dim), not
+    O(n_samples * dim).
+    The values equal those of `f.eval_batch(state.sample(...).samples)`
+    row for row, and the mean is a pairwise reduction over them, so it does
+    not depend on how many workers filled them.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    batch = state.sample(seed, n_samples, workers=workers)
-    return mean_stderr(f.eval_batch(batch.samples))
+    values = draw_chunked(seed, n_samples, lambda rng, m: f.eval_batch(state.fill(rng, m)),
+                          workers=workers)
+    return mean_stderr(values.samples)
 
 
 def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float:
@@ -453,8 +459,8 @@ def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: in
     quad_ok = abs(mean - expected) <= 4.0 * stderr + 1e-12 * max(1.0, abs(expected))
 
     quartic = SymmetricForm.from_quadratic_power(np.eye(state.dim), 2, 1.0)
-    batch = state.sample(derive_seed(seed, 1), n_samples, workers=workers)
-    q_mean, q_stderr = mean_stderr(quartic.eval_diag_batch(batch.samples))
+    q_mean, q_stderr = mc_average(EvenPolynomial({4: quartic}), state, n_samples,
+                                  derive_seed(seed, 1), workers=workers)
     gaussian_pred = gaussian_integral_multilinear(quartic, state.covariance)
     separation = abs(q_mean - gaussian_pred) / q_stderr if q_stderr > 0.0 else math.inf
 

@@ -28,8 +28,9 @@ _DENSE_SIZE_LIMIT = 20_000_000
 
 
 def quadratic_form_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(A x_p, x_p) for every row x_p of x, shape (N,)."""
-    return np.einsum("pi,ij,pj->p", x, a, x)
+    """(A x_p, x_p) for every row x_p of x, shape (N,): one GEMM, then a
+    row-wise dot product."""
+    return np.einsum("pi,pi->p", x @ a, x)
 
 
 def symmetrize_tensor(t: np.ndarray) -> np.ndarray:

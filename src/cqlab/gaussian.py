@@ -53,7 +53,7 @@ class AlphaClass:
 class SampleBatch:
     """Deterministic batch of field samples, one row per draw."""
 
-    samples: np.ndarray  # (count, dim)
+    samples: np.ndarray  # (count, dim), or (count,) when each draw is one value
     seed: int
     chunk_size: int
     chunk_count: int
@@ -97,9 +97,11 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
                  workers: int = 1) -> SampleBatch:
     """Assemble `count` rows from per-chunk generators.
 
-    `fill(rng, m)` must return an (m, dim) array using only `rng`.  Chunk c
-    always uses the Philox stream keyed by (seed, c), so the result is
-    independent of `workers` and of scheduling order.
+    `fill(rng, m)` must return m values, shape (m,), or m rows, shape
+    (m, dim), using only `rng`.  Chunk c always uses the Philox stream keyed
+    by (seed, c) and writes its own slice of one output array sized from
+    chunk 0, so the result is independent of `workers` and of scheduling
+    order, and no chunk outlives its copy into the output.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -109,13 +111,22 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
         m = min(chunk_size, count - c * chunk_size)
         return fill(substream(seed, c), m)
 
-    if workers > 1 and n_chunks > 1:
+    first = make(0)
+    out = np.empty((count,) + first.shape[1:], dtype=first.dtype)
+    out[:first.shape[0]] = first
+
+    def put(c: int) -> None:
+        out[c * chunk_size:(c + 1) * chunk_size] = make(c)
+
+    # one worker per remaining chunk at most
+    workers = min(workers, n_chunks - 1)
+    if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(make, range(n_chunks)))
+            list(pool.map(put, range(1, n_chunks)))  # re-raises a failed chunk's error
     else:
-        chunks = [make(c) for c in range(n_chunks)]
-    samples = chunks[0] if n_chunks == 1 else np.concatenate(chunks, axis=0)
-    return SampleBatch(samples=samples, seed=int(seed), chunk_size=chunk_size, chunk_count=n_chunks)
+        for c in range(1, n_chunks):
+            put(c)
+    return SampleBatch(samples=out, seed=int(seed), chunk_size=chunk_size, chunk_count=n_chunks)
 
 
 class GaussianState:
@@ -170,19 +181,19 @@ class GaussianState:
         v = as_vector(y, self.dim)
         return float(np.exp(-0.5 * float(v @ self.covariance @ v)))
 
+    def fill(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """m rows drawn from N(0, B) using only `rng`."""
+        # draw dim normals per sample so the stream layout does not depend
+        # on the covariance rank, then apply the active factor
+        z = rng.standard_normal((m, self.dim))
+        rank = int(np.count_nonzero(self.factor().eigenvalues > 0.0))
+        if not rank:
+            return np.zeros((m, self.dim))
+        return z[:, :rank] @ self.sampling_matrix()[:, :rank].T
+
     def sample(self, seed: int, count: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
                workers: int = 1) -> SampleBatch:
-        f = self.sampling_matrix()
-        rank = int(np.count_nonzero(self.factor().eigenvalues > 0.0))
-        active = f[:, :rank]
-
-        def fill(rng: np.random.Generator, m: int) -> np.ndarray:
-            # draw dim normals per sample so the stream layout does not
-            # depend on the covariance rank, then apply the active factor
-            z = rng.standard_normal((m, self.dim))
-            return z[:, :rank] @ active.T if rank else np.zeros((m, self.dim))
-
-        return draw_chunked(seed, count, fill, chunk_size=chunk_size, workers=workers)
+        return draw_chunked(seed, count, self.fill, chunk_size=chunk_size, workers=workers)
 
 
 def make_gaussian(covariance, alpha_class: AlphaClass | None = None) -> GaussianState:

@@ -201,6 +201,22 @@ def test_nan_slope_fails_its_band(tmp_path):
     assert rc == 2
 
 
+def test_nan_sweep_writes_standard_json(tmp_path):
+    nan_op = dict(COS_SWEEP, functional={"family": "cos-quad-minus-one",
+                                         "operator": {"matrix": [[float("nan")]]}})
+    rc = main(["sweep", "--config", str(_write(tmp_path, nan_op)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    result = json.loads((tmp_path / "o" / "result.json").read_text(), parse_constant=reject)
+    json.loads((tmp_path / "o" / "manifest.json").read_text(), parse_constant=reject)
+    assert result["passed"] is False
+    assert result["report"]["fitted_slope"] is None
+    assert result["report"]["rows"][0]["classical_mc"] is None
+
+
 def test_negative_seeds_are_taken_mod_2_64(tmp_path):
     def operator_seed(seed):
         return dict(COS_SWEEP, functional={"family": "cos-quad-minus-one",

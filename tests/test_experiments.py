@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from cqlab.functionals import (
     SymmetricForm,
     amplify,
 )
-from cqlab.gaussian import make_gaussian
+from cqlab.gaussian import make_gaussian, mean_stderr, pure_state_measure, substream
 from cqlab.hilbert import symmetric_from_entries, trace_product
 from cqlab.pairings import double_factorial
 
@@ -78,6 +79,39 @@ def test_mc_average_independent_of_workers():
     f = Quadratic(np.eye(3))
     assert mc_average(f, rho, 30_000, seed=9, workers=1) == \
         mc_average(f, rho, 30_000, seed=9, workers=8)
+
+
+_STREAM_STATES = {
+    "gaussian-dim16": lambda: build_state({"shape": "random", "seed": 3}, 16, 0.2),
+    "pure-rank1": lambda: pure_state_measure(np.linspace(1.0, 2.0, 16), 0.2),
+    "product-laplace": lambda: SecondMomentState.product_laplace(np.linspace(0.01, 0.02, 16)),
+    "uniform-sphere": lambda: SecondMomentState.uniform_sphere(0.4, 16),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("state_name", list(_STREAM_STATES))
+def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
+    state = _STREAM_STATES[state_name]()
+    a = symmetric_from_entries(substream(4, 0).standard_normal((16, 16)))
+    count = 3 * 4096 + 17
+    batch = state.sample(21, count, workers=workers)
+    for f in (CosQuadMinusOne(a),
+              EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(16), 2, 1.0)})):
+        assert mc_average(f, state, count, 21, workers=workers) == \
+            mean_stderr(f.eval_batch(batch.samples))
+
+
+def test_mc_average_memory_is_bounded_by_the_values():
+    dim, count = 64, 200_000
+    rho = make_gaussian(np.eye(dim) / dim)
+    tracemalloc.start()
+    try:
+        mc_average(Quadratic(np.eye(dim)), rho, count, seed=4, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < count * dim * 8 / 4
 
 
 def test_analytic_average_quadratic_exact():

@@ -14,10 +14,11 @@ from cqlab.functionals import (
     SinQuad,
     SymmetricForm,
     amplify,
+    quadratic_form_rows,
     quadratic_growth_check,
     symmetrize_tensor,
 )
-from cqlab.hilbert import symmetric_from_entries, trace_product
+from cqlab.hilbert import operator_norm, symmetric_from_entries, trace_product
 
 
 def _families(a):
@@ -249,3 +250,15 @@ def test_order_six_blocked_eval_cross_checks_factored_route():
                        rtol=1e-9, atol=1e-9 * np.abs(values).max())
     direct = 0.3 * np.einsum("pi,ij,pj->p", x, a, x) ** 3
     assert np.allclose(values, direct, rtol=1e-12)
+
+
+@given(st.integers(1, 64), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-3, 1e3))
+@settings(max_examples=40, deadline=None)
+def test_quadratic_form_rows_matches_three_operand_einsum(dim, rows, seed, scale):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((rows, dim))
+    a = symmetric_from_entries(rng.standard_normal((dim, dim)))
+    reference = np.einsum("pi,ij,pj->p", x, a, x)
+    bound = 1e-12 * np.einsum("pi,pi->p", x, x) * operator_norm(a)
+    assert np.all(np.abs(quadratic_form_rows(x, a) - reference) <= bound)

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import concurrent.futures
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from cqlab import gaussian
 from cqlab.errors import ClassMembershipError, InvalidCovarianceError
 from cqlab.gaussian import (
     AlphaClass,
     GaussianState,
     chebyshev_tail,
     dispersion,
+    draw_chunked,
     exact_span_coefficients,
     fourier_transform,
     make_gaussian,
@@ -158,6 +162,36 @@ def test_sample_deterministic_across_worker_counts():
     eight = sample(rho, seed=9, count=20_000, workers=8)
     assert np.array_equal(one.samples, eight.samples)
     assert one.chunk_count == eight.chunk_count > 1
+
+
+# sha256 of the sampled bytes as drawn before the output array was
+# preallocated; a diagonal factor keeps the bits independent of the BLAS
+SAMPLE_STREAM_SHA256 = "1d7c9c0ce7f7bf5f45b8af3dc77dd45a4050101dfc1cdb50a8610e26d6abf46f"
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_sample_stream_is_pinned(workers):
+    rho = make_gaussian(np.diag([1.0, 2.0, 3.0]))
+    batch = sample(rho, seed=9, count=20_000, workers=workers)
+    assert hashlib.sha256(batch.samples.tobytes()).hexdigest() == SAMPLE_STREAM_SHA256
+
+
+def test_draw_chunked_caps_workers_at_chunk_count(monkeypatch):
+    requested = []
+
+    class Recorder(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            requested.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    def fill(rng, m):
+        return rng.standard_normal((m, 2))
+
+    monkeypatch.setattr(gaussian.concurrent.futures, "ThreadPoolExecutor", Recorder)
+    capped = draw_chunked(5, 300, fill, chunk_size=100, workers=10 ** 6)
+    assert requested and max(requested) <= 3
+    assert capped.chunk_count == 3
+    assert np.array_equal(capped.samples, draw_chunked(5, 300, fill, chunk_size=100).samples)
 
 
 def test_sample_mean_converges_to_zero():
