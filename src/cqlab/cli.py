@@ -55,6 +55,19 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _integer(raw: dict, key: str, default=None) -> int:
+    value = raw.get(key, default)
+    # a JSON true is an int to Python, and int() would truncate 2.7 to 2
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+
+
 def load_config(path) -> tuple[ExperimentConfig, dict]:
     """Parse and validate a config file; returns the config and the echoed
     dict with defaults filled in (this echo is what the manifest embeds)."""
@@ -91,17 +104,21 @@ def config_from_dict(raw: dict) -> tuple[ExperimentConfig, dict]:
     _reject_unknown(state, _STATE_KEYS, "state")
     slope_band = raw.get("slope_band")
     if slope_band is not None:
-        if (not isinstance(slope_band, (list, tuple)) or len(slope_band) != 2
+        if (not _is_number_list(slope_band) or len(slope_band) != 2
+                or not all(math.isfinite(x) for x in slope_band)
                 or slope_band[0] > slope_band[1]):
-            raise ConfigError("'slope_band' must be [lo, hi] with lo <= hi")
+            raise ConfigError("'slope_band' must be [lo, hi], finite numbers with lo <= hi")
+    grid = raw.get("alpha_grid", DEFAULT_ALPHA_GRID)
+    if not _is_number_list(grid):
+        raise ConfigError("'alpha_grid' must be a list of numbers")
     echoed = {
-        "dim": int(raw["dim"]),
-        "alpha_grid": [float(a) for a in raw.get("alpha_grid", DEFAULT_ALPHA_GRID)],
+        "dim": _integer(raw, "dim"),
+        "alpha_grid": [float(a) for a in grid],
         "functional": functional,
         "state": state,
-        "mc_samples": int(raw["mc_samples"]),
-        "seed": int(raw["seed"]),
-        "order": int(raw.get("order", 1)),
+        "mc_samples": _integer(raw, "mc_samples"),
+        "seed": _integer(raw, "seed"),
+        "order": _integer(raw, "order", 1),
         "slope_band": list(slope_band) if slope_band is not None else None,
     }
     cfg = ExperimentConfig(

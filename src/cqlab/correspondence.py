@@ -21,7 +21,7 @@ from .errors import ClassMembershipError, DegenerateStateError, DimensionMismatc
 from .functionals import Functional, SymmetricForm
 from .gaussian import EXACT_CLASS_RTOL, GaussianState
 from .hilbert import require_symmetric, trace_product
-from .wick import MAX_TRACE_ORDER, moment_form, trace_forms
+from .wick import moment_form, trace_forms
 
 DENSITY_TRACE_ATOL = 1e-9
 DENSITY_EIG_FLOOR = -1e-12
@@ -140,17 +140,7 @@ def t2n_variable(f: Functional, n: int, alpha: float) -> ObservableMultiple:
 
 def generalized_average(d: DensityOperator, a: ObservableMultiple) -> float:
     """Average in the generalized model: sum_k Tr e(2k, D) A_2k."""
-    if a.order > MAX_TRACE_ORDER:
-        raise OrderError(f"generalized averages capped at order {MAX_TRACE_ORDER}")
-    total = 0.0
-    for form in a.forms:
-        if form.is_zero:
-            continue
-        if form.order == 2:
-            total += quantum_average(d, form.matrix_representation())
-        else:
-            total += trace_forms(moment_form(d.matrix, form.order), form)
-    return total
+    return sum((trace_forms(moment_form(d.matrix, form.order), form) for form in a.forms), 0.0)
 
 
 def variables_equivalent(f: Functional, g: Functional, atol: float = 1e-12) -> bool:

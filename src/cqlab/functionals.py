@@ -20,8 +20,11 @@ from .errors import DimensionMismatchError, OrderError, SizeError
 from .hilbert import as_vector, operator_norm, symmetric_from_entries, trace_product
 from .pairings import double_factorial, perfect_matchings
 
-# Dense tensors beyond order 6 are never materialized; factored forms may
-# carry order 8 (the largest order the pairing enumerator supports).
+# The two order caps; every other order bound in the package derives from
+# one of them.  Dense tensors beyond order 6 are never materialized.
+# Taylor data, factored forms and sums over explicit matchings stop at
+# order 8, where a form has 105 matchings; factored forms contract in
+# closed form, so the cap bounds enumeration, not contraction.
 MAX_DENSE_ORDER = 6
 MAX_FORM_ORDER = 8
 _DENSE_SIZE_LIMIT = 20_000_000
@@ -127,6 +130,8 @@ class SymmetricForm:
         if self.kind == "zero":
             return 0.0
         if self.kind == "pairing":
+            if self.order > MAX_FORM_ORDER:
+                raise SizeError(f"matching sums are capped at order {MAX_FORM_ORDER}")
             z = np.stack(vs)
             gram = z @ self.matrix @ z.T
             total = 0.0

@@ -133,7 +133,10 @@ class GaussianState:
     """Zero-mean Gaussian measure with covariance B (symmetric PSD)."""
 
     def __init__(self, covariance, alpha_class: AlphaClass | None = None):
-        b = require_symmetric(covariance)
+        b = np.asarray(covariance, dtype=np.float64)
+        if not np.all(np.isfinite(b)):
+            raise InvalidCovarianceError("covariance has non-finite entries")
+        b = require_symmetric(b)
         self.covariance = b
         self.dim = b.shape[0]
         self._factor: SpectralDecomposition | None = None

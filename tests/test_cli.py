@@ -257,6 +257,38 @@ def test_non_object_quartic_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("subcommand, cfg, fragment", [
+    ("sweep", dict(MINIMAL, alpha_grid=COS_SWEEP["alpha_grid"],
+                   state={"shape": "diagonal", "weights": [1.0, float("nan")]}),
+     "finite nonnegative weights"),
+    ("sweep", dict(COS_SWEEP, dim=True), "'dim' must be an integer"),
+    ("sweep", dict(COS_SWEEP, dim=2.7), "'dim' must be an integer"),
+    ("sweep", dict(COS_SWEEP, alpha_grid=[float("inf"), 0.01, 0.001]), "finite positive"),
+    ("sweep", dict(COS_SWEEP, alpha_grid=0.1), "'alpha_grid' must be a list"),
+    ("sweep", dict(COS_SWEEP, slope_band=[float("nan"), float("nan")]), "'slope_band' must be"),
+    ("sweep", dict(COS_SWEEP, slope_band=["a", "b"]), "'slope_band' must be"),
+    ("higher-order", dict(MINIMAL, order=5), "2n <= 8"),
+])
+def test_bad_numbers_are_one_line_errors(tmp_path, capsys, subcommand, cfg, fragment):
+    rc = main([subcommand, "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_higher_order_runs_at_order_four(tmp_path):
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" /
+                      "higher_order.json").read_text())
+    cfg["order"] = 4
+    rc = main(["higher-order", "--config", str(_write(tmp_path, cfg)),
+               "--out", str(tmp_path / "h")])
+    assert rc == 0
+    result = json.loads((tmp_path / "h" / "result.json").read_text())
+    assert result["report"]["order"] == 4
+    assert result["report"]["relative_error"] <= 1e-10
+
+
 def test_threads_do_not_change_bytes(tmp_path):
     cfg_path = _write(tmp_path, COS_SWEEP)
     main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "t1"), "--threads", "1"])

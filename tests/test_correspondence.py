@@ -15,6 +15,7 @@ from cqlab.correspondence import (
     variables_equivalent,
 )
 from cqlab.errors import ClassMembershipError, DegenerateStateError, OrderError
+from cqlab.experiments import analytic_average
 from cqlab.functionals import (
     CosQuadMinusOne,
     EvenPolynomial,
@@ -228,14 +229,18 @@ def test_generalized_average_one_dimensional_quartic():
     assert alpha * avg == pytest.approx(3.0 * c * alpha * alpha, rel=1e-12)
 
 
-def test_generalized_average_order_cap():
-    d = DensityOperator(np.eye(2) / 2.0)
-    forms = (SymmetricForm.from_matrix(np.eye(2)),
-             SymmetricForm.zero(4, 2),
-             SymmetricForm.zero(6, 2),
-             SymmetricForm.from_quadratic_power(np.eye(2), 4, 1.0))
+def test_generalized_average_cos_quad_order_eight():
+    # the order-8 component is a factored form, contracted in closed form;
+    # Taylor data stop at order 8, so n = 5 is refused
+    rng = np.random.default_rng(12)
+    alpha = 0.3
+    m = rng.normal(size=(3, 3))
+    rho = GaussianState(m @ m.T * (alpha / np.trace(m @ m.T)))
+    f = CosQuadMinusOne(symmetric_from_entries(rng.normal(size=(3, 3))))
+    generalized = alpha * generalized_average(t_state(rho, alpha), t2n_variable(f, 4, alpha))
+    assert generalized == pytest.approx(analytic_average(f, rho, 8), rel=1e-12)
     with pytest.raises(OrderError):
-        generalized_average(d, ObservableMultiple(forms))
+        t2n_variable(f, 5, alpha)
 
 
 def test_observable_multiple_validates_orders():

@@ -436,3 +436,9 @@ def test_build_state_shapes_have_requested_dispersion():
                  {"shape": "random", "seed": 8}):
         rho = build_state(spec, 3, 0.07)
         assert rho.dispersion() == pytest.approx(0.07, rel=1e-9)
+
+
+def test_build_state_rejects_non_finite_weights():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            build_state({"shape": "diagonal", "weights": [1.0, bad]}, 2, 0.1)

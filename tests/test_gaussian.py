@@ -35,6 +35,12 @@ def test_make_gaussian_rejects_indefinite():
         make_gaussian([[1.0, 2.0], [2.0, 1.0]])
 
 
+def test_make_gaussian_rejects_non_finite_covariance():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidCovarianceError):
+            make_gaussian(np.diag([1.0, bad]))
+
+
 def test_make_gaussian_rejects_wrong_dispersion_in_exact_mode():
     with pytest.raises(ClassMembershipError):
         make_gaussian(np.diag([0.05, 0.05]), AlphaClass(0.2, "exact"))

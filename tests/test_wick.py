@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqlab.errors import OrderError, ParityError, SizeError
+from cqlab.errors import DimensionMismatchError, OrderError, ParityError, SizeError
 from cqlab.functionals import SymmetricForm
 from cqlab.gaussian import make_gaussian, sample
 from cqlab.hilbert import symmetric_from_entries, trace_product
@@ -136,6 +136,56 @@ def test_trace_forms_pairing_side_matches_densified():
     a4 = SymmetricForm.from_dense(rng.normal(size=(3, 3, 3, 3)))
     dense_route = float(np.sum(e4.dense() * a4.dense()))
     assert trace_forms(e4, a4) == pytest.approx(dense_route, rel=1e-10)
+
+
+@given(st.integers(1, 4), st.sampled_from((4, 6)), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_contractions_match_fully_dense(dim, order, seed):
+    # reference: both sides densified, so the dense x dense branch runs
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim))
+    b = moment_form(symmetric_from_entries(m @ m.T), order)
+    a_pair = SymmetricForm.from_quadratic_power(rng.normal(size=(dim, dim)), order // 2,
+                                                rng.normal())
+    a_dense = SymmetricForm.from_dense(rng.normal(size=(dim,) * order))
+    b_ref = SymmetricForm.from_dense(b.dense())
+    for a in (a_pair, a_dense):
+        got = trace_forms(b, a)
+        ref = trace_forms(b_ref, SymmetricForm.from_dense(a.dense()))
+        scale = float(np.sum(np.abs(b.dense()) * np.abs(a.dense())))
+        assert abs(got - ref) <= 1e-12 * scale
+
+
+def test_trace_forms_one_dimensional_order_eight():
+    # oracle: at dim 1 every form is its single entry, cB 105 d^4 times cA 105 m^4
+    d, m, scale = 0.7, -1.3, 2.5
+    b = moment_form(np.array([[d]]), 8)
+    a = SymmetricForm.from_quadratic_power(np.array([[m]]), 4, scale)
+    oracle = b.coeff * a.coeff * double_factorial(7) ** 2 * (d * m) ** 4
+    assert trace_forms(b, a) == pytest.approx(oracle, rel=1e-14)
+    assert trace_forms(a, b) == pytest.approx(oracle, rel=1e-14)
+
+
+def test_integral_order_eight_matches_mc():
+    rng = np.random.default_rng(21)
+    m = rng.normal(size=(3, 3))
+    d = symmetric_from_entries(m @ m.T / 3.0)
+    form = SymmetricForm.from_quadratic_power(rng.normal(size=(3, 3)), 4, 1.0)
+    analytic, mc, stderr = moment_mc_check(d, form, sample(make_gaussian(d), seed=41,
+                                                           count=400_000))
+    assert abs(analytic - mc) <= 4.0 * stderr
+
+
+def test_trace_forms_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        trace_forms(SymmetricForm.from_matrix(np.eye(2)), SymmetricForm.from_matrix(np.eye(3)))
+
+
+def test_pairing_form_evaluation_capped_at_max_form_order():
+    # moment forms exist at any even order, but explicit arguments are
+    # contracted by a sum over matchings, which stops at order 8
+    with pytest.raises(SizeError):
+        moment_form_eval(np.eye(1), [[1.0]] * 10)
 
 
 def test_trace_forms_order_mismatch():
