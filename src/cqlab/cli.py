@@ -31,6 +31,7 @@ from .experiments import (
     build_operator,
     build_second_moment_state,
     chebyshev_experiment,
+    check_config,
     finite_qm_demo,
     higher_order_check,
     moments_check,
@@ -41,31 +42,6 @@ from .experiments import (
 OUT_DIR_ENV = "CQLAB_OUT_DIR"
 
 DEFAULT_ALPHA_GRID = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
-
-_TOP_KEYS = {"dim", "alpha_grid", "functional", "state", "mc_samples", "seed",
-             "order", "slope_band"}
-_FUNCTIONAL_KEYS = {"family", "operator", "quadratic", "quartic"}
-_STATE_KEYS = {"shape", "weights", "psi", "seed", "sampler"}
-_QUARTIC_KEYS = {"operator", "coeff"}
-
-
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _integer(raw: dict, key: str, default=None) -> int:
-    value = raw.get(key, default)
-    # a JSON true is an int to Python, and int() would truncate 2.7 to 2
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
 
 
 def load_config(path) -> tuple[ExperimentConfig, dict]:
@@ -83,42 +59,25 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
 
 
 def config_from_dict(raw: dict) -> tuple[ExperimentConfig, dict]:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    check_config(raw)
     for key in ("dim", "functional", "mc_samples", "seed"):
         if key not in raw:
             raise ConfigError(f"missing required config key: {key!r}")
     functional = raw["functional"]
-    if not isinstance(functional, dict):
-        raise ConfigError("'functional' must be an object")
-    _reject_unknown(functional, _FUNCTIONAL_KEYS, "functional")
-    quartic = functional.get("quartic")
-    if quartic is not None:
-        if not isinstance(quartic, dict):
-            raise ConfigError("'functional.quartic' must be an object")
-        _reject_unknown(quartic, _QUARTIC_KEYS, "functional.quartic")
     state = raw.get("state", {"shape": "isotropic"})
-    if not isinstance(state, dict):
-        raise ConfigError("'state' must be an object")
-    _reject_unknown(state, _STATE_KEYS, "state")
     slope_band = raw.get("slope_band")
-    if slope_band is not None:
-        if (not _is_number_list(slope_band) or len(slope_band) != 2
-                or not all(math.isfinite(x) for x in slope_band)
-                or slope_band[0] > slope_band[1]):
-            raise ConfigError("'slope_band' must be [lo, hi], finite numbers with lo <= hi")
+    if slope_band is not None and (len(slope_band) != 2 or slope_band[0] > slope_band[1]
+                                   or not all(math.isfinite(x) for x in slope_band)):
+        raise ConfigError("'slope_band' must be [lo, hi], finite numbers with lo <= hi")
     grid = raw.get("alpha_grid", DEFAULT_ALPHA_GRID)
-    if not _is_number_list(grid):
-        raise ConfigError("'alpha_grid' must be a list of numbers")
     echoed = {
-        "dim": _integer(raw, "dim"),
+        "dim": raw["dim"],
         "alpha_grid": [float(a) for a in grid],
         "functional": functional,
         "state": state,
-        "mc_samples": _integer(raw, "mc_samples"),
-        "seed": _integer(raw, "seed"),
-        "order": _integer(raw, "order", 1),
+        "mc_samples": raw["mc_samples"],
+        "seed": raw["seed"],
+        "order": raw.get("order", 1),
         "slope_band": list(slope_band) if slope_band is not None else None,
     }
     cfg = ExperimentConfig(
@@ -219,7 +178,7 @@ def _sweep_doc(result: SweepResult, band: list | None) -> dict:
         "noise_limited": result.noise_limited,
         "excluded_rows": result.excluded,
         "slope_band": band,
-        "passed": result.passed(*band) if band else True,
+        "passed": result.passed(*(band or ())),
         "rows": [asdict(r) for r in result.rows],
     }
 

@@ -12,6 +12,7 @@ counts.  MC estimates stay in every report as sanity overlays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,66 @@ class ExperimentConfig:
             raise ConfigError(f"mc_samples must be >= 1000, got {self.mc_samples}")
         if self.order < 1:
             raise ConfigError(f"order must be >= 1, got {self.order}")
+
+
+# The config format.  A schema is int, float (a JSON number that is not a
+# boolean and fits a double) or str; None or a literal string, matched
+# exactly; [s], a list of s; {key: s}, an object with no other keys; or a
+# tuple of alternatives, one per JSON kind.  Null means "absent" where allowed.
+_OPERATOR_SCHEMA = (None, "identity", {"diagonal": [float], "matrix": [[float]],
+                                       "random": {"seed": int, "scale": float}})
+CONFIG_SCHEMA = {
+    "dim": int,
+    "alpha_grid": [float],
+    "functional": {
+        "family": str,
+        "operator": _OPERATOR_SCHEMA,
+        "quadratic": _OPERATOR_SCHEMA,
+        "quartic": (None, {"operator": _OPERATOR_SCHEMA, "coeff": float}),
+    },
+    "state": {"shape": str, "weights": [float], "psi": [float], "seed": int, "sampler": str},
+    "mc_samples": int,
+    "seed": int,
+    "order": int,
+    "slope_band": (None, [float]),
+}
+_LEAVES = {  # a JSON true is an int to Python; a 400-digit integer is no double
+    int: (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer", "integers"),
+    float: (lambda x: isinstance(x, float) or _LEAVES[int][0](x) and abs(x) <= sys.float_info.max,
+            "a number", "numbers"),
+    str: (lambda x: isinstance(x, str), "a string", "strings"),
+}
+
+
+def check_config(value, schema=CONFIG_SCHEMA, where: str = "config") -> None:
+    """Raise a one-line ConfigError naming the key path where `value` departs from `schema`."""
+    if isinstance(schema, tuple):  # take the alternative of the value's kind
+        schema = next((s for s in schema if type(s) is type(value)), schema)
+    if isinstance(schema, dict) and isinstance(value, dict):
+        for key, item in value.items():
+            if key not in schema:
+                raise ConfigError(f"unknown {where} key {key!r}")
+            check_config(item, schema[key], key if where == "config" else f"{where}.{key}")
+    elif not _fits(value, schema):
+        raise ConfigError(f"{where!r} must be {_describe(schema)}, got {value!r:.80}")
+
+
+def _fits(value, schema) -> bool:
+    if isinstance(schema, list):
+        return isinstance(value, list) and all(_fits(v, schema[0]) for v in value)
+    if isinstance(schema, type):
+        return _LEAVES[schema][0](value)
+    return value == schema  # None or a literal string; no JSON value equals a dict or tuple
+
+
+def _describe(schema, plural: bool = False) -> str:
+    if isinstance(schema, tuple):
+        return " or ".join(map(_describe, schema))
+    if isinstance(schema, list):
+        return f"{'lists' if plural else 'a list'} of {_describe(schema[0], True)}"
+    if isinstance(schema, type):
+        return _LEAVES[schema][1 + plural]
+    return "an object" if isinstance(schema, dict) else repr(schema)
 
 
 def build_operator(spec, dim: int) -> np.ndarray:
@@ -302,6 +363,11 @@ class SweepResult:
     excluded: int
 
     def passed(self, lo: float | None = None, hi: float | None = None) -> bool:
+        """False when any row holds a non-finite value, or when a band is
+        given and the fitted slope is not finite or lies outside it."""
+        if not all(math.isfinite(x) for r in self.rows
+                   for x in (r.classical_mc, r.quantum_term, r.remainder, r.stderr)):
+            return False
         if lo is None and hi is None:
             return True
         if self.fitted_slope is None or not math.isfinite(self.fitted_slope):

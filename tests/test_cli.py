@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqlab.cli import emit_plot_data, load_config, main, run
 from cqlab.errors import ConfigError
@@ -347,3 +353,171 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
         MINIMAL, dim=3, order=1, mc_samples=2000)))])
     assert rc == 0
     assert (tmp_path / "envout" / "result.json").exists()
+
+
+BIG = int("9" * 400)  # an integer literal no double can hold
+
+
+def _with(cfg: dict, path: str, value) -> dict:
+    """A deep copy of cfg with the dotted key path set to value."""
+    out = copy.deepcopy(cfg)
+    *parents, leaf = path.split(".")
+    node = out
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return out
+
+
+POLY = {
+    "dim": 2,
+    "functional": {"family": "even-polynomial", "quadratic": "identity",
+                   "quartic": {"operator": "identity", "coeff": 0.5}},
+    "alpha_grid": [0.05],
+    "mc_samples": 2_000,
+    "seed": 3,
+    "order": 2,
+}
+RANDOM_STATE = dict(COS_SWEEP, state={"shape": "random", "seed": 5})
+DIAGONAL = dict(COS_SWEEP, dim=2, functional={"family": "cos-quad-minus-one"},
+                state={"shape": "diagonal", "weights": [1.0, 1.0]})
+PURE = {
+    "dim": 2,
+    "functional": {"family": "quadratic"},
+    "alpha_grid": [0.05],
+    "state": {"shape": "rank1", "psi": [0.6, 0.8]},
+    "mc_samples": 2_000,
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize("subcommand, cfg, where", [
+    # these used to end in a traceback
+    ("sweep", _with(COS_SWEEP, "functional.operator", {"random": "x"}),
+     "'functional.operator.random'"),
+    ("sweep", _with(COS_SWEEP, "functional.operator", {"random": {"seed": None}}),
+     "'functional.operator.random.seed'"),
+    ("sweep", _with(COS_SWEEP, "functional.operator", {"random": {"seed": [1]}}),
+     "'functional.operator.random.seed'"),
+    ("sweep", _with(COS_SWEEP, "functional.operator", {"matrix": {"a": 1}}),
+     "'functional.operator.matrix'"),
+    ("sweep", _with(DIAGONAL, "state.weights", {"a": 1}), "'state.weights'"),
+    ("sweep", _with(RANDOM_STATE, "state.seed", [1]), "'state.seed'"),
+    ("pure-state", _with(PURE, "state.psi", {"a": 1}), "'state.psi'"),
+    ("higher-order", _with(POLY, "functional.quartic.coeff", [1]),
+     "'functional.quartic.coeff'"),
+    ("sweep", _with(COS_SWEEP, "alpha_grid", [BIG, 0.01, 0.001]), "'alpha_grid'"),
+    ("sweep", _with(COS_SWEEP, "functional.operator", {"random": {"seed": 2, "scale": BIG}}),
+     "'functional.operator.random.scale'"),
+    ("sweep", _with(COS_SWEEP, "functional.operator", {"matrix": [[BIG]]}),
+     "'functional.operator.matrix'"),
+    # these used to run, truncated or coerced, and report "passed": true
+    ("sweep", _with(COS_SWEEP, "functional.operator", {"random": {"seed": 2.7}}),
+     "'functional.operator.random.seed'"),
+    ("sweep", _with(RANDOM_STATE, "state.seed", True), "'state.seed'"),
+    ("sweep", _with(DIAGONAL, "state.weights", [True, 1]), "'state.weights'"),
+])
+def test_nested_config_values_are_one_line_errors(tmp_path, capsys, subcommand, cfg, where):
+    rc = main([subcommand, "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{where} must be" in err
+
+
+def test_null_means_absent_where_allowed(tmp_path):
+    nulls = _with(_with(POLY, "slope_band", None), "functional.quartic.operator", None)
+    _, echoed = load_config(_write(tmp_path, _with(nulls, "functional.quadratic", None)))
+    assert echoed["slope_band"] is None
+    cfg, _ = load_config(_write(tmp_path, _with(COS_SWEEP, "functional.operator", None)))
+    assert cfg.functional_spec["operator"] is None
+    load_config(_write(tmp_path, _with(POLY, "functional.quartic", None)))
+    for path in ("state", "order", "alpha_grid", "state.seed", "functional.quartic.coeff"):
+        with pytest.raises(ConfigError, match="must be"):
+            load_config(_write(tmp_path, _with(POLY, path, None)))
+
+
+def test_nan_sweep_without_band_fails(tmp_path):
+    cfg = dict(COS_SWEEP, functional={"family": "cos-quad-minus-one",
+                                      "operator": {"random": {"seed": 2, "scale": float("nan")}}})
+    del cfg["slope_band"]
+    rc = main(["sweep", "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert json.loads((tmp_path / "o" / "result.json").read_text())["passed"] is False
+    row = SweepRow(alpha=0.1, classical_mc=float("nan"), classical_analytic=None,
+                   quantum_term=0.0, remainder=0.0, stderr=0.0, below_noise=True)
+    assert not SweepResult((row,), None, None, True, 1).passed()
+
+
+@pytest.mark.parametrize("subcommand, cfg", [
+    ("sweep", {k: v for k, v in COS_SWEEP.items() if k != "slope_band"}),
+    ("higher-order", POLY),
+])
+def test_manifest_config_replays_verbatim(tmp_path, subcommand, cfg):
+    main([subcommand, "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "r1")])
+    manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
+    assert manifest["config"]["slope_band"] is None
+    replay = _write(tmp_path, manifest["config"], "replay.json")
+    assert main([subcommand, "--config", str(replay), "--out", str(tmp_path / "r2")]) == 0
+    manifest2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
+    assert manifest["results"]["files"] == manifest2["results"]["files"]
+
+
+SHIPPED_CONFIGS = [json.loads(p.read_text()) for p in sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))]
+_WORDS = ["seed", "scale", "matrix", "diagonal", "random", "identity", "operator", "coeff",
+          "shape", "weights", "psi", "rank1", "isotropic", "quadratic", "even-polynomial"]
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 5),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from(_WORDS), st.text(max_size=3))
+_KEY = st.one_of(st.sampled_from(_WORDS), st.text(max_size=3))
+_DEPTH1 = st.one_of(_LEAF, st.lists(_LEAF, max_size=3),
+                    st.dictionaries(_KEY, _LEAF, max_size=2))
+_JSON = st.one_of(_DEPTH1, st.lists(_DEPTH1, max_size=3),
+                  st.dictionaries(_KEY, _DEPTH1, max_size=2))
+
+
+def _paths(node, prefix=()):
+    """Every key path in a JSON tree, the root included."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(data, cfg):
+    path = data.draw(st.sampled_from(list(_paths(cfg))))
+    value = data.draw(_JSON)
+    if not path:
+        return value
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_run_or_fail_in_one_line(data):
+    cfg = copy.deepcopy(data.draw(st.sampled_from(SHIPPED_CONFIGS)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        cfg = _mutate(data, cfg)
+    if isinstance(cfg, dict):  # keep every run small
+        for key, cap in (("dim", 4), ("mc_samples", 1000)):
+            if type(cfg.get(key)) is int:
+                cfg[key] = min(cfg[key], cap)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for subcommand in ("sweep", "pure-state", "higher-order", "nongaussian",
+                           "finite-qm", "moments-check", "chebyshev"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([subcommand, "--config", str(path), "--out", str(Path(tmp) / "o"),
+                           "--threads", "1"])
+            assert rc in (0, 1, 2), (subcommand, cfg)
+            if rc == 1:
+                assert err.getvalue().startswith("error: "), (subcommand, cfg)
+                assert err.getvalue().count("\n") == 1, (subcommand, cfg)
