@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -109,6 +109,8 @@ def _strict_json(doc) -> str:
     """Standard JSON text for a report: non-finite floats become null."""
 
     def finite(x):
+        if is_dataclass(x):  # a check or a table row
+            return finite(asdict(x))
         if isinstance(x, float):
             return x if math.isfinite(x) else None
         if isinstance(x, dict):
@@ -171,16 +173,7 @@ def _nongaussian(cfg: ExperimentConfig, workers: int) -> dict:
     return nongaussian_experiment(state, a, cfg.mc_samples, cfg.seed, workers=workers)
 
 
-def _sweep_doc(result: SweepResult, band: list | None) -> dict:
-    return {
-        "fitted_slope": result.fitted_slope,
-        "fitted_intercept": result.fitted_intercept,
-        "noise_limited": result.noise_limited,
-        "excluded_rows": result.excluded,
-        "slope_band": band,
-        "passed": result.passed(*(band or ())),
-        "rows": [asdict(r) for r in result.rows],
-    }
+CHECK_COLUMNS = ["check", "statistic", "reference", "stderr", "band", "passed"]
 
 
 class _Table(NamedTuple):
@@ -188,8 +181,7 @@ class _Table(NamedTuple):
 
     produce: Callable  # (cfg, workers) -> report
     csv_name: str
-    header: list[str]
-    rows: Callable  # report -> list of CSV rows
+    grid: list[str] | None  # fields of the report's rows, or None for a check table
 
 
 # The lambdas look the experiment functions up when they run, so a caller
@@ -197,53 +189,18 @@ class _Table(NamedTuple):
 _TABLES = {
     "sweep": _Table(
         lambda cfg, workers: alpha_sweep(cfg, workers=workers), "sweep.csv",
-        ["alpha", "classical_mc", "classical_analytic", "quantum_term", "remainder", "stderr"],
-        lambda res: [[r.alpha, r.classical_mc, r.classical_analytic, r.quantum_term,
-                      r.remainder, r.stderr] for r in res.rows]),
-    "pure-state": _Table(
-        _pure_state, "pure_state.csv", ["metric", "value"],
-        lambda rep: [
-            ["amplified_mc", rep["amplified_average"]["mc"]],
-            ["amplified_stderr", rep["amplified_average"]["stderr"]],
-            ["amplified_expected", rep["amplified_average"]["expected"]],
-            ["span_exact_fraction", rep["span"]["exact_fraction"]],
-            ["covariance_max_error", rep["covariance_shape"]["max_error"]],
-        ]),
+        ["alpha", "classical_mc", "classical_analytic", "quantum_term", "remainder", "stderr"]),
+    "pure-state": _Table(_pure_state, "pure_state.csv", None),
     "higher-order": _Table(
-        lambda cfg, workers: higher_order_check(cfg, workers=workers), "higher_order.csv",
-        ["metric", "value"],
-        lambda rep: [[key, rep[key]] for key in (
-            "alpha", "classical_analytic", "generalized_times_alpha", "relative_error",
-            "mc", "stderr")]),
-    "nongaussian": _Table(
-        _nongaussian, "nongaussian.csv",
-        ["statistic", "mc", "stderr", "reference"],
-        lambda rep: [
-            ["quadratic", rep["quadratic"]["mc"], rep["quadratic"]["stderr"],
-             rep["quadratic"]["expected"]],
-            ["quartic", rep["quartic"]["mc"], rep["quartic"]["stderr"],
-             rep["quartic"]["gaussian_prediction"]],
-        ]),
+        lambda cfg, workers: higher_order_check(cfg, workers=workers), "higher_order.csv", None),
+    "nongaussian": _Table(_nongaussian, "nongaussian.csv", None),
     "finite-qm": _Table(
-        lambda cfg, workers: finite_qm_demo(cfg, workers=workers), "finite_qm.csv",
-        ["check", "value", "reference"],
-        lambda rep: [
-            ["pure_amplified_mc", rep["pure_state"]["amplified_average"]["mc"],
-             rep["pure_state"]["amplified_average"]["expected"]],
-            ["mixed_amplified_mc", rep["mixed_quadratic"]["mc"],
-             rep["mixed_quadratic"]["expected"]],
-            ["higher_order_classical", rep["higher_order"]["classical"],
-             rep["higher_order"]["generalized_times_alpha"]],
-        ]),
+        lambda cfg, workers: finite_qm_demo(cfg, workers=workers), "finite_qm.csv", None),
     "moments-check": _Table(
-        lambda cfg, workers: moments_check(cfg, workers=workers), "moments.csv",
-        ["order", "analytic", "mc", "stderr"],
-        lambda rep: [[str(rep["order"]), rep["analytic"], rep["mc"], rep["stderr"]]]),
+        lambda cfg, workers: moments_check(cfg, workers=workers), "moments.csv", None),
     "chebyshev": _Table(
         lambda cfg, workers: chebyshev_experiment(cfg, workers=workers), "chebyshev.csv",
-        ["alpha", "C", "bound", "empirical", "noise"],
-        lambda rep: [[r["alpha"], r["C"], r["bound"], r["empirical"], r["noise"]]
-                     for r in rep["rows"]]),
+        ["alpha", "C", "bound", "empirical", "noise"]),
 }
 
 
@@ -259,16 +216,21 @@ def run(subcommand: str, cfg: ExperimentConfig, echoed: dict, out_dir,
     out.mkdir(parents=True, exist_ok=True)
     table = _TABLES[subcommand]
     doc = table.produce(cfg, workers)
-    csv_path = out / table.csv_name
-    write_csv(csv_path, table.header, table.rows(doc))
-    files = [csv_path]
+    files = [out / table.csv_name]
     if isinstance(doc, SweepResult):
         files += emit_plot_data(doc, out)
-        doc = _sweep_doc(doc, echoed.get("slope_band"))
+        doc = doc.report(echoed.get("slope_band"))
+    if table.grid:
+        write_csv(files[0], table.grid,
+                  [[getattr(r, key) for key in table.grid] for r in doc["rows"]])
+    else:
+        write_csv(files[0], CHECK_COLUMNS, [
+            [c.name, c.statistic, c.reference, c.stderr, c.band, str(c.passed).lower()]
+            for c in doc["checks"]])
 
     result_path = out / "result.json"
     result_doc = {"subcommand": subcommand, "version": __version__,
-                  "passed": bool(doc.get("passed", True)), "report": doc}
+                  "passed": doc["passed"], "report": doc}
     result_path.write_text(_strict_json(result_doc), encoding="utf-8")
 
     manifest = {
@@ -313,7 +275,7 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         return run(args.subcommand, cfg, echoed, out_dir, workers=args.threads)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -336,6 +336,88 @@ def closed_form_average(f: Functional, rho: GaussianState) -> float | None:
 
 
 # ---------------------------------------------------------------------------
+# checks
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate of a report: a statistic against its reference.
+
+    `stderr` (Monte-Carlo standard error) and `sigmas` (the k of a k-sigma
+    band) are None where a gate has none.  `band` is its tolerance: the
+    allowed |statistic - reference| (a range is stored as centre and
+    half-width), relative error, or excess over a bound, or the distance a
+    separation must exceed.
+    """
+
+    name: str
+    statistic: float
+    reference: float | None
+    stderr: float | None
+    band: float | None
+    sigmas: float | None
+    passed: bool
+
+
+def _gate(name, statistic, reference, stderr, band, sigmas, passed, *inputs) -> Check:
+    """The one place a gate's outcome is fixed: it fails when any number it
+    records or was computed from is not finite, whatever its comparison gave."""
+    numbers = [None if x is None else float(x)
+               for x in (statistic, reference, stderr, band, sigmas)]
+    finite = all(math.isfinite(x) for x in numbers + list(inputs) if x is not None)
+    return Check(name, *numbers, bool(passed) and finite)
+
+
+def relative_error(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def within_sigmas(name: str, statistic, reference, stderr, sigmas: float, floor: float) -> Check:
+    """|statistic - reference| <= sigmas * stderr + floor."""
+    band = sigmas * stderr + floor
+    return _gate(name, statistic, reference, stderr, band, sigmas,
+                 abs(statistic - reference) <= band, floor)
+
+
+def relatively_exact(name: str, statistic, reference, rtol: float) -> Check:
+    """relative_error(statistic, reference) <= rtol; rtol 0 asks for equality."""
+    return _gate(name, statistic, reference, None, rtol, None,
+                 relative_error(statistic, reference) <= rtol)
+
+
+def bound_plus_noise(name: str, statistic, bound, stderr, sigmas: float,
+                     bound_inputs: tuple) -> Check:
+    """statistic <= bound + sigmas * stderr; `bound_inputs` are the numbers
+    the bound was computed from (a bound at an infinite threshold is 0)."""
+    band = sigmas * stderr
+    return _gate(name, statistic, bound, stderr, band, sigmas, statistic <= bound + band,
+                 *bound_inputs)
+
+
+def in_range(name: str, statistic, lo: float, hi: float) -> Check:
+    """lo <= statistic <= hi."""
+    return _gate(name, statistic, lo / 2 + hi / 2, None, hi / 2 - lo / 2, None,
+                 lo <= statistic <= hi, lo, hi)
+
+
+def separated(name: str, statistic, reference, stderr, sigmas: float) -> Check:
+    """|statistic - reference| / stderr > sigmas (a zero stderr separates)."""
+    separation = abs(statistic - reference) / stderr if stderr > 0.0 else math.inf
+    return _gate(name, statistic, reference, stderr, sigmas * stderr, sigmas,
+                 separation > sigmas)
+
+
+def measured(name: str, statistic, reference, stderr) -> Check:
+    """A comparison recorded without a band: it fails only on a non-finite number."""
+    return _gate(name, statistic, reference, stderr, None, None, True)
+
+
+def _report(checks: list[Check], **values) -> dict:
+    """A report: its values, its checks, and whether all of them passed."""
+    return {**values, "checks": checks, "passed": all(c.passed for c in checks)}
+
+
+# ---------------------------------------------------------------------------
 # dispersion sweep
 
 
@@ -362,21 +444,20 @@ class SweepResult:
     noise_limited: bool
     excluded: int
 
-    def passed(self, lo: float | None = None, hi: float | None = None) -> bool:
-        """False when any row holds a non-finite value, or when a band is
-        given and the fitted slope is not finite or lies outside it."""
-        if not all(math.isfinite(x) for r in self.rows
-                   for x in (r.classical_mc, r.quantum_term, r.remainder, r.stderr)):
-            return False
-        if lo is None and hi is None:
-            return True
-        if self.fitted_slope is None or not math.isfinite(self.fitted_slope):
-            return False
-        if lo is not None and self.fitted_slope < lo:
-            return False
-        if hi is not None and self.fitted_slope > hi:
-            return False
-        return True
+    def report(self, band: list | None) -> dict:
+        """The sweep's values and checks: per row the classical average
+        against the quantum term, failing on a non-finite value (a row's
+        stderr is not finite whenever its MC mean is not), and the fitted
+        slope against `band` = [lo, hi] when one is given."""
+        checks = [measured(f"remainder[{i}]", r.classical_mc if r.classical_analytic is None
+                           else r.classical_analytic, r.quantum_term, r.stderr)
+                  for i, r in enumerate(self.rows)]
+        if band is not None:
+            slope = math.nan if self.fitted_slope is None else self.fitted_slope
+            checks.append(in_range("fitted_slope", slope, *band))
+        return _report(checks, fitted_slope=self.fitted_slope,
+                       fitted_intercept=self.fitted_intercept, noise_limited=self.noise_limited,
+                       excluded_rows=self.excluded, slope_band=band, rows=self.rows)
 
 
 def alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
@@ -445,26 +526,20 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int,
     direction = rho.sampling_matrix()[:, 0]
     ok, _coeffs = exact_span_coefficients(x, direction)
     zero_cols = np.nonzero(direction == 0.0)[0]
-    zeros_exact = bool(np.all(x[:, zero_cols] == 0.0)) if zero_cols.size else True
+    off_axis = x[:, zero_cols] == 0.0
 
     b = rho.covariance
-    cov_hat = (x.T @ x) / n_samples / alpha
-    target = np.outer(v, v)
+    cov_err = np.abs((x.T @ x) / n_samples / alpha - np.outer(v, v))
     band = 4.0 * np.sqrt((np.outer(np.diag(b), np.diag(b)) + b ** 2) / n_samples) / alpha
-    cov_ok = bool(np.all(np.abs(cov_hat - target) <= band + 1e-15))
 
-    amp_ok = abs(amp_mean - expected) <= 4.0 * amp_stderr
-    return {
-        "alpha": alpha,
-        "samples": n_samples,
-        "amplified_average": {"mc": amp_mean, "stderr": amp_stderr,
-                              "expected": expected, "passed": bool(amp_ok)},
-        "span": {"exact_fraction": float(np.mean(ok)), "passed": bool(np.all(ok)),
-                 "off_axis_zero": zeros_exact},
-        "covariance_shape": {"max_error": float(np.abs(cov_hat - target).max()),
-                             "passed": cov_ok},
-        "passed": bool(amp_ok and np.all(ok) and zeros_exact and cov_ok),
-    }
+    # span, off_axis_zero and covariance_shape are fractions of rows or
+    # entries that hold, so each must be exactly 1
+    return _report([
+        within_sigmas("amplified_average", amp_mean, expected, amp_stderr, 4.0, 0.0),
+        relatively_exact("span", np.mean(ok), 1.0, 0.0),
+        relatively_exact("off_axis_zero", np.mean(off_axis) if off_axis.size else 1.0, 1.0, 0.0),
+        relatively_exact("covariance_shape", np.mean(cov_err <= band + 1e-15), 1.0, 0.0),
+    ], alpha=alpha, samples=n_samples, covariance_max_error=float(cov_err.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -484,29 +559,20 @@ def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
 
     try:
         t_state(rho, alpha)
-        exact = {"accepted": True, "error": None}
+        error = None
     except ClassMembershipError as exc:
-        exact = {"accepted": False, "error": str(exc)}
+        error = str(exc)
 
     extended = t_state_extended(rho)
-    extended_trace = float(np.trace(extended.matrix))
-
     mean, stderr = mc_average(Quadratic(h), rho, n_samples, seed, workers=workers)
-    bound = operator_norm(h) * sigma2
-    energy_ok = abs(mean) <= bound + 4.0 * stderr
-
+    norm = operator_norm(h)
     boundary = abs(sigma2 - alpha) <= 1e-9 * alpha
-    rejection_ok = exact["accepted"] == boundary
-    return {
-        "alpha": alpha,
-        "shrink": shrink,
-        "dispersion": sigma2,
-        "exact_mode": exact,
-        "rejection_as_expected": bool(rejection_ok),
-        "extended_trace": extended_trace,
-        "energy": {"mc": mean, "stderr": stderr, "bound": bound, "passed": bool(energy_ok)},
-        "passed": bool(rejection_ok and energy_ok and abs(extended_trace - 1.0) <= 1e-12),
-    }
+    return _report([
+        # 1 if the exact map accepted the state, against 1 if it should have
+        relatively_exact("exact_map_accepts", error is None, boundary, 0.0),
+        within_sigmas("extended_trace", np.trace(extended.matrix), 1.0, 0.0, 0.0, 1e-12),
+        bound_plus_noise("energy", abs(mean), norm * sigma2, stderr, 4.0, (norm, sigma2)),
+    ], alpha=alpha, shrink=shrink, dispersion=sigma2, exact_map_error=error)
 
 
 # ---------------------------------------------------------------------------
@@ -521,25 +587,17 @@ def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: in
     quad = Quadratic(am)
     mean, stderr = mc_average(quad, state, n_samples, seed, workers=workers)
     expected = trace_product(state.covariance, am)
-    # the FP floor matters when the statistic is constant (uniform sphere
-    # with A = I), where both the error and stderr sit at round-off scale
-    quad_ok = abs(mean - expected) <= 4.0 * stderr + 1e-12 * max(1.0, abs(expected))
 
     quartic = SymmetricForm.from_quadratic_power(np.eye(state.dim), 2, 1.0)
     q_mean, q_stderr = mc_average(EvenPolynomial({4: quartic}), state, n_samples,
                                   derive_seed(seed, 1), workers=workers)
     gaussian_pred = gaussian_integral_multilinear(quartic, state.covariance)
-    separation = abs(q_mean - gaussian_pred) / q_stderr if q_stderr > 0.0 else math.inf
-
-    return {
-        "kind": state.kind,
-        "samples": n_samples,
-        "quadratic": {"mc": mean, "stderr": stderr, "expected": expected,
-                      "passed": bool(quad_ok)},
-        "quartic": {"mc": q_mean, "stderr": q_stderr, "gaussian_prediction": gaussian_pred,
-                    "separation_sigmas": float(separation), "separated": bool(separation > 4.0)},
-        "passed": bool(quad_ok and separation > 4.0),
-    }
+    return _report([
+        # the FP floor matters when the statistic is constant (uniform sphere
+        # with A = I), where both the error and stderr sit at round-off scale
+        within_sigmas("quadratic", mean, expected, stderr, 4.0, 1e-12 * max(1.0, abs(expected))),
+        separated("quartic", q_mean, gaussian_pred, q_stderr, 4.0),
+    ], kind=state.kind, samples=n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +617,7 @@ def finite_qm_demo(cfg: ExperimentConfig, workers: int = 1) -> dict:
     a_op = build_operator(cfg.functional_spec.get("operator"), n) \
         if cfg.functional_spec.get("family") == "quadratic" else np.eye(n)
     pure = pure_state_experiment(psi, alpha, a_op, cfg.mc_samples, derive_seed(cfg.seed, 10),
-                                 workers=workers)
+                                 workers=workers)["checks"]
 
     # random mixed state, quadratic variable: amplified MC vs Tr D A
     m = rng.standard_normal((n, n))
@@ -571,7 +629,6 @@ def finite_qm_demo(cfg: ExperimentConfig, workers: int = 1) -> dict:
     mc, stderr = mc_average(amplify(f, alpha), rho, cfg.mc_samples,
                             derive_seed(cfg.seed, 11), workers=workers)
     expected = quantum_average(d, t_variable(f))
-    mixed_ok = abs(mc - expected) <= 4.0 * stderr
 
     # higher-order model: exact polynomial equality through order 4
     q2 = symmetric_from_entries(rng.standard_normal((n, n)))
@@ -579,19 +636,11 @@ def finite_qm_demo(cfg: ExperimentConfig, workers: int = 1) -> dict:
     poly = EvenPolynomial({2: SymmetricForm.from_matrix(q2), 4: q4})
     classical = analytic_average(poly, rho, 4)
     generalized = alpha * generalized_average(d, t2n_variable(poly, 2, alpha))
-    rel = abs(classical - generalized) / max(abs(classical), abs(generalized), 1e-300)
-    poly_ok = rel <= 1e-10
 
-    return {
-        "dim": n,
-        "alpha": alpha,
-        "pure_state": pure,
-        "mixed_quadratic": {"mc": mc, "stderr": stderr, "expected": expected,
-                            "passed": bool(mixed_ok)},
-        "higher_order": {"classical": classical, "generalized_times_alpha": generalized,
-                         "relative_error": rel, "passed": bool(poly_ok)},
-        "passed": bool(pure["passed"] and mixed_ok and poly_ok),
-    }
+    return _report([replace(c, name=f"pure_{c.name}") for c in pure] + [
+        within_sigmas("mixed_quadratic", mc, expected, stderr, 4.0, 0.0),
+        relatively_exact("higher_order", classical, generalized, 1e-10),
+    ], dim=n, alpha=alpha)
 
 
 def moments_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
@@ -616,27 +665,25 @@ def moments_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
     ak = SymmetricForm.from_dense(rng.standard_normal((cfg.dim,) * (2 * k)))
     batch = rho.sample(derive_seed(cfg.seed, 6), cfg.mc_samples, workers=workers)
     analytic, mc, stderr = moment_mc_check(d, ak, batch)
-    band_ok = abs(analytic - mc) <= 4.0 * stderr
-
-    report = {
-        "order": 2 * k,
-        "samples": cfg.mc_samples,
-        "analytic": analytic,
-        "mc": mc,
-        "stderr": stderr,
-        "within_band": bool(band_ok),
-        "passed": bool(band_ok),
-    }
+    checks = [within_sigmas("moment", mc, analytic, stderr, 4.0, 0.0)]
     if shape == "isotropic" and cfg.dim >= 2:
         e1 = np.eye(cfg.dim)[0]
         e2 = np.eye(cfg.dim)[1]
-        rep = moment_form_eval(d, [e1, e1, e1, e1])
-        split = moment_form_eval(d, [e1, e1, e2, e2])
-        spot_ok = rep == 3.0 and split == 1.0
-        report["identity_spot_checks"] = {"repeated_axis": rep, "split_axes": split,
-                                          "passed": bool(spot_ok)}
-        report["passed"] = bool(band_ok and spot_ok)
-    return report
+        checks += [
+            relatively_exact("repeated_axis", moment_form_eval(d, [e1, e1, e1, e1]), 3.0, 0.0),
+            relatively_exact("split_axes", moment_form_eval(d, [e1, e1, e2, e2]), 1.0, 0.0)]
+    # bench/workloads.py re-checks the band from these three top-level values
+    return _report(checks, order=2 * k, samples=cfg.mc_samples, analytic=analytic, mc=mc,
+                   stderr=stderr)
+
+
+@dataclass(frozen=True)
+class TailRow:
+    alpha: float
+    C: float
+    bound: float
+    empirical: float
+    noise: float
 
 
 def chebyshev_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
@@ -644,20 +691,18 @@ def chebyshev_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     alphas = cfg.alpha_grid[:3]
     if len(alphas) < 3:
         raise ConfigError("the tail experiment needs at least 3 grid points")
-    rows = []
-    all_ok = True
+    rows, checks = [], []
     for i, alpha in enumerate(alphas):
         rho = build_state(cfg.state_spec, cfg.dim, alpha)
         batch = rho.sample(derive_seed(cfg.seed, 20 + i), cfg.mc_samples, workers=workers)
         for mult in (1.0, 10.0, 100.0):
             c = mult * alpha
             bound, empirical = chebyshev_tail(rho, c, batch)
-            noise = 4.0 * math.sqrt(bound / cfg.mc_samples)
-            ok = empirical <= bound + noise
-            all_ok = all_ok and ok
-            rows.append({"alpha": alpha, "C": c, "bound": bound, "empirical": empirical,
-                         "noise": noise, "passed": bool(ok)})
-    return {"rows": rows, "passed": bool(all_ok)}
+            check = bound_plus_noise(f"tail[{len(rows)}]", empirical, bound,
+                                     math.sqrt(bound / cfg.mc_samples), 4.0, (c,))
+            rows.append(TailRow(alpha, c, bound, empirical, check.band))
+            checks.append(check)
+    return _report(checks, rows=rows)
 
 
 def higher_order_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
@@ -680,19 +725,9 @@ def higher_order_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
     observable = t2n_variable(f, cfg.order, alpha)
     classical = analytic_average(f, rho, 2 * cfg.order)
     generalized = alpha * generalized_average(d, observable)
-    rel = abs(classical - generalized) / max(abs(classical), abs(generalized), 1e-300)
     mc, stderr = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, 4), workers=workers)
-    mc_ok = abs(mc - classical) <= 4.0 * stderr
-    return {
-        "alpha": alpha,
-        "order": cfg.order,
-        "classical_analytic": classical,
-        "generalized_times_alpha": generalized,
-        "relative_error": rel,
-        "mc": mc,
-        "stderr": stderr,
-        "mc_within_band": bool(mc_ok),
-        "density_operator": d.to_dict(),
-        "observable": observable.to_dict(),
-        "passed": bool(rel <= 1e-10 and mc_ok),
-    }
+    return _report([
+        relatively_exact("exactness", classical, generalized, 1e-10),
+        within_sigmas("mc_overlay", mc, classical, stderr, 4.0, 0.0),
+    ], alpha=alpha, order=cfg.order, relative_error=relative_error(classical, generalized),
+        density_operator=d.to_dict(), observable=observable.to_dict())

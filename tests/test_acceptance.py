@@ -47,6 +47,10 @@ from cqlab.hilbert import symmetric_from_entries, trace_product
 from cqlab.wick import moment_form_eval, moment_mc_check
 
 
+def _check(report: dict, name: str):
+    return next(c for c in report["checks"] if c.name == name)
+
+
 def _report(number: int, name: str, passed: bool, detail: str, elapsed: float) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"criterion {number:02d} {status} - {name}: {detail} ({elapsed:.1f} s)")
@@ -162,10 +166,10 @@ def test_criterion_05_pure_state_structure():
     psi = np.array([2.0, -1.0, 2.0]) / 3.0
     a = symmetric_from_entries([[0.5, 1.0, 0.0], [1.0, -0.3, 0.2], [0.0, 0.2, 0.8]])
     reports.append(pure_state_experiment(psi, alpha, a, n_samples, seed=1006))
-    span_ok = all(r["span"]["passed"] for r in reports)
-    amp_ok = all(r["amplified_average"]["passed"] for r in reports)
-    cov_ok = all(r["covariance_shape"]["passed"] for r in reports)
-    axis_ok = reports[0]["span"]["off_axis_zero"]
+    span_ok = all(_check(r, "span").passed for r in reports)
+    amp_ok = all(_check(r, "amplified_average").passed for r in reports)
+    cov_ok = all(_check(r, "covariance_shape").passed for r in reports)
+    axis_ok = _check(reports[0], "off_axis_zero").passed
     elapsed = time.perf_counter() - t0
     passed = span_ok and amp_ok and cov_ok and axis_ok
     _report(5, "pure-state structure", passed,
@@ -236,8 +240,8 @@ def test_criterion_08_incompleteness_states():
     h = symmetric_from_entries(rng.normal(size=(4, 4)))
     report = sub_alpha_states(alpha, shrink=alpha, dim=4, hamiltonian=h,
                               n_samples=50_000, seed=1008)
-    rejected = not report["exact_mode"]["accepted"]
-    energy_ok = report["energy"]["passed"]
+    rejected = _check(report, "exact_map_accepts").statistic == 0.0
+    energy_ok = _check(report, "energy").passed
     rho = GaussianState(np.eye(2) * (alpha * alpha / 2.0))
     with pytest.raises(ClassMembershipError):
         t_state(rho, alpha)
@@ -259,13 +263,15 @@ def test_criterion_09_nongaussian_second_moment_law():
         SecondMomentState.product_laplace(np.full(n, 0.025)), a, n_samples, seed=1009)
     sphere = nongaussian_experiment(
         SecondMomentState.uniform_sphere(0.3, n), a, n_samples, seed=1010)
-    quad_ok = laplace["quadratic"]["passed"] and sphere["quadratic"]["passed"]
-    sep_ok = laplace["quartic"]["separated"]
+    quad_ok = _check(laplace, "quadratic").passed and _check(sphere, "quadratic").passed
+    quartic = _check(laplace, "quartic")
+    sep_ok = quartic.passed
     elapsed = time.perf_counter() - t0
     passed = quad_ok and sep_ok
     _report(9, "non-Gaussian second-moment law", passed,
             f"trace formula within 4 sigma for both samplers; Laplace quartic "
-            f"separation {laplace['quartic']['separation_sigmas']:.1f} sigma", elapsed)
+            f"separation {abs(quartic.statistic - quartic.reference) / quartic.stderr:.1f} sigma",
+            elapsed)
     assert quad_ok
     assert sep_ok
 

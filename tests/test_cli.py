@@ -4,7 +4,12 @@ import contextlib
 import copy
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +19,7 @@ from hypothesis import strategies as st
 
 from cqlab.cli import emit_plot_data, load_config, main, run
 from cqlab.errors import ConfigError
-from cqlab.experiments import SweepResult, SweepRow
+from cqlab.experiments import Check, SweepResult, SweepRow
 
 
 MINIMAL = {
@@ -33,6 +38,10 @@ COS_SWEEP = {
     "seed": 11,
     "slope_band": [1.9, 2.1],
 }
+
+
+def _check(result: dict, name: str) -> dict:
+    return next(c for c in result["report"]["checks"] if c["name"] == name)
 
 
 def _write(tmp_path: Path, cfg: dict, name="cfg.json") -> Path:
@@ -115,8 +124,8 @@ def test_moments_check_run(tmp_path):
     rc = main(["moments-check", "--config", str(_write(tmp_path, cfg)), "--out", str(out)])
     assert rc == 0
     result = json.loads((out / "result.json").read_text())
-    assert result["report"]["identity_spot_checks"]["repeated_axis"] == 3.0
-    assert result["report"]["within_band"] is True
+    assert _check(result, "repeated_axis")["statistic"] == 3.0
+    assert _check(result, "moment")["passed"] is True
 
 
 def test_pure_state_rejects_nonunit_vector(tmp_path):
@@ -147,7 +156,7 @@ def test_pure_state_run(tmp_path):
     rc = main(["pure-state", "--config", str(_write(tmp_path, cfg)), "--out", str(out)])
     assert rc == 0
     result = json.loads((out / "result.json").read_text())
-    assert result["report"]["span"]["passed"] is True
+    assert _check(result, "span")["passed"] is True
 
 
 def test_chebyshev_and_nongaussian_runs(tmp_path):
@@ -200,7 +209,8 @@ def test_seed_override_changes_results(tmp_path):
 
 
 def test_nan_slope_fails_its_band(tmp_path):
-    assert not SweepResult((), float("nan"), 0.0, False, 0).passed(1.9, 2.1)
+    empty = SweepResult((), float("nan"), 0.0, False, 0)
+    assert not empty.report([1.9, 2.1])["passed"]
     nan_op = dict(COS_SWEEP, functional={"family": "cos-quad-minus-one",
                                          "operator": {"matrix": [[float("nan")]]}})
     rc = main(["sweep", "--config", str(_write(tmp_path, nan_op)), "--out", str(tmp_path / "o")])
@@ -221,6 +231,58 @@ def test_nan_sweep_writes_standard_json(tmp_path):
     assert result["passed"] is False
     assert result["report"]["fitted_slope"] is None
     assert result["report"]["rows"][0]["classical_mc"] is None
+
+
+# Overflow probes: a huge dispersion leaves a stderr or a threshold C at inf,
+# which used to let a 4-sigma band or a tail bound pass anything.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nongaussian_overflow_fails_its_gates(tmp_path):
+    cfg = dict(MINIMAL, dim=4, alpha_grid=[1e300], mc_samples=1000,
+               state={"sampler": "product-laplace"})
+    rc = main(["nongaussian", "--config", str(_write(tmp_path, cfg)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert json.loads((tmp_path / "o" / "result.json").read_text())["passed"] is False
+
+
+def test_chebyshev_infinite_threshold_fails_its_gate(tmp_path):
+    cfg = dict(MINIMAL, dim=4, alpha_grid=[1e308, 1e306, 1e304], mc_samples=1000)
+    rc = main(["chebyshev", "--config", str(_write(tmp_path, cfg)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    result = json.loads((tmp_path / "o" / "result.json").read_text())
+    assert result["passed"] is False
+    assert [c["passed"] for c in result["report"]["checks"]][:3] == [True, False, False]
+
+
+def test_unusable_paths_are_one_line_errors(tmp_path, capsys):
+    cfg_path = _write(tmp_path, MINIMAL)
+    for argv in (["--config", str(cfg_path), "--out", str(cfg_path)],  # FileExistsError
+                 ["--config", str(tmp_path), "--out", str(tmp_path / "o")]):  # IsADirectoryError
+        assert main(["moments-check"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _limit_address_space():  # runs in the child only
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(COS_SWEEP, mc_samples=10 ** 12),
+    dict(COS_SWEEP, dim=1_000_000, functional={"family": "cos-quad-minus-one",
+                                               "operator": "identity"}),
+])
+def test_allocation_failure_is_a_one_line_error(tmp_path, cfg):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cqlab.cli", "sweep", "--config", str(_write(tmp_path, cfg)),
+         "--out", str(tmp_path / "o")],
+        preexec_fn=_limit_address_space, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
 
 
 def test_negative_seeds_are_taken_mod_2_64(tmp_path):
@@ -446,7 +508,7 @@ def test_nan_sweep_without_band_fails(tmp_path):
     assert json.loads((tmp_path / "o" / "result.json").read_text())["passed"] is False
     row = SweepRow(alpha=0.1, classical_mc=float("nan"), classical_analytic=None,
                    quantum_term=0.0, remainder=0.0, stderr=0.0, below_noise=True)
-    assert not SweepResult((row,), None, None, True, 1).passed()
+    assert not SweepResult((row,), None, None, True, 1).report(None)["passed"]
 
 
 @pytest.mark.parametrize("subcommand, cfg", [
@@ -498,6 +560,12 @@ def _mutate(data, cfg):
     return cfg
 
 
+CHECK_FIELDS = {f.name for f in fields(Check)}
+
+
+# A mutated number can overflow on purpose (a 1e153 operator entry); NumPy
+# warns, and the run must then fail its checks, not stop with a traceback.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mutated_configs_run_or_fail_in_one_line(data):
@@ -521,3 +589,9 @@ def test_mutated_configs_run_or_fail_in_one_line(data):
             if rc == 1:
                 assert err.getvalue().startswith("error: "), (subcommand, cfg)
                 assert err.getvalue().count("\n") == 1, (subcommand, cfg)
+                continue
+            result = json.loads((Path(tmp) / "o" / "result.json").read_text())
+            checks = result["report"]["checks"]
+            assert checks and all(set(c) == CHECK_FIELDS for c in checks), (subcommand, cfg)
+            assert result["passed"] == all(c["passed"] for c in checks), (subcommand, cfg)
+            assert (rc == 2) == (not result["passed"]), (subcommand, cfg)

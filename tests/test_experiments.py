@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,16 +14,23 @@ from cqlab.experiments import (
     SecondMomentState,
     alpha_sweep,
     analytic_average,
+    bound_plus_noise,
     build_state,
     chebyshev_experiment,
     closed_form_average,
     finite_qm_demo,
     higher_order_check,
+    in_range,
+    measured,
+    relative_error,
+    relatively_exact,
+    separated,
     mc_average,
     moments_check,
     nongaussian_experiment,
     pure_state_experiment,
     sub_alpha_states,
+    within_sigmas,
 )
 from cqlab.functionals import (
     MAX_FORM_ORDER,
@@ -36,6 +44,10 @@ from cqlab.functionals import (
 from cqlab.gaussian import make_gaussian, mean_stderr, pure_state_measure, substream
 from cqlab.hilbert import symmetric_from_entries, trace_product
 from cqlab.pairings import double_factorial
+
+
+def _check(report: dict, name: str):
+    return next(c for c in report["checks"] if c.name == name)
 
 # frozen characteristic-function oracle values for psi ~ N(0, 0.1), a = 1:
 # E exp(i a psi^2) = (1 - 2i a alpha)^(-1/2)
@@ -294,20 +306,20 @@ def test_noninjectivity_witness_pair():
 def test_pure_state_amplified_average_diag():
     report = pure_state_experiment(np.array([1.0, 0.0]), 0.05, np.diag([2.0, 5.0]),
                                    50_000, seed=17)
-    amp = report["amplified_average"]
-    assert abs(amp["mc"] - 2.0) <= 4.0 * amp["stderr"]
-    assert report["span"]["off_axis_zero"]
+    amp = _check(report, "amplified_average")
+    assert abs(amp.statistic - 2.0) <= 4.0 * amp.stderr
+    assert _check(report, "off_axis_zero").passed
     assert report["passed"]
 
 
 def test_pure_state_amplified_average_flip_operator():
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
     report = pure_state_experiment(psi, 0.05, [[0.0, 1.0], [1.0, 0.0]], 50_000, seed=19)
-    amp = report["amplified_average"]
-    assert amp["expected"] == pytest.approx(1.0, rel=1e-12)
-    assert abs(amp["mc"] - 1.0) <= 4.0 * amp["stderr"]
-    assert report["span"]["passed"]
-    assert report["covariance_shape"]["passed"]
+    amp = _check(report, "amplified_average")
+    assert amp.reference == pytest.approx(1.0, rel=1e-12)
+    assert abs(amp.statistic - 1.0) <= 4.0 * amp.stderr
+    assert _check(report, "span").passed
+    assert _check(report, "covariance_shape").passed
 
 
 def test_pure_state_requires_unit_vector():
@@ -321,17 +333,17 @@ def test_sub_alpha_rejection_and_energy_bound():
                               hamiltonian=np.diag([1.0, 2.0, 3.0, 4.0]),
                               n_samples=50_000, seed=23)
     assert report["dispersion"] == pytest.approx(alpha * alpha, rel=1e-12)
-    assert not report["exact_mode"]["accepted"]
-    assert report["rejection_as_expected"]
-    assert report["energy"]["passed"]
-    assert abs(report["extended_trace"] - 1.0) <= 1e-12
+    assert _check(report, "exact_map_accepts").statistic == 0.0
+    assert _check(report, "exact_map_accepts").passed
+    assert _check(report, "energy").passed
+    assert abs(_check(report, "extended_trace").statistic - 1.0) <= 1e-12
     assert report["passed"]
 
 
 def test_sub_alpha_boundary_acceptance():
     report = sub_alpha_states(0.01, shrink=1.0, dim=3, hamiltonian=np.eye(3),
                               n_samples=5_000, seed=29)
-    assert report["exact_mode"]["accepted"]
+    assert _check(report, "exact_map_accepts").statistic == 1.0
     assert report["passed"]
 
 
@@ -340,8 +352,8 @@ def test_nongaussian_product_laplace():
     rng = np.random.default_rng(31)
     a = symmetric_from_entries(rng.normal(size=(4, 4)))
     report = nongaussian_experiment(state, a, 100_000, seed=31)
-    assert report["quadratic"]["passed"]
-    assert report["quartic"]["separated"]
+    assert _check(report, "quadratic").passed
+    assert _check(report, "quartic").passed
     assert report["passed"]
 
 
@@ -350,9 +362,9 @@ def test_nongaussian_uniform_sphere():
     state = SecondMomentState.uniform_sphere(r, 4)
     report = nongaussian_experiment(state, np.eye(4), 50_000, seed=37)
     # (A psi, psi) is exactly r^2 on the sphere for A = I
-    assert report["quadratic"]["expected"] == pytest.approx(r * r, rel=1e-12)
-    assert report["quadratic"]["passed"]
-    assert report["quartic"]["separated"]
+    assert _check(report, "quadratic").reference == pytest.approx(r * r, rel=1e-12)
+    assert _check(report, "quadratic").passed
+    assert _check(report, "quartic").passed
 
 
 def test_laplace_sample_covariance_matches_target():
@@ -376,9 +388,10 @@ def test_finite_qm_demo_end_to_end():
                            state_spec={"shape": "isotropic"},
                            mc_samples=50_000, seed=43)
     report = finite_qm_demo(cfg)
-    assert report["pure_state"]["passed"]
-    assert report["mixed_quadratic"]["passed"]
-    assert report["higher_order"]["relative_error"] <= 1e-10
+    assert all(c.passed for c in report["checks"] if c.name.startswith("pure_"))
+    assert _check(report, "mixed_quadratic").passed
+    ho = _check(report, "higher_order")
+    assert relative_error(ho.statistic, ho.reference) <= 1e-10
     assert report["passed"]
 
 
@@ -393,7 +406,8 @@ def test_finite_qm_pure_branch_reproduces_direct_run():
     psi = np.ones(2) / math.sqrt(2.0)
     direct = pure_state_experiment(psi, 0.05, np.eye(2), 20_000,
                                    seed=derive_seed(61, 10))
-    assert demo["pure_state"] == direct
+    assert [c for c in demo["checks"] if c.name.startswith("pure_")] == \
+        [replace(c, name=f"pure_{c.name}") for c in direct["checks"]]
 
 
 def test_higher_order_check_exactness():
@@ -403,7 +417,7 @@ def test_higher_order_check_exactness():
                            mc_samples=50_000, seed=47, order=2)
     report = higher_order_check(cfg)
     assert report["relative_error"] <= 1e-10
-    assert report["mc_within_band"]
+    assert _check(report, "mc_overlay").passed
     assert report["passed"]
 
 
@@ -413,9 +427,9 @@ def test_moments_check_identity_spots():
                            state_spec={"shape": "isotropic"},
                            mc_samples=100_000, seed=53, order=2)
     report = moments_check(cfg)
-    assert report["identity_spot_checks"]["repeated_axis"] == 3.0
-    assert report["identity_spot_checks"]["split_axes"] == 1.0
-    assert report["within_band"]
+    assert _check(report, "repeated_axis").statistic == 3.0
+    assert _check(report, "split_axes").statistic == 1.0
+    assert _check(report, "moment").passed
     assert report["passed"]
 
 
@@ -442,3 +456,31 @@ def test_build_state_rejects_non_finite_weights():
     for bad in (np.nan, np.inf):
         with pytest.raises(ConfigError, match="finite"):
             build_state({"shape": "diagonal", "weights": [1.0, bad]}, 2, 0.1)
+
+
+_HELPER_ARGS = [
+    (within_sigmas, ("w", 1.0, 1.0, 0.1, 4.0, 0.0)),
+    (relatively_exact, ("r", 1.0, 1.0, 1e-10)),
+    (bound_plus_noise, ("b", 0.1, 0.5, 0.01, 4.0, (1.0, 2.0))),
+    (in_range, ("i", 2.0, 1.9, 2.1)),
+    (separated, ("s", 1.0, 0.0, 0.1, 4.0)),
+    (measured, ("m", 1.0, 0.5, 0.1)),
+]
+
+
+def _with_bad(args: tuple, bad: float):
+    """Each copy of args with one number, possibly inside a tuple, set to bad."""
+    for i, arg in enumerate(args):
+        if isinstance(arg, tuple):
+            for j in range(len(arg)):
+                yield args[:i] + (arg[:j] + (bad,) + arg[j + 1:],) + args[i + 1:]
+        elif isinstance(arg, float):
+            yield args[:i] + (bad,) + args[i + 1:]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("helper, args", _HELPER_ARGS)
+def test_check_helpers_fail_on_non_finite_inputs(helper, args, bad):
+    assert helper(*args).passed
+    for bad_args in _with_bad(args, bad):
+        assert not helper(*bad_args).passed, bad_args
