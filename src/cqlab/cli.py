@@ -1,10 +1,10 @@
 """Command-line surface: config loading, experiment dispatch, result and
 plot-data persistence.
 
-Configs are strict JSON: unknown keys are rejected, defaults are applied
-and echoed into the run manifest.  All numeric CSV output uses shortest
-round-trip decimals, so identical config and seed reproduce byte-identical
-tables regardless of --threads.
+Configs are read and checked by `ExperimentConfig.from_json`, and the run
+manifest embeds `cfg.to_json()`, defaults filled in.  All numeric CSV
+output uses shortest round-trip decimals, so identical config and seed
+reproduce byte-identical tables regardless of --threads.
 """
 
 from __future__ import annotations
@@ -15,38 +15,23 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, experiments
 from .errors import ConfigError
-from .experiments import (
-    ExperimentConfig,
-    SweepResult,
-    alpha_sweep,
-    build_operator,
-    build_second_moment_state,
-    chebyshev_experiment,
-    check_config,
-    finite_qm_demo,
-    higher_order_check,
-    moments_check,
-    nongaussian_experiment,
-    pure_state_experiment,
-)
+from .experiments import ExperimentConfig, SweepResult
 
 OUT_DIR_ENV = "CQLAB_OUT_DIR"
 
-DEFAULT_ALPHA_GRID = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
 
-
-def load_config(path) -> tuple[ExperimentConfig, dict]:
-    """Parse and validate a config file; returns the config and the echoed
-    dict with defaults filled in (this echo is what the manifest embeds)."""
+def load_config(path) -> ExperimentConfig:
+    """Parse and check a config file."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -55,41 +40,7 @@ def load_config(path) -> tuple[ExperimentConfig, dict]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
-    return config_from_dict(raw)
-
-
-def config_from_dict(raw: dict) -> tuple[ExperimentConfig, dict]:
-    check_config(raw)
-    for key in ("dim", "functional", "mc_samples", "seed"):
-        if key not in raw:
-            raise ConfigError(f"missing required config key: {key!r}")
-    functional = raw["functional"]
-    state = raw.get("state", {"shape": "isotropic"})
-    slope_band = raw.get("slope_band")
-    if slope_band is not None and (len(slope_band) != 2 or slope_band[0] > slope_band[1]
-                                   or not all(math.isfinite(x) for x in slope_band)):
-        raise ConfigError("'slope_band' must be [lo, hi], finite numbers with lo <= hi")
-    grid = raw.get("alpha_grid", DEFAULT_ALPHA_GRID)
-    echoed = {
-        "dim": raw["dim"],
-        "alpha_grid": [float(a) for a in grid],
-        "functional": functional,
-        "state": state,
-        "mc_samples": raw["mc_samples"],
-        "seed": raw["seed"],
-        "order": raw.get("order", 1),
-        "slope_band": list(slope_band) if slope_band is not None else None,
-    }
-    cfg = ExperimentConfig(
-        dim=echoed["dim"],
-        alpha_grid=tuple(echoed["alpha_grid"]),
-        functional_spec=functional,
-        state_spec=state,
-        mc_samples=echoed["mc_samples"],
-        seed=echoed["seed"],
-        order=echoed["order"],
-    )
-    return cfg, echoed
+    return ExperimentConfig.from_json(raw)
 
 
 def _fmt(x) -> str:
@@ -158,54 +109,33 @@ def emit_plot_data(result: SweepResult, out_dir: Path) -> list[Path]:
     return files
 
 
-def _pure_state(cfg: ExperimentConfig, workers: int) -> dict:
-    psi = cfg.state_spec.get("psi")
-    if psi is None:
-        raise ConfigError("pure-state runs need state.psi")
-    a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
-    return pure_state_experiment(np.asarray(psi, dtype=np.float64), cfg.alpha_grid[0],
-                                 a, cfg.mc_samples, cfg.seed, workers=workers)
-
-
-def _nongaussian(cfg: ExperimentConfig, workers: int) -> dict:
-    state = build_second_moment_state(cfg.state_spec, cfg.dim, cfg.alpha_grid[0])
-    a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
-    return nongaussian_experiment(state, a, cfg.mc_samples, cfg.seed, workers=workers)
-
-
 CHECK_COLUMNS = ["check", "statistic", "reference", "stderr", "band", "passed"]
 
 
 class _Table(NamedTuple):
     """How one subcommand produces its report and lays out its CSV table."""
 
-    produce: Callable  # (cfg, workers) -> report
+    experiment: str  # an `experiments` function (cfg, workers=) -> report
     csv_name: str
     grid: list[str] | None  # fields of the report's rows, or None for a check table
 
 
-# The lambdas look the experiment functions up when they run, so a caller
-# that rebinds a module global (a profiler, a test double) still sees it.
+# Experiments are looked up by name when they run, so a caller that rebinds
+# a module global (a profiler, a test double) still sees it.
 _TABLES = {
-    "sweep": _Table(
-        lambda cfg, workers: alpha_sweep(cfg, workers=workers), "sweep.csv",
-        ["alpha", "classical_mc", "classical_analytic", "quantum_term", "remainder", "stderr"]),
-    "pure-state": _Table(_pure_state, "pure_state.csv", None),
-    "higher-order": _Table(
-        lambda cfg, workers: higher_order_check(cfg, workers=workers), "higher_order.csv", None),
-    "nongaussian": _Table(_nongaussian, "nongaussian.csv", None),
-    "finite-qm": _Table(
-        lambda cfg, workers: finite_qm_demo(cfg, workers=workers), "finite_qm.csv", None),
-    "moments-check": _Table(
-        lambda cfg, workers: moments_check(cfg, workers=workers), "moments.csv", None),
-    "chebyshev": _Table(
-        lambda cfg, workers: chebyshev_experiment(cfg, workers=workers), "chebyshev.csv",
-        ["alpha", "C", "bound", "empirical", "noise"]),
+    "sweep": _Table("alpha_sweep", "sweep.csv", [
+        "alpha", "classical_mc", "classical_analytic", "quantum_term", "remainder", "stderr"]),
+    "pure-state": _Table("pure_state_run", "pure_state.csv", None),
+    "higher-order": _Table("higher_order_check", "higher_order.csv", None),
+    "nongaussian": _Table("nongaussian_run", "nongaussian.csv", None),
+    "finite-qm": _Table("finite_qm_demo", "finite_qm.csv", None),
+    "moments-check": _Table("moments_check", "moments.csv", None),
+    "chebyshev": _Table("chebyshev_experiment", "chebyshev.csv",
+                        ["alpha", "C", "bound", "empirical", "noise"]),
 }
 
 
-def run(subcommand: str, cfg: ExperimentConfig, echoed: dict, out_dir,
-        workers: int = 1) -> int:
+def run(subcommand: str, cfg: ExperimentConfig, out_dir, workers: int = 1) -> int:
     """Execute a subcommand; write manifest, CSV tables and the result doc.
 
     Exit status 0 on success, 2 when an acceptance band fails.
@@ -215,11 +145,11 @@ def run(subcommand: str, cfg: ExperimentConfig, echoed: dict, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = _TABLES[subcommand]
-    doc = table.produce(cfg, workers)
+    doc = getattr(experiments, table.experiment)(cfg, workers=workers)
     files = [out / table.csv_name]
     if isinstance(doc, SweepResult):
         files += emit_plot_data(doc, out)
-        doc = doc.report(echoed.get("slope_band"))
+        doc = doc.report(cfg.slope_band)
     if table.grid:
         write_csv(files[0], table.grid,
                   [[getattr(r, key) for key in table.grid] for r in doc["rows"]])
@@ -237,7 +167,7 @@ def run(subcommand: str, cfg: ExperimentConfig, echoed: dict, out_dir,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "subcommand": subcommand,
-        "config": echoed,
+        "config": cfg.to_json(),
         "seed": cfg.seed,
         "results": {
             "result_doc": result_path.name,
@@ -267,17 +197,24 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
 
     out_dir = args.out or os.environ.get(OUT_DIR_ENV, "cqlab-out")
-    try:
-        cfg, echoed = load_config(args.config)
-        if args.seed is not None:
-            echoed["seed"] = int(args.seed)
-            cfg = replace(cfg, seed=int(args.seed))
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        return run(args.subcommand, cfg, echoed, out_dir, workers=args.threads)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # NumPy's overflow warnings span two lines each; report them in one
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                cfg = replace(cfg, seed=args.seed)
+            if args.threads < 1:
+                raise ConfigError("--threads must be >= 1")
+            status = run(args.subcommand, cfg, out_dir, workers=args.threads)
+        except (ConfigError, ValueError, OSError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    if caught:
+        first = f"{caught[0].category.__name__}: {caught[0].message}".splitlines()[0]
+        print(f"warning: {len(caught)} warning(s) during the run; first: {first}",
+              file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

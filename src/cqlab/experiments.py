@@ -66,8 +66,15 @@ def derive_seed(seed: int, index: int) -> int:
 # configuration
 
 
+DEFAULT_ALPHA_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The owner of the config format: `from_json` reads it, `to_json` writes it.
+    Every construction, `replace` included, checks `to_json()` against
+    `CONFIG_SCHEMA`, then the value ranges, raising a one-line ConfigError."""
+
     dim: int
     alpha_grid: tuple[float, ...]
     functional_spec: dict
@@ -75,8 +82,10 @@ class ExperimentConfig:
     mc_samples: int
     seed: int
     order: int = 1
+    slope_band: tuple[float, float] | None = None
 
     def __post_init__(self):
+        check_config(self.to_json())
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         grid = tuple(float(a) for a in self.alpha_grid)
@@ -89,24 +98,53 @@ class ExperimentConfig:
             raise ConfigError(f"mc_samples must be >= 1000, got {self.mc_samples}")
         if self.order < 1:
             raise ConfigError(f"order must be >= 1, got {self.order}")
+        band = self.slope_band
+        if band is not None:
+            if len(band) != 2 or band[0] > band[1] or not all(map(math.isfinite, band)):
+                raise ConfigError("'slope_band' must be [lo, hi], finite numbers with lo <= hi")
+            object.__setattr__(self, "slope_band", tuple(band))
+
+    @classmethod
+    def from_json(cls, raw) -> "ExperimentConfig":
+        """The config of a parsed JSON document, with defaults filled in."""
+        check_config(raw)
+        for key in ("dim", "functional", "mc_samples", "seed"):
+            if key not in raw:
+                raise ConfigError(f"missing required config key: {key!r}")
+        return cls(dim=raw["dim"], alpha_grid=raw.get("alpha_grid", DEFAULT_ALPHA_GRID),
+                   functional_spec=raw["functional"],
+                   state_spec=raw.get("state", {"shape": "isotropic"}),
+                   mc_samples=raw["mc_samples"], seed=raw["seed"], order=raw.get("order", 1),
+                   slope_band=raw.get("slope_band"))
+
+    def to_json(self) -> dict:
+        """The config as JSON data, every key present; tuples become lists."""
+        grid, band = (list(x) if isinstance(x, tuple) else x
+                      for x in (self.alpha_grid, self.slope_band))
+        return {"dim": self.dim, "alpha_grid": grid, "functional": self.functional_spec,
+                "state": self.state_spec, "mc_samples": self.mc_samples, "seed": self.seed,
+                "order": self.order, "slope_band": band}
 
 
-# The config format.  A schema is int, float (a JSON number that is not a
-# boolean and fits a double) or str; None or a literal string, matched
-# exactly; [s], a list of s; {key: s}, an object with no other keys; or a
-# tuple of alternatives, one per JSON kind.  Null means "absent" where allowed.
+# The config format.  A schema is int or float (a JSON number that is not a
+# boolean and fits a double); None or a literal string, matched exactly; a
+# frozenset of allowed names; [s], a list of s; {key: s}, an object with no
+# other keys; or a tuple of alternatives, one per JSON kind.  Null means
+# "absent" where allowed.
 _OPERATOR_SCHEMA = (None, "identity", {"diagonal": [float], "matrix": [[float]],
                                        "random": {"seed": int, "scale": float}})
 CONFIG_SCHEMA = {
     "dim": int,
     "alpha_grid": [float],
     "functional": {
-        "family": str,
+        "family": frozenset({"quadratic", "sin-quad", "cos-quad-minus-one", "even-polynomial"}),
         "operator": _OPERATOR_SCHEMA,
         "quadratic": _OPERATOR_SCHEMA,
         "quartic": (None, {"operator": _OPERATOR_SCHEMA, "coeff": float}),
     },
-    "state": {"shape": str, "weights": [float], "psi": [float], "seed": int, "sampler": str},
+    "state": {"shape": frozenset({"isotropic", "diagonal", "rank1", "random"}),
+              "weights": [float], "psi": [float], "seed": int,
+              "sampler": frozenset({"product-laplace", "uniform-sphere"})},
     "mc_samples": int,
     "seed": int,
     "order": int,
@@ -116,7 +154,6 @@ _LEAVES = {  # a JSON true is an int to Python; a 400-digit integer is no double
     int: (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer", "integers"),
     float: (lambda x: isinstance(x, float) or _LEAVES[int][0](x) and abs(x) <= sys.float_info.max,
             "a number", "numbers"),
-    str: (lambda x: isinstance(x, str), "a string", "strings"),
 }
 
 
@@ -138,6 +175,8 @@ def _fits(value, schema) -> bool:
         return isinstance(value, list) and all(_fits(v, schema[0]) for v in value)
     if isinstance(schema, type):
         return _LEAVES[schema][0](value)
+    if isinstance(schema, frozenset):  # a list is unhashable, so test the kind first
+        return isinstance(value, str) and value in schema
     return value == schema  # None or a literal string; no JSON value equals a dict or tuple
 
 
@@ -148,6 +187,8 @@ def _describe(schema, plural: bool = False) -> str:
         return f"{'lists' if plural else 'a list'} of {_describe(schema[0], True)}"
     if isinstance(schema, type):
         return _LEAVES[schema][1 + plural]
+    if isinstance(schema, frozenset):
+        return "one of " + ", ".join(map(repr, sorted(schema)))
     return "an object" if isinstance(schema, dict) else repr(schema)
 
 
@@ -168,25 +209,19 @@ def build_operator(spec, dim: int) -> np.ndarray:
         if m.shape != (dim, dim):
             raise ConfigError(f"matrix of shape {m.shape} does not match dim {dim}")
         return symmetric_from_entries(m)
-    if kind == "random":
-        seed = int(payload.get("seed", 0))
-        scale = float(payload.get("scale", 1.0))
-        extra = set(payload) - {"seed", "scale"}
-        if extra:
-            raise ConfigError(f"unknown random-operator keys: {sorted(extra)}")
-        rng = substream(seed, 0)
-        return symmetric_from_entries(scale * rng.standard_normal((dim, dim)))
-    raise ConfigError(f"unknown operator kind {kind!r}")
+    rng = substream(payload.get("seed", 0), 0)  # "random"
+    return symmetric_from_entries(payload.get("scale", 1.0) * rng.standard_normal((dim, dim)))
+
+
+# the families that are g((A psi, psi)) of one operator
+_ONE_OPERATOR_FAMILIES = {"quadratic": Quadratic, "sin-quad": SinQuad,
+                          "cos-quad-minus-one": CosQuadMinusOne}
 
 
 def build_functional(spec: dict, dim: int) -> Functional:
     family = spec.get("family")
-    if family == "quadratic":
-        return Quadratic(build_operator(spec.get("operator"), dim))
-    if family == "sin-quad":
-        return SinQuad(build_operator(spec.get("operator"), dim))
-    if family == "cos-quad-minus-one":
-        return CosQuadMinusOne(build_operator(spec.get("operator"), dim))
+    if family is None:
+        raise ConfigError("this run needs functional.family")
     if family == "even-polynomial":
         terms: dict[int, SymmetricForm] = {}
         if spec.get("quadratic") is not None:
@@ -198,7 +233,7 @@ def build_functional(spec: dict, dim: int) -> Functional:
         if not terms:
             raise ConfigError("even-polynomial needs a quadratic or quartic term")
         return EvenPolynomial(terms)
-    raise ConfigError(f"unknown functional family {family!r}")
+    return _ONE_OPERATOR_FAMILIES[family](build_operator(spec.get("operator"), dim))
 
 
 def build_state(spec: dict, dim: int, alpha: float) -> GaussianState:
@@ -218,13 +253,9 @@ def build_state(spec: dict, dim: int, alpha: float) -> GaussianState:
         if nrm2 <= 0.0:
             raise ConfigError("rank1 state needs a nonzero psi")
         return pure_state_measure(psi / math.sqrt(nrm2), alpha)
-    if shape == "random":
-        seed = int(spec.get("seed", 0))
-        rng = substream(seed, 1)
-        m = rng.standard_normal((dim, dim))
-        b = m @ m.T
-        return GaussianState(b * (alpha / np.trace(b)))
-    raise ConfigError(f"unknown state shape {shape!r}")
+    m = substream(spec.get("seed", 0), 1).standard_normal((dim, dim))  # "random"
+    b = m @ m.T
+    return GaussianState(b * (alpha / np.trace(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +305,9 @@ class SecondMomentState:
 
 
 def build_second_moment_state(spec: dict, dim: int, alpha: float) -> SecondMomentState:
-    kind = spec.get("sampler", "product-laplace")
-    if kind == "product-laplace":
+    if spec.get("sampler", "product-laplace") == "product-laplace":
         return SecondMomentState.product_laplace(np.full(dim, alpha / dim))
-    if kind == "uniform-sphere":
-        return SecondMomentState.uniform_sphere(math.sqrt(alpha), dim)
-    raise ConfigError(f"unknown non-Gaussian sampler {kind!r}")
+    return SecondMomentState.uniform_sphere(math.sqrt(alpha), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +570,17 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int,
     ], alpha=alpha, samples=n_samples, covariance_max_error=float(cov_err.max()))
 
 
+def pure_state_run(cfg: ExperimentConfig, workers: int = 1) -> dict:
+    """`pure_state_experiment` on state.psi, the functional's operator and the
+    first grid alpha."""
+    psi = cfg.state_spec.get("psi")
+    if psi is None:
+        raise ConfigError("pure-state runs need state.psi")
+    a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
+    return pure_state_experiment(np.asarray(psi, dtype=np.float64), cfg.alpha_grid[0],
+                                 a, cfg.mc_samples, cfg.seed, workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # sub-dispersion states
 
@@ -598,6 +637,14 @@ def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: in
         within_sigmas("quadratic", mean, expected, stderr, 4.0, 1e-12 * max(1.0, abs(expected))),
         separated("quartic", q_mean, gaussian_pred, q_stderr, 4.0),
     ], kind=state.kind, samples=n_samples)
+
+
+def nongaussian_run(cfg: ExperimentConfig, workers: int = 1) -> dict:
+    """`nongaussian_experiment` on state.sampler at the first grid alpha, with
+    the functional's operator."""
+    state = build_second_moment_state(cfg.state_spec, cfg.dim, cfg.alpha_grid[0])
+    a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
+    return nongaussian_experiment(state, a, cfg.mc_samples, cfg.seed, workers=workers)
 
 
 # ---------------------------------------------------------------------------

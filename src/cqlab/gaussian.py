@@ -89,8 +89,18 @@ def substream(seed: int, tag: int) -> np.random.Generator:
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean of a 1-D array and its standard error (ddof=1)."""
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.shape[0]))
+    """Sample mean of a 1-D array and its standard error (ddof=1).
+
+    Squared deviations overflow for finite values above about 1e154; the
+    standard deviation is then taken of the values divided by their largest
+    magnitude and scaled back.
+    """
+    with np.errstate(over="ignore"):
+        std = np.std(values, ddof=1)
+    if not math.isfinite(std) and np.all(np.isfinite(values)):
+        scale = np.max(np.abs(values))
+        std = scale * np.std(values / scale, ddof=1)
+    return float(np.mean(values)), float(std / math.sqrt(values.shape[0]))
 
 
 def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SIZE,

@@ -9,7 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from cqlab.cli import emit_plot_data, load_config, main, run
 from cqlab.errors import ConfigError
-from cqlab.experiments import Check, SweepResult, SweepRow
+from cqlab.experiments import Check, ExperimentConfig, SweepResult, SweepRow
+from cqlab.gaussian import DEFAULT_CHUNK_SIZE
 
 
 MINIMAL = {
@@ -39,6 +40,8 @@ COS_SWEEP = {
     "slope_band": [1.9, 2.1],
 }
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 
 def _check(result: dict, name: str) -> dict:
     return next(c for c in result["report"]["checks"] if c["name"] == name)
@@ -51,12 +54,12 @@ def _write(tmp_path: Path, cfg: dict, name="cfg.json") -> Path:
 
 
 def test_load_minimal_config(tmp_path):
-    cfg, echoed = load_config(_write(tmp_path, MINIMAL))
+    cfg = load_config(_write(tmp_path, MINIMAL))
     assert cfg.dim == 2
     assert cfg.alpha_grid == (0.1, 0.01)
     assert cfg.mc_samples == 10_000
-    assert echoed["order"] == 1
-    assert echoed["state"] == {"shape": "isotropic"}
+    assert cfg.to_json()["order"] == 1
+    assert cfg.to_json()["state"] == {"shape": "isotropic"}
 
 
 def test_load_config_rejects_ascending_grid(tmp_path):
@@ -235,15 +238,17 @@ def test_nan_sweep_writes_standard_json(tmp_path):
 
 # Overflow probes: a huge dispersion leaves a stderr or a threshold C at inf,
 # which used to let a 4-sigma band or a tail bound pass anything.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_nongaussian_overflow_fails_its_gates(tmp_path):
+def test_nongaussian_overflow_fails_its_gates(tmp_path, capsys):
     cfg = dict(MINIMAL, dim=4, alpha_grid=[1e300], mc_samples=1000,
                state={"sampler": "product-laplace"})
     rc = main(["nongaussian", "--config", str(_write(tmp_path, cfg)),
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert json.loads((tmp_path / "o" / "result.json").read_text())["passed"] is False
+    # NumPy's overflow warnings come out as one line
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert "RuntimeWarning: overflow encountered" in err
 
 
 def test_chebyshev_infinite_threshold_fails_its_gate(tmp_path):
@@ -346,8 +351,7 @@ def test_bad_numbers_are_one_line_errors(tmp_path, capsys, subcommand, cfg, frag
 
 
 def test_higher_order_runs_at_order_four(tmp_path):
-    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" /
-                      "higher_order.json").read_text())
+    cfg = json.loads((CONFIG_DIR / "higher_order.json").read_text())
     cfg["order"] = 4
     rc = main(["higher-order", "--config", str(_write(tmp_path, cfg)),
                "--out", str(tmp_path / "h")])
@@ -357,12 +361,23 @@ def test_higher_order_runs_at_order_four(tmp_path):
     assert result["report"]["relative_error"] <= 1e-10
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    cfg_path = _write(tmp_path, COS_SWEEP)
-    main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "t1"), "--threads", "1"])
-    main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "t8"), "--threads", "8"])
-    for name in ("sweep.csv", "sweep_loglog.dat", "sweep_fit.dat"):
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
+@pytest.mark.parametrize("subcommand, stem", [
+    ("sweep", "cos_sweep"), ("pure-state", "pure_state"), ("higher-order", "higher_order"),
+    ("nongaussian", "nongaussian_laplace"), ("finite-qm", "moments_check"),
+    ("moments-check", "moments_check"), ("chebyshev", "cos_sweep"),
+])
+def test_threads_do_not_change_bytes(tmp_path, subcommand, stem):
+    cfg_path = CONFIG_DIR / f"{stem}.json"
+    # more than one chunk, so the workers have something to split
+    assert json.loads(cfg_path.read_text())["mc_samples"] > DEFAULT_CHUNK_SIZE
+    for threads in ("1", "8"):
+        rc = main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / threads),
+                   "--threads", threads])
+        assert rc == 0
+    tables = sorted(p.name for p in (tmp_path / "1").iterdir() if p.suffix in (".csv", ".dat"))
+    assert tables
+    for name in tables:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
 
 
 def test_manifest_round_trip_reproduces_hashes(tmp_path):
@@ -485,13 +500,63 @@ def test_nested_config_values_are_one_line_errors(tmp_path, capsys, subcommand, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{where} must be" in err
+    # a library caller building the same config gets the same message
+    with pytest.raises(ConfigError) as direct:
+        _construct(cfg)
+    assert err == f"error: {direct.value}\n"
+
+
+def _construct(raw: dict) -> ExperimentConfig:
+    """ExperimentConfig built from its fields, not through from_json."""
+    names = {"functional": "functional_spec", "state": "state_spec"}
+    kwargs = {names.get(key, key): value for key, value in raw.items()}
+    kwargs.setdefault("state_spec", {"shape": "isotropic"})
+    return ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"dim": 2.5}, "'dim' must be an integer, got 2.5"),
+    ({"mc_samples": 1000.5}, "'mc_samples' must be an integer, got 1000.5"),
+    ({"seed": "x"}, "'seed' must be an integer, got 'x'"),
+    ({"state_spec": {"shape": "isotropic", "typo": 1}}, "unknown state key 'typo'"),
+    ({"functional_spec": {"family": ["quadratic"]}}, "'functional.family' must be one of"),
+    ({"slope_band": (2.1, 1.9)}, "'slope_band' must be [lo, hi]"),
+])
+def test_direct_configs_are_checked(change, message):
+    cfg = _construct(COS_SWEEP)
+    assert cfg.slope_band == (1.9, 2.1)
+    with pytest.raises(ConfigError) as exc:
+        replace(cfg, **change)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("subcommand, where, value", [
+    ("sweep", "functional.family", "cos-quad"),
+    ("moments-check", "state.shape", "gaussian"),
+    ("nongaussian", "state.sampler", "laplace"),
+])
+def test_unknown_names_fail_before_any_output(tmp_path, capsys, subcommand, where, value):
+    out = tmp_path / "o"
+    rc = main([subcommand, "--config", str(_write(tmp_path, _with(COS_SWEEP, where, value))),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{where}' must be one of ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_round_trip(path):
+    cfg = load_config(path)
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+    assert json.loads(json.dumps(cfg.to_json())) == cfg.to_json()
 
 
 def test_null_means_absent_where_allowed(tmp_path):
     nulls = _with(_with(POLY, "slope_band", None), "functional.quartic.operator", None)
-    _, echoed = load_config(_write(tmp_path, _with(nulls, "functional.quadratic", None)))
-    assert echoed["slope_band"] is None
-    cfg, _ = load_config(_write(tmp_path, _with(COS_SWEEP, "functional.operator", None)))
+    cfg = load_config(_write(tmp_path, _with(nulls, "functional.quadratic", None)))
+    assert cfg.to_json()["slope_band"] is None
+    cfg = load_config(_write(tmp_path, _with(COS_SWEEP, "functional.operator", None)))
     assert cfg.functional_spec["operator"] is None
     load_config(_write(tmp_path, _with(POLY, "functional.quartic", None)))
     for path in ("state", "order", "alpha_grid", "state.seed", "functional.quartic.coeff"):
@@ -525,8 +590,7 @@ def test_manifest_config_replays_verbatim(tmp_path, subcommand, cfg):
     assert manifest["results"]["files"] == manifest2["results"]["files"]
 
 
-SHIPPED_CONFIGS = [json.loads(p.read_text()) for p in sorted(
-    (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))]
+SHIPPED_CONFIGS = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
 _WORDS = ["seed", "scale", "matrix", "diagonal", "random", "identity", "operator", "coeff",
           "shape", "weights", "psi", "rank1", "isotropic", "quadratic", "even-polynomial"]
 _LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 5),

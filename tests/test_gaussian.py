@@ -18,6 +18,7 @@ from cqlab.gaussian import (
     exact_span_coefficients,
     fourier_transform,
     make_gaussian,
+    mean_stderr,
     pure_state_measure,
     sample,
     scale_measure,
@@ -276,3 +277,19 @@ def test_batch_csv_header_records_layout(tmp_path):
     assert len(lines) == 12
     first = [float(tok) for tok in lines[2].split(",")]
     assert np.array_equal(first, batch.samples[0])
+
+
+def test_mean_stderr_survives_large_finite_values():
+    # squaring deviations of 1e200 overflows; the stderr itself fits a double
+    v = np.array([1e200, -1e200, 3e200, 2e200])
+    mean, stderr = mean_stderr(v)  # a RuntimeWarning would fail under the "error" filter
+    assert mean == np.mean(v)
+    assert math.isfinite(stderr)
+    assert stderr == pytest.approx(1e200 * mean_stderr(v / 1e200)[1], rel=1e-15)
+    assert stderr == pytest.approx(8.539125638299665e199, rel=1e-15)
+
+
+def test_mean_stderr_keeps_its_bits_where_finite():
+    v = np.random.default_rng(5).standard_normal(1001) * 1e150
+    assert mean_stderr(v)[1] == float(np.std(v, ddof=1) / math.sqrt(v.size))
+
