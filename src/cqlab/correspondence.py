@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassMembershipError, DegenerateStateError, DimensionMismatchError, OrderError
-from .functionals import Functional, SymmetricForm
+from .functionals import Functional, SymmetricForm, moment_form, trace_forms
 from .gaussian import EXACT_CLASS_RTOL, GaussianState
 from .hilbert import require_symmetric, trace_product
-from .wick import moment_form, trace_forms
 
 DENSITY_TRACE_ATOL = 1e-9
 DENSITY_EIG_FLOOR = -1e-12
@@ -69,19 +68,7 @@ class ObservableMultiple:
 
     def to_dict(self) -> dict:
         return {"orders": [f.order for f in self.forms],
-                "components": [_form_to_dict(f) for f in self.forms]}
-
-
-def _form_to_dict(form: SymmetricForm) -> dict:
-    out: dict = {"order": form.order, "dim": form.dim, "kind": form.kind}
-    if form.kind == "pairing":
-        out["coefficient"] = float(form.coeff)
-        out["matrix"] = [[float(x) for x in row] for row in form.matrix]
-    elif form.kind == "dense" and form.order == 2:
-        out["matrix"] = [[float(x) for x in row] for row in form.tensor]
-    elif form.kind == "dense" and form.dim ** form.order <= 4096:
-        out["entries"] = form.tensor.tolist()
-    return out
+                "components": [f.to_dict() for f in self.forms]}
 
 
 def t_state(rho: GaussianState, alpha: float) -> DensityOperator:

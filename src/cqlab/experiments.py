@@ -32,9 +32,7 @@ from .functionals import (
     CosQuadMinusOne,
     EvenPolynomial,
     Functional,
-    QuadFormFunctional,
     Quadratic,
-    ScaledFunctional,
     SinQuad,
     SymmetricForm,
     amplify,
@@ -192,6 +190,18 @@ def _describe(schema, plural: bool = False) -> str:
     return "an object" if isinstance(schema, dict) else repr(schema)
 
 
+def _random_symmetric(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+    """Symmetric part of a scaled standard-normal dim x dim draw."""
+    return symmetric_from_entries(scale * rng.standard_normal((dim, dim)))
+
+
+def _random_state(rng: np.random.Generator, dim: int, alpha: float) -> GaussianState:
+    """Gaussian state with covariance m m^T scaled to dispersion alpha, m standard normal."""
+    m = rng.standard_normal((dim, dim))
+    b = m @ m.T
+    return GaussianState(b * (alpha / np.trace(b)))
+
+
 def build_operator(spec, dim: int) -> np.ndarray:
     """Operator from a config fragment: identity, diagonal, matrix or random."""
     if spec == "identity" or spec is None:
@@ -210,7 +220,7 @@ def build_operator(spec, dim: int) -> np.ndarray:
             raise ConfigError(f"matrix of shape {m.shape} does not match dim {dim}")
         return symmetric_from_entries(m)
     rng = substream(payload.get("seed", 0), 0)  # "random"
-    return symmetric_from_entries(payload.get("scale", 1.0) * rng.standard_normal((dim, dim)))
+    return _random_symmetric(rng, dim, payload.get("scale", 1.0))
 
 
 # the families that are g((A psi, psi)) of one operator
@@ -253,9 +263,7 @@ def build_state(spec: dict, dim: int, alpha: float) -> GaussianState:
         if nrm2 <= 0.0:
             raise ConfigError("rank1 state needs a nonzero psi")
         return pure_state_measure(psi / math.sqrt(nrm2), alpha)
-    m = substream(spec.get("seed", 0), 1).standard_normal((dim, dim))  # "random"
-    b = m @ m.T
-    return GaussianState(b * (alpha / np.trace(b)))
+    return _random_state(substream(spec.get("seed", 0), 1), dim, alpha)  # "random"
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +355,8 @@ def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float
 
 
 def closed_form_average(f: Functional, rho: GaussianState) -> float | None:
-    """Exact classical average when one is known for the family, else None.
-
-    A g((A psi, psi)) family supplies its own closed form; even polynomials
-    integrate term by term.
-    """
-    if isinstance(f, ScaledFunctional):
-        inner = closed_form_average(f.base, rho)
-        return None if inner is None else f.factor * inner
-    if isinstance(f, QuadFormFunctional):
-        return f.closed_form(rho, f.operator)
-    if isinstance(f, EvenPolynomial):
-        return float(sum(
-            gaussian_integral_multilinear(q, rho.covariance) for q in f.terms.values()))
-    return None
+    """Exact classical average when the family knows one, else None."""
+    return f.closed_form(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +572,8 @@ def pure_state_run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     psi = cfg.state_spec.get("psi")
     if psi is None:
         raise ConfigError("pure-state runs need state.psi")
+    if len(psi) != cfg.dim:
+        raise ConfigError(f"state.psi has length {len(psi)}, but dim is {cfg.dim}")
     a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
     return pure_state_experiment(np.asarray(psi, dtype=np.float64), cfg.alpha_grid[0],
                                  a, cfg.mc_samples, cfg.seed, workers=workers)
@@ -667,20 +665,17 @@ def finite_qm_demo(cfg: ExperimentConfig, workers: int = 1) -> dict:
                                  workers=workers)["checks"]
 
     # random mixed state, quadratic variable: amplified MC vs Tr D A
-    m = rng.standard_normal((n, n))
-    b = m @ m.T
-    rho = GaussianState(b * (alpha / np.trace(b)))
+    rho = _random_state(rng, n, alpha)
     d = t_state(rho, alpha)
-    a_rand = symmetric_from_entries(rng.standard_normal((n, n)))
-    f = Quadratic(a_rand)
+    f = Quadratic(_random_symmetric(rng, n))
     mc, stderr = mc_average(amplify(f, alpha), rho, cfg.mc_samples,
                             derive_seed(cfg.seed, 11), workers=workers)
     expected = quantum_average(d, t_variable(f))
 
     # higher-order model: exact polynomial equality through order 4
-    q2 = symmetric_from_entries(rng.standard_normal((n, n)))
-    q4 = SymmetricForm.from_quadratic_power(symmetric_from_entries(rng.standard_normal((n, n))), 2, 0.5)
-    poly = EvenPolynomial({2: SymmetricForm.from_matrix(q2), 4: q4})
+    q2 = SymmetricForm.from_matrix(_random_symmetric(rng, n))
+    q4 = SymmetricForm.from_quadratic_power(_random_symmetric(rng, n), 2, 0.5)
+    poly = EvenPolynomial({2: q2, 4: q4})
     classical = analytic_average(poly, rho, 4)
     generalized = alpha * generalized_average(d, t2n_variable(poly, 2, alpha))
 
@@ -702,11 +697,8 @@ def moments_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
     if 2 * k > MAX_DENSE_ORDER:
         raise ConfigError(f"moments-check supports orders 2k <= {MAX_DENSE_ORDER}, got k={k}")
     shape = cfg.state_spec.get("shape", "isotropic")
-    if shape == "isotropic":
-        d = np.eye(cfg.dim)
-    else:
-        d = build_state(cfg.state_spec, cfg.dim, float(cfg.dim)).covariance
-    rho = GaussianState(d)
+    rho = build_state(cfg.state_spec, cfg.dim, float(cfg.dim))
+    d = rho.covariance
 
     rng = substream(cfg.seed, 5)
     ak = SymmetricForm.from_dense(rng.standard_normal((cfg.dim,) * (2 * k)))
@@ -763,9 +755,8 @@ def higher_order_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
     else:
         rng = substream(cfg.seed, 3)
         f = EvenPolynomial({
-            2: SymmetricForm.from_matrix(symmetric_from_entries(rng.standard_normal((cfg.dim, cfg.dim)))),
-            4: SymmetricForm.from_quadratic_power(
-                symmetric_from_entries(rng.standard_normal((cfg.dim, cfg.dim))), 2, 1.0),
+            2: SymmetricForm.from_matrix(_random_symmetric(rng, cfg.dim)),
+            4: SymmetricForm.from_quadratic_power(_random_symmetric(rng, cfg.dim), 2, 1.0),
         })
     rho = build_state(cfg.state_spec, cfg.dim, alpha)
     d = t_state(rho, alpha)

@@ -1,4 +1,5 @@
-"""Classical field variables and their Taylor data at the vacuum.
+"""Classical field variables, their Taylor data at the vacuum, and the
+symmetric forms that hold it.
 
 Every built-in family is even in psi and vanishes at zero.  Taylor
 coefficients are supplied analytically as symmetric k-linear forms, not by
@@ -6,19 +7,21 @@ numeric differentiation: the correspondence maps need f''(0) and f''''(0)
 exactly.
 
 Forms induced by powers of a quadratic form, e.g. (A psi, psi)^m, are kept
-in a factored pairing representation and densified only on demand.
+in a factored pairing representation and densified only on demand.  Only
+this module knows how a form is stored, so form contraction and Gaussian
+moment forms live here, and each variable integrates its own terms.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .errors import DimensionMismatchError, OrderError, SizeError
-from .hilbert import as_vector, operator_norm, symmetric_from_entries, trace_product
-from .pairings import double_factorial, perfect_matchings
+from .hilbert import as_vector, operator_norm, require_symmetric, symmetric_from_entries, trace_product
 
 # The two order caps; every other order bound in the package derives from
 # one of them.  Dense tensors beyond order 6 are never materialized.
@@ -28,6 +31,39 @@ from .pairings import double_factorial, perfect_matchings
 MAX_DENSE_ORDER = 6
 MAX_FORM_ORDER = 8
 _DENSE_SIZE_LIMIT = 20_000_000
+_EINSUM_LETTERS = "abcdefgh"
+
+
+def double_factorial(m: int) -> int:
+    """(m)!! for odd m >= -1, i.e. 1*3*5*...*m."""
+    out = 1
+    while m > 1:
+        out *= m
+        m -= 2
+    return out
+
+
+@lru_cache(maxsize=None)
+def perfect_matchings(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All perfect matchings of {0, ..., 2k-1}, lexicographically ordered.
+
+    Each matching pairs the smallest free index first, so the list for k=2 is
+    ((0,1),(2,3)), ((0,2),(1,3)), ((0,3),(1,2)).  There are (2k-1)!! of them.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+    def rec(free: tuple[int, ...]):
+        if not free:
+            yield ()
+            return
+        a = free[0]
+        rest = free[1:]
+        for i, b in enumerate(rest):
+            for tail in rec(rest[:i] + rest[i + 1:]):
+                yield ((a, b),) + tail
+
+    return tuple(rec(tuple(range(2 * k))))
 
 
 def quadratic_form_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -188,7 +224,7 @@ class SymmetricForm:
             return np.zeros((self.dim,) * self.order)
         if self.kind == "dense":
             return self.tensor
-        letters = "abcdefgh"[: self.order]
+        letters = _EINSUM_LETTERS[: self.order]
         acc = np.zeros((self.dim,) * self.order)
         for matching in perfect_matchings(self.npairs):
             script = ",".join(letters[a] + letters[b] for a, b in matching) + "->" + letters
@@ -209,6 +245,88 @@ class SymmetricForm:
             nm = float(np.sqrt(np.sum(self.matrix ** 2)))
             return abs(self.coeff) * double_factorial(2 * self.npairs - 1) * nm ** self.npairs
         return float(np.sqrt(np.sum(self.tensor ** 2)))
+
+    def to_dict(self) -> dict:
+        """JSON form: order, dim and kind, plus the stored data unless it is large."""
+        out: dict = {"order": self.order, "dim": self.dim, "kind": self.kind}
+        if self.kind == "pairing":
+            out["coefficient"] = float(self.coeff)
+            out["matrix"] = [[float(x) for x in row] for row in self.matrix]
+        elif self.kind == "dense" and self.order == 2:
+            out["matrix"] = [[float(x) for x in row] for row in self.tensor]
+        elif self.kind == "dense" and self.dim ** self.order <= 4096:
+            out["entries"] = self.tensor.tolist()
+        return out
+
+
+def moment_form(d, order: int) -> SymmetricForm:
+    """Moment form of the Gaussian measure with covariance D at the given even order.
+
+    Even moments of a zero-mean Gaussian measure are sums over perfect
+    matchings of covariance contractions; odd moments vanish.
+    """
+    dm = require_symmetric(d)
+    if order < 2 or order % 2 != 0:
+        raise OrderError(f"moment forms exist at even orders >= 2, got {order}")
+    # sum over matchings of prod (D z_a, z_b) == (2k-1)!! sym(D^(x) k)
+    return SymmetricForm("pairing", order, dm.shape[0], matrix=dm,
+                         npairs=order // 2, coeff=1.0)
+
+
+def _quadratic_form_moment(d: np.ndarray, m: np.ndarray, k: int) -> float:
+    """E[(M psi, psi)^k] for psi ~ N(0, D), from the quadratic-form cumulants
+    kappa_l = 2^(l-1) (l-1)! Tr((DM)^l) (Mathai & Provost, Quadratic Forms in
+    Random Variables, 1992) by the moment-cumulant recursion
+    m_n = sum_{j=1..n} C(n-1, j-1) kappa_j m_(n-j), m_0 = 1.  Both sides are
+    polynomials in the entries of D, so this holds for any symmetric D."""
+    dm = d @ m
+    powers = [dm]
+    for _ in range(k - 1):
+        powers.append(powers[-1] @ dm)
+    # kappas[l] is kappa_(l+1)
+    kappas = [2 ** l * math.factorial(l) * float(np.trace(p)) for l, p in enumerate(powers)]
+    moments = [1.0]
+    for n in range(1, k + 1):
+        moments.append(sum(math.comb(n - 1, j - 1) * kappas[j - 1] * moments[n - j]
+                           for j in range(1, n + 1)))
+    return moments[k]
+
+
+def _contract_dense_with_pairing(dense: np.ndarray, matrix: np.ndarray, npairs: int,
+                                 coeff: float) -> float:
+    # a dense form is exactly symmetric, so all (2k-1)!! matchings contract
+    # to the value of the first one, (0,1)(2,3)...
+    letters = _EINSUM_LETTERS[: 2 * npairs]
+    script = letters + "," + ",".join(letters[i:i + 2] for i in range(0, 2 * npairs, 2)) + "->"
+    value = float(np.einsum(script, dense, *([matrix] * npairs)))
+    return coeff * double_factorial(2 * npairs - 1) * value
+
+
+def trace_forms(bform: SymmetricForm, aform: SymmetricForm) -> float:
+    """Generalized trace: sum over all basis tuples of B(e_j1,..) * A(e_j1,..).
+
+    The value is basis independent; order 2 reduces to the matrix trace
+    product.  Two pairing forms contract in closed form at any order, with
+    no dense tensor and no sum over matchings: the moment form of D against
+    the pairing form of M^(x)k is (2k-1)!! E[(M psi, psi)^k], psi ~ N(0, D).
+    """
+    if bform.order != aform.order:
+        raise OrderError(f"order mismatch: {bform.order} vs {aform.order}")
+    if bform.dim != aform.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {bform.dim} vs {aform.dim}")
+    if bform.is_zero or aform.is_zero:
+        return 0.0
+    if bform.order == 2:
+        return trace_product(bform.matrix_representation(), aform.matrix_representation())
+    if bform.kind == "pairing" and aform.kind == "pairing":
+        k = bform.npairs
+        return (bform.coeff * aform.coeff * double_factorial(2 * k - 1)
+                * _quadratic_form_moment(bform.matrix, aform.matrix, k))
+    if bform.kind == "pairing":
+        return _contract_dense_with_pairing(aform.dense(), bform.matrix, bform.npairs, bform.coeff)
+    if aform.kind == "pairing":
+        return _contract_dense_with_pairing(bform.dense(), aform.matrix, aform.npairs, aform.coeff)
+    return float(np.sum(bform.dense() * aform.dense()))
 
 
 class Functional:
@@ -234,6 +352,10 @@ class Functional:
         """Declared (C0, C1) for the bound |f(psi)| <= C0 exp(C1 ||psi||)."""
         raise NotImplementedError
 
+    def closed_form(self, rho) -> float | None:
+        """Exact average of f under the Gaussian state rho, or None if unknown."""
+        return None
+
     def __call__(self, psi) -> float:
         return self.eval(psi)
 
@@ -247,16 +369,16 @@ class Functional:
 class QuadFormFunctional(Functional):
     """f(psi) = g((A psi, psi)) for an entire g with g(0) = 0.
 
-    A subclass describes g by four class attributes:
+    A subclass describes g by three class attributes and one method:
 
     - ``g(q)``: g applied elementwise to a float or an array;
     - ``g_derivative(m)``: the integer g^(m)(0) for m >= 1, so the Maclaurin
       coefficient is c_m = g^(m)(0) / m! and the order-2m Taylor form is
       c_m (2m)! times the pairing form of A^(x)m;
-    - ``closed_form(rho, a)``: the exact average of g((A psi, psi)) under
-      the Gaussian state rho;
     - ``sup_abs``: sup |g| over the reals, or None when only |g(q)| <= |q|
-      is known.
+      is known;
+    - ``closed_form(rho)``: the exact average of g((A psi, psi)) under the
+      Gaussian state rho.
     """
 
     def __init__(self, a):
@@ -307,8 +429,10 @@ class Quadratic(QuadFormFunctional):
 
     g = staticmethod(lambda q: q)
     g_derivative = staticmethod(lambda m: int(m == 1))
-    closed_form = staticmethod(lambda rho, a: trace_product(rho.covariance, a))
     sup_abs = None
+
+    def closed_form(self, rho) -> float:
+        return trace_product(rho.covariance, self.operator)
 
 
 class SinQuad(QuadFormFunctional):
@@ -316,8 +440,10 @@ class SinQuad(QuadFormFunctional):
 
     g = staticmethod(np.sin)
     g_derivative = staticmethod(lambda m: (0, 1, 0, -1)[m % 4])
-    closed_form = staticmethod(lambda rho, a: float(quadratic_form_characteristic(rho, a).imag))
     sup_abs = 1.0
+
+    def closed_form(self, rho) -> float:
+        return float(quadratic_form_characteristic(rho, self.operator).imag)
 
 
 class CosQuadMinusOne(QuadFormFunctional):
@@ -325,9 +451,10 @@ class CosQuadMinusOne(QuadFormFunctional):
 
     g = staticmethod(lambda q: np.cos(q) - 1.0)
     g_derivative = staticmethod(lambda m: (1, 0, -1, 0)[m % 4])
-    closed_form = staticmethod(
-        lambda rho, a: float(quadratic_form_characteristic(rho, a).real) - 1.0)
     sup_abs = 2.0
+
+    def closed_form(self, rho) -> float:
+        return float(quadratic_form_characteristic(rho, self.operator).real) - 1.0
 
 
 class EvenPolynomial(Functional):
@@ -375,6 +502,10 @@ class EvenPolynomial(Functional):
         c0 = sum(math.factorial(order) * q.norm_bound() for order, q in self.terms.items())
         return c0, 1.0
 
+    def closed_form(self, rho) -> float:
+        return float(sum(trace_forms(moment_form(rho.covariance, order), q)
+                         for order, q in self.terms.items()))
+
 
 class ScaledFunctional(Functional):
     """c * f, used for measurement-gain amplification."""
@@ -403,6 +534,10 @@ class ScaledFunctional(Functional):
     def growth_bound(self) -> tuple[float, float]:
         c0, c1 = self.base.growth_bound()
         return abs(self.factor) * c0, c1
+
+    def closed_form(self, rho) -> float | None:
+        inner = self.base.closed_form(rho)
+        return None if inner is None else self.factor * inner
 
 
 def amplify(f: Functional, alpha: float) -> Functional:

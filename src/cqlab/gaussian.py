@@ -91,16 +91,20 @@ def substream(seed: int, tag: int) -> np.random.Generator:
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean of a 1-D array and its standard error (ddof=1).
 
-    Squared deviations overflow for finite values above about 1e154; the
-    standard deviation is then taken of the values divided by their largest
+    Squared deviations overflow for finite values above about 1e154, and
+    the running sum for finite values near the largest double; either
+    statistic is then taken of the values divided by their largest
     magnitude and scaled back.
     """
     with np.errstate(over="ignore"):
-        std = np.std(values, ddof=1)
-    if not math.isfinite(std) and np.all(np.isfinite(values)):
+        mean, std = np.mean(values), np.std(values, ddof=1)
+    if not (math.isfinite(mean) and math.isfinite(std)) and np.all(np.isfinite(values)):
         scale = np.max(np.abs(values))
-        std = scale * np.std(values / scale, ddof=1)
-    return float(np.mean(values)), float(std / math.sqrt(values.shape[0]))
+        if not math.isfinite(mean):
+            mean = scale * np.mean(values / scale)
+        if not math.isfinite(std):
+            std = scale * np.std(values / scale, ddof=1)
+    return float(mean), float(std / math.sqrt(values.shape[0]))
 
 
 def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SIZE,

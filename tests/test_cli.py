@@ -145,6 +145,15 @@ def test_pure_state_rejects_nonunit_vector(tmp_path):
     assert rc == 1  # psi is not normalized
 
 
+def test_pure_state_psi_length_must_match_dim(tmp_path, capsys):
+    cfg = dict(PURE, state={"shape": "rank1", "psi": [1.0]})
+    rc = main(["pure-state", "--config", str(_write(tmp_path, cfg)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1  # used to end in a NumPy matmul error
+    err = capsys.readouterr().err
+    assert err == "error: state.psi has length 1, but dim is 2\n"
+
+
 def test_pure_state_run(tmp_path):
     s = 1.0 / np.sqrt(2.0)
     cfg = {

@@ -36,14 +36,16 @@ from cqlab.functionals import (
     MAX_FORM_ORDER,
     CosQuadMinusOne,
     EvenPolynomial,
+    Functional,
     Quadratic,
     SinQuad,
     SymmetricForm,
     amplify,
+    double_factorial,
 )
 from cqlab.gaussian import make_gaussian, mean_stderr, pure_state_measure, substream
 from cqlab.hilbert import symmetric_from_entries, trace_product
-from cqlab.pairings import double_factorial
+from cqlab.wick import gaussian_integral_multilinear
 
 
 def _check(report: dict, name: str):
@@ -289,6 +291,33 @@ def test_quadratic_form_families_match_reference_bit_for_bit(family):
     rho = make_gaussian(m @ m.T * 0.05)
     assert closed_form_average(f, rho) == _reference_closed_form(f, rho)
     assert closed_form_average(amplify(f, 0.1), rho) == 10.0 * _reference_closed_form(f, rho)
+
+
+class _NoClosedForm(Functional):
+    """A variable that declares no closed-form average."""
+
+    dim = 2
+
+
+def test_functional_without_closed_form_gives_none():
+    rho = make_gaussian(np.diag([0.03, 0.02]))
+    f = _NoClosedForm()
+    assert closed_form_average(f, rho) is None
+    assert closed_form_average(amplify(f, 0.1), rho) is None
+
+
+def test_even_polynomial_closed_form_integrates_term_by_term():
+    rng = np.random.default_rng(72)
+    m = rng.normal(size=(3, 3))
+    rho = make_gaussian(m @ m.T * 0.05)
+    f = EvenPolynomial({
+        2: SymmetricForm.from_matrix(rng.normal(size=(3, 3))),
+        4: SymmetricForm.from_quadratic_power(rng.normal(size=(3, 3)), 2, 0.5),
+        6: SymmetricForm.from_dense(rng.normal(size=(3,) * 6)),
+    })
+    expected = sum(gaussian_integral_multilinear(q, rho.covariance) for q in f.terms.values())
+    assert f.closed_form(rho) == expected
+    assert closed_form_average(f, rho) == expected
 
 
 def test_noninjectivity_witness_pair():

@@ -289,6 +289,14 @@ def test_mean_stderr_survives_large_finite_values():
     assert stderr == pytest.approx(8.539125638299665e199, rel=1e-15)
 
 
+def test_mean_stderr_survives_a_sum_that_overflows():
+    # the running sum passes the largest double; the mean 6.25e307 fits one
+    v = np.array([1e308, 1e308, -1e308, 1.5e308])
+    mean, stderr = mean_stderr(v)  # a RuntimeWarning would fail under the "error" filter
+    assert mean == pytest.approx(6.25e307, rel=1e-15)
+    assert stderr == pytest.approx(1.5e308 * mean_stderr(v / 1.5e308)[1], rel=1e-15)
+
+
 def test_mean_stderr_keeps_its_bits_where_finite():
     v = np.random.default_rng(5).standard_normal(1001) * 1e150
     assert mean_stderr(v)[1] == float(np.std(v, ddof=1) / math.sqrt(v.size))

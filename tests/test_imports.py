@@ -1,0 +1,46 @@
+"""Package modules import only modules earlier in one fixed order, so no
+import cycle can come back."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ORDER = ("errors", "hilbert", "functionals", "gaussian", "wick", "correspondence",
+         "experiments", "cli")
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cqlab"
+
+
+def _package_imports(tree: ast.AST) -> list[str]:
+    """Names of the cqlab modules a module imports, at any nesting depth."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.append(node.module.split(".")[0])
+            elif node.level == 1:  # from . import a, b
+                out.extend(alias.name for alias in node.names)
+            elif node.level == 0 and (node.module or "").startswith("cqlab"):
+                parts = node.module.split(".")
+                out.extend([parts[1]] if len(parts) > 1 else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            out.extend(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("cqlab."))
+    return out
+
+
+def test_every_module_is_in_the_order():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(ORDER)
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_modules_import_only_earlier_modules(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    # cli reads the package version from __init__
+    imported = [name for name in _package_imports(tree)
+                if not (module == "cli" and name == "__version__")]
+    earlier = ORDER[:ORDER.index(module)]
+    assert [name for name in imported if name not in earlier] == []

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqlab.errors import DimensionMismatchError, OrderError, ParityError, SizeError
-from cqlab.functionals import SymmetricForm
+from cqlab.functionals import SymmetricForm, double_factorial
 from cqlab.gaussian import make_gaussian, sample
 from cqlab.hilbert import symmetric_from_entries, trace_product
-from cqlab.pairings import double_factorial
 from cqlab.wick import (
     enumerate_pairings,
     gaussian_integral_multilinear,
