@@ -25,7 +25,6 @@ from .functionals import (
     quadratic_growth_check,
 )
 from .gaussian import (
-    AlphaClass,
     GaussianState,
     SampleBatch,
     chebyshev_tail,
@@ -66,7 +65,7 @@ from .experiments import (
 )
 
 __all__ = [
-    "AlphaClass", "CosQuadMinusOne", "DensityOperator", "EvenPolynomial",
+    "CosQuadMinusOne", "DensityOperator", "EvenPolynomial",
     "ExperimentConfig", "Functional", "GaussianState", "ObservableMultiple",
     "Quadratic", "SampleBatch", "SecondMomentState", "SinQuad",
     "SpectralDecomposition", "SymmetricForm", "alpha_sweep", "amplify",

@@ -19,9 +19,11 @@ import numpy as np
 
 from .errors import ClassMembershipError, DegenerateStateError, DimensionMismatchError, OrderError
 from .functionals import Functional, SymmetricForm, moment_form, trace_forms
-from .gaussian import EXACT_CLASS_RTOL, GaussianState
+from .gaussian import GaussianState
 from .hilbert import require_symmetric, trace_product
 
+# a state is in the dispersion-alpha class when |Tr B - alpha| <= EXACT_CLASS_RTOL * alpha
+EXACT_CLASS_RTOL = 1e-9
 DENSITY_TRACE_ATOL = 1e-9
 DENSITY_EIG_FLOOR = -1e-12
 
@@ -72,7 +74,11 @@ class ObservableMultiple:
 
 
 def t_state(rho: GaussianState, alpha: float) -> DensityOperator:
-    """Map a dispersion-alpha Gaussian state to D = cov/alpha."""
+    """Map a dispersion-alpha Gaussian state to D = cov/alpha.
+
+    This is the one place that decides membership in the alpha class; a
+    state outside it raises ClassMembershipError.
+    """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     disp = rho.dispersion()

@@ -10,18 +10,12 @@ batches are bit-reproducible regardless of how many workers fill them.
 from __future__ import annotations
 
 import concurrent.futures
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClassMembershipError,
-    DegenerateStateError,
-    DimensionMismatchError,
-    InvalidCovarianceError,
-)
+from .errors import DegenerateStateError, DimensionMismatchError, InvalidCovarianceError
 from .hilbert import SpectralDecomposition, as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
@@ -32,53 +26,17 @@ DEFAULT_CHUNK_SIZE = 4096
 # rejects the covariance as indefinite.
 EIG_CLIP_REL = 1e-12
 
-EXACT_CLASS_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class AlphaClass:
-    """Dispersion class: exact Tr B == alpha, or any positive dispersion."""
-
-    alpha: float
-    tolerance_mode: str = "exact"  # "exact" | "approximate"
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.tolerance_mode not in ("exact", "approximate"):
-            raise ValueError(f"unknown tolerance_mode {self.tolerance_mode!r}")
-
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Deterministic batch of field samples, one row per draw."""
+    """The rows of one `draw_chunked` call and the number of chunks that filled them."""
 
     samples: np.ndarray  # (count, dim), or (count,) when each draw is one value
-    seed: int
-    chunk_size: int
     chunk_count: int
 
     @property
     def count(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-    def to_csv(self, path_or_buffer) -> None:
-        """Write one row per sample; the header records seed and chunk layout."""
-        if hasattr(path_or_buffer, "write"):
-            self._write_csv(path_or_buffer)
-        else:
-            with open(path_or_buffer, "w", encoding="utf-8", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh: io.TextIOBase) -> None:
-        fh.write(f"# seed={self.seed} chunk_size={self.chunk_size} chunk_count={self.chunk_count}\n")
-        fh.write(",".join(f"psi_{i + 1}" for i in range(self.dim)) + "\n")
-        for row in self.samples:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def substream(seed: int, tag: int) -> np.random.Generator:
@@ -140,38 +98,38 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
     else:
         for c in range(1, n_chunks):
             put(c)
-    return SampleBatch(samples=out, seed=int(seed), chunk_size=chunk_size, chunk_count=n_chunks)
+    return SampleBatch(samples=out, chunk_count=n_chunks)
 
 
 class GaussianState:
-    """Zero-mean Gaussian measure with covariance B (symmetric PSD)."""
+    """Zero-mean Gaussian measure with covariance B (symmetric PSD).
 
-    def __init__(self, covariance, alpha_class: AlphaClass | None = None):
+    The covariance is checked and factored once, here.  With
+    clip = EIG_CLIP_REL * max(Tr B, 0), B is rejected when an eigenvalue
+    lies below -clip, eigenvalues below +clip are set to zero, and draws
+    apply the factor of the remaining (active) eigenvalues.  Membership in the dispersion-alpha
+    class is not a property of the state; `correspondence.t_state` decides
+    it.
+    """
+
+    def __init__(self, covariance):
         b = np.asarray(covariance, dtype=np.float64)
         if not np.all(np.isfinite(b)):
             raise InvalidCovarianceError("covariance has non-finite entries")
         b = require_symmetric(b)
         self.covariance = b
         self.dim = b.shape[0]
-        self._factor: SpectralDecomposition | None = None
-        tr = float(np.trace(b))
-        floor = -EIG_CLIP_REL * max(tr, 0.0)
-        min_eig = float(np.linalg.eigvalsh(b).min())
-        if min_eig < floor:
+        dec = spectral_decompose(b)
+        clip = EIG_CLIP_REL * max(float(np.trace(b)), 0.0)
+        min_eig = float(dec.eigenvalues.min())
+        if min_eig < -clip:
             raise InvalidCovarianceError(
-                f"covariance is indefinite: min eigenvalue {min_eig:.3e} below clip {floor:.3e}")
-        if tr < 0.0:
-            raise InvalidCovarianceError(f"covariance has negative trace {tr:.3e}")
-        if alpha_class is not None:
-            if alpha_class.tolerance_mode == "exact":
-                if abs(tr - alpha_class.alpha) > EXACT_CLASS_RTOL * alpha_class.alpha:
-                    raise ClassMembershipError(
-                        f"dispersion {tr!r} is not alpha={alpha_class.alpha!r} within "
-                        f"{EXACT_CLASS_RTOL} relative")
-            elif tr <= 0.0:
-                raise ClassMembershipError(
-                    "the approximate dispersion class needs positive dispersion")
-        self.alpha_class = alpha_class
+                f"covariance is indefinite: min eigenvalue {min_eig:.3e} below clip {-clip:.3e}")
+        # spectral factor of B with round-off eigenvalues clipped to zero
+        self.factor = SpectralDecomposition(np.where(dec.eigenvalues < clip, 0.0, dec.eigenvalues),
+                                            dec.eigenvectors)
+        rank = int(np.count_nonzero(self.factor.eigenvalues > 0.0))
+        self._active = self.sampling_matrix()[:, :rank].T  # rank x dim
 
     @property
     def mean(self) -> np.ndarray:
@@ -180,19 +138,9 @@ class GaussianState:
     def dispersion(self) -> float:
         return float(np.trace(self.covariance))
 
-    def factor(self) -> SpectralDecomposition:
-        """Spectral factor of B with round-off eigenvalues clipped to zero."""
-        if self._factor is None:
-            dec = spectral_decompose(self.covariance)
-            clip = EIG_CLIP_REL * max(float(np.trace(self.covariance)), 0.0)
-            vals = np.where(dec.eigenvalues < clip, 0.0, dec.eigenvalues)
-            self._factor = SpectralDecomposition(vals, dec.eigenvectors)
-        return self._factor
-
     def sampling_matrix(self) -> np.ndarray:
         """F with F F^T = B (columns of zero eigenvalue are exactly zero)."""
-        dec = self.factor()
-        return dec.eigenvectors * np.sqrt(dec.eigenvalues)
+        return self.factor.eigenvectors * np.sqrt(self.factor.eigenvalues)
 
     def fourier_transform(self, y) -> float:
         v = as_vector(y, self.dim)
@@ -203,18 +151,14 @@ class GaussianState:
         # draw dim normals per sample so the stream layout does not depend
         # on the covariance rank, then apply the active factor
         z = rng.standard_normal((m, self.dim))
-        rank = int(np.count_nonzero(self.factor().eigenvalues > 0.0))
-        if not rank:
-            return np.zeros((m, self.dim))
-        return z[:, :rank] @ self.sampling_matrix()[:, :rank].T
+        return z[:, :self._active.shape[0]] @ self._active
 
-    def sample(self, seed: int, count: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
-               workers: int = 1) -> SampleBatch:
-        return draw_chunked(seed, count, self.fill, chunk_size=chunk_size, workers=workers)
+    def sample(self, seed: int, count: int, workers: int = 1) -> SampleBatch:
+        return draw_chunked(seed, count, self.fill, workers=workers)
 
 
-def make_gaussian(covariance, alpha_class: AlphaClass | None = None) -> GaussianState:
-    return GaussianState(covariance, alpha_class=alpha_class)
+def make_gaussian(covariance) -> GaussianState:
+    return GaussianState(covariance)
 
 
 def dispersion(rho: GaussianState) -> float:
@@ -232,9 +176,8 @@ def scale_measure(rho: GaussianState, alpha: float) -> GaussianState:
     return GaussianState(rho.covariance / alpha)
 
 
-def sample(rho: GaussianState, seed: int, count: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
-           workers: int = 1) -> SampleBatch:
-    return rho.sample(seed, count, chunk_size=chunk_size, workers=workers)
+def sample(rho: GaussianState, seed: int, count: int, workers: int = 1) -> SampleBatch:
+    return rho.sample(seed, count, workers=workers)
 
 
 def pure_state_measure(psi, alpha: float) -> GaussianState:
@@ -251,8 +194,8 @@ def chebyshev_tail(rho: GaussianState, c: float, batch: SampleBatch) -> tuple[fl
     """Markov-type tail bound vs the observed fraction of ||psi||^2 > C."""
     if not c > 0.0:
         raise ValueError(f"C must be positive, got {c}")
-    if batch.dim != rho.dim:
-        raise DimensionMismatchError(f"batch dim {batch.dim} vs state dim {rho.dim}")
+    if batch.samples.shape[1] != rho.dim:
+        raise DimensionMismatchError(f"batch dim {batch.samples.shape[1]} vs state dim {rho.dim}")
     bound = min(1.0, rho.dispersion() / c)
     energies = np.einsum("pi,pi->p", batch.samples, batch.samples)
     empirical = float(np.mean(energies > c))
@@ -265,24 +208,23 @@ def exact_span_coefficients(samples: np.ndarray, direction) -> tuple[np.ndarray,
     Returns (ok, coeffs).  ok[i] is True when some double c reproduces row i
     bit-for-bit under IEEE multiplication, which is the strongest form of
     "lies in span{direction}" available in floating point.  Candidates are
-    the per-row division estimate and its +-2 ulp neighbours.
+    the per-row division estimate and its +-2 ulp neighbours, tried in that
+    order, each on the rows no earlier candidate reproduced.
     """
     u = as_vector(direction)
     if not np.any(u != 0.0):
         raise ValueError("direction must be nonzero")
     jmax = int(np.argmax(np.abs(u)))
     base = samples[:, jmax] / u[jmax]
-    ok = np.zeros(samples.shape[0], dtype=bool)
+    ok = np.all(base[:, None] * u[None, :] == samples, axis=1)
     coeffs = base.copy()
-    candidates = [base]
-    lo = hi = base
-    for _ in range(2):
-        hi = np.nextafter(hi, np.inf)
-        lo = np.nextafter(lo, -np.inf)
-        candidates.extend([hi, lo])
-    for cand in candidates:
-        rec = cand[:, None] * u[None, :]
-        hit = np.all(rec == samples, axis=1) & ~ok
-        coeffs[hit] = cand[hit]
-        ok |= hit
+    rows = np.flatnonzero(~ok)
+    for ulps in (1, -1, 2, -2):
+        cand = base[rows]
+        for _ in range(abs(ulps)):
+            cand = np.nextafter(cand, math.copysign(math.inf, ulps))
+        hit = np.all(cand[:, None] * u[None, :] == samples[rows], axis=1)
+        coeffs[rows[hit]] = cand[hit]
+        ok[rows[hit]] = True
+        rows = rows[~hit]
     return ok, coeffs

@@ -41,6 +41,8 @@ COS_SWEEP = {
 }
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SUBCOMMANDS = ("sweep", "pure-state", "higher-order", "nongaussian", "finite-qm",
+               "moments-check", "chebyshev")
 
 
 def _check(result: dict, name: str) -> dict:
@@ -146,12 +148,16 @@ def test_pure_state_rejects_nonunit_vector(tmp_path):
 
 
 def test_pure_state_psi_length_must_match_dim(tmp_path, capsys):
-    cfg = dict(PURE, state={"shape": "rank1", "psi": [1.0]})
-    rc = main(["pure-state", "--config", str(_write(tmp_path, cfg)),
-               "--out", str(tmp_path / "o")])
-    assert rc == 1  # used to end in a NumPy matmul error
-    err = capsys.readouterr().err
-    assert err == "error: state.psi has length 1, but dim is 2\n"
+    # every subcommand that reads state.psi names it; pure-state used to end
+    # in a NumPy matmul error, the others in a message without the key
+    for state, message in (
+            ({"shape": "rank1", "psi": [1.0]}, "state.psi has length 1, but dim is 2"),
+            ({"shape": "rank1"}, "rank1 states and pure-state runs need state.psi")):
+        path = _write(tmp_path, dict(PURE, alpha_grid=[0.1, 0.01, 0.001], state=state))
+        for subcommand in ("pure-state", "sweep", "chebyshev", "higher-order", "moments-check"):
+            rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+            assert rc == 1, subcommand
+            assert capsys.readouterr().err == f"error: {message}\n", subcommand
 
 
 def test_pure_state_run(tmp_path):
@@ -561,6 +567,19 @@ def test_shipped_configs_round_trip(path):
     assert json.loads(json.dumps(cfg.to_json())) == cfg.to_json()
 
 
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_every_subcommand_runs_every_shipped_config(tmp_path, capsys, path, subcommand):
+    # a shipped config either passes under a subcommand or does not apply to
+    # it; a failed gate (exit 2) here is a defect of the program
+    rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "o"),
+               "--threads", "1"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1), err
+    if rc == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_null_means_absent_where_allowed(tmp_path):
     nulls = _with(_with(POLY, "slope_band", None), "functional.quartic.operator", None)
     cfg = load_config(_write(tmp_path, _with(nulls, "functional.quadratic", None)))
@@ -652,8 +671,7 @@ def test_mutated_configs_run_or_fail_in_one_line(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
-        for subcommand in ("sweep", "pure-state", "higher-order", "nongaussian",
-                           "finite-qm", "moments-check", "chebyshev"):
+        for subcommand in SUBCOMMANDS:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 rc = main([subcommand, "--config", str(path), "--out", str(Path(tmp) / "o"),

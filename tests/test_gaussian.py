@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from cqlab import gaussian
+from cqlab.correspondence import t_state
 from cqlab.errors import ClassMembershipError, InvalidCovarianceError
 from cqlab.gaussian import (
-    AlphaClass,
     GaussianState,
     chebyshev_tail,
     dispersion,
@@ -27,13 +27,15 @@ from cqlab.hilbert import outer_product
 
 
 def test_make_gaussian_exact_class_accepted():
-    rho = make_gaussian(np.diag([0.05, 0.05]), AlphaClass(0.1, "exact"))
-    assert dispersion(rho) == pytest.approx(0.1, rel=1e-12)
+    rho = make_gaussian(np.diag([0.05, 0.05]))
+    assert np.array_equal(t_state(rho, 0.1).matrix, np.diag([0.5, 0.5]))
 
 
 def test_make_gaussian_rejects_indefinite():
-    with pytest.raises(InvalidCovarianceError):
-        make_gaussian([[1.0, 2.0], [2.0, 1.0]])
+    # the second has a negative trace, so its clip is zero
+    for bad in ([[1.0, 2.0], [2.0, 1.0]], -np.eye(2)):
+        with pytest.raises(InvalidCovarianceError):
+            make_gaussian(bad)
 
 
 def test_make_gaussian_rejects_non_finite_covariance():
@@ -43,24 +45,16 @@ def test_make_gaussian_rejects_non_finite_covariance():
 
 
 def test_make_gaussian_rejects_wrong_dispersion_in_exact_mode():
+    rho = make_gaussian(np.diag([0.05, 0.05]))  # dispersion 0.1
     with pytest.raises(ClassMembershipError):
-        make_gaussian(np.diag([0.05, 0.05]), AlphaClass(0.2, "exact"))
+        t_state(rho, 0.2)
 
 
 def test_make_gaussian_rank_one_pure_state_class():
     psi = np.array([0.6, 0.8])
-    rho = make_gaussian(0.1 * outer_product(psi), AlphaClass(0.1, "exact"))
+    rho = make_gaussian(0.1 * outer_product(psi))
     assert dispersion(rho) == pytest.approx(0.1, rel=1e-12)
-
-
-def test_make_gaussian_approximate_class():
-    cls = AlphaClass(0.1, "approximate")
-    rho = make_gaussian(np.diag([0.07, 0.06]), cls)  # dispersion 0.13, accepted
-    assert dispersion(rho) == pytest.approx(0.13, rel=1e-12)
-    with pytest.raises(ClassMembershipError):
-        make_gaussian(np.zeros((2, 2)), cls)
-    with pytest.raises(ValueError):
-        AlphaClass(0.1, "sloppy")
+    assert np.allclose(t_state(rho, 0.1).matrix, outer_product(psi), rtol=0.0, atol=1e-15)
 
 
 def test_dispersion_isotropic():
@@ -266,17 +260,41 @@ def test_pure_state_samples_are_exact_multiples_of_direction():
     assert np.all(ok)
 
 
-def test_batch_csv_header_records_layout(tmp_path):
-    rho = make_gaussian(np.eye(2) * 0.1)
-    batch = sample(rho, seed=4, count=10)
-    out = tmp_path / "batch.csv"
-    batch.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# seed=4 chunk_size=4096 chunk_count=1"
-    assert lines[1] == "psi_1,psi_2"
-    assert len(lines) == 12
-    first = [float(tok) for tok in lines[2].split(",")]
-    assert np.array_equal(first, batch.samples[0])
+def _span_reference(samples, direction):
+    """The all-rows loop: every candidate tested on every row, first hit kept."""
+    u = np.asarray(direction, dtype=np.float64)
+    jmax = int(np.argmax(np.abs(u)))
+    base = samples[:, jmax] / u[jmax]
+    ok = np.zeros(samples.shape[0], dtype=bool)
+    coeffs = base.copy()
+    candidates = [base]
+    lo = hi = base
+    for _ in range(2):
+        hi = np.nextafter(hi, np.inf)
+        lo = np.nextafter(lo, -np.inf)
+        candidates.extend([hi, lo])
+    for cand in candidates:
+        hit = np.all(cand[:, None] * u[None, :] == samples, axis=1) & ~ok
+        coeffs[hit] = cand[hit]
+        ok |= hit
+    return ok, coeffs
+
+
+def test_exact_span_coefficients_match_the_all_rows_loop():
+    rng = np.random.default_rng(3)
+    u = np.array([0.3, -0.7, 1.1])
+    c = rng.standard_normal(4000) * 10.0 ** rng.uniform(-3, 3, 4000)
+    rows = c[:, None] * u[None, :]
+    rows[:40, 0] += 1e-3 * np.abs(rows[:40, 0])  # off the span
+    rows[40:80, 2] = np.nextafter(rows[40:80, 2], np.inf)  # pivot off by one ulp
+    ok, coeffs = exact_span_coefficients(rows, u)
+    ref_ok, ref_coeffs = _span_reference(rows, u)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(coeffs, ref_coeffs, equal_nan=True)
+    assert not ok[:40].any() and ok[80:].all()
+    base = rows[:, 2] / u[2]
+    steps = np.rint((coeffs[ok] - base[ok]) / np.spacing(np.abs(base[ok])))
+    assert {-1.0, 0.0, 1.0} <= set(steps.tolist())  # some rows need a +-1 ulp candidate
 
 
 def test_mean_stderr_survives_large_finite_values():
