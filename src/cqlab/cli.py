@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__, experiments
 from .errors import ConfigError
 from .experiments import ExperimentConfig, SweepResult
+from .gaussian import blas_threads_for
 
 OUT_DIR_ENV = "CQLAB_OUT_DIR"
 
@@ -145,7 +146,8 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir, workers: int = 1) -> in
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = _TABLES[subcommand]
-    doc = getattr(experiments, table.experiment)(cfg, workers=workers)
+    with blas_threads_for(workers) as blas_threads:
+        doc = getattr(experiments, table.experiment)(cfg, workers=workers)
     files = [out / table.csv_name]
     if isinstance(doc, SweepResult):
         files += emit_plot_data(doc, out)
@@ -169,6 +171,8 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir, workers: int = 1) -> in
         "subcommand": subcommand,
         "config": cfg.to_json(),
         "seed": cfg.seed,
+        "threads": workers,
+        "blas_threads": blas_threads,
         "results": {
             "result_doc": result_path.name,
             "files": {f.name: _sha256(f) for f in files},

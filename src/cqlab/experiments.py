@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correspondence import (
+    EXACT_CLASS_RTOL,
     generalized_average,
     quantum_average,
     t2n_variable,
@@ -608,7 +609,7 @@ def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
     extended = t_state_extended(rho)
     mean, stderr = mc_average(Quadratic(h), rho, n_samples, seed, workers=workers)
     norm = operator_norm(h)
-    boundary = abs(sigma2 - alpha) <= 1e-9 * alpha
+    boundary = abs(sigma2 - alpha) <= EXACT_CLASS_RTOL * alpha
     return _report([
         # 1 if the exact map accepted the state, against 1 if it should have
         relatively_exact("exact_map_accepts", error is None, boundary, 0.0),

@@ -5,12 +5,19 @@ Tr B, the mean squared field norm.  Sampling factors B through its
 spectral decomposition so rank-deficient covariances (pure states) work
 without pivoting, and draws come from counter-based Philox substreams so
 batches are bit-reproducible regardless of how many workers fill them.
+While several workers fill them, `blas_threads_for` keeps BLAS to one
+thread.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +106,66 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
         for c in range(1, n_chunks):
             put(c)
     return SampleBatch(samples=out, chunk_count=n_chunks)
+
+
+# (get, set) thread-count functions of the OpenBLAS builds that NumPy wheels
+# bundle in numpy.libs: scipy-openblas (NumPy 2) and openblas64_ (NumPy 1)
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+@functools.cache
+def _blas_thread_control():
+    """The (get, set) thread-count functions of the OpenBLAS that NumPy
+    loaded, or None.  RTLD_NOLOAD opens only a library already in the
+    process, so the lookup loads nothing."""
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return None
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path, mode=noload | os.RTLD_LAZY)
+        except OSError:  # not loaded in this process
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads_for(workers: int):
+    """Run BLAS single-threaded while more than one worker samples.
+
+    A worker's per-chunk GEMM is large enough for OpenBLAS to start its own
+    thread pool, so several workers plus their BLAS threads would contend
+    for the same cores.  With one worker nothing changes: there BLAS
+    threads still speed up the exact-form contractions.  Yields the BLAS
+    thread count in force inside the block, or None when no known BLAS is
+    found (and then nothing changes either); the old count comes back on
+    exit, also when the block raises.  OpenBLAS splits a GEMM between its
+    threads by output blocks, so the count moves no result bit.
+    """
+    control = _blas_thread_control()
+    if control is None:
+        yield None
+        return
+    get, set_ = control
+    before = get()
+    if workers <= 1:
+        yield before
+        return
+    set_(1)
+    try:
+        yield 1
+    finally:
+        set_(before)
 
 
 class GaussianState:

@@ -316,14 +316,23 @@ def test_criterion_11_determinism_across_threads(tmp_path):
             "mc_samples": 10_000,
             "seed": 1014,
         },
+        # large enough per chunk that OpenBLAS threads each GEMM at --threads 1
+        "cos64": {
+            "dim": 64,
+            "functional": {"family": "cos-quad-minus-one", "operator": {"random": {"seed": 7}}},
+            "alpha_grid": [0.1, 0.03, 0.01, 0.003, 0.001],
+            "state": {"shape": "random", "seed": 9},
+            "mc_samples": 16_384,
+            "seed": 1015,
+        },
     }
-    subcommand = {"trace": "sweep", "moments": "moments-check", "cos": "sweep"}
+    subcommand = {"trace": "sweep", "moments": "moments-check", "cos": "sweep", "cos64": "sweep"}
     identical = True
     for name, cfg in configs.items():
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
         outs = {}
-        for threads in (1, 8):
+        for threads in (1, 2, 8):
             out = tmp_path / f"{name}-t{threads}"
             rc = main([subcommand[name], "--config", str(cfg_path), "--out", str(out),
                        "--threads", str(threads)])
@@ -331,10 +340,10 @@ def test_criterion_11_determinism_across_threads(tmp_path):
             outs[threads] = out
         for f in sorted(outs[1].iterdir()):
             if f.suffix in (".csv", ".dat"):
-                identical = identical and (
-                    f.read_bytes() == (outs[8] / f.name).read_bytes())
+                identical = identical and all(
+                    f.read_bytes() == (outs[t] / f.name).read_bytes() for t in (2, 8))
     elapsed = time.perf_counter() - t0
     _report(11, "thread-count determinism", identical,
-            "1 vs 8 workers produce byte-identical CSV and plot files on "
-            "three experiment configs", elapsed)
+            "1, 2 and 8 workers produce byte-identical CSV and plot files on "
+            "four experiment configs", elapsed)
     assert identical

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqlab import experiments, gaussian
 from cqlab.cli import emit_plot_data, load_config, main, run
 from cqlab.errors import ConfigError
 from cqlab.experiments import Check, ExperimentConfig, SweepResult, SweepRow
@@ -38,6 +39,16 @@ COS_SWEEP = {
     "mc_samples": 2_000,
     "seed": 11,
     "slope_band": [1.9, 2.1],
+}
+
+# dim 64 over 4 chunks: each chunk's GEMM is large enough for OpenBLAS to thread
+COS_DIM64 = {
+    "dim": 64,
+    "functional": {"family": "cos-quad-minus-one", "operator": {"random": {"seed": 3}}},
+    "alpha_grid": [0.1, 0.01, 0.001],
+    "state": {"shape": "random", "seed": 5},
+    "mc_samples": 3 * DEFAULT_CHUNK_SIZE + 1,
+    "seed": 17,
 }
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -385,14 +396,61 @@ def test_threads_do_not_change_bytes(tmp_path, subcommand, stem):
     cfg_path = CONFIG_DIR / f"{stem}.json"
     # more than one chunk, so the workers have something to split
     assert json.loads(cfg_path.read_text())["mc_samples"] > DEFAULT_CHUNK_SIZE
-    for threads in ("1", "8"):
+    for threads in ("1", "2", "8"):
         rc = main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / threads),
                    "--threads", threads])
         assert rc == 0
     tables = sorted(p.name for p in (tmp_path / "1").iterdir() if p.suffix in (".csv", ".dat"))
     assert tables
     for name in tables:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "8" / name).read_bytes()
+        for threads in ("2", "8"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / threads / name).read_bytes()
+
+
+def _blas_control():
+    control = gaussian._blas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this NumPy build")
+    return control
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_threads_run_restores_the_blas_thread_count(tmp_path, monkeypatch, raises):
+    get, set_ = _blas_control()
+    original = get()
+    set_(2)  # a count other than the pinned 1, so a lost restore shows
+    try:
+        seen = []
+        sweep = experiments.alpha_sweep
+
+        def spy(cfg, workers):
+            seen.append(get())
+            if raises:
+                raise ValueError("failed inside the experiment")
+            return sweep(cfg, workers=workers)
+
+        monkeypatch.setattr(experiments, "alpha_sweep", spy)
+        rc = main(["sweep", "--config", str(_write(tmp_path, COS_DIM64)),
+                   "--out", str(tmp_path / "o"), "--threads", "2"])
+        assert rc == (1 if raises else 0)
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        set_(original)
+
+
+def test_threads_run_without_blas_control_keeps_its_bytes(tmp_path, monkeypatch):
+    cfg_path = _write(tmp_path, COS_DIM64)
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "found"),
+                 "--threads", "2"]) == 0
+    monkeypatch.setattr(gaussian, "_blas_thread_control", lambda: None)
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "none"),
+                 "--threads", "2"]) == 0
+    for name in ("sweep.csv", "sweep_loglog.dat", "sweep_fit.dat"):
+        assert (tmp_path / "found" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
+    manifest = json.loads((tmp_path / "none" / "manifest.json").read_text())
+    assert (manifest["threads"], manifest["blas_threads"]) == (2, None)
 
 
 def test_manifest_round_trip_reproduces_hashes(tmp_path):
@@ -404,6 +462,15 @@ def test_manifest_round_trip_reproduces_hashes(tmp_path):
     main(["sweep", "--config", str(replay_cfg), "--out", str(tmp_path / "r2")])
     manifest2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
     assert manifest["results"]["files"] == manifest2["results"]["files"]
+    # run telemetry: one worker leaves BLAS at its own count
+    control = gaussian._blas_thread_control()
+    assert manifest["threads"] == 1
+    assert manifest["blas_threads"] == (control[0]() if control else None)
+    main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r3"), "--threads", "2"])
+    manifest3 = json.loads((tmp_path / "r3" / "manifest.json").read_text())
+    assert manifest3["threads"] == 2
+    assert manifest3["blas_threads"] == (1 if control else None)
+    assert manifest3["results"]["files"] == manifest["results"]["files"]
 
 
 def test_emit_plot_data_fit_matches_result_doc(tmp_path):

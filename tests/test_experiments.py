@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cqlab.correspondence import quantum_average, t_state, t_variable
+from cqlab.correspondence import EXACT_CLASS_RTOL, quantum_average, t_state, t_variable
 from cqlab.errors import ConfigError
 from cqlab.experiments import (
     ExperimentConfig,
@@ -373,6 +373,20 @@ def test_sub_alpha_boundary_acceptance():
     report = sub_alpha_states(0.01, shrink=1.0, dim=3, hamiltonian=np.eye(3),
                               n_samples=5_000, seed=29)
     assert _check(report, "exact_map_accepts").statistic == 1.0
+    assert report["passed"]
+
+
+@pytest.mark.parametrize("shrink, accepted", [
+    (1.0 - 0.5 * EXACT_CLASS_RTOL, 1.0),
+    (1.0 - 2.0 * EXACT_CLASS_RTOL, 0.0),
+])
+def test_sub_alpha_expectation_follows_the_class_tolerance(shrink, accepted):
+    # the expectation and t_state read one class tolerance, so the gate
+    # passes on both sides of its edge
+    report = sub_alpha_states(0.01, shrink=shrink, dim=3, hamiltonian=np.eye(3),
+                              n_samples=5_000, seed=29)
+    check = _check(report, "exact_map_accepts")
+    assert (check.statistic, check.reference) == (accepted, accepted)
     assert report["passed"]
 
 

@@ -4,6 +4,9 @@ import cycle can come back."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,14 @@ def test_modules_import_only_earlier_modules(module):
                 if not (module == "cli" and name == "__version__")]
     earlier = ORDER[:ORDER.index(module)]
     assert [name for name in imported if name not in earlier] == []
+
+
+def test_importing_the_package_leaves_blas_alone():
+    # a fresh process, so no earlier run has looked the library up
+    code = ("import cqlab, cqlab.cli\n"
+            "print(cqlab.gaussian._blas_thread_control.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "0"
