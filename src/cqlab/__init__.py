@@ -32,7 +32,6 @@ from .gaussian import (
     fourier_transform,
     make_gaussian,
     pure_state_measure,
-    sample,
     scale_measure,
 )
 from .hilbert import (
@@ -75,7 +74,7 @@ __all__ = [
     "mc_average", "moment_form", "moment_form_eval", "moment_mc_check",
     "nongaussian_experiment", "outer_product", "pure_state_experiment",
     "pure_state_measure", "quadratic_growth_check", "quantum_average",
-    "sample", "scale_measure", "spectral_decompose", "sub_alpha_states",
+    "scale_measure", "spectral_decompose", "sub_alpha_states",
     "symmetric_from_entries", "t2n_variable", "t_state", "t_state_extended",
     "t_variable", "trace", "trace_forms", "trace_product",
     "variables_equivalent",

@@ -19,30 +19,45 @@ import numpy as np
 
 from .errors import ClassMembershipError, DegenerateStateError, DimensionMismatchError, OrderError
 from .functionals import Functional, SymmetricForm, moment_form, trace_forms
-from .gaussian import GaussianState
+from .gaussian import EIG_CLIP_REL, GaussianState
 from .hilbert import require_symmetric, trace_product
 
 # a state is in the dispersion-alpha class when |Tr B - alpha| <= EXACT_CLASS_RTOL * alpha
 EXACT_CLASS_RTOL = 1e-9
 DENSITY_TRACE_ATOL = 1e-9
-DENSITY_EIG_FLOOR = -1e-12
+# the floor GaussianState puts on the eigenvalues of B / Tr B
+DENSITY_EIG_FLOOR = -EIG_CLIP_REL
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Symmetric positive unit-trace operator."""
+    """Symmetric positive unit-trace operator.
+
+    Construction checks symmetry, the trace and the smallest eigenvalue.
+    `t_state` builds its operator through `_from_gaussian` instead, which
+    checks the trace only: the GaussianState has already checked B's
+    symmetry and spectrum.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = require_symmetric(self.matrix)
         object.__setattr__(self, "matrix", m)
-        tr = float(np.trace(m))
-        if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
-            raise ValueError(f"density operator must have unit trace, got {tr!r}")
+        _require_unit_trace(m)
         min_eig = float(np.linalg.eigvalsh(m).min())
         if min_eig < DENSITY_EIG_FLOOR:
             raise ValueError(f"density operator has eigenvalue {min_eig:.3e} < {DENSITY_EIG_FLOOR}")
+
+    @classmethod
+    def _from_gaussian(cls, rho: GaussianState, alpha: float) -> "DensityOperator":
+        """B/alpha for a state whose dispersion is within EXACT_CLASS_RTOL of
+        alpha.  B is exactly symmetric and its eigenvalues clear
+        -EIG_CLIP_REL * Tr B, so those of B/alpha clear DENSITY_EIG_FLOOR to
+        within that relative tolerance."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "matrix", _require_unit_trace(rho.covariance / alpha))
+        return d
 
     @property
     def dim(self) -> int:
@@ -51,6 +66,13 @@ class DensityOperator:
     def to_dict(self) -> dict:
         return {"order": 2, "dim": self.dim,
                 "matrix": [[float(x) for x in row] for row in self.matrix]}
+
+
+def _require_unit_trace(m: np.ndarray) -> np.ndarray:
+    tr = float(np.trace(m))
+    if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
+        raise ValueError(f"density operator must have unit trace, got {tr!r}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -87,7 +109,7 @@ def t_state(rho: GaussianState, alpha: float) -> DensityOperator:
     if abs(disp - alpha) > EXACT_CLASS_RTOL * alpha:
         raise ClassMembershipError(
             f"state dispersion {disp!r} is outside the alpha={alpha!r} class")
-    return DensityOperator(rho.covariance / alpha)
+    return DensityOperator._from_gaussian(rho, alpha)
 
 
 def t_state_extended(state) -> DensityOperator:

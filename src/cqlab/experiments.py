@@ -40,7 +40,6 @@ from .functionals import (
 )
 from .gaussian import (
     GaussianState,
-    SampleBatch,
     chebyshev_tail,
     draw_chunked,
     exact_span_coefficients,
@@ -293,9 +292,6 @@ class SecondMomentState:
     def dispersion(self) -> float:
         return float(np.trace(self.covariance))
 
-    def sample(self, seed: int, count: int, workers: int = 1) -> SampleBatch:
-        return draw_chunked(seed, count, self.fill, workers=workers)
-
     @classmethod
     def product_laplace(cls, variances) -> "SecondMomentState":
         v = np.asarray(variances, dtype=np.float64)
@@ -339,10 +335,11 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
 
     Each chunk of draws is evaluated as soon as it is drawn and only its
     values are kept, so memory is O(n_samples + workers * chunk * dim), not
-    O(n_samples * dim).
-    The values equal those of `f.eval_batch(state.sample(...).samples)`
-    row for row, and the mean is a pairwise reduction over them, so it does
-    not depend on how many workers filled them.
+    O(n_samples * dim).  Every Monte-Carlo statistic of the package streams
+    this way.  The values equal those of `f.eval_batch` on the rows of
+    `draw_chunked(seed, n_samples, state.fill)` row for row, and the mean is
+    a pairwise reduction over them, so it does not depend on how many
+    workers filled them.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -543,35 +540,46 @@ def alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
 def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int,
                           workers: int = 1) -> dict:
     """Rank-1 mixture demo: amplified average, exact span membership, and the
-    sample-covariance shape against psi (x) psi."""
+    sample-covariance shape against psi (x) psi.
+
+    Each chunk of draws x becomes three values per row (the amplified value,
+    1 when the row is an exact multiple of the direction, and the number of
+    its off-axis entries that are zero) and one x^T x, which is summed in
+    chunk order.
+    """
     v = as_vector(psi)
     am = symmetric_from_entries(a)
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"the quantum comparison needs a unit vector, got norm {nrm!r}")
     rho = pure_state_measure(v, alpha)
-    batch = rho.sample(seed, n_samples, workers=workers)
-    x = batch.samples
-
     f = Quadratic(am)
-    amp_mean, amp_stderr = mean_stderr(f.eval_batch(x) / alpha)
-    expected = float(v @ am @ v)
-
     direction = rho.sampling_matrix()[:, 0]
-    ok, _coeffs = exact_span_coefficients(x, direction)
-    zero_cols = np.nonzero(direction == 0.0)[0]
-    off_axis = x[:, zero_cols] == 0.0
+    off_axis = direction == 0.0
+
+    def fill(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        x = rho.fill(rng, m)
+        ok, _coeffs = exact_span_coefficients(x, direction)
+        zeros = np.count_nonzero(x[:, off_axis] == 0.0, axis=1)
+        return np.column_stack([f.eval_batch(x) / alpha, ok, zeros]), x.T @ x
+
+    batch = draw_chunked(seed, n_samples, fill, workers=workers)
+    amplified, span, zeros = batch.samples.T
+    amp_mean, amp_stderr = mean_stderr(amplified)
+    expected = float(v @ am @ v)
+    off_axis_entries = n_samples * int(np.count_nonzero(off_axis))
 
     b = rho.covariance
-    cov_err = np.abs((x.T @ x) / n_samples / alpha - np.outer(v, v))
+    cov_err = np.abs(batch.chunk_sum / n_samples / alpha - np.outer(v, v))
     band = 4.0 * np.sqrt((np.outer(np.diag(b), np.diag(b)) + b ** 2) / n_samples) / alpha
 
     # span, off_axis_zero and covariance_shape are fractions of rows or
     # entries that hold, so each must be exactly 1
     return _report([
         within_sigmas("amplified_average", amp_mean, expected, amp_stderr, 4.0, 0.0),
-        relatively_exact("span", np.mean(ok), 1.0, 0.0),
-        relatively_exact("off_axis_zero", np.mean(off_axis) if off_axis.size else 1.0, 1.0, 0.0),
+        relatively_exact("span", np.mean(span), 1.0, 0.0),
+        relatively_exact("off_axis_zero",
+                         np.sum(zeros) / off_axis_entries if off_axis_entries else 1.0, 1.0, 0.0),
         relatively_exact("covariance_shape", np.mean(cov_err <= band + 1e-15), 1.0, 0.0),
     ], alpha=alpha, samples=n_samples, covariance_max_error=float(cov_err.max()))
 
@@ -708,8 +716,8 @@ def moments_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
     rng = substream(cfg.seed, 5)
     ak = SymmetricForm.from_dense(rng.standard_normal((cfg.dim,) * (2 * k)))
-    batch = rho.sample(derive_seed(cfg.seed, 6), cfg.mc_samples, workers=workers)
-    analytic, mc, stderr = moment_mc_check(d, ak, batch)
+    analytic, mc, stderr = moment_mc_check(rho, ak, cfg.mc_samples, derive_seed(cfg.seed, 6),
+                                           workers=workers)
     checks = [within_sigmas("moment", mc, analytic, stderr, 4.0, 0.0)]
     if shape == "isotropic" and cfg.dim >= 2:
         e1 = np.eye(cfg.dim)[0]
@@ -731,6 +739,15 @@ class TailRow:
     noise: float
 
 
+def _energies(rho: GaussianState, n_samples: int, seed: int, workers: int) -> np.ndarray:
+    """||psi||^2 of `n_samples` draws from rho, one value kept per draw."""
+    def fill(rng: np.random.Generator, m: int) -> np.ndarray:
+        x = rho.fill(rng, m)
+        return np.einsum("pi,pi->p", x, x)
+
+    return draw_chunked(seed, n_samples, fill, workers=workers).samples
+
+
 def chebyshev_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     """Tail probabilities of the field energy against the dispersion/C bound."""
     alphas = cfg.alpha_grid[:3]
@@ -739,10 +756,10 @@ def chebyshev_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     rows, checks = [], []
     for i, alpha in enumerate(alphas):
         rho = build_state(cfg.state_spec, cfg.dim, alpha)
-        batch = rho.sample(derive_seed(cfg.seed, 20 + i), cfg.mc_samples, workers=workers)
+        energies = _energies(rho, cfg.mc_samples, derive_seed(cfg.seed, 20 + i), workers)
         for mult in (1.0, 10.0, 100.0):
             c = mult * alpha
-            bound, empirical = chebyshev_tail(rho, c, batch)
+            bound, empirical = chebyshev_tail(rho, c, energies)
             check = bound_plus_noise(f"tail[{len(rows)}]", empirical, bound,
                                      math.sqrt(bound / cfg.mc_samples), 4.0, (c,))
             rows.append(TailRow(alpha, c, bound, empirical, check.band))

@@ -5,8 +5,10 @@ Tr B, the mean squared field norm.  Sampling factors B through its
 spectral decomposition so rank-deficient covariances (pure states) work
 without pivoting, and draws come from counter-based Philox substreams so
 batches are bit-reproducible regardless of how many workers fill them.
-While several workers fill them, `blas_threads_for` keeps BLAS to one
-thread.
+Every Monte-Carlo statistic of the package streams: `draw_chunked` maps each
+chunk of draws to per-row values as it is drawn, so no caller holds the
+draws themselves.  While several workers fill chunks, `blas_threads_for`
+keeps BLAS to one thread.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, DimensionMismatchError, InvalidCovarianceError
+from .errors import DegenerateStateError, InvalidCovarianceError
 from .hilbert import SpectralDecomposition, as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
@@ -36,10 +38,13 @@ EIG_CLIP_REL = 1e-12
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """The rows of one `draw_chunked` call and the number of chunks that filled them."""
+    """The rows of one `draw_chunked` call, the number of chunks that filled
+    them, and the chunk-order sum of the fill's per-chunk partials (None when
+    the fill returns rows only)."""
 
-    samples: np.ndarray  # (count, dim), or (count,) when each draw is one value
+    samples: np.ndarray  # (count, k), or (count,) when each draw is one value
     chunk_count: int
+    chunk_sum: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -77,35 +82,40 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
     """Assemble `count` rows from per-chunk generators.
 
     `fill(rng, m)` must return m values, shape (m,), or m rows, shape
-    (m, dim), using only `rng`.  Chunk c always uses the Philox stream keyed
-    by (seed, c) and writes its own slice of one output array sized from
-    chunk 0, so the result is independent of `workers` and of scheduling
+    (m, k), using only `rng`; or a pair (rows, partial), where partial is an
+    array computed from the chunk's draws, such as a sum over them.  Chunk c
+    always uses the Philox stream keyed by (seed, c) and writes its own slice
+    of one output array sized from chunk 0, and the partials are added in
+    chunk order, so the result is independent of `workers` and of scheduling
     order, and no chunk outlives its copy into the output.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     n_chunks = (count + chunk_size - 1) // chunk_size
 
-    def make(c: int) -> np.ndarray:
+    def make(c: int) -> tuple:
         m = min(chunk_size, count - c * chunk_size)
-        return fill(substream(seed, c), m)
+        made = fill(substream(seed, c), m)
+        return made if isinstance(made, tuple) else (made, None)
 
-    first = make(0)
+    first, total = make(0)
     out = np.empty((count,) + first.shape[1:], dtype=first.dtype)
     out[:first.shape[0]] = first
 
-    def put(c: int) -> None:
-        out[c * chunk_size:(c + 1) * chunk_size] = make(c)
+    def put(c: int):
+        rows, partial = make(c)
+        out[c * chunk_size:(c + 1) * chunk_size] = rows
+        return partial
 
     # one worker per remaining chunk at most
     workers = min(workers, n_chunks - 1)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(put, range(1, n_chunks)))  # re-raises a failed chunk's error
-    else:
-        for c in range(1, n_chunks):
-            put(c)
-    return SampleBatch(samples=out, chunk_count=n_chunks)
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        # both maps yield in chunk order; the pool's re-raises a failed chunk's error
+        for partial in (pool.map if pool else map)(put, range(1, n_chunks)):
+            if partial is not None:
+                total = total + partial
+    return SampleBatch(samples=out, chunk_count=n_chunks, chunk_sum=total)
 
 
 # (get, set) thread-count functions of the OpenBLAS builds that NumPy wheels
@@ -150,7 +160,10 @@ def blas_threads_for(workers: int):
     thread count in force inside the block, or None when no known BLAS is
     found (and then nothing changes either); the old count comes back on
     exit, also when the block raises.  OpenBLAS splits a GEMM between its
-    threads by output blocks, so the count moves no result bit.
+    threads by output blocks, so the count moves no result bit.  A library
+    caller that passes `workers > 1` to an experiment wraps its whole
+    multi-worker run in this once, as `cli.run` does; pinning around each
+    `draw_chunked` call does not help.
     """
     control = _blas_thread_control()
     if control is None:
@@ -221,6 +234,8 @@ class GaussianState:
         return z[:, :self._active.shape[0]] @ self._active
 
     def sample(self, seed: int, count: int, workers: int = 1) -> SampleBatch:
+        """`count` rows drawn from N(0, B), all held at once.  The package's
+        own statistics stream per-row values through `draw_chunked` instead."""
         return draw_chunked(seed, count, self.fill, workers=workers)
 
 
@@ -243,10 +258,6 @@ def scale_measure(rho: GaussianState, alpha: float) -> GaussianState:
     return GaussianState(rho.covariance / alpha)
 
 
-def sample(rho: GaussianState, seed: int, count: int, workers: int = 1) -> SampleBatch:
-    return rho.sample(seed, count, workers=workers)
-
-
 def pure_state_measure(psi, alpha: float) -> GaussianState:
     """Rank-1 Gaussian mixture concentrated on span{psi}, covariance alpha psi (x) psi."""
     v = as_vector(psi)
@@ -257,16 +268,14 @@ def pure_state_measure(psi, alpha: float) -> GaussianState:
     return GaussianState(alpha * outer_product(v))
 
 
-def chebyshev_tail(rho: GaussianState, c: float, batch: SampleBatch) -> tuple[float, float]:
-    """Markov-type tail bound vs the observed fraction of ||psi||^2 > C."""
+def chebyshev_tail(rho: GaussianState, c: float, energies: np.ndarray) -> tuple[float, float]:
+    """Markov-type tail bound min(1, Tr B / C) vs the observed fraction of
+    `energies` above C, where `energies` are the squared norms ||psi||^2 of
+    draws from rho."""
     if not c > 0.0:
         raise ValueError(f"C must be positive, got {c}")
-    if batch.samples.shape[1] != rho.dim:
-        raise DimensionMismatchError(f"batch dim {batch.samples.shape[1]} vs state dim {rho.dim}")
     bound = min(1.0, rho.dispersion() / c)
-    energies = np.einsum("pi,pi->p", batch.samples, batch.samples)
-    empirical = float(np.mean(energies > c))
-    return bound, empirical
+    return bound, float(np.mean(energies > c))
 
 
 def exact_span_coefficients(samples: np.ndarray, direction) -> tuple[np.ndarray, np.ndarray]:
@@ -287,6 +296,8 @@ def exact_span_coefficients(samples: np.ndarray, direction) -> tuple[np.ndarray,
     coeffs = base.copy()
     rows = np.flatnonzero(~ok)
     for ulps in (1, -1, 2, -2):
+        if not rows.size:  # the usual case: no per-candidate calls on every streamed chunk
+            break
         cand = base[rows]
         for _ in range(abs(ulps)):
             cand = np.nextafter(cand, math.copysign(math.inf, ulps))

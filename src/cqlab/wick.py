@@ -1,5 +1,7 @@
 """Gaussian moment machinery: pairing enumeration, moment evaluation,
-Gaussian integrals of multilinear forms and their Monte-Carlo checks.
+Gaussian integrals of multilinear forms and their Monte-Carlo checks.  A
+check draws its own samples from the state and keeps only one value per
+draw.
 
 The forms themselves, their moment forms and their contraction (the
 generalized trace) live in `functionals`, beside `SymmetricForm`.
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ParityError, SizeError
 from .functionals import MAX_FORM_ORDER, SymmetricForm, moment_form, perfect_matchings, trace_forms
-from .gaussian import SampleBatch, mean_stderr
+from .gaussian import GaussianState, draw_chunked, mean_stderr
 from .hilbert import as_vector
 
 
@@ -40,11 +42,12 @@ def gaussian_integral_multilinear(ak: SymmetricForm, d) -> float:
     return trace_forms(moment_form(d, ak.order), ak)
 
 
-def moment_mc_check(d, ak: SymmetricForm, batch: SampleBatch) -> tuple[float, float, float]:
-    """(analytic, mc, stderr) for the Gaussian integral of A_k under covariance D.
-
-    The batch must have been drawn from the Gaussian state with covariance D.
-    """
-    mc, stderr = mean_stderr(ak.eval_diag_batch(batch.samples))
-    analytic = gaussian_integral_multilinear(ak, d)
-    return analytic, mc, stderr
+def moment_mc_check(rho: GaussianState, ak: SymmetricForm, n_samples: int, seed: int,
+                    workers: int = 1) -> tuple[float, float, float]:
+    """(analytic, mc, stderr) for the Gaussian integral of A_k under rho: the
+    pairing-formula value against the mean of A_k(psi, ..., psi) over
+    `n_samples` draws from rho, evaluated chunk by chunk as they are drawn."""
+    values = draw_chunked(seed, n_samples, lambda rng, m: ak.eval_diag_batch(rho.fill(rng, m)),
+                          workers=workers)
+    mc, stderr = mean_stderr(values.samples)
+    return gaussian_integral_multilinear(ak, rho.covariance), mc, stderr

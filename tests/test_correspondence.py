@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from cqlab.correspondence import (
     variables_equivalent,
 )
 from cqlab.errors import ClassMembershipError, DegenerateStateError, OrderError
-from cqlab.experiments import analytic_average
+from cqlab.experiments import ExperimentConfig, alpha_sweep, analytic_average
 from cqlab.functionals import (
     CosQuadMinusOne,
     EvenPolynomial,
@@ -23,7 +27,7 @@ from cqlab.functionals import (
     SinQuad,
     SymmetricForm,
 )
-from cqlab.gaussian import GaussianState, make_gaussian, pure_state_measure
+from cqlab.gaussian import GaussianState, draw_chunked, make_gaussian, pure_state_measure
 from cqlab.hilbert import outer_product, symmetric_from_entries
 
 
@@ -106,7 +110,7 @@ def test_t_state_extended_non_gaussian_state():
     state = SecondMomentState.product_laplace(v)
     d = t_state_extended(state)
     assert np.allclose(d.matrix, np.diag(v) / v.sum(), atol=1e-15)
-    batch = state.sample(seed=71, count=200_000)
+    batch = draw_chunked(71, 200_000, state.fill)
     x = batch.samples
     cov_hat = x.T @ x / batch.count
     band = 4.0 * np.sqrt(5.0 * np.outer(v, v) / batch.count)  # Laplace 4th moment 6 v^2
@@ -280,6 +284,24 @@ def test_density_operator_validation():
         DensityOperator(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.5, -0.5]))  # indefinite
+    with pytest.raises(ValueError):  # a second-moment state is not checked on construction
+        t_state_extended(SimpleNamespace(covariance=np.diag([1.5, -0.5]), dispersion=lambda: 1.0))
+
+
+def test_t_state_reuses_the_checked_spectrum(monkeypatch):
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    path = Path(__file__).resolve().parent.parent / "configs" / "cos_sweep.json"
+    cfg = ExperimentConfig.from_json(json.loads(path.read_text(encoding="utf-8")))
+    alpha_sweep(cfg)
+    # per grid point: one eigh as the state is built and one eigvalsh in the
+    # cos closed form; t_state eigendecomposes nothing
+    assert len(cfg.alpha_grid) == 5
+    assert calls == {"eigvalsh": 5, "eigh": 5}
 
 
 def test_map_outputs_pass_density_invariants():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cqlab import experiments
 from cqlab.correspondence import EXACT_CLASS_RTOL, quantum_average, t_state, t_variable
 from cqlab.errors import ConfigError
 from cqlab.experiments import (
@@ -18,6 +19,7 @@ from cqlab.experiments import (
     build_state,
     chebyshev_experiment,
     closed_form_average,
+    derive_seed,
     finite_qm_demo,
     higher_order_check,
     in_range,
@@ -43,9 +45,16 @@ from cqlab.functionals import (
     amplify,
     double_factorial,
 )
-from cqlab.gaussian import make_gaussian, mean_stderr, pure_state_measure, substream
+from cqlab.gaussian import (
+    draw_chunked,
+    exact_span_coefficients,
+    make_gaussian,
+    mean_stderr,
+    pure_state_measure,
+    substream,
+)
 from cqlab.hilbert import symmetric_from_entries, trace_product
-from cqlab.wick import gaussian_integral_multilinear
+from cqlab.wick import gaussian_integral_multilinear, moment_mc_check
 
 
 def _check(report: dict, name: str):
@@ -109,11 +118,56 @@ def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
     state = _STREAM_STATES[state_name]()
     a = symmetric_from_entries(substream(4, 0).standard_normal((16, 16)))
     count = 3 * 4096 + 17
-    batch = state.sample(21, count, workers=workers)
+    batch = draw_chunked(21, count, state.fill, workers=workers)
     for f in (CosQuadMinusOne(a),
               EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(16), 2, 1.0)})):
         assert mc_average(f, state, count, 21, workers=workers) == \
             mean_stderr(f.eval_batch(batch.samples))
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("psi", [np.linspace(1.0, 2.0, 16), np.array([0.6, 0.0, 0.8, 0.0])],
+                         ids=["dense", "two-axes"])
+def test_streamed_experiments_match_a_full_batch(psi, workers):
+    # references computed on the rows of GaussianState.sample, held at once
+    dim, count, seed, alpha = psi.size, 3 * 4096 + 17, 21, 0.2
+    v = psi / np.linalg.norm(psi)
+    a = symmetric_from_entries(substream(4, 0).standard_normal((dim, dim)))
+
+    rho = pure_state_measure(v, alpha)
+    x = rho.sample(seed, count).samples
+    report = pure_state_experiment(v, alpha, a, count, seed, workers=workers)
+    amplified = _check(report, "amplified_average")
+    assert (amplified.statistic, amplified.stderr) == mean_stderr(Quadratic(a).eval_batch(x) / alpha)
+    direction = rho.sampling_matrix()[:, 0]
+    off_axis = x[:, direction == 0.0] == 0.0
+    assert _check(report, "span").statistic == np.mean(exact_span_coefficients(x, direction)[0])
+    assert _check(report, "off_axis_zero").statistic == \
+        (np.mean(off_axis) if off_axis.size else 1.0)
+    # x^T x is summed chunk by chunk, so only its last digits may move
+    cov_err = np.abs((x.T @ x) / count / alpha - np.outer(v, v)).max()
+    assert abs(report["covariance_max_error"] - cov_err) <= 1e-12 * np.abs(np.outer(v, v)).max()
+
+    cfg = ExperimentConfig(dim=dim, alpha_grid=(0.1, 0.01, 0.001),
+                           functional_spec={"family": "quadratic"},
+                           state_spec={"shape": "random", "seed": 3}, mc_samples=count, seed=seed)
+    rows = chebyshev_experiment(cfg, workers=workers)["rows"]
+    for i, alpha_i in enumerate(cfg.alpha_grid):
+        state = build_state(cfg.state_spec, dim, alpha_i)
+        x = state.sample(derive_seed(seed, 20 + i), count).samples
+        energies = np.einsum("pi,pi->p", x, x)
+        assert np.array_equal(
+            experiments._energies(state, count, derive_seed(seed, 20 + i), workers), energies)
+        assert [r.empirical for r in rows[3 * i:3 * i + 3]] == \
+            [float(np.mean(energies > r.C)) for r in rows[3 * i:3 * i + 3]]
+
+    state = build_state(cfg.state_spec, dim, 1.0)
+    x = state.sample(seed, count).samples
+    for form in (SymmetricForm.from_dense(substream(5, 0).standard_normal((dim,) * 4)),
+                 SymmetricForm.from_quadratic_power(a, 2, 0.5)):
+        assert moment_mc_check(state, form, count, seed, workers=workers) == \
+            (gaussian_integral_multilinear(form, state.covariance),
+             *mean_stderr(form.eval_diag_batch(x)))
 
 
 def test_mc_average_memory_is_bounded_by_the_values():
@@ -126,6 +180,28 @@ def test_mc_average_memory_is_bounded_by_the_values():
     finally:
         tracemalloc.stop()
     assert peak < count * dim * 8 / 4
+
+
+_DIM64 = ExperimentConfig(dim=64, alpha_grid=(0.1, 0.01, 0.001),
+                          functional_spec={"family": "quadratic"},
+                          state_spec={"shape": "isotropic"}, mc_samples=200_000, seed=4)
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: pure_state_experiment(np.full(cfg.dim, 0.125), 0.1, np.eye(cfg.dim),
+                                      cfg.mc_samples, cfg.seed, workers=2),
+    lambda cfg: chebyshev_experiment(cfg, workers=2),
+    lambda cfg: moments_check(cfg, workers=2),
+], ids=["pure-state", "chebyshev", "moments-check"])
+def test_experiment_memory_is_bounded_by_the_values(run):
+    # the same bound as mc_average's: a quarter of the N x dim rows
+    tracemalloc.start()
+    try:
+        assert run(_DIM64)["passed"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _DIM64.mc_samples * _DIM64.dim * 8 / 4
 
 
 def test_analytic_average_quadratic_exact():
@@ -413,7 +489,7 @@ def test_nongaussian_uniform_sphere():
 def test_laplace_sample_covariance_matches_target():
     v = np.array([0.01, 0.02, 0.03])
     state = SecondMomentState.product_laplace(v)
-    batch = state.sample(seed=41, count=200_000)
+    batch = draw_chunked(41, 200_000, state.fill)
     x = batch.samples
     cov_hat = x.T @ x / batch.count
     target = np.diag(v)

@@ -20,7 +20,6 @@ from cqlab.gaussian import (
     make_gaussian,
     mean_stderr,
     pure_state_measure,
-    sample,
     scale_measure,
 )
 from cqlab.hilbert import outer_product
@@ -72,7 +71,7 @@ def test_dispersion_rank_one():
 def test_dispersion_monte_carlo():
     # oracle: sample mean of ||psi||^2 must sit within 4 standard errors
     rho = make_gaussian(np.diag([0.3, 0.5, 0.2]))
-    batch = sample(rho, seed=101, count=100_000)
+    batch = rho.sample(seed=101, count=100_000)
     energies = np.einsum("pi,pi->p", batch.samples, batch.samples)
     se = energies.std(ddof=1) / math.sqrt(batch.count)
     assert abs(energies.mean() - dispersion(rho)) <= 4.0 * se
@@ -134,7 +133,7 @@ def test_scaled_samples_covariance():
     alpha = 0.1
     b = np.diag([0.06, 0.04])
     scaled = scale_measure(make_gaussian(b), alpha)
-    batch = sample(scaled, seed=33, count=100_000)
+    batch = scaled.sample(seed=33, count=100_000)
     x = batch.samples
     cov_hat = x.T @ x / batch.count
     target = b / alpha
@@ -145,7 +144,7 @@ def test_scaled_samples_covariance():
 
 def test_sample_variances_land_in_band():
     rho = make_gaussian(np.diag([1.0, 4.0]))
-    batch = sample(rho, seed=77, count=100_000)
+    batch = rho.sample(seed=77, count=100_000)
     v = batch.samples.var(axis=0, ddof=1)
     assert 0.95 <= v[0] <= 1.05
     assert 3.8 <= v[1] <= 4.2
@@ -153,14 +152,14 @@ def test_sample_variances_land_in_band():
 
 def test_sample_rank_one_axis_coordinates_exactly_zero():
     rho = pure_state_measure(np.array([1.0, 0.0, 0.0]), 0.03)
-    batch = sample(rho, seed=5, count=5000)
+    batch = rho.sample(seed=5, count=5000)
     assert np.all(batch.samples[:, 1:] == 0.0)
 
 
 def test_sample_deterministic_across_worker_counts():
     rho = make_gaussian(np.diag([1.0, 2.0, 3.0]))
-    one = sample(rho, seed=9, count=20_000, workers=1)
-    eight = sample(rho, seed=9, count=20_000, workers=8)
+    one = rho.sample(seed=9, count=20_000, workers=1)
+    eight = rho.sample(seed=9, count=20_000, workers=8)
     assert np.array_equal(one.samples, eight.samples)
     assert one.chunk_count == eight.chunk_count > 1
 
@@ -173,7 +172,7 @@ SAMPLE_STREAM_SHA256 = "1d7c9c0ce7f7bf5f45b8af3dc77dd45a4050101dfc1cdb50a8610e26
 @pytest.mark.parametrize("workers", [1, 8])
 def test_sample_stream_is_pinned(workers):
     rho = make_gaussian(np.diag([1.0, 2.0, 3.0]))
-    batch = sample(rho, seed=9, count=20_000, workers=workers)
+    batch = rho.sample(seed=9, count=20_000, workers=workers)
     assert hashlib.sha256(batch.samples.tobytes()).hexdigest() == SAMPLE_STREAM_SHA256
 
 
@@ -197,23 +196,27 @@ def test_draw_chunked_caps_workers_at_chunk_count(monkeypatch):
 
 def test_sample_mean_converges_to_zero():
     rho = make_gaussian(np.diag([0.5, 0.5]))
-    batch = sample(rho, seed=8, count=100_000)
+    batch = rho.sample(seed=8, count=100_000)
     se = batch.samples.std(axis=0, ddof=1) / math.sqrt(batch.count)
     assert np.all(np.abs(batch.samples.mean(axis=0)) <= 4.0 * se)
 
 
+def _energies(batch):
+    return np.einsum("pi,pi->p", batch.samples, batch.samples)
+
+
 def test_chebyshev_bound_value():
     rho = make_gaussian(np.eye(2) * 0.005)  # dispersion 0.01
-    batch = sample(rho, seed=3, count=2000)
-    bound, empirical = chebyshev_tail(rho, 1.0, batch)
+    batch = rho.sample(seed=3, count=2000)
+    bound, empirical = chebyshev_tail(rho, 1.0, _energies(batch))
     assert bound == pytest.approx(0.01, rel=1e-12)
     assert 0.0 <= empirical <= bound + 4.0 * math.sqrt(bound / batch.count)
 
 
 def test_chebyshev_bound_vanishes_for_large_threshold():
     rho = make_gaussian(np.eye(2) * 0.005)
-    batch = sample(rho, seed=3, count=2000)
-    bound, empirical = chebyshev_tail(rho, 1e12, batch)
+    batch = rho.sample(seed=3, count=2000)
+    bound, empirical = chebyshev_tail(rho, 1e12, _energies(batch))
     assert bound <= 1e-13
     assert empirical == 0.0
 
@@ -222,8 +225,8 @@ def test_chebyshev_one_dimensional_tail_matches_normal():
     # oracle: for psi ~ N(0, alpha), P(psi^2 > alpha) = P(|z| > 1) = 2(1 - Phi(1))
     alpha = 0.04
     rho = make_gaussian(np.array([[alpha]]))
-    batch = sample(rho, seed=15, count=200_000)
-    bound, empirical = chebyshev_tail(rho, alpha, batch)
+    batch = rho.sample(seed=15, count=200_000)
+    bound, empirical = chebyshev_tail(rho, alpha, _energies(batch))
     assert bound == 1.0
     p_oracle = math.erfc(1.0 / math.sqrt(2.0))  # 0.31731...
     se = math.sqrt(p_oracle * (1.0 - p_oracle) / batch.count)
@@ -254,7 +257,7 @@ def test_pure_state_rejects_zero_vector():
 def test_pure_state_samples_are_exact_multiples_of_direction():
     psi = np.array([2.0, -1.0, 2.0]) / 3.0
     rho = pure_state_measure(psi, 0.04)
-    batch = sample(rho, seed=21, count=50_000)
+    batch = rho.sample(seed=21, count=50_000)
     direction = rho.sampling_matrix()[:, 0]
     ok, _ = exact_span_coefficients(batch.samples, direction)
     assert np.all(ok)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cqlab.errors import DimensionMismatchError, OrderError, ParityError, SizeError
 from cqlab.functionals import SymmetricForm, double_factorial
-from cqlab.gaussian import make_gaussian, sample
+from cqlab.gaussian import make_gaussian
 from cqlab.hilbert import symmetric_from_entries, trace_product
 from cqlab.wick import (
     enumerate_pairings,
@@ -170,8 +170,7 @@ def test_integral_order_eight_matches_mc():
     m = rng.normal(size=(3, 3))
     d = symmetric_from_entries(m @ m.T / 3.0)
     form = SymmetricForm.from_quadratic_power(rng.normal(size=(3, 3)), 4, 1.0)
-    analytic, mc, stderr = moment_mc_check(d, form, sample(make_gaussian(d), seed=41,
-                                                           count=400_000))
+    analytic, mc, stderr = moment_mc_check(make_gaussian(d), form, 400_000, seed=41)
     assert abs(analytic - mc) <= 4.0 * stderr
 
 
@@ -250,9 +249,8 @@ def test_moment_mc_order_two():
     m = rng.normal(size=(8, 8))
     d = symmetric_from_entries(m @ m.T / 8.0)
     rho = make_gaussian(d)
-    batch = sample(rho, seed=23, count=100_000)
     form = SymmetricForm.from_matrix(symmetric_from_entries(rng.normal(size=(8, 8))))
-    analytic, mc, stderr = moment_mc_check(d, form, batch)
+    analytic, mc, stderr = moment_mc_check(rho, form, 100_000, seed=23)
     assert abs(analytic - mc) <= 4.0 * stderr
 
 
@@ -261,9 +259,8 @@ def test_moment_mc_order_four():
     m = rng.normal(size=(4, 4))
     d = symmetric_from_entries(m @ m.T / 4.0)
     rho = make_gaussian(d)
-    batch = sample(rho, seed=29, count=200_000)
     form = SymmetricForm.from_dense(rng.normal(size=(4, 4, 4, 4)))
-    analytic, mc, stderr = moment_mc_check(d, form, batch)
+    analytic, mc, stderr = moment_mc_check(rho, form, 200_000, seed=29)
     assert abs(analytic - mc) <= 4.0 * stderr
 
 
@@ -271,9 +268,8 @@ def test_moment_mc_order_three_compatible_with_zero():
     rng = np.random.default_rng(19)
     d = np.eye(3) * 0.5
     rho = make_gaussian(d)
-    batch = sample(rho, seed=31, count=50_000)
     form = SymmetricForm.from_dense(rng.normal(size=(3, 3, 3)))
-    analytic, mc, stderr = moment_mc_check(d, form, batch)
+    analytic, mc, stderr = moment_mc_check(rho, form, 50_000, seed=31)
     assert analytic == 0.0
     assert abs(mc) <= 4.0 * stderr
 
@@ -284,7 +280,7 @@ def test_integral_bounded_by_form_norm_times_moment():
     m = rng.normal(size=(3, 3))
     d = symmetric_from_entries(m @ m.T / 3.0)
     rho = make_gaussian(d)
-    batch = sample(rho, seed=37, count=100_000)
+    batch = rho.sample(seed=37, count=100_000)
     norms = np.sqrt(np.einsum("pi,pi->p", batch.samples, batch.samples))
     for order in (2, 4):
         form = SymmetricForm.from_dense(rng.normal(size=(3,) * order))
