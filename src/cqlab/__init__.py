@@ -32,6 +32,7 @@ from .gaussian import (
     fourier_transform,
     make_gaussian,
     pure_state_measure,
+    sampling_workers,
     scale_measure,
 )
 from .hilbert import (
@@ -74,7 +75,7 @@ __all__ = [
     "mc_average", "moment_form", "moment_form_eval", "moment_mc_check",
     "nongaussian_experiment", "outer_product", "pure_state_experiment",
     "pure_state_measure", "quadratic_growth_check", "quantum_average",
-    "scale_measure", "spectral_decompose", "sub_alpha_states",
+    "sampling_workers", "scale_measure", "spectral_decompose", "sub_alpha_states",
     "symmetric_from_entries", "t2n_variable", "t_state", "t_state_extended",
     "t_variable", "trace", "trace_forms", "trace_product",
     "variables_equivalent",

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, experiments
 from .errors import ConfigError
-from .experiments import ExperimentConfig, SweepResult
-from .gaussian import blas_threads_for
+from .experiments import ExperimentConfig
+from .gaussian import sampling_workers
 
 OUT_DIR_ENV = "CQLAB_OUT_DIR"
 
@@ -78,33 +78,35 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def emit_plot_data(result: SweepResult, out_dir: Path) -> list[Path]:
-    """Log-log data file for the remainder plus a fitted-line overlay.
+def emit_plot_data(report: dict, out_dir: Path) -> list[Path]:
+    """Log-log data file for the remainder of an `alpha_sweep` report plus a
+    fitted-line overlay.
 
     Numbers carry 17 significant digits.  A noise-limited sweep gets a
     noise-floor marker column instead of a fit file.
     """
-    if not result.rows:
-        raise ValueError("sweep result has no rows")
+    rows, slope, intercept = report["rows"], report["fitted_slope"], report["fitted_intercept"]
+    if not rows:
+        raise ValueError("sweep report has no rows")
     files = []
     data = out_dir / "sweep_loglog.dat"
     with open(data, "w", encoding="utf-8", newline="") as fh:
-        if result.noise_limited:
+        if report["noise_limited"]:
             fh.write("# alpha abs_remainder below_noise\n")
-            for r in result.rows:
+            for r in rows:
                 fh.write(f"{r.alpha:.17g} {abs(r.remainder):.17g} {int(r.below_noise)}\n")
         else:
             fh.write("# alpha abs_remainder\n")
-            for r in result.rows:
+            for r in rows:
                 fh.write(f"{r.alpha:.17g} {abs(r.remainder):.17g}\n")
     files.append(data)
-    if result.fitted_slope is not None:
+    if slope is not None:
         fit = out_dir / "sweep_fit.dat"
-        alphas = [r.alpha for r in result.rows]
+        alphas = [r.alpha for r in rows]
         with open(fit, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# slope={result.fitted_slope!r} intercept={result.fitted_intercept!r}\n")
+            fh.write(f"# slope={slope!r} intercept={intercept!r}\n")
             for a in (min(alphas), max(alphas)):
-                y = float(np.exp(result.fitted_intercept + result.fitted_slope * np.log(a)))
+                y = float(np.exp(intercept + slope * np.log(a)))
                 fh.write(f"{a:.17g} {y:.17g}\n")
         files.append(fit)
     return files
@@ -116,16 +118,18 @@ CHECK_COLUMNS = ["check", "statistic", "reference", "stderr", "band", "passed"]
 class _Table(NamedTuple):
     """How one subcommand produces its report and lays out its CSV table."""
 
-    experiment: str  # an `experiments` function (cfg, workers=) -> report
+    experiment: str  # an `experiments` function cfg -> report
     csv_name: str
     grid: list[str] | None  # fields of the report's rows, or None for a check table
+    plots: bool = False  # the report is a sweep's, drawn by `emit_plot_data`
 
 
 # Experiments are looked up by name when they run, so a caller that rebinds
 # a module global (a profiler, a test double) still sees it.
 _TABLES = {
     "sweep": _Table("alpha_sweep", "sweep.csv", [
-        "alpha", "classical_mc", "classical_analytic", "quantum_term", "remainder", "stderr"]),
+        "alpha", "classical_mc", "classical_analytic", "quantum_term", "remainder", "stderr"],
+        plots=True),
     "pure-state": _Table("pure_state_run", "pure_state.csv", None),
     "higher-order": _Table("higher_order_check", "higher_order.csv", None),
     "nongaussian": _Table("nongaussian_run", "nongaussian.csv", None),
@@ -137,7 +141,8 @@ _TABLES = {
 
 
 def run(subcommand: str, cfg: ExperimentConfig, out_dir, workers: int = 1) -> int:
-    """Execute a subcommand; write manifest, CSV tables and the result doc.
+    """Execute a subcommand's experiment in one `sampling_workers(workers)`
+    block; write manifest, CSV tables and the result doc.
 
     Exit status 0 on success, 2 when an acceptance band fails.
     """
@@ -146,12 +151,11 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir, workers: int = 1) -> in
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = _TABLES[subcommand]
-    with blas_threads_for(workers) as blas_threads:
-        doc = getattr(experiments, table.experiment)(cfg, workers=workers)
+    with sampling_workers(workers) as blas_threads:
+        doc = getattr(experiments, table.experiment)(cfg)
     files = [out / table.csv_name]
-    if isinstance(doc, SweepResult):
+    if table.plots:
         files += emit_plot_data(doc, out)
-        doc = doc.report(cfg.slope_band)
     if table.grid:
         write_csv(files[0], table.grid,
                   [[getattr(r, key) for key in table.grid] for r in doc["rows"]])

@@ -328,23 +328,22 @@ def build_second_moment_state(spec: dict, dim: int, alpha: float) -> SecondMomen
 # averages
 
 
-def mc_average(f: Functional, state, n_samples: int, seed: int,
-               workers: int = 1) -> tuple[float, float]:
+def mc_average(f: Functional, state, n_samples: int, seed: int) -> tuple[float, float]:
     """Sample mean and standard error of f over a deterministic stream of
     draws.
 
     Each chunk of draws is evaluated as soon as it is drawn and only its
     values are kept, so memory is O(n_samples + workers * chunk * dim), not
-    O(n_samples * dim).  Every Monte-Carlo statistic of the package streams
-    this way.  The values equal those of `f.eval_batch` on the rows of
+    O(n_samples * dim), with workers the `gaussian.sampling_workers` count.
+    Every Monte-Carlo statistic of the package streams this way.  The values
+    equal those of `f.eval_batch` on the rows of
     `draw_chunked(seed, n_samples, state.fill)` row for row, and the mean is
     a pairwise reduction over them, so it does not depend on how many
     workers filled them.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    values = draw_chunked(seed, n_samples, lambda rng, m: f.eval_batch(state.fill(rng, m)),
-                          workers=workers)
+    values = draw_chunked(seed, n_samples, lambda rng, m: f.eval_batch(state.fill(rng, m)))
     return mean_stderr(values.samples)
 
 
@@ -467,37 +466,16 @@ class SweepRow:
             raise ValueError("stderr must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    fitted_slope: float | None
-    fitted_intercept: float | None
-    noise_limited: bool
-    excluded: int
-
-    def report(self, band: list | None) -> dict:
-        """The sweep's values and checks: per row the classical average
-        against the quantum term, failing on a non-finite value (a row's
-        stderr is not finite whenever its MC mean is not), and the fitted
-        slope against `band` = [lo, hi] when one is given."""
-        checks = [measured(f"remainder[{i}]", r.classical_mc if r.classical_analytic is None
-                           else r.classical_analytic, r.quantum_term, r.stderr)
-                  for i, r in enumerate(self.rows)]
-        if band is not None:
-            slope = math.nan if self.fitted_slope is None else self.fitted_slope
-            checks.append(in_range("fitted_slope", slope, *band))
-        return _report(checks, fitted_slope=self.fitted_slope,
-                       fitted_intercept=self.fitted_intercept, noise_limited=self.noise_limited,
-                       excluded_rows=self.excluded, slope_band=band, rows=self.rows)
-
-
-def alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
+def alpha_sweep(cfg: ExperimentConfig) -> dict:
     """Classical vs quantum-term averages along the dispersion grid, with a
     log-log fit of the remainder order.
 
     Rows whose remainder is not resolved (below 4 MC standard errors when
     only MC is available, or at the floating-point floor for exact values)
-    are flagged and excluded from the fit.
+    are flagged and excluded from the fit.  The report checks per row the
+    classical average against the quantum term, failing on a non-finite
+    value (a row's stderr is not finite whenever its MC mean is not), and
+    the fitted slope against `cfg.slope_band` = [lo, hi] when one is given.
     """
     if len(cfg.alpha_grid) < 3:
         raise ConfigError("a sweep needs at least 3 grid points")
@@ -511,7 +489,7 @@ def alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
         d = t_state(rho, alpha)
         quantum_term = alpha * quantum_average(d, a_quant)
         analytic = closed_form_average(f, rho)
-        mc, stderr = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, i), workers=workers)
+        mc, stderr = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, i))
         classical = analytic if analytic is not None else mc
         remainder = classical - quantum_term
         scale = max(abs(classical), abs(quantum_term), 1.0)
@@ -524,21 +502,27 @@ def alpha_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
             quantum_term=quantum_term, remainder=remainder, stderr=stderr,
             below_noise=abs(remainder) <= floor))
     fit_rows = [r for r in rows if not r.below_noise]
-    if len(fit_rows) < 2:
-        return SweepResult(tuple(rows), None, None, True, len(rows) - len(fit_rows))
-    logs_a = np.log(np.array([r.alpha for r in fit_rows]))
-    logs_r = np.log(np.array([abs(r.remainder) for r in fit_rows]))
-    slope, intercept = np.polyfit(logs_a, logs_r, 1)
-    return SweepResult(tuple(rows), float(slope), float(intercept), False,
-                       len(rows) - len(fit_rows))
+    slope = intercept = None
+    if len(fit_rows) >= 2:
+        logs_a = np.log(np.array([r.alpha for r in fit_rows]))
+        logs_r = np.log(np.array([abs(r.remainder) for r in fit_rows]))
+        slope, intercept = map(float, np.polyfit(logs_a, logs_r, 1))
+    checks = [measured(f"remainder[{i}]", r.classical_mc if r.classical_analytic is None
+                       else r.classical_analytic, r.quantum_term, r.stderr)
+              for i, r in enumerate(rows)]
+    if cfg.slope_band is not None:
+        checks.append(in_range("fitted_slope", math.nan if slope is None else slope,
+                               *cfg.slope_band))
+    return _report(checks, fitted_slope=slope, fitted_intercept=intercept,
+                   noise_limited=slope is None, excluded_rows=len(rows) - len(fit_rows),
+                   slope_band=cfg.slope_band, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # pure states
 
 
-def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int,
-                          workers: int = 1) -> dict:
+def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> dict:
     """Rank-1 mixture demo: amplified average, exact span membership, and the
     sample-covariance shape against psi (x) psi.
 
@@ -563,7 +547,7 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int,
         zeros = np.count_nonzero(x[:, off_axis] == 0.0, axis=1)
         return np.column_stack([f.eval_batch(x) / alpha, ok, zeros]), x.T @ x
 
-    batch = draw_chunked(seed, n_samples, fill, workers=workers)
+    batch = draw_chunked(seed, n_samples, fill)
     amplified, span, zeros = batch.samples.T
     amp_mean, amp_stderr = mean_stderr(amplified)
     expected = float(v @ am @ v)
@@ -584,13 +568,12 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int,
     ], alpha=alpha, samples=n_samples, covariance_max_error=float(cov_err.max()))
 
 
-def pure_state_run(cfg: ExperimentConfig, workers: int = 1) -> dict:
+def pure_state_run(cfg: ExperimentConfig) -> dict:
     """`pure_state_experiment` on state.psi, the functional's operator and the
     first grid alpha."""
     psi = _state_psi(cfg.state_spec, cfg.dim)
     a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
-    return pure_state_experiment(psi, cfg.alpha_grid[0], a, cfg.mc_samples, cfg.seed,
-                                 workers=workers)
+    return pure_state_experiment(psi, cfg.alpha_grid[0], a, cfg.mc_samples, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +581,7 @@ def pure_state_run(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
 
 def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
-                     n_samples: int, seed: int, workers: int = 1) -> dict:
+                     n_samples: int, seed: int) -> dict:
     """States with dispersion shrink*alpha: the exact-dispersion map must
     reject them (they have no quantum image), the extended map still
     normalizes them, and the mean energy obeys |<H>| <= ||H|| sigma^2."""
@@ -615,7 +598,7 @@ def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
         error = str(exc)
 
     extended = t_state_extended(rho)
-    mean, stderr = mc_average(Quadratic(h), rho, n_samples, seed, workers=workers)
+    mean, stderr = mc_average(Quadratic(h), rho, n_samples, seed)
     norm = operator_norm(h)
     boundary = abs(sigma2 - alpha) <= EXACT_CLASS_RTOL * alpha
     return _report([
@@ -630,18 +613,17 @@ def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
 # non-Gaussian states
 
 
-def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: int,
-                           workers: int = 1) -> dict:
+def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: int) -> dict:
     """Quadratic averages see only the covariance; a quartic form exposes the
     non-Gaussian fourth moments against the Gaussian pairing prediction."""
     am = symmetric_from_entries(a)
     quad = Quadratic(am)
-    mean, stderr = mc_average(quad, state, n_samples, seed, workers=workers)
+    mean, stderr = mc_average(quad, state, n_samples, seed)
     expected = trace_product(state.covariance, am)
 
     quartic = SymmetricForm.from_quadratic_power(np.eye(state.dim), 2, 1.0)
     q_mean, q_stderr = mc_average(EvenPolynomial({4: quartic}), state, n_samples,
-                                  derive_seed(seed, 1), workers=workers)
+                                  derive_seed(seed, 1))
     gaussian_pred = gaussian_integral_multilinear(quartic, state.covariance)
     return _report([
         # the FP floor matters when the statistic is constant (uniform sphere
@@ -651,19 +633,19 @@ def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: in
     ], kind=state.kind, samples=n_samples)
 
 
-def nongaussian_run(cfg: ExperimentConfig, workers: int = 1) -> dict:
+def nongaussian_run(cfg: ExperimentConfig) -> dict:
     """`nongaussian_experiment` on state.sampler at the first grid alpha, with
     the functional's operator."""
     state = build_second_moment_state(cfg.state_spec, cfg.dim, cfg.alpha_grid[0])
     a = build_operator(cfg.functional_spec.get("operator"), cfg.dim)
-    return nongaussian_experiment(state, a, cfg.mc_samples, cfg.seed, workers=workers)
+    return nongaussian_experiment(state, a, cfg.mc_samples, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
 # small-dimension end-to-end demo
 
 
-def finite_qm_demo(cfg: ExperimentConfig, workers: int = 1) -> dict:
+def finite_qm_demo(cfg: ExperimentConfig) -> dict:
     """Full pipeline on R^n for small n with all analytic cross-checks."""
     if cfg.dim > 4:
         raise ConfigError("the end-to-end demo runs at dim <= 4")
@@ -675,15 +657,14 @@ def finite_qm_demo(cfg: ExperimentConfig, workers: int = 1) -> dict:
     psi = np.ones(n) / math.sqrt(n)
     a_op = build_operator(cfg.functional_spec.get("operator"), n) \
         if cfg.functional_spec.get("family") == "quadratic" else np.eye(n)
-    pure = pure_state_experiment(psi, alpha, a_op, cfg.mc_samples, derive_seed(cfg.seed, 10),
-                                 workers=workers)["checks"]
+    pure = pure_state_experiment(psi, alpha, a_op, cfg.mc_samples,
+                                 derive_seed(cfg.seed, 10))["checks"]
 
     # random mixed state, quadratic variable: amplified MC vs Tr D A
     rho = _random_state(rng, n, alpha)
     d = t_state(rho, alpha)
     f = Quadratic(_random_symmetric(rng, n))
-    mc, stderr = mc_average(amplify(f, alpha), rho, cfg.mc_samples,
-                            derive_seed(cfg.seed, 11), workers=workers)
+    mc, stderr = mc_average(amplify(f, alpha), rho, cfg.mc_samples, derive_seed(cfg.seed, 11))
     expected = quantum_average(d, t_variable(f))
 
     # higher-order model: exact polynomial equality through order 4
@@ -699,7 +680,7 @@ def finite_qm_demo(cfg: ExperimentConfig, workers: int = 1) -> dict:
     ], dim=n, alpha=alpha)
 
 
-def moments_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
+def moments_check(cfg: ExperimentConfig) -> dict:
     """Pairing-formula moments vs MC at order 2k, k = cfg.order.
 
     The covariance here is not dispersion-normalized: isotropic means the
@@ -716,8 +697,7 @@ def moments_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
     rng = substream(cfg.seed, 5)
     ak = SymmetricForm.from_dense(rng.standard_normal((cfg.dim,) * (2 * k)))
-    analytic, mc, stderr = moment_mc_check(rho, ak, cfg.mc_samples, derive_seed(cfg.seed, 6),
-                                           workers=workers)
+    analytic, mc, stderr = moment_mc_check(rho, ak, cfg.mc_samples, derive_seed(cfg.seed, 6))
     checks = [within_sigmas("moment", mc, analytic, stderr, 4.0, 0.0)]
     if shape == "isotropic" and cfg.dim >= 2:
         e1 = np.eye(cfg.dim)[0]
@@ -739,16 +719,16 @@ class TailRow:
     noise: float
 
 
-def _energies(rho: GaussianState, n_samples: int, seed: int, workers: int) -> np.ndarray:
+def _energies(rho: GaussianState, n_samples: int, seed: int) -> np.ndarray:
     """||psi||^2 of `n_samples` draws from rho, one value kept per draw."""
     def fill(rng: np.random.Generator, m: int) -> np.ndarray:
         x = rho.fill(rng, m)
         return np.einsum("pi,pi->p", x, x)
 
-    return draw_chunked(seed, n_samples, fill, workers=workers).samples
+    return draw_chunked(seed, n_samples, fill).samples
 
 
-def chebyshev_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
+def chebyshev_experiment(cfg: ExperimentConfig) -> dict:
     """Tail probabilities of the field energy against the dispersion/C bound."""
     alphas = cfg.alpha_grid[:3]
     if len(alphas) < 3:
@@ -756,7 +736,7 @@ def chebyshev_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     rows, checks = [], []
     for i, alpha in enumerate(alphas):
         rho = build_state(cfg.state_spec, cfg.dim, alpha)
-        energies = _energies(rho, cfg.mc_samples, derive_seed(cfg.seed, 20 + i), workers)
+        energies = _energies(rho, cfg.mc_samples, derive_seed(cfg.seed, 20 + i))
         for mult in (1.0, 10.0, 100.0):
             c = mult * alpha
             bound, empirical = chebyshev_tail(rho, c, energies)
@@ -767,7 +747,7 @@ def chebyshev_experiment(cfg: ExperimentConfig, workers: int = 1) -> dict:
     return _report(checks, rows=rows)
 
 
-def higher_order_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
+def higher_order_check(cfg: ExperimentConfig) -> dict:
     """Exactness of the generalized model on even polynomials, MC overlay included."""
     if 2 * cfg.order > MAX_FORM_ORDER:
         raise ConfigError(f"higher-order checks support order n with 2n <= {MAX_FORM_ORDER}, "
@@ -788,7 +768,7 @@ def higher_order_check(cfg: ExperimentConfig, workers: int = 1) -> dict:
     # the MC mean averages every term of f, not only those up to order 2n
     exact = analytic_average(f, rho, max(f.terms))
     generalized = alpha * generalized_average(d, observable)
-    mc, stderr = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, 4), workers=workers)
+    mc, stderr = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, 4))
     return _report([
         relatively_exact("exactness", classical, generalized, 1e-10),
         within_sigmas("mc_overlay", mc, exact, stderr, 4.0, 0.0),

@@ -7,14 +7,16 @@ without pivoting, and draws come from counter-based Philox substreams so
 batches are bit-reproducible regardless of how many workers fill them.
 Every Monte-Carlo statistic of the package streams: `draw_chunked` maps each
 chunk of draws to per-row values as it is drawn, so no caller holds the
-draws themselves.  While several workers fill chunks, `blas_threads_for`
-keeps BLAS to one thread.
+draws themselves.  The number of threads that fill chunks is a resource,
+not an input: `sampling_workers(n)` alone sets it, and it moves no result bit.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
+import contextvars
 import ctypes
 import functools
 import glob
@@ -28,6 +30,10 @@ from .errors import DegenerateStateError, InvalidCovarianceError
 from .hilbert import SpectralDecomposition, as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
+
+# the worker count that `draw_chunked` reads, set only by `sampling_workers`;
+# a context variable, so a block opened in one thread leaves other threads at 1
+_WORKERS = contextvars.ContextVar("sampling_workers", default=1)
 
 # Round-off clip: eigenvalues of B within EIG_CLIP_REL * Tr B of zero are
 # treated as exact zeros (eigh of a rank-deficient matrix emits spurious
@@ -77,8 +83,7 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(mean), float(std / math.sqrt(values.shape[0]))
 
 
-def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 workers: int = 1) -> SampleBatch:
+def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SIZE) -> SampleBatch:
     """Assemble `count` rows from per-chunk generators.
 
     `fill(rng, m)` must return m values, shape (m,), or m rows, shape
@@ -86,8 +91,8 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
     array computed from the chunk's draws, such as a sum over them.  Chunk c
     always uses the Philox stream keyed by (seed, c) and writes its own slice
     of one output array sized from chunk 0, and the partials are added in
-    chunk order, so the result is independent of `workers` and of scheduling
-    order, and no chunk outlives its copy into the output.
+    chunk order, so the result is independent of `sampling_workers` and of
+    scheduling order, and no chunk outlives its copy into the output.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -107,15 +112,26 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
         out[c * chunk_size:(c + 1) * chunk_size] = rows
         return partial
 
-    # one worker per remaining chunk at most
-    workers = min(workers, n_chunks - 1)
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or contextlib.nullcontext():
-        # both maps yield in chunk order; the pool's re-raises a failed chunk's error
-        for partial in (pool.map if pool else map)(put, range(1, n_chunks)):
-            if partial is not None:
-                total = total + partial
+    for partial in _in_chunk_order(put, n_chunks, min(_WORKERS.get(), n_chunks - 1)):
+        if partial is not None:
+            total = total + partial
     return SampleBatch(samples=out, chunk_count=n_chunks, chunk_sum=total)
+
+
+def _in_chunk_order(put, n_chunks: int, workers: int):
+    """put(1), ..., put(n_chunks - 1) in chunk order; a pool keeps at most
+    2 * workers chunks in flight rather than one future per chunk."""
+    if workers <= 1:
+        yield from map(put, range(1, n_chunks))
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        window = collections.deque()
+        for c in range(1, n_chunks):
+            window.append(pool.submit(put, c))
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
 # (get, set) thread-count functions of the OpenBLAS builds that NumPy wheels
@@ -150,35 +166,33 @@ def _blas_thread_control():
 
 
 @contextlib.contextmanager
-def blas_threads_for(workers: int):
-    """Run BLAS single-threaded while more than one worker samples.
+def sampling_workers(n: int):
+    """Fill `draw_chunked` chunks with n threads inside the block (1 outside
+    any block), and hold BLAS to one thread while n > 1.
 
     A worker's per-chunk GEMM is large enough for OpenBLAS to start its own
     thread pool, so several workers plus their BLAS threads would contend
-    for the same cores.  With one worker nothing changes: there BLAS
-    threads still speed up the exact-form contractions.  Yields the BLAS
-    thread count in force inside the block, or None when no known BLAS is
-    found (and then nothing changes either); the old count comes back on
-    exit, also when the block raises.  OpenBLAS splits a GEMM between its
-    threads by output blocks, so the count moves no result bit.  A library
-    caller that passes `workers > 1` to an experiment wraps its whole
-    multi-worker run in this once, as `cli.run` does; pinning around each
-    `draw_chunked` call does not help.
+    for the same cores; the pin helps around a whole run, not around each
+    `draw_chunked` call.  With n = 1 BLAS keeps its threads for the
+    exact-form contractions.  Yields the BLAS thread count in force inside
+    the block, or None when no known BLAS is found.  Both counts come back
+    on exit, also when the block raises.  OpenBLAS splits a GEMM between its
+    threads by output blocks, so the pin moves no result bit either.
     """
+    if n < 1:
+        raise ValueError(f"sampling workers must be >= 1, got {n}")
     control = _blas_thread_control()
-    if control is None:
-        yield None
-        return
-    get, set_ = control
-    before = get()
-    if workers <= 1:
-        yield before
-        return
-    set_(1)
+    before = control[0]() if control else None
+    pinned = control is not None and n > 1
+    if pinned:
+        control[1](1)
+    token = _WORKERS.set(n)
     try:
-        yield 1
+        yield 1 if pinned else before
     finally:
-        set_(before)
+        _WORKERS.reset(token)
+        if pinned:
+            control[1](before)
 
 
 class GaussianState:
@@ -233,10 +247,10 @@ class GaussianState:
         z = rng.standard_normal((m, self.dim))
         return z[:, :self._active.shape[0]] @ self._active
 
-    def sample(self, seed: int, count: int, workers: int = 1) -> SampleBatch:
+    def sample(self, seed: int, count: int) -> SampleBatch:
         """`count` rows drawn from N(0, B), all held at once.  The package's
         own statistics stream per-row values through `draw_chunked` instead."""
-        return draw_chunked(seed, count, self.fill, workers=workers)
+        return draw_chunked(seed, count, self.fill)
 
 
 def make_gaussian(covariance) -> GaussianState:

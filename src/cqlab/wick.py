@@ -42,12 +42,11 @@ def gaussian_integral_multilinear(ak: SymmetricForm, d) -> float:
     return trace_forms(moment_form(d, ak.order), ak)
 
 
-def moment_mc_check(rho: GaussianState, ak: SymmetricForm, n_samples: int, seed: int,
-                    workers: int = 1) -> tuple[float, float, float]:
+def moment_mc_check(rho: GaussianState, ak: SymmetricForm, n_samples: int,
+                    seed: int) -> tuple[float, float, float]:
     """(analytic, mc, stderr) for the Gaussian integral of A_k under rho: the
     pairing-formula value against the mean of A_k(psi, ..., psi) over
     `n_samples` draws from rho, evaluated chunk by chunk as they are drawn."""
-    values = draw_chunked(seed, n_samples, lambda rng, m: ak.eval_diag_batch(rho.fill(rng, m)),
-                          workers=workers)
+    values = draw_chunked(seed, n_samples, lambda rng, m: ak.eval_diag_batch(rho.fill(rng, m)))
     mc, stderr = mean_stderr(values.samples)
     return gaussian_integral_multilinear(ak, rho.covariance), mc, stderr

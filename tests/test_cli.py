@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from cqlab import experiments, gaussian
 from cqlab.cli import emit_plot_data, load_config, main, run
 from cqlab.errors import ConfigError
-from cqlab.experiments import Check, ExperimentConfig, SweepResult, SweepRow
+from cqlab.experiments import Check, ExperimentConfig, SweepRow
 from cqlab.gaussian import DEFAULT_CHUNK_SIZE
 
 
@@ -238,8 +238,7 @@ def test_seed_override_changes_results(tmp_path):
 
 
 def test_nan_slope_fails_its_band(tmp_path):
-    empty = SweepResult((), float("nan"), 0.0, False, 0)
-    assert not empty.report([1.9, 2.1])["passed"]
+    # the band's own check on a NaN slope: test_experiments.py
     nan_op = dict(COS_SWEEP, functional={"family": "cos-quad-minus-one",
                                          "operator": {"matrix": [[float("nan")]]}})
     rc = main(["sweep", "--config", str(_write(tmp_path, nan_op)), "--out", str(tmp_path / "o")])
@@ -424,11 +423,11 @@ def test_threads_run_restores_the_blas_thread_count(tmp_path, monkeypatch, raise
         seen = []
         sweep = experiments.alpha_sweep
 
-        def spy(cfg, workers):
+        def spy(cfg):
             seen.append(get())
             if raises:
                 raise ValueError("failed inside the experiment")
-            return sweep(cfg, workers=workers)
+            return sweep(cfg)
 
         monkeypatch.setattr(experiments, "alpha_sweep", spy)
         rc = main(["sweep", "--config", str(_write(tmp_path, COS_DIM64)),
@@ -480,8 +479,9 @@ def test_emit_plot_data_fit_matches_result_doc(tmp_path):
         for a in (0.1, 0.01, 0.001))
     logs = np.log([0.1, 0.01, 0.001])
     slope, intercept = map(float, np.polyfit(logs, np.log([1.5e-2, 1.5e-4, 1.5e-6]), 1))
-    result = SweepResult(rows, slope, intercept, False, 0)
-    files = emit_plot_data(result, tmp_path)
+    report = {"rows": rows, "fitted_slope": slope, "fitted_intercept": intercept,
+              "noise_limited": False}
+    files = emit_plot_data(report, tmp_path)
     assert len(files) == 2
     data_lines = (tmp_path / "sweep_loglog.dat").read_text().splitlines()
     assert len(data_lines) == 4  # comment + 3 points
@@ -492,8 +492,9 @@ def test_emit_plot_data_fit_matches_result_doc(tmp_path):
 def test_emit_plot_data_noise_limited_marker(tmp_path):
     rows = (SweepRow(alpha=0.1, classical_mc=0.0, classical_analytic=0.0,
                      quantum_term=0.0, remainder=0.0, stderr=0.1, below_noise=True),)
-    result = SweepResult(rows, None, None, True, 1)
-    files = emit_plot_data(result, tmp_path)
+    report = {"rows": rows, "fitted_slope": None, "fitted_intercept": None,
+              "noise_limited": True}
+    files = emit_plot_data(report, tmp_path)
     assert len(files) == 1
     lines = (tmp_path / "sweep_loglog.dat").read_text().splitlines()
     assert lines[0].endswith("below_noise")
@@ -502,7 +503,8 @@ def test_emit_plot_data_noise_limited_marker(tmp_path):
 
 def test_emit_plot_data_rejects_empty():
     with pytest.raises(ValueError):
-        emit_plot_data(SweepResult((), None, None, True, 0), Path("."))
+        emit_plot_data({"rows": [], "fitted_slope": None, "fitted_intercept": None,
+                        "noise_limited": True}, Path("."))
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):
@@ -666,9 +668,6 @@ def test_nan_sweep_without_band_fails(tmp_path):
     rc = main(["sweep", "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert json.loads((tmp_path / "o" / "result.json").read_text())["passed"] is False
-    row = SweepRow(alpha=0.1, classical_mc=float("nan"), classical_analytic=None,
-                   quantum_term=0.0, remainder=0.0, stderr=0.0, below_noise=True)
-    assert not SweepResult((row,), None, None, True, 1).report(None)["passed"]
 
 
 @pytest.mark.parametrize("subcommand, cfg", [

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cqlab import experiments
+from cqlab import experiments, gaussian
 from cqlab.correspondence import EXACT_CLASS_RTOL, quantum_average, t_state, t_variable
 from cqlab.errors import ConfigError
 from cqlab.experiments import (
@@ -51,6 +53,7 @@ from cqlab.gaussian import (
     make_gaussian,
     mean_stderr,
     pure_state_measure,
+    sampling_workers,
     substream,
 )
 from cqlab.hilbert import symmetric_from_entries, trace_product
@@ -100,8 +103,9 @@ def test_mc_average_sin_matches_characteristic_function():
 def test_mc_average_independent_of_workers():
     rho = make_gaussian(np.eye(3) * 0.2)
     f = Quadratic(np.eye(3))
-    assert mc_average(f, rho, 30_000, seed=9, workers=1) == \
-        mc_average(f, rho, 30_000, seed=9, workers=8)
+    one = mc_average(f, rho, 30_000, seed=9)
+    with sampling_workers(8):
+        assert mc_average(f, rho, 30_000, seed=9) == one
 
 
 _STREAM_STATES = {
@@ -118,25 +122,27 @@ def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
     state = _STREAM_STATES[state_name]()
     a = symmetric_from_entries(substream(4, 0).standard_normal((16, 16)))
     count = 3 * 4096 + 17
-    batch = draw_chunked(21, count, state.fill, workers=workers)
-    for f in (CosQuadMinusOne(a),
-              EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(16), 2, 1.0)})):
-        assert mc_average(f, state, count, 21, workers=workers) == \
-            mean_stderr(f.eval_batch(batch.samples))
+    with sampling_workers(workers):
+        batch = draw_chunked(21, count, state.fill)
+        for f in (CosQuadMinusOne(a),
+                  EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(16), 2, 1.0)})):
+            assert mc_average(f, state, count, 21) == mean_stderr(f.eval_batch(batch.samples))
 
 
 @pytest.mark.parametrize("workers", [1, 8])
 @pytest.mark.parametrize("psi", [np.linspace(1.0, 2.0, 16), np.array([0.6, 0.0, 0.8, 0.0])],
                          ids=["dense", "two-axes"])
 def test_streamed_experiments_match_a_full_batch(psi, workers):
-    # references computed on the rows of GaussianState.sample, held at once
+    # references computed on the rows of GaussianState.sample, held at once,
+    # with one worker
     dim, count, seed, alpha = psi.size, 3 * 4096 + 17, 21, 0.2
     v = psi / np.linalg.norm(psi)
     a = symmetric_from_entries(substream(4, 0).standard_normal((dim, dim)))
 
     rho = pure_state_measure(v, alpha)
     x = rho.sample(seed, count).samples
-    report = pure_state_experiment(v, alpha, a, count, seed, workers=workers)
+    with sampling_workers(workers):
+        report = pure_state_experiment(v, alpha, a, count, seed)
     amplified = _check(report, "amplified_average")
     assert (amplified.statistic, amplified.stderr) == mean_stderr(Quadratic(a).eval_batch(x) / alpha)
     direction = rho.sampling_matrix()[:, 0]
@@ -151,13 +157,15 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
     cfg = ExperimentConfig(dim=dim, alpha_grid=(0.1, 0.01, 0.001),
                            functional_spec={"family": "quadratic"},
                            state_spec={"shape": "random", "seed": 3}, mc_samples=count, seed=seed)
-    rows = chebyshev_experiment(cfg, workers=workers)["rows"]
+    with sampling_workers(workers):
+        rows = chebyshev_experiment(cfg)["rows"]
     for i, alpha_i in enumerate(cfg.alpha_grid):
         state = build_state(cfg.state_spec, dim, alpha_i)
         x = state.sample(derive_seed(seed, 20 + i), count).samples
         energies = np.einsum("pi,pi->p", x, x)
-        assert np.array_equal(
-            experiments._energies(state, count, derive_seed(seed, 20 + i), workers), energies)
+        with sampling_workers(workers):
+            streamed = experiments._energies(state, count, derive_seed(seed, 20 + i))
+        assert np.array_equal(streamed, energies)
         assert [r.empirical for r in rows[3 * i:3 * i + 3]] == \
             [float(np.mean(energies > r.C)) for r in rows[3 * i:3 * i + 3]]
 
@@ -165,9 +173,10 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
     x = state.sample(seed, count).samples
     for form in (SymmetricForm.from_dense(substream(5, 0).standard_normal((dim,) * 4)),
                  SymmetricForm.from_quadratic_power(a, 2, 0.5)):
-        assert moment_mc_check(state, form, count, seed, workers=workers) == \
-            (gaussian_integral_multilinear(form, state.covariance),
-             *mean_stderr(form.eval_diag_batch(x)))
+        with sampling_workers(workers):
+            streamed = moment_mc_check(state, form, count, seed)
+        assert streamed == (gaussian_integral_multilinear(form, state.covariance),
+                            *mean_stderr(form.eval_diag_batch(x)))
 
 
 def test_mc_average_memory_is_bounded_by_the_values():
@@ -175,7 +184,8 @@ def test_mc_average_memory_is_bounded_by_the_values():
     rho = make_gaussian(np.eye(dim) / dim)
     tracemalloc.start()
     try:
-        mc_average(Quadratic(np.eye(dim)), rho, count, seed=4, workers=2)
+        with sampling_workers(2):
+            mc_average(Quadratic(np.eye(dim)), rho, count, seed=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -189,15 +199,16 @@ _DIM64 = ExperimentConfig(dim=64, alpha_grid=(0.1, 0.01, 0.001),
 
 @pytest.mark.parametrize("run", [
     lambda cfg: pure_state_experiment(np.full(cfg.dim, 0.125), 0.1, np.eye(cfg.dim),
-                                      cfg.mc_samples, cfg.seed, workers=2),
-    lambda cfg: chebyshev_experiment(cfg, workers=2),
-    lambda cfg: moments_check(cfg, workers=2),
+                                      cfg.mc_samples, cfg.seed),
+    chebyshev_experiment,
+    moments_check,
 ], ids=["pure-state", "chebyshev", "moments-check"])
 def test_experiment_memory_is_bounded_by_the_values(run):
     # the same bound as mc_average's: a quarter of the N x dim rows
     tracemalloc.start()
     try:
-        assert run(_DIM64)["passed"]
+        with sampling_workers(2):
+            assert run(_DIM64)["passed"]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -272,23 +283,23 @@ def test_sweep_quadratic_is_noise_limited():
     cfg = _grid_cfg(3, {"family": "quadratic", "operator": {"random": {"seed": 2}}},
                     {"shape": "random", "seed": 4})
     res = alpha_sweep(cfg)
-    assert res.noise_limited
-    assert res.fitted_slope is None
-    assert all(r.below_noise for r in res.rows)
+    assert res["noise_limited"]
+    assert res["fitted_slope"] is None
+    assert all(r.below_noise for r in res["rows"])
 
 
 def test_sweep_cos_remainder_order_two():
     cfg = _grid_cfg(1, {"family": "cos-quad-minus-one", "operator": {"matrix": [[1.0]]}},
                     {"shape": "isotropic"})
     res = alpha_sweep(cfg)
-    assert res.fitted_slope == pytest.approx(2.0, abs=0.1)
+    assert res["fitted_slope"] == pytest.approx(2.0, abs=0.1)
 
 
 def test_sweep_sin_remainder_order_three():
     cfg = _grid_cfg(1, {"family": "sin-quad", "operator": {"matrix": [[1.0]]}},
                     {"shape": "isotropic"})
     res = alpha_sweep(cfg)
-    assert res.fitted_slope == pytest.approx(3.0, abs=0.15)
+    assert res["fitted_slope"] == pytest.approx(3.0, abs=0.15)
 
 
 def test_sweep_requires_wide_grid():
@@ -297,6 +308,44 @@ def test_sweep_requires_wide_grid():
                            state_spec={"shape": "isotropic"}, mc_samples=1000, seed=1)
     with pytest.raises(ConfigError):
         alpha_sweep(cfg)
+
+
+COS_SWEEP = json.loads((Path(__file__).resolve().parent.parent / "configs" / "cos_sweep.json")
+                       .read_text())
+
+
+@pytest.mark.parametrize("band, passed", [([1.9, 2.1], True), ([2.9, 3.1], False)])
+def test_sweep_gates_its_own_band(band, passed):
+    assert COS_SWEEP["slope_band"] == [1.9, 2.1]  # the shipped band
+    report = alpha_sweep(ExperimentConfig.from_json(dict(COS_SWEEP, slope_band=band)))
+    assert report["passed"] is passed
+    assert _check(report, "fitted_slope").passed is passed
+
+
+def test_nan_slope_fails_its_band():
+    nan_op = dict(COS_SWEEP, functional={"family": "cos-quad-minus-one",
+                                         "operator": {"matrix": [[float("nan")]]}})
+    report = alpha_sweep(ExperimentConfig.from_json(nan_op))
+    assert math.isnan(report["fitted_slope"])
+    assert not _check(report, "fitted_slope").passed
+
+
+def test_library_sweep_in_a_sampling_block_pins_blas(monkeypatch):
+    control = gaussian._blas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this NumPy build")
+    seen = []
+    average = experiments.mc_average
+
+    def spy(*args):
+        seen.append((control[0](), gaussian._WORKERS.get()))
+        return average(*args)
+
+    monkeypatch.setattr(experiments, "mc_average", spy)
+    cfg = ExperimentConfig.from_json(COS_SWEEP)
+    with sampling_workers(2):
+        assert alpha_sweep(cfg)["passed"]
+    assert seen == [(1, 2)] * len(cfg.alpha_grid)
 
 
 def test_amplified_averages_converge_monotonically():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from cqlab.gaussian import (
     make_gaussian,
     mean_stderr,
     pure_state_measure,
+    sampling_workers,
     scale_measure,
 )
 from cqlab.hilbert import outer_product
@@ -158,8 +161,9 @@ def test_sample_rank_one_axis_coordinates_exactly_zero():
 
 def test_sample_deterministic_across_worker_counts():
     rho = make_gaussian(np.diag([1.0, 2.0, 3.0]))
-    one = rho.sample(seed=9, count=20_000, workers=1)
-    eight = rho.sample(seed=9, count=20_000, workers=8)
+    one = rho.sample(seed=9, count=20_000)
+    with sampling_workers(8):
+        eight = rho.sample(seed=9, count=20_000)
     assert np.array_equal(one.samples, eight.samples)
     assert one.chunk_count == eight.chunk_count > 1
 
@@ -172,11 +176,14 @@ SAMPLE_STREAM_SHA256 = "1d7c9c0ce7f7bf5f45b8af3dc77dd45a4050101dfc1cdb50a8610e26
 @pytest.mark.parametrize("workers", [1, 8])
 def test_sample_stream_is_pinned(workers):
     rho = make_gaussian(np.diag([1.0, 2.0, 3.0]))
-    batch = rho.sample(seed=9, count=20_000, workers=workers)
+    with sampling_workers(workers):
+        batch = rho.sample(seed=9, count=20_000)
     assert hashlib.sha256(batch.samples.tobytes()).hexdigest() == SAMPLE_STREAM_SHA256
 
 
-def test_draw_chunked_caps_workers_at_chunk_count(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every thread pool that `draw_chunked` builds."""
     requested = []
 
     class Recorder(concurrent.futures.ThreadPoolExecutor):
@@ -184,14 +191,81 @@ def test_draw_chunked_caps_workers_at_chunk_count(monkeypatch):
             requested.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    def fill(rng, m):
-        return rng.standard_normal((m, 2))
-
     monkeypatch.setattr(gaussian.concurrent.futures, "ThreadPoolExecutor", Recorder)
-    capped = draw_chunked(5, 300, fill, chunk_size=100, workers=10 ** 6)
-    assert requested and max(requested) <= 3
+    return requested
+
+
+def _normals(rng, m):
+    return rng.standard_normal((m, 2))
+
+
+def test_draw_chunked_caps_workers_at_chunk_count(pool_sizes):
+    with sampling_workers(10 ** 6):
+        capped = draw_chunked(5, 300, _normals, chunk_size=100)
+    assert pool_sizes and max(pool_sizes) <= 3
     assert capped.chunk_count == 3
-    assert np.array_equal(capped.samples, draw_chunked(5, 300, fill, chunk_size=100).samples)
+    assert np.array_equal(capped.samples, draw_chunked(5, 300, _normals, chunk_size=100).samples)
+
+
+def test_one_sampling_worker_builds_no_pool(pool_sizes):
+    draw_chunked(5, 300, _normals, chunk_size=100)
+    with sampling_workers(2):
+        with sampling_workers(1):
+            draw_chunked(5, 300, _normals, chunk_size=100)
+        assert pool_sizes == []
+        draw_chunked(5, 300, _normals, chunk_size=100)
+    assert pool_sizes == [2]
+
+
+def _blas_control():
+    control = gaussian._blas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this NumPy build")
+    return control
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_sampling_workers_restores_both_counts(raises):
+    get, set_ = _blas_control()
+    original = get()
+    set_(2)  # a count other than the pinned 1, so a lost restore shows
+    try:
+        with contextlib.suppress(RuntimeError):
+            with sampling_workers(3) as blas_threads:
+                assert (blas_threads, get(), gaussian._WORKERS.get()) == (1, 1, 3)
+                if raises:
+                    raise RuntimeError("failed inside the block")
+        assert (get(), gaussian._WORKERS.get()) == (2, 1)
+        with sampling_workers(1) as blas_threads:
+            assert blas_threads == get() == 2  # one worker leaves BLAS alone
+    finally:
+        set_(original)
+
+
+def test_sampling_workers_rejects_fewer_than_one():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        with sampling_workers(0):
+            pass
+
+
+def test_draw_chunked_keeps_few_chunks_in_flight():
+    # One future per chunk, all submitted up front, held about 1.8 kB per
+    # chunk here; a pool's threads and queue cost about 18 kB whatever the
+    # chunk count.
+    def fill(rng, m):
+        return np.zeros((m, 128))
+
+    def peak(workers: int) -> int:
+        tracemalloc.start()
+        try:
+            with sampling_workers(workers):
+                draw_chunked(1, 500, fill, chunk_size=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1), peak(2)  # first-call allocations out of the way
+    assert peak(2) <= peak(1) + 64 * 1024
 
 
 def test_sample_mean_converges_to_zero():
