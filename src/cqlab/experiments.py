@@ -6,7 +6,9 @@ demo.
 Remainder fitting prefers closed-form classical averages (exact for
 polynomials; determinant formula for the sin/cos families) because MC noise
 at small dispersion swamps the quadratic-order remainders at feasible sample
-counts.  MC estimates stay in every report as sanity overlays.
+counts.  MC estimates stay in every report as sanity overlays.  A sweep
+draws its MC rows once for the whole grid: every state shape has covariance
+alpha * B_1, so the draws of one alpha, rescaled, are draws of the others.
 """
 
 from __future__ import annotations
@@ -328,7 +330,9 @@ def build_second_moment_state(spec: dict, dim: int, alpha: float) -> SecondMomen
 # averages
 
 
-def mc_average(f: Functional, state, n_samples: int, seed: int) -> tuple[float, float]:
+def mc_average(f: Functional, state, n_samples: int, seed: int,
+               rescale: list[float] | None = None
+               ) -> tuple[float, float] | list[tuple[float, float]]:
     """Sample mean and standard error of f over a deterministic stream of
     draws.
 
@@ -340,11 +344,31 @@ def mc_average(f: Functional, state, n_samples: int, seed: int) -> tuple[float, 
     `draw_chunked(seed, n_samples, state.fill)` row for row, and the mean is
     a pairwise reduction over them, so it does not depend on how many
     workers filled them.
+
+    With `rescale` = (s_1, ..., s_k) the same draws serve k + 1 averages:
+    each chunk is evaluated as drawn, then multiplied in place by s_1 and
+    evaluated again, then by s_2, and so on.  The call then returns a list
+    of k + 1 (mean, stderr) pairs, the first equal to the pair returned
+    without `rescale`, and keeps (k + 1) * n_samples values.  A draw x of
+    N(0, B) scaled by s is a draw of N(0, s^2 B), so this averages f over
+    the states s_1^2 B, (s_1 s_2)^2 B, ... with common random numbers: each
+    average is unbiased, but their errors are correlated.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    values = draw_chunked(seed, n_samples, lambda rng, m: f.eval_batch(state.fill(rng, m)))
-    return mean_stderr(values.samples)
+
+    def fill(rng: np.random.Generator, m: int) -> np.ndarray:
+        x = state.fill(rng, m)
+        values = [f.eval_batch(x)]
+        for s in rescale or ():
+            x *= s  # in place: a copy per factor would hold one more chunk of rows
+            values.append(f.eval_batch(x))
+        return np.column_stack(values)
+
+    columns = draw_chunked(seed, n_samples, fill).samples.T
+    # each column copied contiguous, so it is reduced exactly as a 1-D array of its values
+    pairs = [mean_stderr(np.ascontiguousarray(c)) for c in columns]
+    return pairs[0] if rescale is None else pairs
 
 
 def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float:
@@ -476,20 +500,29 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
     classical average against the quantum term, failing on a non-finite
     value (a row's stderr is not finite whenever its MC mean is not), and
     the fitted slope against `cfg.slope_band` = [lo, hi] when one is given.
+
+    Every state shape has covariance alpha * B_1, so one stream of draws
+    serves the whole grid: `mc_average` draws from the first (largest)
+    alpha's state with seed `derive_seed(cfg.seed, 0)` and rescales each
+    chunk in place by sqrt(alpha_i / alpha_{i-1}) before row i.  Each row's
+    MC mean is unbiased with its own stderr, but the rows' MC errors are
+    correlated; the fit uses the closed forms wherever the family has one.
     """
-    if len(cfg.alpha_grid) < 3:
+    grid = cfg.alpha_grid
+    if len(grid) < 3:
         raise ConfigError("a sweep needs at least 3 grid points")
-    if cfg.alpha_grid[0] / cfg.alpha_grid[-1] < 100.0:
+    if grid[0] / grid[-1] < 100.0:
         raise ConfigError("a sweep grid must span at least two decades")
     f = build_functional(cfg.functional_spec, cfg.dim)
     a_quant = t_variable(f)
+    states = [build_state(cfg.state_spec, cfg.dim, alpha) for alpha in grid]
+    averages = mc_average(f, states[0], cfg.mc_samples, derive_seed(cfg.seed, 0),
+                          [math.sqrt(b / a) for a, b in zip(grid, grid[1:])])
     rows = []
-    for i, alpha in enumerate(cfg.alpha_grid):
-        rho = build_state(cfg.state_spec, cfg.dim, alpha)
+    for alpha, rho, (mc, stderr) in zip(grid, states, averages):
         d = t_state(rho, alpha)
         quantum_term = alpha * quantum_average(d, a_quant)
         analytic = closed_form_average(f, rho)
-        mc, stderr = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, i))
         classical = analytic if analytic is not None else mc
         remainder = classical - quantum_term
         scale = max(abs(classical), abs(quantum_term), 1.0)

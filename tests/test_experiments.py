@@ -337,15 +337,57 @@ def test_library_sweep_in_a_sampling_block_pins_blas(monkeypatch):
     seen = []
     average = experiments.mc_average
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         seen.append((control[0](), gaussian._WORKERS.get()))
-        return average(*args)
+        return average(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "mc_average", spy)
     cfg = ExperimentConfig.from_json(COS_SWEEP)
     with sampling_workers(2):
         assert alpha_sweep(cfg)["passed"]
-    assert seen == [(1, 2)] * len(cfg.alpha_grid)
+    assert seen == [(1, 2)]  # one shared draw for the whole grid
+
+
+_SHARED_DRAW_FUNCTIONALS = {
+    "cos": {"family": "cos-quad-minus-one", "operator": {"random": {"seed": 2}}},
+    "quartic": {"family": "even-polynomial",
+                "quartic": {"operator": {"random": {"seed": 2}}, "coeff": 0.5}},
+}
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("family", list(_SHARED_DRAW_FUNCTIONALS))
+def test_sweep_rows_share_one_rescaled_draw(family, workers):
+    cfg = ExperimentConfig(dim=16, alpha_grid=(0.1, 0.03, 0.01, 0.003, 0.001),
+                           functional_spec=_SHARED_DRAW_FUNCTIONALS[family],
+                           state_spec={"shape": "random", "seed": 5},
+                           mc_samples=3 * 4096 + 17, seed=23)
+    f = experiments.build_functional(cfg.functional_spec, cfg.dim)
+    states = [build_state(cfg.state_spec, cfg.dim, alpha) for alpha in cfg.alpha_grid]
+    # the reference: every row's rows drawn at once, with one worker
+    x = draw_chunked(cfg.seed, cfg.mc_samples, states[0].fill).samples
+    expected = [mean_stderr(f.eval_batch(x))]
+    for previous, alpha in zip(cfg.alpha_grid, cfg.alpha_grid[1:]):
+        x *= math.sqrt(alpha / previous)
+        expected.append(mean_stderr(f.eval_batch(x)))
+    with sampling_workers(workers):
+        rows = alpha_sweep(cfg)["rows"]
+        # row 0 is what the sweep computed before the draw was shared
+        assert expected[0] == mc_average(f, states[0], cfg.mc_samples, derive_seed(cfg.seed, 0))
+    assert [(r.classical_mc, r.stderr) for r in rows] == expected
+
+
+@pytest.mark.parametrize("family", ["cos-quad-minus-one", "sin-quad", "quadratic"])
+def test_shared_draw_rows_are_unbiased(family):
+    # each row's MC mean still estimates its own state's exact average
+    for seed in range(4):
+        cfg = ExperimentConfig(dim=16, alpha_grid=(0.1, 0.03, 0.01, 0.003, 0.001),
+                               functional_spec={"family": family,
+                                                "operator": {"random": {"seed": 40 + seed}}},
+                               state_spec={"shape": "random", "seed": 50 + seed},
+                               mc_samples=20_000, seed=60 + seed)
+        for r in alpha_sweep(cfg)["rows"]:
+            assert abs(r.classical_mc - r.classical_analytic) <= 4.0 * r.stderr, (seed, r)
 
 
 def test_amplified_averages_converge_monotonically():
@@ -618,6 +660,19 @@ def test_build_state_shapes_have_requested_dispersion():
                  {"shape": "random", "seed": 8}):
         rho = build_state(spec, 3, 0.07)
         assert rho.dispersion() == pytest.approx(0.07, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64])
+@pytest.mark.parametrize("shape", ["isotropic", "diagonal", "rank1", "random"])
+def test_build_state_covariance_is_linear_in_alpha(shape, dim):
+    # the law a sweep's shared draw relies on: B(alpha) = alpha * B(1)
+    spec = {"shape": shape, "weights": list(np.linspace(0.5, 3.0, dim)),
+            "psi": list(np.linspace(1.0, -2.0, dim)), "seed": 8}
+    unit = build_state(spec, dim, 1.0).covariance
+    for alpha in (0.1, 0.03, 1e-3, 7e-6, 2.5):
+        scaled = alpha * unit
+        ulps = np.abs(build_state(spec, dim, alpha).covariance - scaled) / np.spacing(np.abs(scaled))
+        assert ulps.max() <= 4.0, (alpha, ulps.max())
 
 
 def test_build_state_rejects_non_finite_weights():
