@@ -8,7 +8,9 @@ polynomials; determinant formula for the sin/cos families) because MC noise
 at small dispersion swamps the quadratic-order remainders at feasible sample
 counts.  MC estimates stay in every report as sanity overlays.  A sweep
 draws its MC rows once for the whole grid: every state shape has covariance
-alpha * B_1, so the draws of one alpha, rescaled, are draws of the others.
+alpha * B_1, so the draws of one alpha, rescaled, are draws of the others,
+and each chunk's quadratic form (or polynomial terms) is computed once and
+scaled per grid point.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 def derive_seed(seed: int, index: int) -> int:
     return (seed + index * _SEED_STRIDE) & _MASK64
+
+
+# Philox tags of the seeded operator and state builders.  `draw_chunked`
+# tags chunk c with c, so no chunk index reaches these, and a builder seed
+# equal to a run seed never reuses a stream of that run's draws.
+OPERATOR_TAG = _MASK64
+STATE_TAG = _MASK64 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +229,7 @@ def build_operator(spec, dim: int) -> np.ndarray:
         if m.shape != (dim, dim):
             raise ConfigError(f"matrix of shape {m.shape} does not match dim {dim}")
         return symmetric_from_entries(m)
-    rng = substream(payload.get("seed", 0), 0)  # "random"
+    rng = substream(payload.get("seed", 0), OPERATOR_TAG)  # "random"
     return _random_symmetric(rng, dim, payload.get("scale", 1.0))
 
 
@@ -264,7 +273,7 @@ def build_state(spec: dict, dim: int, alpha: float) -> GaussianState:
         if nrm2 <= 0.0:
             raise ConfigError("rank1 state needs a nonzero psi")
         return pure_state_measure(psi / math.sqrt(nrm2), alpha)
-    return _random_state(substream(spec.get("seed", 0), 1), dim, alpha)  # "random"
+    return _random_state(substream(spec.get("seed", 0), STATE_TAG), dim, alpha)  # "random"
 
 
 def _state_psi(spec: dict, dim: int) -> np.ndarray:
@@ -331,7 +340,7 @@ def build_second_moment_state(spec: dict, dim: int, alpha: float) -> SecondMomen
 
 
 def mc_average(f: Functional, state, n_samples: int, seed: int,
-               rescale: list[float] | None = None
+               ratios: list[float] | None = None
                ) -> tuple[float, float] | list[tuple[float, float]]:
     """Sample mean and standard error of f over a deterministic stream of
     draws.
@@ -345,30 +354,26 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     a pairwise reduction over them, so it does not depend on how many
     workers filled them.
 
-    With `rescale` = (s_1, ..., s_k) the same draws serve k + 1 averages:
-    each chunk is evaluated as drawn, then multiplied in place by s_1 and
-    evaluated again, then by s_2, and so on.  The call then returns a list
-    of k + 1 (mean, stderr) pairs, the first equal to the pair returned
-    without `rescale`, and keeps (k + 1) * n_samples values.  A draw x of
-    N(0, B) scaled by s is a draw of N(0, s^2 B), so this averages f over
-    the states s_1^2 B, (s_1 s_2)^2 B, ... with common random numbers: each
-    average is unbiased, but their errors are correlated.
+    With dispersion `ratios` = (r_1, ..., r_k) the same draws serve k
+    averages: each chunk is evaluated once by `f.eval_batch(x, ratios)`,
+    whose column i holds f(sqrt(r_i) x), and the call returns a list of k
+    (mean, stderr) pairs and keeps k * n_samples values.  A ratio of exactly
+    1.0 gives the pair returned without `ratios`.  A draw x of N(0, B) scaled
+    by sqrt(r) is a draw of N(0, r B), so this averages f over the states
+    r_1 B, ..., r_k B with common random numbers: each average is unbiased,
+    but their errors are correlated.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
 
     def fill(rng: np.random.Generator, m: int) -> np.ndarray:
-        x = state.fill(rng, m)
-        values = [f.eval_batch(x)]
-        for s in rescale or ():
-            x *= s  # in place: a copy per factor would hold one more chunk of rows
-            values.append(f.eval_batch(x))
-        return np.column_stack(values)
+        return f.eval_batch(state.fill(rng, m), ratios)
 
-    columns = draw_chunked(seed, n_samples, fill).samples.T
+    values = draw_chunked(seed, n_samples, fill).samples
+    if ratios is None:
+        return mean_stderr(values)
     # each column copied contiguous, so it is reduced exactly as a 1-D array of its values
-    pairs = [mean_stderr(np.ascontiguousarray(c)) for c in columns]
-    return pairs[0] if rescale is None else pairs
+    return [mean_stderr(np.ascontiguousarray(c)) for c in values.T]
 
 
 def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float:
@@ -503,10 +508,12 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
 
     Every state shape has covariance alpha * B_1, so one stream of draws
     serves the whole grid: `mc_average` draws from the first (largest)
-    alpha's state with seed `derive_seed(cfg.seed, 0)` and rescales each
-    chunk in place by sqrt(alpha_i / alpha_{i-1}) before row i.  Each row's
-    MC mean is unbiased with its own stderr, but the rows' MC errors are
-    correlated; the fit uses the closed forms wherever the family has one.
+    alpha's state with seed `derive_seed(cfg.seed, 0)` and evaluates each
+    chunk once at the ratios alpha_i / alpha_0 (the first exactly 1.0), so
+    every row reads the same quadratic form, or the same polynomial terms,
+    scaled.  Each row's MC mean is unbiased with its own stderr, but the
+    rows' MC errors are correlated; the fit uses the closed forms wherever
+    the family has one.
     """
     grid = cfg.alpha_grid
     if len(grid) < 3:
@@ -517,7 +524,7 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
     a_quant = t_variable(f)
     states = [build_state(cfg.state_spec, cfg.dim, alpha) for alpha in grid]
     averages = mc_average(f, states[0], cfg.mc_samples, derive_seed(cfg.seed, 0),
-                          [math.sqrt(b / a) for a, b in zip(grid, grid[1:])])
+                          [alpha / grid[0] for alpha in grid])
     rows = []
     for alpha, rho, (mc, stderr) in zip(grid, states, averages):
         d = t_state(rho, alpha)

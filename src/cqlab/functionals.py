@@ -337,7 +337,15 @@ class Functional:
     def eval(self, psi) -> float:
         raise NotImplementedError
 
-    def eval_batch(self, x: np.ndarray) -> np.ndarray:
+    def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
+        """f at every row of x, shape (N,).
+
+        With dispersion ratios r_1, ..., r_k the values f(sqrt(r_i) x_p)
+        instead, shape (N, k), from one contraction of x: every family is
+        g((A psi, psi)) or an even polynomial, so scaling psi by sqrt(r)
+        scales each order-2j term by r^j.  A ratio of exactly 1.0 gives the
+        bits of the call without ratios.
+        """
         raise NotImplementedError
 
     def taylor_form(self, k: int) -> SymmetricForm:
@@ -389,8 +397,9 @@ class QuadFormFunctional(Functional):
         v = as_vector(psi, self.dim)
         return float(self.g(v @ self.operator @ v))
 
-    def eval_batch(self, x: np.ndarray) -> np.ndarray:
-        return self.g(quadratic_form_rows(x, self.operator))
+    def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
+        q = quadratic_form_rows(x, self.operator)
+        return self.g(q if ratios is None else np.multiply.outer(q, ratios))
 
     def taylor_form(self, k: int) -> SymmetricForm:
         self._check_order(k)
@@ -483,10 +492,12 @@ class EvenPolynomial(Functional):
         v = as_vector(psi, self.dim)
         return float(sum(q.eval_diag(v) for q in self.terms.values()))
 
-    def eval_batch(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape[0])
-        for q in self.terms.values():
-            out += q.eval_diag_batch(x)
+    def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
+        # without ratios r is the 0-d 1.0, so out is (N,) and every term is added unscaled
+        r = np.ones(()) if ratios is None else np.asarray(ratios, dtype=np.float64)
+        out = np.zeros(x.shape[:1] + r.shape)
+        for order, q in self.terms.items():
+            out += np.multiply.outer(q.eval_diag_batch(x), r ** (order // 2))
         return out
 
     def taylor_form(self, k: int) -> SymmetricForm:
@@ -521,8 +532,8 @@ class ScaledFunctional(Functional):
     def eval(self, psi) -> float:
         return self.factor * self.base.eval(psi)
 
-    def eval_batch(self, x: np.ndarray) -> np.ndarray:
-        return self.factor * self.base.eval_batch(x)
+    def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
+        return self.factor * self.base.eval_batch(x, ratios)
 
     def taylor_form(self, k: int) -> SymmetricForm:
         return self.base.taylor_form(k).scaled(self.factor)

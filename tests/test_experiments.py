@@ -364,17 +364,36 @@ def test_sweep_rows_share_one_rescaled_draw(family, workers):
                            mc_samples=3 * 4096 + 17, seed=23)
     f = experiments.build_functional(cfg.functional_spec, cfg.dim)
     states = [build_state(cfg.state_spec, cfg.dim, alpha) for alpha in cfg.alpha_grid]
-    # the reference: every row's rows drawn at once, with one worker
+    # the reference: the rows drawn at once, with one worker, and evaluated
+    # at every grid ratio alpha_i / alpha_0 in one call
     x = draw_chunked(cfg.seed, cfg.mc_samples, states[0].fill).samples
-    expected = [mean_stderr(f.eval_batch(x))]
-    for previous, alpha in zip(cfg.alpha_grid, cfg.alpha_grid[1:]):
-        x *= math.sqrt(alpha / previous)
-        expected.append(mean_stderr(f.eval_batch(x)))
+    values = f.eval_batch(x, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid])
+    expected = [mean_stderr(np.ascontiguousarray(column)) for column in values.T]
     with sampling_workers(workers):
         rows = alpha_sweep(cfg)["rows"]
         # row 0 is what the sweep computed before the draw was shared
         assert expected[0] == mc_average(f, states[0], cfg.mc_samples, derive_seed(cfg.seed, 0))
     assert [(r.classical_mc, r.stderr) for r in rows] == expected
+
+
+@pytest.mark.parametrize("family", list(_SHARED_DRAW_FUNCTIONALS))
+def test_sweep_evaluates_each_chunk_once(family, monkeypatch):
+    # every grid row reads the same contraction of a chunk: one eval_batch
+    # call per chunk, not one per chunk and grid point
+    cfg = ExperimentConfig(dim=4, alpha_grid=(0.1, 0.03, 0.01, 0.003, 0.001),
+                           functional_spec=_SHARED_DRAW_FUNCTIONALS[family],
+                           state_spec={"shape": "isotropic"}, mc_samples=65_536, seed=3)
+    cls = type(experiments.build_functional(cfg.functional_spec, cfg.dim))
+    original = cls.eval_batch
+    rows = []
+
+    def spy(self, x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return original(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "eval_batch", spy)
+    alpha_sweep(cfg)
+    assert rows == [4096] * 16
 
 
 @pytest.mark.parametrize("family", ["cos-quad-minus-one", "sin-quad", "quadratic"])
@@ -673,6 +692,26 @@ def test_build_state_covariance_is_linear_in_alpha(shape, dim):
         scaled = alpha * unit
         ulps = np.abs(build_state(spec, dim, alpha).covariance - scaled) / np.spacing(np.abs(scaled))
         assert ulps.max() <= 4.0, (alpha, ulps.max())
+
+
+def test_builder_streams_are_not_sample_chunks():
+    # a seed shared by a builder and a run (31 for both in
+    # configs/nongaussian_laplace.json) must not hand the builder the
+    # normals of one of the run's sample chunks
+    seed, dim = 31, 3
+    firsts = draw_chunked(seed, 8, lambda rng, m: rng.standard_normal((m, dim * dim)),
+                          chunk_size=1).samples
+    operator = experiments.build_operator({"random": {"seed": seed}}, dim)
+    covariance = build_state({"shape": "random", "seed": seed}, dim, 1.0).covariance
+    for chunk, row in enumerate(firsts):
+        m = row.reshape(dim, dim)
+        assert not np.allclose(operator, symmetric_from_entries(m)), chunk
+        assert not np.allclose(covariance, m @ m.T / np.trace(m @ m.T)), chunk
+    # each builder reads its own reserved tag
+    m = substream(seed, experiments.OPERATOR_TAG).standard_normal((dim, dim))
+    assert np.array_equal(operator, symmetric_from_entries(m))
+    m = substream(seed, experiments.STATE_TAG).standard_normal((dim, dim))
+    np.testing.assert_allclose(covariance, m @ m.T / np.trace(m @ m.T), rtol=1e-12)
 
 
 def test_build_state_rejects_non_finite_weights():

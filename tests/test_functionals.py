@@ -235,6 +235,31 @@ def test_batch_eval_matches_pointwise():
     assert np.allclose(batch, point, rtol=1e-10, atol=1e-12)
 
 
+_RATIOS = [1.0, 0.3, 0.1, 0.03, 1e-3]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 64])
+def test_eval_batch_at_ratios_reads_one_contraction(dim):
+    # f(sqrt(r) x) for every ratio r from one contraction of x: the r = 1.0
+    # column keeps the bits of the call without ratios, the others agree
+    # with scaling x first
+    rng = np.random.default_rng(dim)
+    m = rng.normal(size=(dim, dim))
+    # positive semidefinite with trace 1, so q has no cancellation, and these
+    # draws keep it well below pi, near which sin's relative error grows
+    a = m @ m.T / np.trace(m @ m.T)
+    x = 0.5 * rng.normal(size=(300, dim))
+    families = _families(a)
+    families.append(amplify(families[2], 1e-3))
+    for f in families:
+        values = f.eval_batch(x, _RATIOS)
+        assert values.shape == (x.shape[0], len(_RATIOS))
+        assert np.array_equal(values[:, 0], f.eval_batch(x)), f
+        for i, r in enumerate(_RATIOS[1:], 1):
+            np.testing.assert_allclose(values[:, i], f.eval_batch(math.sqrt(r) * x),
+                                       rtol=1e-12, atol=0.0, err_msg=f"{f} at r = {r}")
+
+
 def test_order_six_blocked_eval_cross_checks_factored_route():
     # the dense blocked evaluator and the factored power-of-quadratic route
     # compute (0.3 (A psi, psi))^3-type values independently
