@@ -28,9 +28,6 @@ from .gaussian import (
     GaussianState,
     SampleBatch,
     chebyshev_tail,
-    dispersion,
-    fourier_transform,
-    make_gaussian,
     pure_state_measure,
     sampling_workers,
     scale_measure,
@@ -69,14 +66,13 @@ __all__ = [
     "ExperimentConfig", "Functional", "GaussianState", "ObservableMultiple",
     "Quadratic", "SampleBatch", "SecondMomentState", "SinQuad",
     "SpectralDecomposition", "SymmetricForm", "alpha_sweep", "amplify",
-    "analytic_average", "chebyshev_tail", "closed_form_average", "dispersion",
-    "enumerate_pairings", "finite_qm_demo", "fourier_transform",
-    "gaussian_integral_multilinear", "generalized_average", "make_gaussian",
-    "mc_average", "moment_form", "moment_form_eval", "moment_mc_check",
-    "nongaussian_experiment", "outer_product", "pure_state_experiment",
-    "pure_state_measure", "quadratic_growth_check", "quantum_average",
-    "sampling_workers", "scale_measure", "spectral_decompose", "sub_alpha_states",
-    "symmetric_from_entries", "t2n_variable", "t_state", "t_state_extended",
-    "t_variable", "trace", "trace_forms", "trace_product",
-    "variables_equivalent",
+    "analytic_average", "chebyshev_tail", "closed_form_average",
+    "enumerate_pairings", "finite_qm_demo", "gaussian_integral_multilinear",
+    "generalized_average", "mc_average", "moment_form", "moment_form_eval",
+    "moment_mc_check", "nongaussian_experiment", "outer_product",
+    "pure_state_experiment", "pure_state_measure", "quadratic_growth_check",
+    "quantum_average", "sampling_workers", "scale_measure",
+    "spectral_decompose", "sub_alpha_states", "symmetric_from_entries",
+    "t2n_variable", "t_state", "t_state_extended", "t_variable", "trace",
+    "trace_forms", "trace_product", "variables_equivalent",
 ]

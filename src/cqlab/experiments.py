@@ -3,14 +3,14 @@ sweeps with remainder-order fitting, pure-state demonstrations, sub-dispersion
 states, non-Gaussian second-moment states, and the small-dimension end-to-end
 demo.
 
-Remainder fitting prefers closed-form classical averages (exact for
-polynomials; determinant formula for the sin/cos families) because MC noise
-at small dispersion swamps the quadratic-order remainders at feasible sample
-counts.  MC estimates stay in every report as sanity overlays.  A sweep
-draws its MC rows once for the whole grid: every state shape has covariance
-alpha * B_1, so the draws of one alpha, rescaled, are draws of the others,
-and each chunk's quadratic form (or polynomial terms) is computed once and
-scaled per grid point.
+Remainder fitting uses the closed-form classical average, which every
+family has (exact for polynomials; determinant formula for the sin/cos
+families), because MC noise at small dispersion swamps the quadratic-order
+remainders at feasible sample counts; the sweep reports each row's MC mean
+beside it.  A sweep draws its MC rows once for the whole grid: every state
+shape has covariance alpha * B_1, so the draws of one alpha, rescaled, are
+draws of the others, and each chunk's quadratic form (or polynomial terms)
+is computed once and scaled per grid point.
 """
 
 from __future__ import annotations
@@ -63,11 +63,16 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed + index * _SEED_STRIDE) & _MASK64
 
 
-# Philox tags of the seeded operator and state builders.  `draw_chunked`
-# tags chunk c with c, so no chunk index reaches these, and a builder seed
-# equal to a run seed never reuses a stream of that run's draws.
+# The reserved Philox tags: those of the seeded operator and state builders
+# and of the experiments that draw their own random state, operators or
+# forms.  `draw_chunked` tags chunk c with c, so no chunk index reaches
+# these, and a builder or experiment seed equal to a run seed never reuses a
+# stream of that run's draws.
 OPERATOR_TAG = _MASK64
 STATE_TAG = _MASK64 - 1
+FINITE_QM_TAG = _MASK64 - 2
+HIGHER_ORDER_TAG = _MASK64 - 3
+MOMENTS_TAG = _MASK64 - 4
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +394,8 @@ def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float
     return total
 
 
-def closed_form_average(f: Functional, rho: GaussianState) -> float | None:
-    """Exact classical average when the family knows one, else None."""
+def closed_form_average(f: Functional, rho: GaussianState) -> float:
+    """Exact classical average of f under rho; every family has one."""
     return f.closed_form(rho)
 
 
@@ -484,27 +489,23 @@ def _report(checks: list[Check], **values) -> dict:
 class SweepRow:
     alpha: float
     classical_mc: float
-    classical_analytic: float | None
+    classical_analytic: float
     quantum_term: float
     remainder: float
     stderr: float
     below_noise: bool
-
-    def __post_init__(self):
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be nonnegative")
 
 
 def alpha_sweep(cfg: ExperimentConfig) -> dict:
     """Classical vs quantum-term averages along the dispersion grid, with a
     log-log fit of the remainder order.
 
-    Rows whose remainder is not resolved (below 4 MC standard errors when
-    only MC is available, or at the floating-point floor for exact values)
-    are flagged and excluded from the fit.  The report checks per row the
-    classical average against the quantum term, failing on a non-finite
-    value (a row's stderr is not finite whenever its MC mean is not), and
-    the fitted slope against `cfg.slope_band` = [lo, hi] when one is given.
+    The classical column is the family's closed form.  Rows whose remainder
+    is at the floating-point floor of the exact values are flagged and
+    excluded from the fit.  The report checks per row the classical average
+    against the quantum term, failing on a non-finite value (a row's stderr
+    is not finite whenever its MC mean is not), and the fitted slope against
+    `cfg.slope_band` = [lo, hi] when one is given.
 
     Every state shape has covariance alpha * B_1, so one stream of draws
     serves the whole grid: `mc_average` draws from the first (largest)
@@ -512,8 +513,7 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
     chunk once at the ratios alpha_i / alpha_0 (the first exactly 1.0), so
     every row reads the same quadratic form, or the same polynomial terms,
     scaled.  Each row's MC mean is unbiased with its own stderr, but the
-    rows' MC errors are correlated; the fit uses the closed forms wherever
-    the family has one.
+    rows' MC errors are correlated; the fit reads only the closed forms.
     """
     grid = cfg.alpha_grid
     if len(grid) < 3:
@@ -529,16 +529,11 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
     for alpha, rho, (mc, stderr) in zip(grid, states, averages):
         d = t_state(rho, alpha)
         quantum_term = alpha * quantum_average(d, a_quant)
-        analytic = closed_form_average(f, rho)
-        classical = analytic if analytic is not None else mc
+        classical = closed_form_average(f, rho)
         remainder = classical - quantum_term
-        scale = max(abs(classical), abs(quantum_term), 1.0)
-        if analytic is None:
-            floor = 4.0 * stderr
-        else:
-            floor = 1e-12 * scale
+        floor = 1e-12 * max(abs(classical), abs(quantum_term), 1.0)
         rows.append(SweepRow(
-            alpha=alpha, classical_mc=mc, classical_analytic=analytic,
+            alpha=alpha, classical_mc=mc, classical_analytic=classical,
             quantum_term=quantum_term, remainder=remainder, stderr=stderr,
             below_noise=abs(remainder) <= floor))
     fit_rows = [r for r in rows if not r.below_noise]
@@ -547,8 +542,7 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
         logs_a = np.log(np.array([r.alpha for r in fit_rows]))
         logs_r = np.log(np.array([abs(r.remainder) for r in fit_rows]))
         slope, intercept = map(float, np.polyfit(logs_a, logs_r, 1))
-    checks = [measured(f"remainder[{i}]", r.classical_mc if r.classical_analytic is None
-                       else r.classical_analytic, r.quantum_term, r.stderr)
+    checks = [measured(f"remainder[{i}]", r.classical_analytic, r.quantum_term, r.stderr)
               for i, r in enumerate(rows)]
     if cfg.slope_band is not None:
         checks.append(in_range("fitted_slope", math.nan if slope is None else slope,
@@ -691,7 +685,7 @@ def finite_qm_demo(cfg: ExperimentConfig) -> dict:
         raise ConfigError("the end-to-end demo runs at dim <= 4")
     alpha = cfg.alpha_grid[0]
     n = cfg.dim
-    rng = substream(cfg.seed, 2)
+    rng = substream(cfg.seed, FINITE_QM_TAG)
 
     # pure state branch
     psi = np.ones(n) / math.sqrt(n)
@@ -723,10 +717,11 @@ def finite_qm_demo(cfg: ExperimentConfig) -> dict:
 def moments_check(cfg: ExperimentConfig) -> dict:
     """Pairing-formula moments vs MC at order 2k, k = cfg.order.
 
-    The covariance here is not dispersion-normalized: isotropic means the
-    identity, diagonal uses the raw weights, random is trace-normalized to
-    dim.  With the identity covariance the two order-4 spot values (3 on a
-    repeated axis, 1 on two distinct axes) are checked exactly.
+    The covariance here has trace dim rather than a grid alpha: isotropic
+    means the identity, diagonal is dim * w / sum(w) for the weights w, and
+    random is trace-normalized to dim.  With the identity covariance the two
+    order-4 spot values (3 on a repeated axis, 1 on two distinct axes) are
+    checked exactly.
     """
     k = cfg.order
     if 2 * k > MAX_DENSE_ORDER:
@@ -735,7 +730,7 @@ def moments_check(cfg: ExperimentConfig) -> dict:
     rho = build_state(cfg.state_spec, cfg.dim, float(cfg.dim))
     d = rho.covariance
 
-    rng = substream(cfg.seed, 5)
+    rng = substream(cfg.seed, MOMENTS_TAG)
     ak = SymmetricForm.from_dense(rng.standard_normal((cfg.dim,) * (2 * k)))
     analytic, mc, stderr = moment_mc_check(rho, ak, cfg.mc_samples, derive_seed(cfg.seed, 6))
     checks = [within_sigmas("moment", mc, analytic, stderr, 4.0, 0.0)]
@@ -796,7 +791,7 @@ def higher_order_check(cfg: ExperimentConfig) -> dict:
     if cfg.functional_spec.get("family") == "even-polynomial":
         f = build_functional(cfg.functional_spec, cfg.dim)
     else:
-        rng = substream(cfg.seed, 3)
+        rng = substream(cfg.seed, HIGHER_ORDER_TAG)
         f = EvenPolynomial({
             2: SymmetricForm.from_matrix(_random_symmetric(rng, cfg.dim)),
             4: SymmetricForm.from_quadratic_power(_random_symmetric(rng, cfg.dim), 2, 1.0),

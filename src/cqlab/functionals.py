@@ -31,6 +31,7 @@ from .hilbert import as_vector, operator_norm, require_symmetric, symmetric_from
 MAX_DENSE_ORDER = 6
 MAX_FORM_ORDER = 8
 _DENSE_SIZE_LIMIT = 20_000_000
+_DIAG_BLOCK = 2048  # rows per contraction pass of a dense eval_diag_batch
 _EINSUM_LETTERS = "abcdefgh"
 
 
@@ -195,7 +196,7 @@ class SymmetricForm:
             cur = cur @ v
         return float(cur)
 
-    def eval_diag_batch(self, x: np.ndarray, block: int = 2048) -> np.ndarray:
+    def eval_diag_batch(self, x: np.ndarray) -> np.ndarray:
         """Diagonal values for each row of x, shape (N,)."""
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionMismatchError(f"expected (N, {self.dim}) samples, got {x.shape}")
@@ -206,12 +207,12 @@ class SymmetricForm:
             return self.coeff * double_factorial(2 * self.npairs - 1) * q ** self.npairs
         out = np.empty(x.shape[0])
         flat = self.tensor.reshape(self.dim, -1)
-        for start in range(0, x.shape[0], block):
-            v = x[start:start + block]
+        for start in range(0, x.shape[0], _DIAG_BLOCK):
+            v = x[start:start + _DIAG_BLOCK]
             cur = v @ flat
             for _ in range(self.order - 1):
                 cur = np.einsum("pi,pij->pj", v, cur.reshape(v.shape[0], self.dim, -1))
-            out[start:start + block] = cur[:, 0]
+            out[start:start + _DIAG_BLOCK] = cur[:, 0]
         return out
 
     def dense(self) -> np.ndarray:
@@ -360,9 +361,9 @@ class Functional:
         """Declared (C0, C1) for the bound |f(psi)| <= C0 exp(C1 ||psi||)."""
         raise NotImplementedError
 
-    def closed_form(self, rho) -> float | None:
-        """Exact average of f under the Gaussian state rho, or None if unknown."""
-        return None
+    def closed_form(self, rho) -> float:
+        """Exact average of f under the Gaussian state rho."""
+        raise NotImplementedError
 
     def __call__(self, psi) -> float:
         return self.eval(psi)
@@ -469,17 +470,14 @@ class CosQuadMinusOne(QuadFormFunctional):
 class EvenPolynomial(Functional):
     """f(psi) = sum_j Q_2j(psi, ..., psi) over even orders 2j."""
 
-    def __init__(self, terms: dict[int, SymmetricForm | np.ndarray]):
+    def __init__(self, terms: dict[int, SymmetricForm]):
         if not terms:
             raise ValueError("an even polynomial needs at least one term")
         self.terms: dict[int, SymmetricForm] = {}
         dims = set()
-        for order, q in sorted(terms.items()):
+        for order, form in sorted(terms.items()):
             if order < 2 or order % 2 != 0:
                 raise OrderError(f"even polynomial terms need even order >= 2, got {order}")
-            form = q if isinstance(q, SymmetricForm) else (
-                SymmetricForm.from_matrix(q) if np.asarray(q).ndim == 2
-                else SymmetricForm.from_dense(q))
             if form.order != order:
                 raise OrderError(f"term labelled {order} has order {form.order}")
             self.terms[order] = form
@@ -546,9 +544,8 @@ class ScaledFunctional(Functional):
         c0, c1 = self.base.growth_bound()
         return abs(self.factor) * c0, c1
 
-    def closed_form(self, rho) -> float | None:
-        inner = self.base.closed_form(rho)
-        return None if inner is None else self.factor * inner
+    def closed_form(self, rho) -> float:
+        return self.factor * self.base.closed_form(rho)
 
 
 def amplify(f: Functional, alpha: float) -> Functional:

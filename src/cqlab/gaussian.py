@@ -225,10 +225,6 @@ class GaussianState:
         rank = int(np.count_nonzero(self.factor.eigenvalues > 0.0))
         self._active = self.sampling_matrix()[:, :rank].T  # rank x dim
 
-    @property
-    def mean(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
     def dispersion(self) -> float:
         return float(np.trace(self.covariance))
 
@@ -251,18 +247,6 @@ class GaussianState:
         """`count` rows drawn from N(0, B), all held at once.  The package's
         own statistics stream per-row values through `draw_chunked` instead."""
         return draw_chunked(seed, count, self.fill)
-
-
-def make_gaussian(covariance) -> GaussianState:
-    return GaussianState(covariance)
-
-
-def dispersion(rho: GaussianState) -> float:
-    return rho.dispersion()
-
-
-def fourier_transform(rho: GaussianState, y) -> float:
-    return rho.fourier_transform(y)
 
 
 def scale_measure(rho: GaussianState, alpha: float) -> GaussianState:

@@ -42,7 +42,7 @@ from cqlab.functionals import (
     SinQuad,
     SymmetricForm,
 )
-from cqlab.gaussian import GaussianState, make_gaussian, pure_state_measure
+from cqlab.gaussian import GaussianState, pure_state_measure
 from cqlab.hilbert import symmetric_from_entries, trace_product
 from cqlab.wick import moment_form_eval, moment_mc_check
 
@@ -65,7 +65,7 @@ def test_criterion_01_trace_formula_identity():
         m = rng.normal(size=(n, n))
         b = symmetric_from_entries(m @ m.T / n)
         a = symmetric_from_entries(rng.normal(size=(n, n)))
-        rho = make_gaussian(b)
+        rho = GaussianState(b)
         mean, stderr = mc_average(Quadratic(a), rho, n_samples, seed=2000 + trial)
         if abs(mean - trace_product(b, a)) <= 4.0 * stderr:
             hits += 1
@@ -83,7 +83,7 @@ def test_criterion_02_wick_engine():
     rng = np.random.default_rng(1002)
     m = rng.normal(size=(n, n))
     d = symmetric_from_entries(m @ m.T / n)
-    rho = make_gaussian(d)
+    rho = GaussianState(d)
     oks = []
     for order in (4, 6):
         form = SymmetricForm.from_dense(rng.normal(size=(n,) * order))
@@ -114,7 +114,7 @@ def test_criterion_03_asymptotic_equality_remainder_order():
     slope_ok = slope is not None and abs(slope - 2.0) <= 0.1
     oracle_ok = True
     for alpha in cfg.alpha_grid:
-        rho = make_gaussian(np.array([[alpha]]))
+        rho = GaussianState(np.array([[alpha]]))
         oracle = complex(1.0, -2.0 * a * alpha) ** -0.5
         closed = oracle.real - 1.0
         truncated = analytic_average(CosQuadMinusOne([[a]]), rho, 4)
@@ -142,7 +142,7 @@ def test_criterion_04_generalized_model_exactness():
         f = EvenPolynomial({2: SymmetricForm.from_matrix(q2), 4: q4})
         m = rng.normal(size=(n, n))
         b = m @ m.T
-        rho = make_gaussian(b * (alpha / np.trace(b)))
+        rho = GaussianState(b * (alpha / np.trace(b)))
         d = t_state(rho, alpha)
         classical = analytic_average(f, rho, 4)
         routed = alpha * generalized_average(d, t2n_variable(f, 2, alpha))
@@ -188,7 +188,7 @@ def test_criterion_06_degeneration_of_variable_map():
         am = np.array([[a]])
         ok_exact = ok_exact and np.array_equal(t_variable(SinQuad(am)), t_variable(Quadratic(am)))
         for alpha in (0.1, 0.05, 0.01):
-            rho = make_gaussian(np.array([[alpha]]))
+            rho = GaussianState(np.array([[alpha]]))
             gap = abs(closed_form_average(Quadratic(am), rho)
                       - closed_form_average(SinQuad(am), rho))
             gaps.append(gap)
@@ -220,7 +220,7 @@ def test_criterion_07_density_operator_validity():
             r = int(rng.integers(1, n))
             m = rng.normal(size=(n, r))
             b = m @ m.T
-        rho = make_gaussian(b * (alpha / np.trace(b)))
+        rho = GaussianState(b * (alpha / np.trace(b)))
         for d in (t_state(rho, alpha), t_state_extended(rho)):
             tr = float(np.trace(d.matrix))
             lo = float(np.linalg.eigvalsh(d.matrix).min())

@@ -636,17 +636,34 @@ def test_shipped_configs_round_trip(path):
     assert json.loads(json.dumps(cfg.to_json())) == cfg.to_json()
 
 
+# `draw_chunked` keys chunk c by tag c, so an experiment-local stream with a
+# small tag would reread the draws of a chunk of a run on the same seed
+_RESERVED_TAGS = (experiments.OPERATOR_TAG, experiments.STATE_TAG, experiments.FINITE_QM_TAG,
+                  experiments.HIGHER_ORDER_TAG, experiments.MOMENTS_TAG)
+
+
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
-def test_every_subcommand_runs_every_shipped_config(tmp_path, capsys, path, subcommand):
+def test_every_subcommand_runs_every_shipped_config(tmp_path, capsys, monkeypatch, path,
+                                                    subcommand):
     # a shipped config either passes under a subcommand or does not apply to
-    # it; a failed gate (exit 2) here is a defect of the program
+    # it; a failed gate (exit 2) here is a defect of the program.  Every
+    # stream an experiment opens itself has a reserved tag.
+    tags = []
+
+    def spy(seed, tag):
+        tags.append(tag)
+        return gaussian.substream(seed, tag)
+
+    monkeypatch.setattr(experiments, "substream", spy)
     rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "o"),
                "--threads", "1"])
     err = capsys.readouterr().err
     assert rc in (0, 1), err
     if rc == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert set(tags) <= set(_RESERVED_TAGS), tags
+    assert len(set(_RESERVED_TAGS)) == len(_RESERVED_TAGS) and min(_RESERVED_TAGS) >= 2 ** 64 - 5
 
 
 def test_null_means_absent_where_allowed(tmp_path):

@@ -27,13 +27,13 @@ from cqlab.functionals import (
     SinQuad,
     SymmetricForm,
 )
-from cqlab.gaussian import GaussianState, draw_chunked, make_gaussian, pure_state_measure
+from cqlab.gaussian import GaussianState, draw_chunked, pure_state_measure
 from cqlab.hilbert import outer_product, symmetric_from_entries
 
 
 def test_t_state_maximally_mixed():
     n, alpha = 4, 0.12
-    rho = make_gaussian(np.eye(n) * (alpha / n))
+    rho = GaussianState(np.eye(n) * (alpha / n))
     d = t_state(rho, alpha)
     assert np.allclose(d.matrix, np.eye(n) / n, atol=1e-15)
 
@@ -46,26 +46,26 @@ def test_t_state_pure_state_recovers_projector():
 
 
 def test_t_state_componentwise_division():
-    d = t_state(make_gaussian(np.diag([0.06, 0.04])), 0.1)
+    d = t_state(GaussianState(np.diag([0.06, 0.04])), 0.1)
     assert np.allclose(d.matrix, np.diag([0.6, 0.4]), atol=1e-15)
 
 
 def test_t_state_rejects_wrong_dispersion():
-    rho = make_gaussian(np.diag([0.06, 0.04]))
+    rho = GaussianState(np.diag([0.06, 0.04]))
     with pytest.raises(ClassMembershipError):
         t_state(rho, 0.2)
 
 
 def test_t_state_rejects_zero_covariance():
-    rho = make_gaussian(np.zeros((2, 2)))
+    rho = GaussianState(np.zeros((2, 2)))
     with pytest.raises(DegenerateStateError):
         t_state(rho, 0.1)
 
 
 def test_t_state_injective_on_fixed_dispersion_class():
     alpha = 0.1
-    r1 = make_gaussian(np.diag([0.06, 0.04]))
-    r2 = make_gaussian(np.diag([0.05, 0.05]))
+    r1 = GaussianState(np.diag([0.06, 0.04]))
+    r2 = GaussianState(np.diag([0.05, 0.05]))
     d1 = t_state(r1, alpha)
     d2 = t_state(r2, alpha)
     assert not np.array_equal(d1.matrix, d2.matrix)
@@ -75,7 +75,7 @@ def test_t_state_extended_unit_trace():
     rng = np.random.default_rng(1)
     for _ in range(10):
         m = rng.normal(size=(3, 3))
-        rho = make_gaussian(m @ m.T)
+        rho = GaussianState(m @ m.T)
         d = t_state_extended(rho)
         assert abs(np.trace(d.matrix) - 1.0) <= 1e-12
 
@@ -84,21 +84,21 @@ def test_t_state_extended_not_injective():
     # dyadic rescaling of B scales trace exactly, so the normalized images
     # coincide bitwise
     b = np.diag([0.06, 0.04])
-    d1 = t_state_extended(make_gaussian(b))
-    d2 = t_state_extended(make_gaussian(4.0 * b))
+    d1 = t_state_extended(GaussianState(b))
+    d2 = t_state_extended(GaussianState(4.0 * b))
     assert np.array_equal(d1.matrix, d2.matrix)
 
 
 def test_t_state_extended_near_equal_dispersions():
     b = np.diag([0.06, 0.04])
-    d1 = t_state_extended(make_gaussian(b))
-    d2 = t_state_extended(make_gaussian(1.0000001 * b))
+    d1 = t_state_extended(GaussianState(b))
+    d2 = t_state_extended(GaussianState(1.0000001 * b))
     assert np.allclose(d1.matrix, d2.matrix, atol=1e-12)
 
 
 def test_t_state_extended_rejects_zero_dispersion():
     with pytest.raises(DegenerateStateError):
-        t_state_extended(make_gaussian(np.zeros((2, 2))))
+        t_state_extended(GaussianState(np.zeros((2, 2))))
 
 
 def test_t_state_extended_non_gaussian_state():
@@ -311,7 +311,7 @@ def test_map_outputs_pass_density_invariants():
         m = rng.normal(size=(4, 4))
         b = m @ m.T
         b *= alpha / np.trace(b)
-        d = t_state(make_gaussian(b), alpha)
+        d = t_state(GaussianState(b), alpha)
         vals = np.linalg.eigvalsh(d.matrix)
         assert abs(np.trace(d.matrix) - 1.0) <= 1e-9
         assert vals.min() >= -1e-12

@@ -13,11 +13,13 @@ from cqlab import experiments, gaussian
 from cqlab.correspondence import EXACT_CLASS_RTOL, quantum_average, t_state, t_variable
 from cqlab.errors import ConfigError
 from cqlab.experiments import (
+    CONFIG_SCHEMA,
     ExperimentConfig,
     SecondMomentState,
     alpha_sweep,
     analytic_average,
     bound_plus_noise,
+    build_functional,
     build_state,
     chebyshev_experiment,
     closed_form_average,
@@ -48,9 +50,9 @@ from cqlab.functionals import (
     double_factorial,
 )
 from cqlab.gaussian import (
+    GaussianState,
     draw_chunked,
     exact_span_coefficients,
-    make_gaussian,
     mean_stderr,
     pure_state_measure,
     sampling_workers,
@@ -80,14 +82,14 @@ def test_mc_average_quadratic_trace_formula():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(4, 4))
     b = m @ m.T * 0.01
-    rho = make_gaussian(b)
+    rho = GaussianState(b)
     a = symmetric_from_entries(rng.normal(size=(4, 4)))
     mean, stderr = mc_average(Quadratic(a), rho, 100_000, seed=3)
     assert abs(mean - trace_product(b, a)) <= 4.0 * stderr
 
 
 def test_mc_average_cos_matches_characteristic_function():
-    rho = make_gaussian(np.array([[0.1]]))
+    rho = GaussianState(np.array([[0.1]]))
     two = complex(1.0, -0.2) ** -0.5
     assert two.real - 1.0 == pytest.approx(COS_ORACLE_A1_ALPHA01, rel=1e-12)
     mean, stderr = mc_average(CosQuadMinusOne([[1.0]]), rho, 200_000, seed=5)
@@ -95,13 +97,13 @@ def test_mc_average_cos_matches_characteristic_function():
 
 
 def test_mc_average_sin_matches_characteristic_function():
-    rho = make_gaussian(np.array([[0.1]]))
+    rho = GaussianState(np.array([[0.1]]))
     mean, stderr = mc_average(SinQuad([[1.0]]), rho, 200_000, seed=5)
     assert abs(mean - SIN_ORACLE_A1_ALPHA01) <= 4.0 * stderr
 
 
 def test_mc_average_independent_of_workers():
-    rho = make_gaussian(np.eye(3) * 0.2)
+    rho = GaussianState(np.eye(3) * 0.2)
     f = Quadratic(np.eye(3))
     one = mc_average(f, rho, 30_000, seed=9)
     with sampling_workers(8):
@@ -181,7 +183,7 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
 
 def test_mc_average_memory_is_bounded_by_the_values():
     dim, count = 64, 200_000
-    rho = make_gaussian(np.eye(dim) / dim)
+    rho = GaussianState(np.eye(dim) / dim)
     tracemalloc.start()
     try:
         with sampling_workers(2):
@@ -221,7 +223,7 @@ def test_analytic_average_quadratic_exact():
     m = rng.normal(size=(3, 3))
     b = m @ m.T
     b *= alpha / np.trace(b)
-    rho = make_gaussian(b)
+    rho = GaussianState(b)
     a = symmetric_from_entries(rng.normal(size=(3, 3)))
     d = b / alpha
     assert analytic_average(Quadratic(a), rho, 2) == pytest.approx(
@@ -231,7 +233,7 @@ def test_analytic_average_quadratic_exact():
 def test_analytic_average_polynomial_matches_mc():
     rng = np.random.default_rng(12)
     b = np.diag([0.08, 0.12])
-    rho = make_gaussian(b)
+    rho = GaussianState(b)
     f = EvenPolynomial({
         2: SymmetricForm.from_matrix(symmetric_from_entries(rng.normal(size=(2, 2)))),
         4: SymmetricForm.from_quadratic_power(
@@ -245,7 +247,7 @@ def test_analytic_average_polynomial_matches_mc():
 def test_analytic_average_sin_truncation_error_is_cubic():
     a = 1.0
     for alpha in (0.1, 0.01):
-        rho = make_gaussian(np.array([[alpha]]))
+        rho = GaussianState(np.array([[alpha]]))
         f = SinQuad([[a]])
         trunc = analytic_average(f, rho, 2)
         assert trunc == pytest.approx(a * alpha, rel=1e-12)
@@ -257,7 +259,7 @@ def test_analytic_average_sin_truncation_error_is_cubic():
 def test_closed_form_cos_truncation_error_is_quartic():
     a = 1.0
     for alpha in (0.1, 0.03, 0.01):
-        rho = make_gaussian(np.array([[alpha]]))
+        rho = GaussianState(np.array([[alpha]]))
         f = CosQuadMinusOne([[a]])
         closed = closed_form_average(f, rho)
         trunc = analytic_average(f, rho, 4)
@@ -271,7 +273,7 @@ def test_closed_form_matches_mc_at_higher_dimension():
     m = rng.normal(size=(3, 3))
     b = m @ m.T
     b *= 0.05 / np.trace(b)
-    rho = make_gaussian(b)
+    rho = GaussianState(b)
     a = symmetric_from_entries(0.3 * rng.normal(size=(3, 3)))
     for f in (SinQuad(a), CosQuadMinusOne(a)):
         closed = closed_form_average(f, rho)
@@ -415,7 +417,7 @@ def test_amplified_averages_converge_monotonically():
     f = CosQuadMinusOne([[a]])
     gaps = []
     for alpha in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3):
-        rho = make_gaussian(np.array([[alpha]]))
+        rho = GaussianState(np.array([[alpha]]))
         d = t_state(rho, alpha)
         amplified_classical = closed_form_average(f, rho) / alpha
         quantum = quantum_average(d, t_variable(f))
@@ -432,7 +434,7 @@ def test_extended_map_trace_formula_exact_for_quadratics():
     rng = np.random.default_rng(67)
     m = rng.normal(size=(3, 3))
     b = m @ m.T * 0.01
-    rho = make_gaussian(b)
+    rho = GaussianState(b)
     a = symmetric_from_entries(rng.normal(size=(3, 3)))
     lhs = closed_form_average(Quadratic(a), rho)
     rhs = rho.dispersion() * quantum_average(t_state_extended(rho), a)
@@ -474,7 +476,7 @@ def test_quadratic_form_families_match_reference_bit_for_bit(family):
         else:
             assert form.coeff == 0.0 and form.tensor is None and form.matrix is None
     m = rng.normal(size=(3, 3))
-    rho = make_gaussian(m @ m.T * 0.05)
+    rho = GaussianState(m @ m.T * 0.05)
     assert closed_form_average(f, rho) == _reference_closed_form(f, rho)
     assert closed_form_average(amplify(f, 0.1), rho) == 10.0 * _reference_closed_form(f, rho)
 
@@ -485,17 +487,33 @@ class _NoClosedForm(Functional):
     dim = 2
 
 
-def test_functional_without_closed_form_gives_none():
-    rho = make_gaussian(np.diag([0.03, 0.02]))
+def test_functional_without_closed_form_raises():
+    # the closed form is part of the variable contract, as eval_batch is
+    rho = GaussianState(np.diag([0.03, 0.02]))
     f = _NoClosedForm()
-    assert closed_form_average(f, rho) is None
-    assert closed_form_average(amplify(f, 0.1), rho) is None
+    with pytest.raises(NotImplementedError):
+        closed_form_average(f, rho)
+    with pytest.raises(NotImplementedError):
+        closed_form_average(amplify(f, 0.1), rho)
+
+
+@pytest.mark.parametrize("family", sorted(CONFIG_SCHEMA["functional"]["family"]))
+@pytest.mark.parametrize("dim", [1, 4])
+def test_every_config_family_has_a_closed_form(family, dim):
+    # the sweep's classical column is the closed form, with no Monte-Carlo fallback
+    operator = {"random": {"seed": 3}}
+    spec = {"family": family, "operator": operator, "quadratic": operator,
+            "quartic": {"operator": {"random": {"seed": 4}}, "coeff": 0.5}}
+    f = build_functional(spec, dim)
+    rho = build_state({"shape": "random", "seed": 5}, dim, 0.1)
+    value = closed_form_average(f, rho)
+    assert type(value) is float and math.isfinite(value), (family, value)
 
 
 def test_even_polynomial_closed_form_integrates_term_by_term():
     rng = np.random.default_rng(72)
     m = rng.normal(size=(3, 3))
-    rho = make_gaussian(m @ m.T * 0.05)
+    rho = GaussianState(m @ m.T * 0.05)
     f = EvenPolynomial({
         2: SymmetricForm.from_matrix(rng.normal(size=(3, 3))),
         4: SymmetricForm.from_quadratic_power(rng.normal(size=(3, 3)), 2, 0.5),
@@ -511,7 +529,7 @@ def test_noninjectivity_witness_pair():
     a = 1.0
     fq, fs = Quadratic([[a]]), SinQuad([[a]])
     for alpha in (0.1, 0.05, 0.01):
-        rho = make_gaussian(np.array([[alpha]]))
+        rho = GaussianState(np.array([[alpha]]))
         d = t_state(rho, alpha)
         assert quantum_average(d, t_variable(fq)) == quantum_average(d, t_variable(fs))
         gap = abs(closed_form_average(fq, rho) - closed_form_average(fs, rho))

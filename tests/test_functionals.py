@@ -271,7 +271,7 @@ def test_order_six_blocked_eval_cross_checks_factored_route():
     values = factored.eval_diag_batch(x)
     # cancellation in the 3^6-term dense contraction leaves round-off at the
     # scale of the largest values, not of each near-zero result
-    assert np.allclose(dense.eval_diag_batch(x, block=1000), values,
+    assert np.allclose(dense.eval_diag_batch(x), values,
                        rtol=1e-9, atol=1e-9 * np.abs(values).max())
     direct = 0.3 * np.einsum("pi,ij,pj->p", x, a, x) ** 3
     assert np.allclose(values, direct, rtol=1e-12)

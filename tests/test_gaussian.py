@@ -15,11 +15,8 @@ from cqlab.errors import ClassMembershipError, InvalidCovarianceError
 from cqlab.gaussian import (
     GaussianState,
     chebyshev_tail,
-    dispersion,
     draw_chunked,
     exact_span_coefficients,
-    fourier_transform,
-    make_gaussian,
     mean_stderr,
     pure_state_measure,
     sampling_workers,
@@ -29,7 +26,7 @@ from cqlab.hilbert import outer_product
 
 
 def test_make_gaussian_exact_class_accepted():
-    rho = make_gaussian(np.diag([0.05, 0.05]))
+    rho = GaussianState(np.diag([0.05, 0.05]))
     assert np.array_equal(t_state(rho, 0.1).matrix, np.diag([0.5, 0.5]))
 
 
@@ -37,57 +34,57 @@ def test_make_gaussian_rejects_indefinite():
     # the second has a negative trace, so its clip is zero
     for bad in ([[1.0, 2.0], [2.0, 1.0]], -np.eye(2)):
         with pytest.raises(InvalidCovarianceError):
-            make_gaussian(bad)
+            GaussianState(bad)
 
 
 def test_make_gaussian_rejects_non_finite_covariance():
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidCovarianceError):
-            make_gaussian(np.diag([1.0, bad]))
+            GaussianState(np.diag([1.0, bad]))
 
 
 def test_make_gaussian_rejects_wrong_dispersion_in_exact_mode():
-    rho = make_gaussian(np.diag([0.05, 0.05]))  # dispersion 0.1
+    rho = GaussianState(np.diag([0.05, 0.05]))  # dispersion 0.1
     with pytest.raises(ClassMembershipError):
         t_state(rho, 0.2)
 
 
 def test_make_gaussian_rank_one_pure_state_class():
     psi = np.array([0.6, 0.8])
-    rho = make_gaussian(0.1 * outer_product(psi))
-    assert dispersion(rho) == pytest.approx(0.1, rel=1e-12)
+    rho = GaussianState(0.1 * outer_product(psi))
+    assert rho.dispersion() == pytest.approx(0.1, rel=1e-12)
     assert np.allclose(t_state(rho, 0.1).matrix, outer_product(psi), rtol=0.0, atol=1e-15)
 
 
 def test_dispersion_isotropic():
     n, alpha = 6, 0.02
-    rho = make_gaussian(np.eye(n) * alpha)
-    assert dispersion(rho) == pytest.approx(n * alpha, rel=1e-12)
+    rho = GaussianState(np.eye(n) * alpha)
+    assert rho.dispersion() == pytest.approx(n * alpha, rel=1e-12)
 
 
 def test_dispersion_rank_one():
     psi = np.array([1.0, 0.0, 0.0])
     rho = pure_state_measure(psi, 0.05)
-    assert dispersion(rho) == pytest.approx(0.05, rel=1e-12)
+    assert rho.dispersion() == pytest.approx(0.05, rel=1e-12)
 
 
 def test_dispersion_monte_carlo():
     # oracle: sample mean of ||psi||^2 must sit within 4 standard errors
-    rho = make_gaussian(np.diag([0.3, 0.5, 0.2]))
+    rho = GaussianState(np.diag([0.3, 0.5, 0.2]))
     batch = rho.sample(seed=101, count=100_000)
     energies = np.einsum("pi,pi->p", batch.samples, batch.samples)
     se = energies.std(ddof=1) / math.sqrt(batch.count)
-    assert abs(energies.mean() - dispersion(rho)) <= 4.0 * se
+    assert abs(energies.mean() - rho.dispersion()) <= 4.0 * se
 
 
 def test_fourier_transform_at_zero():
-    rho = make_gaussian(np.diag([0.4, 0.6]))
-    assert fourier_transform(rho, np.zeros(2)) == 1.0
+    rho = GaussianState(np.diag([0.4, 0.6]))
+    assert rho.fourier_transform(np.zeros(2)) == 1.0
 
 
 def test_fourier_transform_standard_normal():
-    rho = make_gaussian(np.eye(2))
-    got = fourier_transform(rho, np.array([1.0, 0.0]))
+    rho = GaussianState(np.eye(2))
+    got = rho.fourier_transform(np.array([1.0, 0.0]))
     assert got == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
@@ -97,36 +94,36 @@ def test_fourier_transform_rank_one_form():
     rho = pure_state_measure(psi, alpha)
     y = np.array([1.5, -2.0])
     expected = math.exp(-0.5 * alpha * float(y @ psi) ** 2)
-    assert fourier_transform(rho, y) == pytest.approx(expected, rel=1e-12)
+    assert rho.fourier_transform(y) == pytest.approx(expected, rel=1e-12)
 
 
 def test_fourier_transform_bounds():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(4, 4))
-    rho = make_gaussian(m @ m.T * 0.01)
+    rho = GaussianState(m @ m.T * 0.01)
     for _ in range(20):
         y = rng.normal(size=4)
-        val = fourier_transform(rho, y)
+        val = rho.fourier_transform(y)
         assert 0.0 < val <= 1.0
-    assert fourier_transform(rho, np.zeros(4)) == 1.0
+    assert rho.fourier_transform(np.zeros(4)) == 1.0
 
 
 def test_scale_measure_isotropic():
     alpha = 0.05
-    rho = make_gaussian(np.eye(3) * (alpha / 3.0))
+    rho = GaussianState(np.eye(3) * (alpha / 3.0))
     scaled = scale_measure(rho, alpha)
     assert np.array_equal(scaled.covariance, rho.covariance / alpha)
 
 
 def test_scale_measure_unit_trace():
-    rho = make_gaussian(np.diag([0.06, 0.04]))
+    rho = GaussianState(np.diag([0.06, 0.04]))
     scaled = scale_measure(rho, 0.1)
     assert np.allclose(scaled.covariance, np.diag([0.6, 0.4]), atol=1e-15)
-    assert dispersion(scaled) == pytest.approx(1.0, rel=1e-12)
+    assert scaled.dispersion() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_scale_measure_rejects_nonpositive():
-    rho = make_gaussian(np.eye(2))
+    rho = GaussianState(np.eye(2))
     with pytest.raises(ValueError):
         scale_measure(rho, 0.0)
 
@@ -135,7 +132,7 @@ def test_scaled_samples_covariance():
     # MC oracle: sample covariance of the scaled state approaches B/alpha
     alpha = 0.1
     b = np.diag([0.06, 0.04])
-    scaled = scale_measure(make_gaussian(b), alpha)
+    scaled = scale_measure(GaussianState(b), alpha)
     batch = scaled.sample(seed=33, count=100_000)
     x = batch.samples
     cov_hat = x.T @ x / batch.count
@@ -146,7 +143,7 @@ def test_scaled_samples_covariance():
 
 
 def test_sample_variances_land_in_band():
-    rho = make_gaussian(np.diag([1.0, 4.0]))
+    rho = GaussianState(np.diag([1.0, 4.0]))
     batch = rho.sample(seed=77, count=100_000)
     v = batch.samples.var(axis=0, ddof=1)
     assert 0.95 <= v[0] <= 1.05
@@ -160,7 +157,7 @@ def test_sample_rank_one_axis_coordinates_exactly_zero():
 
 
 def test_sample_deterministic_across_worker_counts():
-    rho = make_gaussian(np.diag([1.0, 2.0, 3.0]))
+    rho = GaussianState(np.diag([1.0, 2.0, 3.0]))
     one = rho.sample(seed=9, count=20_000)
     with sampling_workers(8):
         eight = rho.sample(seed=9, count=20_000)
@@ -175,7 +172,7 @@ SAMPLE_STREAM_SHA256 = "1d7c9c0ce7f7bf5f45b8af3dc77dd45a4050101dfc1cdb50a8610e26
 
 @pytest.mark.parametrize("workers", [1, 8])
 def test_sample_stream_is_pinned(workers):
-    rho = make_gaussian(np.diag([1.0, 2.0, 3.0]))
+    rho = GaussianState(np.diag([1.0, 2.0, 3.0]))
     with sampling_workers(workers):
         batch = rho.sample(seed=9, count=20_000)
     assert hashlib.sha256(batch.samples.tobytes()).hexdigest() == SAMPLE_STREAM_SHA256
@@ -269,7 +266,7 @@ def test_draw_chunked_keeps_few_chunks_in_flight():
 
 
 def test_sample_mean_converges_to_zero():
-    rho = make_gaussian(np.diag([0.5, 0.5]))
+    rho = GaussianState(np.diag([0.5, 0.5]))
     batch = rho.sample(seed=8, count=100_000)
     se = batch.samples.std(axis=0, ddof=1) / math.sqrt(batch.count)
     assert np.all(np.abs(batch.samples.mean(axis=0)) <= 4.0 * se)
@@ -280,7 +277,7 @@ def _energies(batch):
 
 
 def test_chebyshev_bound_value():
-    rho = make_gaussian(np.eye(2) * 0.005)  # dispersion 0.01
+    rho = GaussianState(np.eye(2) * 0.005)  # dispersion 0.01
     batch = rho.sample(seed=3, count=2000)
     bound, empirical = chebyshev_tail(rho, 1.0, _energies(batch))
     assert bound == pytest.approx(0.01, rel=1e-12)
@@ -288,7 +285,7 @@ def test_chebyshev_bound_value():
 
 
 def test_chebyshev_bound_vanishes_for_large_threshold():
-    rho = make_gaussian(np.eye(2) * 0.005)
+    rho = GaussianState(np.eye(2) * 0.005)
     batch = rho.sample(seed=3, count=2000)
     bound, empirical = chebyshev_tail(rho, 1e12, _energies(batch))
     assert bound <= 1e-13
@@ -298,7 +295,7 @@ def test_chebyshev_bound_vanishes_for_large_threshold():
 def test_chebyshev_one_dimensional_tail_matches_normal():
     # oracle: for psi ~ N(0, alpha), P(psi^2 > alpha) = P(|z| > 1) = 2(1 - Phi(1))
     alpha = 0.04
-    rho = make_gaussian(np.array([[alpha]]))
+    rho = GaussianState(np.array([[alpha]]))
     batch = rho.sample(seed=15, count=200_000)
     bound, empirical = chebyshev_tail(rho, alpha, _energies(batch))
     assert bound == 1.0
@@ -311,7 +308,7 @@ def test_chebyshev_one_dimensional_tail_matches_normal():
 def test_pure_state_covariance_and_dispersion():
     rho = pure_state_measure(np.array([1.0, 0.0]), 0.05)
     assert np.array_equal(rho.covariance, np.diag([0.05, 0.0]))
-    assert dispersion(rho) == 0.05
+    assert rho.dispersion() == 0.05
 
 
 def test_pure_state_scaling_changes_dispersion():
@@ -319,7 +316,7 @@ def test_pure_state_scaling_changes_dispersion():
     alpha = 0.02
     r1 = pure_state_measure(psi, alpha)
     r2 = pure_state_measure(2.0 * psi, alpha)
-    assert dispersion(r2) == pytest.approx(4.0 * dispersion(r1), rel=1e-12)
+    assert r2.dispersion() == pytest.approx(4.0 * r1.dispersion(), rel=1e-12)
     assert not np.array_equal(r1.covariance, r2.covariance)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cqlab.errors import DimensionMismatchError, OrderError, ParityError, SizeError
 from cqlab.functionals import SymmetricForm, double_factorial
-from cqlab.gaussian import make_gaussian
+from cqlab.gaussian import GaussianState
 from cqlab.hilbert import symmetric_from_entries, trace_product
 from cqlab.wick import (
     enumerate_pairings,
@@ -170,7 +170,7 @@ def test_integral_order_eight_matches_mc():
     m = rng.normal(size=(3, 3))
     d = symmetric_from_entries(m @ m.T / 3.0)
     form = SymmetricForm.from_quadratic_power(rng.normal(size=(3, 3)), 4, 1.0)
-    analytic, mc, stderr = moment_mc_check(make_gaussian(d), form, 400_000, seed=41)
+    analytic, mc, stderr = moment_mc_check(GaussianState(d), form, 400_000, seed=41)
     assert abs(analytic - mc) <= 4.0 * stderr
 
 
@@ -248,7 +248,7 @@ def test_moment_mc_order_two():
     rng = np.random.default_rng(17)
     m = rng.normal(size=(8, 8))
     d = symmetric_from_entries(m @ m.T / 8.0)
-    rho = make_gaussian(d)
+    rho = GaussianState(d)
     form = SymmetricForm.from_matrix(symmetric_from_entries(rng.normal(size=(8, 8))))
     analytic, mc, stderr = moment_mc_check(rho, form, 100_000, seed=23)
     assert abs(analytic - mc) <= 4.0 * stderr
@@ -258,7 +258,7 @@ def test_moment_mc_order_four():
     rng = np.random.default_rng(18)
     m = rng.normal(size=(4, 4))
     d = symmetric_from_entries(m @ m.T / 4.0)
-    rho = make_gaussian(d)
+    rho = GaussianState(d)
     form = SymmetricForm.from_dense(rng.normal(size=(4, 4, 4, 4)))
     analytic, mc, stderr = moment_mc_check(rho, form, 200_000, seed=29)
     assert abs(analytic - mc) <= 4.0 * stderr
@@ -267,7 +267,7 @@ def test_moment_mc_order_four():
 def test_moment_mc_order_three_compatible_with_zero():
     rng = np.random.default_rng(19)
     d = np.eye(3) * 0.5
-    rho = make_gaussian(d)
+    rho = GaussianState(d)
     form = SymmetricForm.from_dense(rng.normal(size=(3, 3, 3)))
     analytic, mc, stderr = moment_mc_check(rho, form, 50_000, seed=31)
     assert analytic == 0.0
@@ -279,7 +279,7 @@ def test_integral_bounded_by_form_norm_times_moment():
     rng = np.random.default_rng(20)
     m = rng.normal(size=(3, 3))
     d = symmetric_from_entries(m @ m.T / 3.0)
-    rho = make_gaussian(d)
+    rho = GaussianState(d)
     batch = rho.sample(seed=37, count=100_000)
     norms = np.sqrt(np.einsum("pi,pi->p", batch.samples, batch.samples))
     for order in (2, 4):
