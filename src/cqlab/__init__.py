@@ -12,7 +12,6 @@ from .correspondence import (
     t_state,
     t_state_extended,
     t_variable,
-    variables_equivalent,
 )
 from .functionals import (
     CosQuadMinusOne,
@@ -22,7 +21,6 @@ from .functionals import (
     SinQuad,
     SymmetricForm,
     amplify,
-    quadratic_growth_check,
 )
 from .gaussian import (
     GaussianState,
@@ -30,18 +28,15 @@ from .gaussian import (
     chebyshev_tail,
     pure_state_measure,
     sampling_workers,
-    scale_measure,
 )
 from .hilbert import (
     SpectralDecomposition,
     outer_product,
     spectral_decompose,
     symmetric_from_entries,
-    trace,
     trace_product,
 )
 from .wick import (
-    enumerate_pairings,
     gaussian_integral_multilinear,
     moment_form,
     moment_form_eval,
@@ -67,12 +62,11 @@ __all__ = [
     "Quadratic", "SampleBatch", "SecondMomentState", "SinQuad",
     "SpectralDecomposition", "SymmetricForm", "alpha_sweep", "amplify",
     "analytic_average", "chebyshev_tail", "closed_form_average",
-    "enumerate_pairings", "finite_qm_demo", "gaussian_integral_multilinear",
-    "generalized_average", "mc_average", "moment_form", "moment_form_eval",
-    "moment_mc_check", "nongaussian_experiment", "outer_product",
-    "pure_state_experiment", "pure_state_measure", "quadratic_growth_check",
-    "quantum_average", "sampling_workers", "scale_measure",
+    "finite_qm_demo", "gaussian_integral_multilinear", "generalized_average",
+    "mc_average", "moment_form", "moment_form_eval", "moment_mc_check",
+    "nongaussian_experiment", "outer_product", "pure_state_experiment",
+    "pure_state_measure", "quantum_average", "sampling_workers",
     "spectral_decompose", "sub_alpha_states", "symmetric_from_entries",
-    "t2n_variable", "t_state", "t_state_extended", "t_variable", "trace",
-    "trace_forms", "trace_product", "variables_equivalent",
+    "t2n_variable", "t_state", "t_state_extended", "t_variable",
+    "trace_forms", "trace_product",
 ]

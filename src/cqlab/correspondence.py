@@ -156,12 +156,3 @@ def t2n_variable(f: Functional, n: int, alpha: float) -> ObservableMultiple:
 def generalized_average(d: DensityOperator, a: ObservableMultiple) -> float:
     """Average in the generalized model: sum_k Tr e(2k, D) A_2k."""
     return sum((trace_forms(moment_form(d.matrix, form.order), form) for form in a.forms), 0.0)
-
-
-def variables_equivalent(f: Functional, g: Functional, atol: float = 1e-12) -> bool:
-    """True iff f and g share the same second derivative at the vacuum."""
-    fa = t_variable(f)
-    ga = t_variable(g)
-    if fa.shape != ga.shape:
-        raise DimensionMismatchError(f"shape mismatch {fa.shape} vs {ga.shape}")
-    return bool(np.abs(fa - ga).max(initial=0.0) <= atol)

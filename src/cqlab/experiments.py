@@ -268,10 +268,12 @@ def build_state(spec: dict, dim: int, alpha: float) -> GaussianState:
         return GaussianState(np.eye(dim) * (alpha / dim))
     if shape == "diagonal":
         w = np.asarray(spec.get("weights"), dtype=np.float64)
+        with np.errstate(over="ignore"):  # finite weights whose sum overflows fail below
+            total = w.sum()
         if (w.shape != (dim,) or not np.all(np.isfinite(w)) or np.any(w < 0.0)
-                or w.sum() <= 0.0):
+                or not 0.0 < total < math.inf):
             raise ConfigError("diagonal state needs finite nonnegative weights of length dim")
-        return GaussianState(np.diag(alpha * w / w.sum()))
+        return GaussianState(np.diag(alpha * w / total))
     if shape == "rank1":
         psi = _state_psi(spec, dim)
         nrm2 = float(psi @ psi)

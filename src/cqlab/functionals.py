@@ -21,7 +21,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DimensionMismatchError, OrderError, SizeError
-from .hilbert import as_vector, operator_norm, require_symmetric, symmetric_from_entries, trace_product
+from .hilbert import as_vector, require_symmetric, symmetric_from_entries, trace_product
 
 # The two order caps; every other order bound in the package derives from
 # one of them.  Dense tensors beyond order 6 are never materialized.
@@ -238,15 +238,6 @@ class SymmetricForm:
             raise OrderError(f"matrix representation needs order 2, got {self.order}")
         return self.dense()
 
-    def norm_bound(self) -> float:
-        """Upper bound on sup |form(z_1..z_k)| over unit vectors."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "pairing":
-            nm = float(np.sqrt(np.sum(self.matrix ** 2)))
-            return abs(self.coeff) * double_factorial(2 * self.npairs - 1) * nm ** self.npairs
-        return float(np.sqrt(np.sum(self.tensor ** 2)))
-
     def to_dict(self) -> dict:
         """JSON form: order, dim and kind, plus the stored data unless it is large."""
         out: dict = {"order": self.order, "dim": self.dim, "kind": self.kind}
@@ -353,14 +344,6 @@ class Functional:
         """Exact k-th Taylor coefficient f^(k)(0) as a symmetric k-form."""
         raise NotImplementedError
 
-    def quad_growth_constants(self) -> tuple[float, float]:
-        """Declared (c1, c2) for the bound |f(psi)| <= c1 + c2 ||psi||^2."""
-        raise NotImplementedError
-
-    def growth_bound(self) -> tuple[float, float]:
-        """Declared (C0, C1) for the bound |f(psi)| <= C0 exp(C1 ||psi||)."""
-        raise NotImplementedError
-
     def closed_form(self, rho) -> float:
         """Exact average of f under the Gaussian state rho."""
         raise NotImplementedError
@@ -378,14 +361,12 @@ class Functional:
 class QuadFormFunctional(Functional):
     """f(psi) = g((A psi, psi)) for an entire g with g(0) = 0.
 
-    A subclass describes g by three class attributes and one method:
+    A subclass describes g by two class attributes and one method:
 
     - ``g(q)``: g applied elementwise to a float or an array;
     - ``g_derivative(m)``: the integer g^(m)(0) for m >= 1, so the Maclaurin
       coefficient is c_m = g^(m)(0) / m! and the order-2m Taylor form is
       c_m (2m)! times the pairing form of A^(x)m;
-    - ``sup_abs``: sup |g| over the reals, or None when only |g(q)| <= |q|
-      is known;
     - ``closed_form(rho)``: the exact average of g((A psi, psi)) under the
       Gaussian state rho.
     """
@@ -414,17 +395,6 @@ class QuadFormFunctional(Functional):
             return SymmetricForm.from_matrix(scale * self.operator)
         return SymmetricForm.from_quadratic_power(self.operator, m, scale)
 
-    def quad_growth_constants(self) -> tuple[float, float]:
-        if self.sup_abs is None:
-            return 0.0, operator_norm(self.operator)
-        return self.sup_abs, 0.0
-
-    def growth_bound(self) -> tuple[float, float]:
-        if self.sup_abs is None:
-            # x^2 <= 2 e^x for x >= 0
-            return 2.0 * operator_norm(self.operator), 1.0
-        return self.sup_abs, 0.0
-
 
 def quadratic_form_characteristic(rho, a) -> complex:
     """E exp(i (A psi, psi)) = prod_j (1 - 2 i mu_j)^(-1/2) under the Gaussian
@@ -439,7 +409,6 @@ class Quadratic(QuadFormFunctional):
 
     g = staticmethod(lambda q: q)
     g_derivative = staticmethod(lambda m: int(m == 1))
-    sup_abs = None
 
     def closed_form(self, rho) -> float:
         return trace_product(rho.covariance, self.operator)
@@ -450,7 +419,6 @@ class SinQuad(QuadFormFunctional):
 
     g = staticmethod(np.sin)
     g_derivative = staticmethod(lambda m: (0, 1, 0, -1)[m % 4])
-    sup_abs = 1.0
 
     def closed_form(self, rho) -> float:
         return float(quadratic_form_characteristic(rho, self.operator).imag)
@@ -461,7 +429,6 @@ class CosQuadMinusOne(QuadFormFunctional):
 
     g = staticmethod(lambda q: np.cos(q) - 1.0)
     g_derivative = staticmethod(lambda m: (1, 0, -1, 0)[m % 4])
-    sup_abs = 2.0
 
     def closed_form(self, rho) -> float:
         return float(quadratic_form_characteristic(rho, self.operator).real) - 1.0
@@ -504,13 +471,6 @@ class EvenPolynomial(Functional):
             return self.terms[k].scaled(float(math.factorial(k)))
         return SymmetricForm.zero(k, self.dim)
 
-    def quad_growth_constants(self) -> tuple[float, float]:
-        return 0.0, sum(q.norm_bound() for q in self.terms.values())
-
-    def growth_bound(self) -> tuple[float, float]:
-        c0 = sum(math.factorial(order) * q.norm_bound() for order, q in self.terms.items())
-        return c0, 1.0
-
     def closed_form(self, rho) -> float:
         return float(sum(trace_forms(moment_form(rho.covariance, order), q)
                          for order, q in self.terms.items()))
@@ -536,14 +496,6 @@ class ScaledFunctional(Functional):
     def taylor_form(self, k: int) -> SymmetricForm:
         return self.base.taylor_form(k).scaled(self.factor)
 
-    def quad_growth_constants(self) -> tuple[float, float]:
-        c1, c2 = self.base.quad_growth_constants()
-        return abs(self.factor) * c1, abs(self.factor) * c2
-
-    def growth_bound(self) -> tuple[float, float]:
-        c0, c1 = self.base.growth_bound()
-        return abs(self.factor) * c0, c1
-
     def closed_form(self, rho) -> float:
         return self.factor * self.base.closed_form(rho)
 
@@ -554,16 +506,3 @@ def amplify(f: Functional, alpha: float) -> Functional:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return ScaledFunctional(f, 1.0 / alpha)
 
-
-def quadratic_growth_check(f: Functional, probes) -> bool:
-    """True iff |f| <= c1 + c2 ||psi||^2 at every probe, with declared constants."""
-    probes = list(probes)
-    if not probes:
-        raise ValueError("need at least one probe")
-    c1, c2 = f.quad_growth_constants()
-    for p in probes:
-        v = as_vector(p, f.dim)
-        bound = c1 + c2 * float(v @ v)
-        if abs(f.eval(v)) > bound * (1.0 + 1e-12) + 1e-15:
-            return False
-    return True

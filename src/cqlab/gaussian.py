@@ -232,10 +232,6 @@ class GaussianState:
         """F with F F^T = B (columns of zero eigenvalue are exactly zero)."""
         return self.factor.eigenvectors * np.sqrt(self.factor.eigenvalues)
 
-    def fourier_transform(self, y) -> float:
-        v = as_vector(y, self.dim)
-        return float(np.exp(-0.5 * float(v @ self.covariance @ v)))
-
     def fill(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m rows drawn from N(0, B) using only `rng`."""
         # draw dim normals per sample so the stream layout does not depend
@@ -247,13 +243,6 @@ class GaussianState:
         """`count` rows drawn from N(0, B), all held at once.  The package's
         own statistics stream per-row values through `draw_chunked` instead."""
         return draw_chunked(seed, count, self.fill)
-
-
-def scale_measure(rho: GaussianState, alpha: float) -> GaussianState:
-    """Pushforward under psi -> psi / sqrt(alpha); covariance becomes B/alpha."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return GaussianState(rho.covariance / alpha)
 
 
 def pure_state_measure(psi, alpha: float) -> GaussianState:

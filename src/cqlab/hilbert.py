@@ -42,10 +42,6 @@ def require_symmetric(a, rtol: float = 1e-12) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def trace(a) -> float:
-    return float(np.trace(np.asarray(a, dtype=np.float64)))
-
-
 def trace_product(a, b) -> float:
     """Sum_ij A[i,j] B[i,j]; equals Tr(AB) for symmetric A, B."""
     am = np.asarray(a, dtype=np.float64)
@@ -70,10 +66,6 @@ def operator_norm(a) -> float:
 class SpectralDecomposition(NamedTuple):
     eigenvalues: np.ndarray   # descending
     eigenvectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
 
 
 def spectral_decompose(a) -> SpectralDecomposition:

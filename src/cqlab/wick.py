@@ -1,7 +1,6 @@
-"""Gaussian moment machinery: pairing enumeration, moment evaluation,
-Gaussian integrals of multilinear forms and their Monte-Carlo checks.  A
-check draws its own samples from the state and keeps only one value per
-draw.
+"""Gaussian moment machinery: moment evaluation, Gaussian integrals of
+multilinear forms and their Monte-Carlo checks.  A check draws its own
+samples from the state and keeps only one value per draw.
 
 The forms themselves, their moment forms and their contraction (the
 generalized trace) live in `functionals`, beside `SymmetricForm`.
@@ -9,17 +8,10 @@ generalized trace) live in `functionals`, beside `SymmetricForm`.
 
 from __future__ import annotations
 
-from .errors import ParityError, SizeError
-from .functionals import MAX_FORM_ORDER, SymmetricForm, moment_form, perfect_matchings, trace_forms
+from .errors import ParityError
+from .functionals import SymmetricForm, moment_form, trace_forms
 from .gaussian import GaussianState, draw_chunked, mean_stderr
 from .hilbert import as_vector
-
-
-def enumerate_pairings(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All (2k-1)!! perfect matchings of {0, ..., 2k-1} in lexicographic order."""
-    if k > MAX_FORM_ORDER // 2:
-        raise SizeError(f"pairing enumeration capped at k={MAX_FORM_ORDER // 2}, got {k}")
-    return perfect_matchings(k)
 
 
 def moment_form_eval(d, args) -> float:

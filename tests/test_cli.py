@@ -366,6 +366,10 @@ def test_non_object_quartic_is_a_one_line_error(tmp_path, capsys):
     ("sweep", dict(COS_SWEEP, slope_band=[float("nan"), float("nan")]), "'slope_band' must be"),
     ("sweep", dict(COS_SWEEP, slope_band=["a", "b"]), "'slope_band' must be"),
     ("higher-order", dict(MINIMAL, order=5), "2n <= 8"),
+    # finite weights whose sum overflows
+    ("chebyshev", dict(MINIMAL, dim=3, alpha_grid=COS_SWEEP["alpha_grid"],
+                       state={"shape": "diagonal", "weights": [1e308, 1e308, 0.0]}),
+     "finite nonnegative weights"),
 ])
 def test_bad_numbers_are_one_line_errors(tmp_path, capsys, subcommand, cfg, fragment):
     rc = main([subcommand, "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])

@@ -736,6 +736,9 @@ def test_build_state_rejects_non_finite_weights():
     for bad in (np.nan, np.inf):
         with pytest.raises(ConfigError, match="finite"):
             build_state({"shape": "diagonal", "weights": [1.0, bad]}, 2, 0.1)
+    # finite weights whose sum overflows would scale to a zero covariance
+    with pytest.raises(ConfigError, match="finite"):
+        build_state({"shape": "diagonal", "weights": [1e308, 1e308, 0.0]}, 3, 0.1)
 
 
 _HELPER_ARGS = [

@@ -15,7 +15,6 @@ from cqlab.functionals import (
     SymmetricForm,
     amplify,
     quadratic_form_rows,
-    quadratic_growth_check,
     symmetrize_tensor,
 )
 from cqlab.hilbert import operator_norm, symmetric_from_entries, trace_product
@@ -162,36 +161,6 @@ def test_amplified_quadratic_average_is_exact():
     a = symmetric_from_entries(rng.normal(size=(3, 3)))
     classical = trace_product(b, a)  # exact Gaussian average of (A psi, psi)
     assert classical / alpha == pytest.approx(trace_product(d, a), rel=1e-12)
-
-
-def test_growth_check_sin_quad():
-    rng = np.random.default_rng(13)
-    f = SinQuad(symmetric_from_entries(rng.normal(size=(3, 3))))
-    probes = [rng.normal(size=3) * s for s in (0.1, 1.0, 10.0)]
-    assert quadratic_growth_check(f, probes)
-
-
-def test_growth_check_quadratic():
-    rng = np.random.default_rng(14)
-    f = Quadratic(symmetric_from_entries(rng.normal(size=(3, 3))))
-    probes = [rng.normal(size=3) * s for s in (0.5, 5.0, 50.0)]
-    assert quadratic_growth_check(f, probes)
-
-
-def test_growth_check_fails_for_quartic_term():
-    f = EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(2), 2, 1.0)})
-    probes = [np.array([t, 0.0]) for t in (1.0, 10.0, 100.0)]
-    assert not quadratic_growth_check(f, probes)
-
-
-def test_exponential_growth_bounds_hold():
-    rng = np.random.default_rng(15)
-    a = symmetric_from_entries(rng.normal(size=(3, 3)))
-    for f in _families(a):
-        c0, c1 = f.growth_bound()
-        for s in (0.1, 1.0, 3.0):
-            psi = rng.normal(size=3) * s
-            assert abs(f.eval(psi)) <= c0 * math.exp(c1 * np.linalg.norm(psi)) * (1 + 1e-12)
 
 
 def test_symmetrize_idempotent_exactly():

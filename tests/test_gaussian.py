@@ -20,7 +20,6 @@ from cqlab.gaussian import (
     mean_stderr,
     pure_state_measure,
     sampling_workers,
-    scale_measure,
 )
 from cqlab.hilbert import outer_product
 
@@ -77,62 +76,11 @@ def test_dispersion_monte_carlo():
     assert abs(energies.mean() - rho.dispersion()) <= 4.0 * se
 
 
-def test_fourier_transform_at_zero():
-    rho = GaussianState(np.diag([0.4, 0.6]))
-    assert rho.fourier_transform(np.zeros(2)) == 1.0
-
-
-def test_fourier_transform_standard_normal():
-    rho = GaussianState(np.eye(2))
-    got = rho.fourier_transform(np.array([1.0, 0.0]))
-    assert got == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-
-def test_fourier_transform_rank_one_form():
-    psi = np.array([0.6, 0.8])
-    alpha = 0.07
-    rho = pure_state_measure(psi, alpha)
-    y = np.array([1.5, -2.0])
-    expected = math.exp(-0.5 * alpha * float(y @ psi) ** 2)
-    assert rho.fourier_transform(y) == pytest.approx(expected, rel=1e-12)
-
-
-def test_fourier_transform_bounds():
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(4, 4))
-    rho = GaussianState(m @ m.T * 0.01)
-    for _ in range(20):
-        y = rng.normal(size=4)
-        val = rho.fourier_transform(y)
-        assert 0.0 < val <= 1.0
-    assert rho.fourier_transform(np.zeros(4)) == 1.0
-
-
-def test_scale_measure_isotropic():
-    alpha = 0.05
-    rho = GaussianState(np.eye(3) * (alpha / 3.0))
-    scaled = scale_measure(rho, alpha)
-    assert np.array_equal(scaled.covariance, rho.covariance / alpha)
-
-
-def test_scale_measure_unit_trace():
-    rho = GaussianState(np.diag([0.06, 0.04]))
-    scaled = scale_measure(rho, 0.1)
-    assert np.allclose(scaled.covariance, np.diag([0.6, 0.4]), atol=1e-15)
-    assert scaled.dispersion() == pytest.approx(1.0, rel=1e-12)
-
-
-def test_scale_measure_rejects_nonpositive():
-    rho = GaussianState(np.eye(2))
-    with pytest.raises(ValueError):
-        scale_measure(rho, 0.0)
-
-
 def test_scaled_samples_covariance():
-    # MC oracle: sample covariance of the scaled state approaches B/alpha
+    # MC oracle: the sample covariance approaches B/alpha
     alpha = 0.1
     b = np.diag([0.06, 0.04])
-    scaled = scale_measure(GaussianState(b), alpha)
+    scaled = GaussianState(b / alpha)
     batch = scaled.sample(seed=33, count=100_000)
     x = batch.samples
     cov_hat = x.T @ x / batch.count
