@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassMembershipError, DegenerateStateError, DimensionMismatchError, OrderError
+from .errors import ClassMembershipError, DegenerateStateError, OrderError
 from .functionals import Functional, SymmetricForm, moment_form, trace_forms
 from .gaussian import EIG_CLIP_REL, GaussianState
 from .hilbert import require_symmetric, trace_product
@@ -86,10 +86,6 @@ class ObservableMultiple:
         if orders != list(range(2, 2 * len(orders) + 1, 2)):
             raise OrderError(f"expected orders 2, 4, ... in steps of 2, got {orders}")
 
-    @property
-    def order(self) -> int:
-        return 2 * len(self.forms)
-
     def to_dict(self) -> dict:
         return {"orders": [f.order for f in self.forms],
                 "components": [f.to_dict() for f in self.forms]}
@@ -126,18 +122,12 @@ def t_state_extended(state) -> DensityOperator:
 
 def t_variable(f: Functional) -> np.ndarray:
     """Map a variable to half its second derivative at the vacuum."""
-    form = f.taylor_form(2)
-    if form.is_zero:
-        return np.zeros((f.dim, f.dim))
-    return 0.5 * form.matrix_representation()
+    return 0.5 * f.taylor_form(2).matrix_representation()
 
 
 def quantum_average(d: DensityOperator, a) -> float:
     """Trace-formula average Tr D A."""
-    am = np.asarray(a, dtype=np.float64)
-    if am.shape != d.matrix.shape:
-        raise DimensionMismatchError(f"shape mismatch {am.shape} vs {d.matrix.shape}")
-    return trace_product(d.matrix, am)
+    return trace_product(d.matrix, a)
 
 
 def t2n_variable(f: Functional, n: int, alpha: float) -> ObservableMultiple:

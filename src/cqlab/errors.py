@@ -17,10 +17,6 @@ class DegenerateStateError(ValueError):
     """State has zero covariance and cannot be normalized."""
 
 
-class ParityError(ValueError):
-    """Odd number of arguments where an even-order moment is required."""
-
-
 class OrderError(ValueError):
     """Multilinear-form order is unsupported or inconsistent."""
 

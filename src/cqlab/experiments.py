@@ -210,6 +210,14 @@ def _random_symmetric(rng: np.random.Generator, dim: int, scale: float = 1.0) ->
     return symmetric_from_entries(scale * rng.standard_normal((dim, dim)))
 
 
+def _random_polynomial(rng: np.random.Generator, dim: int, quartic_scale: float) -> EvenPolynomial:
+    """(Q psi, psi) + quartic_scale (R psi, psi)^2, Q then R from `_random_symmetric`."""
+    return EvenPolynomial({
+        2: SymmetricForm.from_matrix(_random_symmetric(rng, dim)),
+        4: SymmetricForm.from_quadratic_power(_random_symmetric(rng, dim), 2, quartic_scale),
+    })
+
+
 def _random_state(rng: np.random.Generator, dim: int, alpha: float) -> GaussianState:
     """Gaussian state with covariance m m^T scaled to dispersion alpha, m standard normal."""
     m = rng.standard_normal((dim, dim))
@@ -276,9 +284,13 @@ def build_state(spec: dict, dim: int, alpha: float) -> GaussianState:
         return GaussianState(np.diag(alpha * w / total))
     if shape == "rank1":
         psi = _state_psi(spec, dim)
-        nrm2 = float(psi @ psi)
-        if nrm2 <= 0.0:
-            raise ConfigError("rank1 state needs a nonzero psi")
+        if not (np.all(np.isfinite(psi)) and np.any(psi)):
+            raise ConfigError("rank1 state needs a finite nonzero psi")
+        with np.errstate(over="ignore"):
+            nrm2 = float(psi @ psi)
+        if not sys.float_info.min <= nrm2 < math.inf:  # overflowed, underflowed or subnormal
+            psi = psi / np.abs(psi).max()
+            nrm2 = float(psi @ psi)
         return pure_state_measure(psi / math.sqrt(nrm2), alpha)
     return _random_state(substream(spec.get("seed", 0), STATE_TAG), dim, alpha)  # "random"
 
@@ -389,10 +401,8 @@ def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float
     degree <= max_order."""
     total = 0.0
     for two_k in range(2, max_order + 1, 2):
-        form = f.taylor_form(two_k)
-        if form.is_zero:
-            continue
-        total += gaussian_integral_multilinear(form, rho.covariance) / math.factorial(two_k)
+        total += (gaussian_integral_multilinear(f.taylor_form(two_k), rho.covariance)
+                  / math.factorial(two_k))
     return total
 
 
@@ -568,12 +578,11 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     chunk order.
     """
     v = as_vector(psi)
-    am = symmetric_from_entries(a)
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"the quantum comparison needs a unit vector, got norm {nrm!r}")
     rho = pure_state_measure(v, alpha)
-    f = Quadratic(am)
+    f = Quadratic(a)
     direction = rho.sampling_matrix()[:, 0]
     off_axis = direction == 0.0
 
@@ -586,7 +595,7 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     batch = draw_chunked(seed, n_samples, fill)
     amplified, span, zeros = batch.samples.T
     amp_mean, amp_stderr = mean_stderr(amplified)
-    expected = float(v @ am @ v)
+    expected = float(v @ f.operator @ v)
     off_axis_entries = n_samples * int(np.count_nonzero(off_axis))
 
     b = rho.covariance
@@ -623,7 +632,7 @@ def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
     normalizes them, and the mean energy obeys |<H>| <= ||H|| sigma^2."""
     if not 0.0 < shrink <= 1.0:
         raise ValueError(f"shrink must be in (0, 1], got {shrink}")
-    h = symmetric_from_entries(hamiltonian)
+    f = Quadratic(hamiltonian)
     sigma2 = shrink * alpha
     rho = GaussianState(np.eye(dim) * (sigma2 / dim))
 
@@ -634,8 +643,8 @@ def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
         error = str(exc)
 
     extended = t_state_extended(rho)
-    mean, stderr = mc_average(Quadratic(h), rho, n_samples, seed)
-    norm = operator_norm(h)
+    mean, stderr = mc_average(f, rho, n_samples, seed)
+    norm = operator_norm(f.operator)
     boundary = abs(sigma2 - alpha) <= EXACT_CLASS_RTOL * alpha
     return _report([
         # 1 if the exact map accepted the state, against 1 if it should have
@@ -652,10 +661,9 @@ def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
 def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: int) -> dict:
     """Quadratic averages see only the covariance; a quartic form exposes the
     non-Gaussian fourth moments against the Gaussian pairing prediction."""
-    am = symmetric_from_entries(a)
-    quad = Quadratic(am)
+    quad = Quadratic(a)
     mean, stderr = mc_average(quad, state, n_samples, seed)
-    expected = trace_product(state.covariance, am)
+    expected = trace_product(state.covariance, quad.operator)
 
     quartic = SymmetricForm.from_quadratic_power(np.eye(state.dim), 2, 1.0)
     q_mean, q_stderr = mc_average(EvenPolynomial({4: quartic}), state, n_samples,
@@ -704,9 +712,7 @@ def finite_qm_demo(cfg: ExperimentConfig) -> dict:
     expected = quantum_average(d, t_variable(f))
 
     # higher-order model: exact polynomial equality through order 4
-    q2 = SymmetricForm.from_matrix(_random_symmetric(rng, n))
-    q4 = SymmetricForm.from_quadratic_power(_random_symmetric(rng, n), 2, 0.5)
-    poly = EvenPolynomial({2: q2, 4: q4})
+    poly = _random_polynomial(rng, n, 0.5)
     classical = analytic_average(poly, rho, 4)
     generalized = alpha * generalized_average(d, t2n_variable(poly, 2, alpha))
 
@@ -793,11 +799,7 @@ def higher_order_check(cfg: ExperimentConfig) -> dict:
     if cfg.functional_spec.get("family") == "even-polynomial":
         f = build_functional(cfg.functional_spec, cfg.dim)
     else:
-        rng = substream(cfg.seed, HIGHER_ORDER_TAG)
-        f = EvenPolynomial({
-            2: SymmetricForm.from_matrix(_random_symmetric(rng, cfg.dim)),
-            4: SymmetricForm.from_quadratic_power(_random_symmetric(rng, cfg.dim), 2, 1.0),
-        })
+        f = _random_polynomial(substream(cfg.seed, HIGHER_ORDER_TAG), cfg.dim, 1.0)
     rho = build_state(cfg.state_spec, cfg.dim, alpha)
     d = t_state(rho, alpha)
     observable = t2n_variable(f, cfg.order, alpha)

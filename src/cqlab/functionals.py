@@ -400,7 +400,10 @@ def quadratic_form_characteristic(rho, a) -> complex:
     """E exp(i (A psi, psi)) = prod_j (1 - 2 i mu_j)^(-1/2) under the Gaussian
     state rho, with mu_j the eigenvalues of F^T A F, F F^T = B."""
     fmat = rho.sampling_matrix()
-    mu = np.linalg.eigvalsh(fmat.T @ a @ fmat)
+    m = fmat.T @ a @ fmat
+    if not np.all(np.isfinite(m)):  # eigvalsh may not converge; NaN fails the caller's gate
+        return complex(math.nan, math.nan)
+    mu = np.linalg.eigvalsh(m)
     return complex(np.prod((1.0 - 2.0j * mu) ** -0.5))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidCovarianceError
-from .hilbert import SpectralDecomposition, as_vector, outer_product, require_symmetric, spectral_decompose
+from .hilbert import as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
 
@@ -220,17 +220,16 @@ class GaussianState:
             raise InvalidCovarianceError(
                 f"covariance is indefinite: min eigenvalue {min_eig:.3e} below clip {-clip:.3e}")
         # spectral factor of B with round-off eigenvalues clipped to zero
-        self.factor = SpectralDecomposition(np.where(dec.eigenvalues < clip, 0.0, dec.eigenvalues),
-                                            dec.eigenvectors)
-        rank = int(np.count_nonzero(self.factor.eigenvalues > 0.0))
-        self._active = self.sampling_matrix()[:, :rank].T  # rank x dim
+        eigenvalues = np.where(dec.eigenvalues < clip, 0.0, dec.eigenvalues)
+        self._sampling_matrix = dec.eigenvectors * np.sqrt(eigenvalues)
+        self._active = self._sampling_matrix[:, :np.count_nonzero(eigenvalues)].T  # rank x dim
 
     def dispersion(self) -> float:
         return float(np.trace(self.covariance))
 
     def sampling_matrix(self) -> np.ndarray:
         """F with F F^T = B (columns of zero eigenvalue are exactly zero)."""
-        return self.factor.eigenvectors * np.sqrt(self.factor.eigenvalues)
+        return self._sampling_matrix
 
     def fill(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m rows drawn from N(0, B) using only `rng`."""

@@ -8,19 +8,13 @@ generalized trace) live in `functionals`, beside `SymmetricForm`.
 
 from __future__ import annotations
 
-from .errors import ParityError
 from .functionals import SymmetricForm, moment_form, trace_forms
 from .gaussian import GaussianState, draw_chunked, mean_stderr
-from .hilbert import as_vector
 
 
 def moment_form_eval(d, args) -> float:
     """Gaussian moment E[(z_1, psi) ... (z_2k, psi)] for covariance D."""
-    vs = [as_vector(a) for a in args]
-    if len(vs) % 2 != 0:
-        raise ParityError(
-            f"odd moments vanish identically; got {len(vs)} arguments (misuse)")
-    return moment_form(d, len(vs))(*vs)
+    return moment_form(d, len(args))(*args)
 
 
 def gaussian_integral_multilinear(ak: SymmetricForm, d) -> float:
@@ -29,7 +23,7 @@ def gaussian_integral_multilinear(ak: SymmetricForm, d) -> float:
     Odd orders integrate to zero exactly; even orders contract the moment
     form of D with A_k.
     """
-    if ak.order % 2 != 0 or ak.is_zero:
+    if ak.order % 2 != 0:
         return 0.0
     return trace_forms(moment_form(d, ak.order), ak)
 

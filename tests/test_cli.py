@@ -22,6 +22,7 @@ from cqlab.cli import emit_plot_data, load_config, main, run
 from cqlab.errors import ConfigError
 from cqlab.experiments import Check, ExperimentConfig, SweepRow
 from cqlab.gaussian import DEFAULT_CHUNK_SIZE
+from golden.regenerate import CONFIG_DIR, GOLDEN_PATH, SUBCOMMANDS, key, mismatches, record
 
 
 MINIMAL = {
@@ -51,9 +52,7 @@ COS_DIM64 = {
     "seed": 17,
 }
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-SUBCOMMANDS = ("sweep", "pure-state", "higher-order", "nongaussian", "finite-qm",
-               "moments-check", "chebyshev")
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def _check(result: dict, name: str) -> dict:
@@ -370,6 +369,8 @@ def test_non_object_quartic_is_a_one_line_error(tmp_path, capsys):
     ("chebyshev", dict(MINIMAL, dim=3, alpha_grid=COS_SWEEP["alpha_grid"],
                        state={"shape": "diagonal", "weights": [1e308, 1e308, 0.0]}),
      "finite nonnegative weights"),
+    ("sweep", dict(COS_SWEEP, state={"shape": "rank1", "psi": [float("nan")]}),
+     "finite nonzero psi"),
 ])
 def test_bad_numbers_are_one_line_errors(tmp_path, capsys, subcommand, cfg, fragment):
     rc = main([subcommand, "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
@@ -652,7 +653,8 @@ def test_every_subcommand_runs_every_shipped_config(tmp_path, capsys, monkeypatc
                                                     subcommand):
     # a shipped config either passes under a subcommand or does not apply to
     # it; a failed gate (exit 2) here is a defect of the program.  Every
-    # stream an experiment opens itself has a reserved tag.
+    # stream an experiment opens itself has a reserved tag, and the run
+    # leaves the exit code, error line and table values of tests/golden.
     tags = []
 
     def spy(seed, tag):
@@ -668,6 +670,11 @@ def test_every_subcommand_runs_every_shipped_config(tmp_path, capsys, monkeypatc
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert set(tags) <= set(_RESERVED_TAGS), tags
     assert len(set(_RESERVED_TAGS)) == len(_RESERVED_TAGS) and min(_RESERVED_TAGS) >= 2 ** 64 - 5
+    assert not mismatches(GOLDEN[key(subcommand, path)], record(rc, err, tmp_path / "o"))
+
+
+def test_golden_file_covers_exactly_the_shipped_runs():
+    assert set(GOLDEN) == {key(s, p) for s in SUBCOMMANDS for p in CONFIG_DIR.glob("*.json")}
 
 
 def test_null_means_absent_where_allowed(tmp_path):
@@ -682,9 +689,10 @@ def test_null_means_absent_where_allowed(tmp_path):
             load_config(_write(tmp_path, _with(POLY, path, None)))
 
 
-def test_nan_sweep_without_band_fails(tmp_path):
-    cfg = dict(COS_SWEEP, functional={"family": "cos-quad-minus-one",
-                                      "operator": {"random": {"seed": 2, "scale": float("nan")}}})
+@pytest.mark.parametrize("dim", [1, 3])
+def test_nan_sweep_without_band_fails(tmp_path, dim):
+    cfg = dict(COS_SWEEP, dim=dim, functional={
+        "family": "cos-quad-minus-one", "operator": {"random": {"seed": 2, "scale": float("nan")}}})
     del cfg["slope_band"]
     rc = main(["sweep", "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
     assert rc == 2

@@ -17,7 +17,12 @@ from cqlab.correspondence import (
     t_state_extended,
     t_variable,
 )
-from cqlab.errors import ClassMembershipError, DegenerateStateError, OrderError
+from cqlab.errors import (
+    ClassMembershipError,
+    DegenerateStateError,
+    DimensionMismatchError,
+    OrderError,
+)
 from cqlab.experiments import ExperimentConfig, alpha_sweep, analytic_average
 from cqlab.functionals import (
     CosQuadMinusOne,
@@ -177,6 +182,12 @@ def test_quantum_average_maximally_mixed_diagonal():
     d = DensityOperator(np.eye(4) / 4.0)
     a = np.diag([1.0, 2.0, 3.0, 4.0])
     assert quantum_average(d, a) == pytest.approx(2.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [np.eye(3), np.ones(4), np.ones((4, 4, 1))])
+def test_quantum_average_rejects_wrong_shape(a):
+    with pytest.raises(DimensionMismatchError):
+        quantum_average(DensityOperator(np.eye(4) / 4.0), a)
 
 
 def test_t2n_order_one_reduces_to_t_variable():

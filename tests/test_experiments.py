@@ -694,6 +694,10 @@ def test_build_state_shapes_have_requested_dispersion():
     for spec in ({"shape": "isotropic"},
                  {"shape": "diagonal", "weights": [1.0, 2.0, 3.0]},
                  {"shape": "rank1", "psi": [1.0, 2.0, 2.0]},
+                 # psi @ psi overflows, underflows to 0, or is subnormal
+                 {"shape": "rank1", "psi": [1e200, 1e200, 0.0]},
+                 {"shape": "rank1", "psi": [1e-200, 1e-200, 0.0]},
+                 {"shape": "rank1", "psi": [1e-160, 1e-160, 0.0]},
                  {"shape": "random", "seed": 8}):
         rho = build_state(spec, 3, 0.07)
         assert rho.dispersion() == pytest.approx(0.07, rel=1e-9)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqlab.errors import DimensionMismatchError, OrderError, ParityError, SizeError
+from cqlab.errors import DimensionMismatchError, OrderError, SizeError
 from cqlab.functionals import SymmetricForm, double_factorial, perfect_matchings
 from cqlab.gaussian import GaussianState
 from cqlab.hilbert import symmetric_from_entries, trace_product
@@ -70,7 +70,7 @@ def test_moment_eval_order_two_is_covariance_form():
 
 
 def test_moment_eval_rejects_odd_count():
-    with pytest.raises(ParityError):
+    with pytest.raises(OrderError):
         moment_form_eval(np.eye(2), [np.eye(2)[0]] * 3)
 
 
