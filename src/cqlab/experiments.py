@@ -9,8 +9,9 @@ families), because MC noise at small dispersion swamps the quadratic-order
 remainders at feasible sample counts; the sweep reports each row's MC mean
 beside it.  A sweep draws its MC rows once for the whole grid: every state
 shape has covariance alpha * B_1, so the draws of one alpha, rescaled, are
-draws of the others, and each chunk's quadratic form (or polynomial terms)
-is computed once and scaled per grid point.
+draws of the others, each chunk's quadratic form (or polynomial terms) is
+computed once and scaled per grid point, and each grid point's state is the
+first one scaled rather than factored again.
 """
 
 from __future__ import annotations
@@ -322,6 +323,11 @@ class SecondMomentState:
     def dispersion(self) -> float:
         return float(np.trace(self.covariance))
 
+    def whitened(self, f: Functional) -> tuple:
+        """(f, `fill`): a non-Gaussian state has no factor to pull f back
+        through, so `mc_average` evaluates f on its own draws."""
+        return f, self.fill
+
     @classmethod
     def product_laplace(cls, variances) -> "SecondMomentState":
         v = np.asarray(variances, dtype=np.float64)
@@ -367,14 +373,19 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     Each chunk of draws is evaluated as soon as it is drawn and only its
     values are kept, so memory is O(n_samples + workers * chunk * dim), not
     O(n_samples * dim), with workers the `gaussian.sampling_workers` count.
-    Every Monte-Carlo statistic of the package streams this way.  The values
-    equal those of `f.eval_batch` on the rows of
-    `draw_chunked(seed, n_samples, state.fill)` row for row, and the mean is
-    a pairwise reduction over them, so it does not depend on how many
-    workers filled them.
+    Every Monte-Carlo statistic of the package streams this way.  With
+    (g, draw) = `state.whitened(f)`, the values equal those of `g.eval_batch`
+    on the rows of `draw_chunked(seed, n_samples, draw)` row for row, and the
+    mean is a pairwise reduction over them, so it does not depend on how
+    many workers filled them.  For a Gaussian state g is f pulled back by
+    the active factor F_a and draw hands over the white normals z behind
+    `state.fill`: f(F_a z) is read as (f o F_a)(z), one GEMM per chunk
+    rather than two, and no row F_a z is formed.  The draws are the state's
+    own, not those of an eigenbasis of f, so the mean stays an independent
+    check of the closed form.
 
     With dispersion `ratios` = (r_1, ..., r_k) the same draws serve k
-    averages: each chunk is evaluated once by `f.eval_batch(x, ratios)`,
+    averages: each chunk is evaluated once by `g.eval_batch(z, ratios)`,
     whose column i holds f(sqrt(r_i) x), and the call returns a list of k
     (mean, stderr) pairs and keeps k * n_samples values.  A ratio of exactly
     1.0 gives the pair returned without `ratios`.  A draw x of N(0, B) scaled
@@ -385,8 +396,10 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
 
+    g, draw = state.whitened(f)
+
     def fill(rng: np.random.Generator, m: int) -> np.ndarray:
-        return f.eval_batch(state.fill(rng, m), ratios)
+        return g.eval_batch(draw(rng, m), ratios)
 
     values = draw_chunked(seed, n_samples, fill).samples
     if ratios is None:
@@ -519,13 +532,15 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
     is not finite whenever its MC mean is not), and the fitted slope against
     `cfg.slope_band` = [lo, hi] when one is given.
 
-    Every state shape has covariance alpha * B_1, so one stream of draws
-    serves the whole grid: `mc_average` draws from the first (largest)
-    alpha's state with seed `derive_seed(cfg.seed, 0)` and evaluates each
-    chunk once at the ratios alpha_i / alpha_0 (the first exactly 1.0), so
-    every row reads the same quadratic form, or the same polynomial terms,
-    scaled.  Each row's MC mean is unbiased with its own stderr, but the
-    rows' MC errors are correlated; the fit reads only the closed forms.
+    Every state shape has covariance alpha * B_1, so one state is built
+    and eigendecomposed, at the first (largest) alpha, and each row's state
+    is it scaled by the ratio alpha_i / alpha_0 (the first exactly 1.0).
+    One stream of draws serves the whole grid: `mc_average` draws from the
+    first state with seed `derive_seed(cfg.seed, 0)` and evaluates each
+    chunk once at those ratios, so every row reads the same quadratic form,
+    or the same polynomial terms, scaled.  Each row's MC mean is unbiased
+    with its own stderr, but the rows' MC errors are correlated; the fit
+    reads only the closed forms.
     """
     grid = cfg.alpha_grid
     if len(grid) < 3:
@@ -534,11 +549,12 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
         raise ConfigError("a sweep grid must span at least two decades")
     f = build_functional(cfg.functional_spec, cfg.dim)
     a_quant = t_variable(f)
-    states = [build_state(cfg.state_spec, cfg.dim, alpha) for alpha in grid]
-    averages = mc_average(f, states[0], cfg.mc_samples, derive_seed(cfg.seed, 0),
-                          [alpha / grid[0] for alpha in grid])
+    first = build_state(cfg.state_spec, cfg.dim, grid[0])
+    ratios = [alpha / grid[0] for alpha in grid]
+    averages = mc_average(f, first, cfg.mc_samples, derive_seed(cfg.seed, 0), ratios)
     rows = []
-    for alpha, rho, (mc, stderr) in zip(grid, states, averages):
+    for alpha, ratio, (mc, stderr) in zip(grid, ratios, averages):
+        rho = first.scaled(ratio)
         d = t_state(rho, alpha)
         quantum_term = alpha * quantum_average(d, a_quant)
         classical = closed_form_average(f, rho)

@@ -160,6 +160,22 @@ class SymmetricForm:
                                  npairs=self.npairs, coeff=self.coeff * c)
         return SymmetricForm("dense", self.order, self.dim, tensor=self.tensor * c)
 
+    def pullback(self, fmat: np.ndarray) -> "SymmetricForm":
+        """The form (z_1, ..., z_k) -> form(F z_1, ..., F z_k) on R^r, for a
+        dim x r matrix F: a pairing form's matrix becomes F^T M F, and a
+        dense tensor is contracted with F on each axis."""
+        rank = fmat.shape[1]
+        if self.kind == "zero" or rank == 0:  # every form on R^0 is zero
+            return SymmetricForm.zero(self.order, rank)
+        if self.kind == "pairing":
+            return SymmetricForm("pairing", self.order, rank,
+                                 matrix=symmetric_from_entries(fmat.T @ self.matrix @ fmat),
+                                 npairs=self.npairs, coeff=self.coeff)
+        t = self.tensor
+        for _ in range(self.order):  # contract the leading axis, append the new one last
+            t = np.tensordot(t, fmat, axes=([0], [0]))
+        return SymmetricForm.from_dense(t)
+
     def __call__(self, *args) -> float:
         vs = [as_vector(a, self.dim) for a in args]
         if len(vs) != self.order:
@@ -348,6 +364,12 @@ class Functional:
         """Exact average of f under the Gaussian state rho."""
         raise NotImplementedError
 
+    def pullback(self, fmat: np.ndarray) -> "Functional":
+        """f o F on R^r, for a dim x r matrix F: the variable z -> f(F z), of
+        the same family.  Its `eval_batch` on rows z equals this one's on
+        the rows z F^T up to rounding, with ratios as without."""
+        raise NotImplementedError
+
     def __call__(self, psi) -> float:
         return self.eval(psi)
 
@@ -361,7 +383,9 @@ class Functional:
 class QuadFormFunctional(Functional):
     """f(psi) = g((A psi, psi)) for an entire g with g(0) = 0.
 
-    A subclass describes g by two class attributes and one method:
+    A subclass is built from its operator alone (`pullback` builds the
+    pulled-back variable so) and describes g by two class attributes and one
+    method:
 
     - ``g(q)``: g applied elementwise to a float or an array;
     - ``g_derivative(m)``: the integer g^(m)(0) for m >= 1, so the Maclaurin
@@ -382,6 +406,9 @@ class QuadFormFunctional(Functional):
     def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
         q = quadratic_form_rows(x, self.operator)
         return self.g(q if ratios is None else np.multiply.outer(q, ratios))
+
+    def pullback(self, fmat: np.ndarray) -> "QuadFormFunctional":
+        return type(self)(fmat.T @ self.operator @ fmat)  # the constructor symmetrizes
 
     def taylor_form(self, k: int) -> SymmetricForm:
         self._check_order(k)
@@ -468,6 +495,9 @@ class EvenPolynomial(Functional):
             out += np.multiply.outer(q.eval_diag_batch(x), r ** (order // 2))
         return out
 
+    def pullback(self, fmat: np.ndarray) -> "EvenPolynomial":
+        return EvenPolynomial({order: q.pullback(fmat) for order, q in self.terms.items()})
+
     def taylor_form(self, k: int) -> SymmetricForm:
         self._check_order(k)
         if k in self.terms:
@@ -495,6 +525,9 @@ class ScaledFunctional(Functional):
 
     def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
         return self.factor * self.base.eval_batch(x, ratios)
+
+    def pullback(self, fmat: np.ndarray) -> "ScaledFunctional":
+        return ScaledFunctional(self.base.pullback(fmat), self.factor)
 
     def taylor_form(self, k: int) -> SymmetricForm:
         return self.base.taylor_form(k).scaled(self.factor)

@@ -89,10 +89,11 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
     `fill(rng, m)` must return m values, shape (m,), or m rows, shape
     (m, k), using only `rng`; or a pair (rows, partial), where partial is an
     array computed from the chunk's draws, such as a sum over them.  Chunk c
-    always uses the Philox stream keyed by (seed, c) and writes its own slice
-    of one output array sized from chunk 0, and the partials are added in
-    chunk order, so the result is independent of `sampling_workers` and of
-    scheduling order, and no chunk outlives its copy into the output.
+    always uses the Philox stream keyed by (seed, c).  Chunks are taken in
+    chunk order: the first one sizes the output array, each writes its own
+    slice of it, and the partials are added in that order, so the result is
+    independent of `sampling_workers` and of scheduling order, and no chunk
+    outlives its copy into the output.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -103,31 +104,27 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
         made = fill(substream(seed, c), m)
         return made if isinstance(made, tuple) else (made, None)
 
-    first, total = make(0)
-    out = np.empty((count,) + first.shape[1:], dtype=first.dtype)
-    out[:first.shape[0]] = first
-
-    def put(c: int):
-        rows, partial = make(c)
+    out = total = None
+    chunks = _in_chunk_order(make, n_chunks, min(_WORKERS.get(), n_chunks))
+    for c, (rows, partial) in enumerate(chunks):
+        if out is None:
+            out = np.empty((count,) + rows.shape[1:], dtype=rows.dtype)
         out[c * chunk_size:(c + 1) * chunk_size] = rows
-        return partial
-
-    for partial in _in_chunk_order(put, n_chunks, min(_WORKERS.get(), n_chunks - 1)):
         if partial is not None:
-            total = total + partial
+            total = partial if total is None else total + partial
     return SampleBatch(samples=out, chunk_count=n_chunks, chunk_sum=total)
 
 
-def _in_chunk_order(put, n_chunks: int, workers: int):
-    """put(1), ..., put(n_chunks - 1) in chunk order; a pool keeps at most
+def _in_chunk_order(make, n_chunks: int, workers: int):
+    """make(0), ..., make(n_chunks - 1) in chunk order; a pool keeps at most
     2 * workers chunks in flight rather than one future per chunk."""
     if workers <= 1:
-        yield from map(put, range(1, n_chunks))
+        yield from map(make, range(n_chunks))
         return
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         window = collections.deque()
-        for c in range(1, n_chunks):
-            window.append(pool.submit(put, c))
+        for c in range(n_chunks):
+            window.append(pool.submit(make, c))
             if len(window) == 2 * workers:
                 yield window.popleft().result()
         while window:
@@ -221,8 +218,31 @@ class GaussianState:
                 f"covariance is indefinite: min eigenvalue {min_eig:.3e} below clip {-clip:.3e}")
         # spectral factor of B with round-off eigenvalues clipped to zero
         eigenvalues = np.where(dec.eigenvalues < clip, 0.0, dec.eigenvalues)
-        self._sampling_matrix = dec.eigenvectors * np.sqrt(eigenvalues)
-        self._active = self._sampling_matrix[:, :np.count_nonzero(eigenvalues)].T  # rank x dim
+        self._set_factor(dec.eigenvectors * np.sqrt(eigenvalues), np.count_nonzero(eigenvalues))
+
+    def _set_factor(self, fmat: np.ndarray, rank: int) -> None:
+        self._sampling_matrix = fmat
+        # F_a: the columns of F with a nonzero eigenvalue, dim x rank
+        self.active_factor = fmat[:, :rank]
+
+    def scaled(self, r: float) -> "GaussianState":
+        """The state of covariance r B, for a finite r > 0, with factor sqrt(r) F.
+
+        Scaling by r > 0 keeps B's symmetry, its positive spectrum and its
+        clip relative to Tr B, so the new state is neither checked nor
+        eigendecomposed again.
+        """
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"a state is scaled by a finite positive number, got {r!r}")
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            covariance = r * self.covariance
+        if not np.all(np.isfinite(covariance)):
+            raise InvalidCovarianceError("scaled covariance has non-finite entries")
+        out = object.__new__(GaussianState)
+        out.covariance = covariance
+        out.dim = self.dim
+        out._set_factor(math.sqrt(r) * self._sampling_matrix, self.active_factor.shape[1])
+        return out
 
     def dispersion(self) -> float:
         return float(np.trace(self.covariance))
@@ -231,12 +251,21 @@ class GaussianState:
         """F with F F^T = B (columns of zero eigenvalue are exactly zero)."""
         return self._sampling_matrix
 
+    def white(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """The m x rank standard normals z behind `fill(rng, m)`, which is
+        z F_a^T.  Each sample draws dim normals, so the stream layout does not
+        depend on the covariance rank; the first rank of them are used."""
+        return rng.standard_normal((m, self.dim))[:, :self.active_factor.shape[1]]
+
     def fill(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m rows drawn from N(0, B) using only `rng`."""
-        # draw dim normals per sample so the stream layout does not depend
-        # on the covariance rank, then apply the active factor
-        z = rng.standard_normal((m, self.dim))
-        return z[:, :self._active.shape[0]] @ self._active
+        return self.white(rng, m) @ self.active_factor.T
+
+    def whitened(self, f) -> tuple:
+        """(f o F_a, `white`): the variable and the draws whose values are
+        f at the rows of `fill`, up to rounding, with no row x = z F_a^T
+        formed: (F_a z)^T A (F_a z) = z^T (F_a^T A F_a) z."""
+        return f.pullback(self.active_factor), self.white
 
     def sample(self, seed: int, count: int) -> SampleBatch:
         """`count` rows drawn from N(0, B), all held at once.  The package's

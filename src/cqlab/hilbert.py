@@ -81,9 +81,13 @@ def spectral_decompose(a) -> SpectralDecomposition:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max(initial=0.0))[0]
-        if nz.size and col[nz[0]] < 0.0:
-            vecs[:, j] = -col
+    mags = np.abs(vecs)
+    nz = mags > 1e-12 * mags.max(axis=0, initial=0.0)
+    if nz.size:  # argmax has no answer on the 0 x 0 matrix
+        # per column, the first coordinate above the round-off threshold;
+        # argmax finds index 0 in a column with none, which nz then rejects
+        cols = np.arange(nz.shape[1])
+        first = nz.argmax(axis=0)
+        flip = nz[first, cols] & (vecs[first, cols] < 0.0)
+        vecs[:, flip] = -vecs[:, flip]
     return SpectralDecomposition(vals, vecs)

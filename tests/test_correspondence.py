@@ -308,10 +308,11 @@ def test_t_state_reuses_the_checked_spectrum(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "configs" / "cos_sweep.json"
     cfg = ExperimentConfig.from_json(json.loads(path.read_text(encoding="utf-8")))
     alpha_sweep(cfg)
-    # per grid point: one eigh as the state is built and one eigvalsh in the
-    # cos closed form; t_state eigendecomposes nothing
+    # one eigh as the first state is built, which the other grid points
+    # scale; per grid point one eigvalsh in the cos closed form; t_state
+    # eigendecomposes nothing
     assert len(cfg.alpha_grid) == 5
-    assert calls == {"eigvalsh": 5, "eigh": 5}
+    assert calls == {"eigvalsh": 5, "eigh": 1}
 
 
 def test_map_outputs_pass_density_invariants():

@@ -44,6 +44,7 @@ from cqlab.functionals import (
     EvenPolynomial,
     Functional,
     Quadratic,
+    ScaledFunctional,
     SinQuad,
     SymmetricForm,
     amplify,
@@ -102,6 +103,72 @@ def test_mc_average_sin_matches_characteristic_function():
     assert abs(mean - SIN_ORACLE_A1_ALPHA01) <= 4.0 * stderr
 
 
+# every family build_functional makes, and the state shapes whose active
+# factor is full rank (random, isotropic) or not (rank1, zero weights)
+_PULLBACK_FUNCTIONALS = {
+    "quadratic": {"family": "quadratic", "operator": {"random": {"seed": 2}}},
+    "sin-quad": {"family": "sin-quad", "operator": {"random": {"seed": 2}}},
+    "cos-quad-minus-one": {"family": "cos-quad-minus-one", "operator": {"random": {"seed": 2}}},
+    "even-polynomial": {"family": "even-polynomial", "quadratic": {"random": {"seed": 3}},
+                        "quartic": {"operator": {"random": {"seed": 2}}, "coeff": 0.5}},
+}
+_PULLBACK_STATES = {
+    "random": {"shape": "random", "seed": 5},
+    "isotropic": {"shape": "isotropic"},
+    "rank1": {"shape": "rank1", "psi": list(np.linspace(-1.0, 2.0, 16))},
+    "zero-weight-diagonal": {"shape": "diagonal", "weights": [float(k % 3) for k in range(16)]},
+}
+
+
+def _quadratic_terms(f: Functional) -> list[tuple[float, int, np.ndarray]]:
+    """(c, j, A) per term of f = sum c g((A psi, psi)), with g sin, cos - 1 or
+    the identity (j = 1, each 1-Lipschitz) or q^j (an even polynomial)."""
+    if isinstance(f, ScaledFunctional):
+        return [(abs(f.factor) * c, j, a) for c, j, a in _quadratic_terms(f.base)]
+    if isinstance(f, EvenPolynomial):
+        return [(1.0, 1, q.tensor) if q.kind == "dense"
+                else (abs(q.coeff) * double_factorial(2 * q.npairs - 1), q.npairs, q.matrix)
+                for q in f.terms.values()]
+    return [(1.0, 1, f.operator)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 20.0])
+@pytest.mark.parametrize("state", list(_PULLBACK_STATES))
+@pytest.mark.parametrize("family", list(_PULLBACK_FUNCTIONALS))
+def test_pullback_reads_the_white_draws_as_the_rows(family, state, alpha):
+    # f o F_a on z equals f on z F_a^T up to rounding.  The bound is absolute,
+    # because q can cancel: each q = (A F z, F z) moves by at most
+    # dim * eps * w, w = |z|^2 ||F_a||^2 ||A|| (both sides contract dim terms),
+    # so a term c q^j at ratio r moves by dim * eps * c j (r w)^j; plus eps * c
+    # for g's own rounding, since cos q - 1 is read off cos q near 1.
+    dim, ratios = 16, [1.0, 0.3, 1e-3]
+    rho = build_state(_PULLBACK_STATES[state], dim, alpha)
+    fmat = rho.active_factor
+    eps = np.finfo(np.float64).eps
+    z = substream(7, 0).standard_normal((2000, fmat.shape[1]))
+    w = np.einsum("pi,pi->p", z, z) * np.linalg.norm(fmat, 2) ** 2
+    base = build_functional(_PULLBACK_FUNCTIONALS[family], dim)
+    for f in (base, amplify(base, 1e-3)):
+        pulled = f.pullback(fmat)
+        assert type(pulled) is type(f) and pulled.dim == fmat.shape[1]
+        for r in (None, ratios):
+            scale = np.multiply.outer(w, 1.0 if r is None else r)
+            tol = eps * sum(c * (dim * j * (scale * np.linalg.norm(a, 2)) ** j + 1.0)
+                            for c, j, a in _quadratic_terms(f))
+            got, want = pulled.eval_batch(z, r), f.eval_batch(z @ fmat.T, r)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= tol), (f, r)
+
+
+def test_mc_average_of_a_zero_state_is_zero():
+    # rank 0: no white draw is read, and every pulled-back form lives on R^0
+    rho = GaussianState(np.zeros((3, 3)))
+    for spec in _PULLBACK_FUNCTIONALS.values():
+        f = build_functional(spec, 3)
+        assert mc_average(f, rho, 5000, seed=1) == (0.0, 0.0)
+        assert mc_average(f, rho, 5000, seed=1, ratios=[1.0, 0.5]) == [(0.0, 0.0)] * 2
+
+
 def test_mc_average_independent_of_workers():
     rho = GaussianState(np.eye(3) * 0.2)
     f = Quadratic(np.eye(3))
@@ -124,11 +191,14 @@ def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
     state = _STREAM_STATES[state_name]()
     a = symmetric_from_entries(substream(4, 0).standard_normal((16, 16)))
     count = 3 * 4096 + 17
-    with sampling_workers(workers):
-        batch = draw_chunked(21, count, state.fill)
-        for f in (CosQuadMinusOne(a),
-                  EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(16), 2, 1.0)})):
-            assert mc_average(f, state, count, 21) == mean_stderr(f.eval_batch(batch.samples))
+    for f in (CosQuadMinusOne(a),
+              EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(16), 2, 1.0)})):
+        # the reference: the draws the state hands over, held at once, with
+        # one worker, and evaluated by the variable it hands back
+        g, draw = state.whitened(f)
+        expected = mean_stderr(g.eval_batch(draw_chunked(21, count, draw).samples))
+        with sampling_workers(workers):
+            assert mc_average(f, state, count, 21) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 8])
@@ -365,16 +435,18 @@ def test_sweep_rows_share_one_rescaled_draw(family, workers):
                            state_spec={"shape": "random", "seed": 5},
                            mc_samples=3 * 4096 + 17, seed=23)
     f = experiments.build_functional(cfg.functional_spec, cfg.dim)
-    states = [build_state(cfg.state_spec, cfg.dim, alpha) for alpha in cfg.alpha_grid]
-    # the reference: the rows drawn at once, with one worker, and evaluated
+    first = build_state(cfg.state_spec, cfg.dim, cfg.alpha_grid[0])
+    # the reference: the white draws of the first state held at once, with
+    # one worker, and evaluated by f pulled back through its active factor
     # at every grid ratio alpha_i / alpha_0 in one call
-    x = draw_chunked(cfg.seed, cfg.mc_samples, states[0].fill).samples
-    values = f.eval_batch(x, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid])
+    z = draw_chunked(cfg.seed, cfg.mc_samples, first.white).samples
+    values = f.pullback(first.active_factor).eval_batch(
+        z, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid])
     expected = [mean_stderr(np.ascontiguousarray(column)) for column in values.T]
     with sampling_workers(workers):
         rows = alpha_sweep(cfg)["rows"]
         # row 0 is what the sweep computed before the draw was shared
-        assert expected[0] == mc_average(f, states[0], cfg.mc_samples, derive_seed(cfg.seed, 0))
+        assert expected[0] == mc_average(f, first, cfg.mc_samples, derive_seed(cfg.seed, 0))
     assert [(r.classical_mc, r.stderr) for r in rows] == expected
 
 

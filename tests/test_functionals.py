@@ -229,6 +229,28 @@ def test_eval_batch_at_ratios_reads_one_contraction(dim):
                                        rtol=1e-12, atol=0.0, err_msg=f"{f} at r = {r}")
 
 
+@pytest.mark.parametrize("rank", [0, 1, 3, 5])
+def test_form_pullback_contracts_every_argument(rank):
+    # (F^* Q)(z_1, ..., z_k) = Q(F z_1, ..., F z_k) for every kind of form,
+    # on distinct arguments, so an axis contracted out of order shows
+    rng = np.random.default_rng(21)
+    fmat = rng.normal(size=(5, rank))
+    a = symmetric_from_entries(rng.normal(size=(5, 5)))
+    forms = [SymmetricForm.zero(4, 5), SymmetricForm.from_matrix(a),
+             SymmetricForm.from_quadratic_power(a, 2, 0.7),
+             SymmetricForm.from_dense(rng.normal(size=(5, 5, 5))),
+             SymmetricForm.from_dense(rng.normal(size=(5, 5, 5, 5)))]
+    for form in forms:
+        pulled = form.pullback(fmat)
+        assert (pulled.order, pulled.dim) == (form.order, rank)
+        args = [rng.normal(size=rank) for _ in range(form.order)]
+        want = form(*[fmat @ v for v in args])
+        assert pulled(*args) == pytest.approx(want, rel=1e-12, abs=1e-12), form.kind
+        # a dense pullback is exactly symmetric, as every dense form is
+        if pulled.kind == "dense":
+            assert pulled.tensor is symmetrize_tensor(pulled.tensor)
+
+
 def test_order_six_blocked_eval_cross_checks_factored_route():
     # the dense blocked evaluator and the factored power-of-quadratic route
     # compute (0.3 (A psi, psi))^3-type values independently

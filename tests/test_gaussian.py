@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,48 @@ def test_make_gaussian_rank_one_pure_state_class():
     rho = GaussianState(0.1 * outer_product(psi))
     assert rho.dispersion() == pytest.approx(0.1, rel=1e-12)
     assert np.allclose(t_state(rho, 0.1).matrix, outer_product(psi), rtol=0.0, atol=1e-15)
+
+
+_SCALED_STATES = {
+    "random": lambda: GaussianState(np.cov(np.random.default_rng(1).normal(size=(6, 20)))),
+    "rank1": lambda: pure_state_measure(np.array([0.6, 0.0, 0.8]), 0.1),
+    "zero-weight-diagonal": lambda: GaussianState(np.diag([0.05, 0.0, 0.03, 0.0, 0.02])),
+}
+
+
+@pytest.mark.parametrize("r", [1.0, 0.3, 1e-3, 7.5])
+@pytest.mark.parametrize("state", list(_SCALED_STATES))
+def test_scaled_state_is_the_state_of_r_times_b(state, r):
+    rho = _SCALED_STATES[state]()
+    alpha = rho.dispersion()
+    scaled = rho.scaled(r)
+    assert np.array_equal(scaled.covariance, r * rho.covariance)
+    f = scaled.sampling_matrix()
+    assert np.abs(f @ f.T - r * rho.covariance).max() <= 1e-14 * r * alpha
+    assert scaled.active_factor.shape == rho.active_factor.shape
+    assert np.array_equal(t_state(scaled, r * alpha).matrix, scaled.covariance / (r * alpha))
+    if r == 1.0:  # no bit of the state moves
+        assert np.array_equal(f, rho.sampling_matrix())
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_scaled_state_rejects_a_non_positive_or_non_finite_ratio(r):
+    with pytest.raises(ValueError, match="finite positive"):
+        GaussianState(np.eye(2)).scaled(r)
+
+
+def test_scaled_state_rejects_an_overflowing_covariance():
+    with pytest.raises(InvalidCovarianceError):
+        GaussianState(1e10 * np.eye(2)).scaled(1e300)
+
+
+@pytest.mark.parametrize("state", list(_SCALED_STATES))
+def test_fill_is_the_white_draws_through_the_active_factor(state):
+    rho = _SCALED_STATES[state]()
+    z = rho.white(np.random.Generator(np.random.Philox(3)), 50)
+    x = rho.fill(np.random.Generator(np.random.Philox(3)), 50)
+    assert z.shape == (50, rho.active_factor.shape[1])
+    assert np.array_equal(x, z @ rho.active_factor.T)
 
 
 def test_dispersion_isotropic():
@@ -191,6 +234,22 @@ def test_sampling_workers_rejects_fewer_than_one():
     with pytest.raises(ValueError, match="must be >= 1"):
         with sampling_workers(0):
             pass
+
+
+def test_every_chunk_is_filled_by_the_pool():
+    # chunk 0 included: no chunk is drawn on the calling thread before the
+    # pool starts, so a pool of 2 does not add one chunk's time to every call
+    threads = {}
+
+    def fill(rng, m):
+        threads[len(threads)] = threading.current_thread()
+        return rng.standard_normal((m, 2))
+
+    with sampling_workers(2):
+        pooled = draw_chunked(5, 300, fill, chunk_size=100)
+    assert len(threads) == 3
+    assert threading.main_thread() not in threads.values()
+    assert np.array_equal(pooled.samples, draw_chunked(5, 300, _normals, chunk_size=100).samples)
 
 
 def test_draw_chunked_keeps_few_chunks_in_flight():

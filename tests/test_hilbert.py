@@ -96,6 +96,48 @@ def test_spectral_sign_convention_first_nonzero_positive():
         assert col[nz[0]] > 0.0
 
 
+def _sign_canonical_by_loop(a):
+    # the column-by-column reference that spectral_decompose vectorizes
+    m = symmetric_from_entries(a)
+    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max(initial=0.0))[0]
+        if nz.size and col[nz[0]] < 0.0:
+            vecs[:, j] = -col
+    return vals, vecs
+
+
+def _rank_deficient(n, rank, seed):
+    g = np.random.default_rng(seed).normal(size=(n, rank))
+    return g @ g.T
+
+
+_SIGN_CASES = {
+    "random-1": np.random.default_rng(0).normal(size=(1, 1)),
+    "random-6": symmetric_from_entries(np.random.default_rng(1).normal(size=(6, 6))),
+    "random-64": symmetric_from_entries(np.random.default_rng(2).normal(size=(64, 64))),
+    "identity-8": np.eye(8),
+    "block-repeated": np.kron(np.eye(3), np.array([[2.0, 1.0], [1.0, 2.0]])),
+    "repeated-diagonal": np.diag([1.0, 3.0, 1.0, 3.0, 0.5]),
+    "rank2-of-8": _rank_deficient(8, 2, 3),
+    "rank1-of-64": _rank_deficient(64, 1, 4),
+    "zero-5": np.zeros((5, 5)),
+    "zero-0": np.zeros((0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIGN_CASES))
+def test_spectral_sign_canonicalization_equals_the_loop(case):
+    a = _SIGN_CASES[case]
+    dec = spectral_decompose(a)
+    vals, vecs = _sign_canonical_by_loop(a)
+    # compared as raw bits: negation is exact, so no bit may move
+    assert dec.eigenvalues.tobytes() == vals.tobytes()
+    assert dec.eigenvectors.tobytes() == vecs.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 8, 64])
 def test_spectral_reconstruction_residual(n):
     rng = np.random.default_rng(n)
