@@ -122,7 +122,7 @@ def t_state_extended(state) -> DensityOperator:
 
 def t_variable(f: Functional) -> np.ndarray:
     """Map a variable to half its second derivative at the vacuum."""
-    return 0.5 * f.taylor_form(2).matrix_representation()
+    return 0.5 * f.taylor_form(2).dense()
 
 
 def quantum_average(d: DensityOperator, a) -> float:

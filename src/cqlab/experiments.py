@@ -7,11 +7,11 @@ Remainder fitting uses the closed-form classical average, which every
 family has (exact for polynomials; determinant formula for the sin/cos
 families), because MC noise at small dispersion swamps the quadratic-order
 remainders at feasible sample counts; the sweep reports each row's MC mean
-beside it.  A sweep draws its MC rows once for the whole grid: every state
-shape has covariance alpha * B_1, so the draws of one alpha, rescaled, are
-draws of the others, each chunk's quadratic form (or polynomial terms) is
-computed once and scaled per grid point, and each grid point's state is the
-first one scaled rather than factored again.
+beside it.  A sweep builds one state for the whole grid: every state shape
+has covariance alpha * B_1, so a grid point is a dispersion ratio, its draws
+are the first state's rescaled, each chunk's quadratic form (or polynomial
+terms) is computed once and scaled per grid point, and its closed form and
+density operator come from the first state's one factorization.
 """
 
 from __future__ import annotations
@@ -419,9 +419,10 @@ def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float
     return total
 
 
-def closed_form_average(f: Functional, rho: GaussianState) -> float:
-    """Exact classical average of f under rho; every family has one."""
-    return f.closed_form(rho)
+def closed_form_average(f: Functional, rho: GaussianState,
+                        ratios: list[float] | None = None) -> float | list[float]:
+    """Exact classical average of f under rho, or its list at `ratios` (`f.closed_form`)."""
+    return f.closed_form(rho, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +533,12 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
     is not finite whenever its MC mean is not), and the fitted slope against
     `cfg.slope_band` = [lo, hi] when one is given.
 
-    Every state shape has covariance alpha * B_1, so one state is built
-    and eigendecomposed, at the first (largest) alpha, and each row's state
-    is it scaled by the ratio alpha_i / alpha_0 (the first exactly 1.0).
-    One stream of draws serves the whole grid: `mc_average` draws from the
-    first state with seed `derive_seed(cfg.seed, 0)` and evaluates each
-    chunk once at those ratios, so every row reads the same quadratic form,
-    or the same polynomial terms, scaled.  Each row's MC mean is unbiased
+    Every state shape has covariance alpha * B_1, so one state rho (of B)
+    is built at the first alpha, and row i is the state r_i B, r_i =
+    alpha_i / alpha_0 (the first exactly 1.0): its quantum term is
+    alpha_i Tr D A with rho's D = B / alpha_0, and its closed form and MC
+    mean come from one call each at the ratios.  `mc_average` draws once,
+    with seed `derive_seed(cfg.seed, 0)`.  Each row's MC mean is unbiased
     with its own stderr, but the rows' MC errors are correlated; the fit
     reads only the closed forms.
     """
@@ -547,17 +547,17 @@ def alpha_sweep(cfg: ExperimentConfig) -> dict:
         raise ConfigError("a sweep needs at least 3 grid points")
     if grid[0] / grid[-1] < 100.0:
         raise ConfigError("a sweep grid must span at least two decades")
-    f = build_functional(cfg.functional_spec, cfg.dim)
-    a_quant = t_variable(f)
-    first = build_state(cfg.state_spec, cfg.dim, grid[0])
     ratios = [alpha / grid[0] for alpha in grid]
-    averages = mc_average(f, first, cfg.mc_samples, derive_seed(cfg.seed, 0), ratios)
+    if not ratios[-1] > 0.0:
+        raise ConfigError(f"alpha_grid spans too far: {grid[-1]!r} / {grid[0]!r} underflows to 0")
+    f = build_functional(cfg.functional_spec, cfg.dim)
+    rho = build_state(cfg.state_spec, cfg.dim, grid[0])
+    trace_da = quantum_average(t_state(rho, grid[0]), t_variable(f))
+    averages = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, 0), ratios)
+    classicals = closed_form_average(f, rho, ratios)
     rows = []
-    for alpha, ratio, (mc, stderr) in zip(grid, ratios, averages):
-        rho = first.scaled(ratio)
-        d = t_state(rho, alpha)
-        quantum_term = alpha * quantum_average(d, a_quant)
-        classical = closed_form_average(f, rho)
+    for alpha, classical, (mc, stderr) in zip(grid, classicals, averages):
+        quantum_term = alpha * trace_da
         remainder = classical - quantum_term
         floor = 1e-12 * max(abs(classical), abs(quantum_term), 1.0)
         rows.append(SweepRow(
@@ -599,7 +599,8 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
         raise ValueError(f"the quantum comparison needs a unit vector, got norm {nrm!r}")
     rho = pure_state_measure(v, alpha)
     f = Quadratic(a)
-    direction = rho.sampling_matrix()[:, 0]
+    fmat = rho.active_factor  # no column when alpha psi psi^T underflows to zero
+    direction = fmat[:, 0] if fmat.shape[1] else np.zeros(rho.dim)
     off_axis = direction == 0.0
 
     def fill(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -650,7 +651,7 @@ def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
         raise ValueError(f"shrink must be in (0, 1], got {shrink}")
     f = Quadratic(hamiltonian)
     sigma2 = shrink * alpha
-    rho = GaussianState(np.eye(dim) * (sigma2 / dim))
+    rho = build_state({"shape": "isotropic"}, dim, sigma2)
 
     try:
         t_state(rho, alpha)

@@ -248,12 +248,6 @@ class SymmetricForm:
             acc += np.einsum(script, *([self.matrix] * self.npairs))
         return self.coeff * acc
 
-    def matrix_representation(self) -> np.ndarray:
-        """Order-2 forms only: the symmetric matrix M with form(u, v) = (M u, v)."""
-        if self.order != 2:
-            raise OrderError(f"matrix representation needs order 2, got {self.order}")
-        return self.dense()
-
     def to_dict(self) -> dict:
         """JSON form: order, dim and kind, plus the stored data unless it is large."""
         out: dict = {"order": self.order, "dim": self.dim, "kind": self.kind}
@@ -325,7 +319,7 @@ def trace_forms(bform: SymmetricForm, aform: SymmetricForm) -> float:
     if bform.is_zero or aform.is_zero:
         return 0.0
     if bform.order == 2:
-        return trace_product(bform.matrix_representation(), aform.matrix_representation())
+        return trace_product(bform.dense(), aform.dense())
     if bform.kind == "pairing" and aform.kind == "pairing":
         k = bform.npairs
         return (bform.coeff * aform.coeff * double_factorial(2 * k - 1)
@@ -360,8 +354,11 @@ class Functional:
         """Exact k-th Taylor coefficient f^(k)(0) as a symmetric k-form."""
         raise NotImplementedError
 
-    def closed_form(self, rho) -> float:
-        """Exact average of f under the Gaussian state rho."""
+    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+        """Exact average of f under the Gaussian state rho; with dispersion
+        ratios r_1, ..., r_k, the list of its averages under r_i B from one
+        factorization of rho.  A ratio of exactly 1.0 gives the bits of the
+        call without ratios."""
         raise NotImplementedError
 
     def pullback(self, fmat: np.ndarray) -> "Functional":
@@ -391,8 +388,8 @@ class QuadFormFunctional(Functional):
     - ``g_derivative(m)``: the integer g^(m)(0) for m >= 1, so the Maclaurin
       coefficient is c_m = g^(m)(0) / m! and the order-2m Taylor form is
       c_m (2m)! times the pairing form of A^(x)m;
-    - ``closed_form(rho)``: the exact average of g((A psi, psi)) under the
-      Gaussian state rho.
+    - ``closed_form(rho, ratios=None)``: the exact average of g((A psi, psi))
+      under the Gaussian state rho, or under r_i B at each ratio r_i.
     """
 
     def __init__(self, a):
@@ -423,15 +420,22 @@ class QuadFormFunctional(Functional):
         return SymmetricForm.from_quadratic_power(self.operator, m, scale)
 
 
-def quadratic_form_characteristic(rho, a) -> complex:
-    """E exp(i (A psi, psi)) = prod_j (1 - 2 i mu_j)^(-1/2) under the Gaussian
-    state rho, with mu_j the eigenvalues of F^T A F, F F^T = B."""
-    fmat = rho.sampling_matrix()
+def _at_ratios(value, ratios: list[float] | None):
+    """value(1.0) without ratios, else [value(r) for r in ratios]: every
+    closed form's one path, so a ratio of exactly 1.0 gives the same bits."""
+    return value(1.0) if ratios is None else [value(r) for r in ratios]
+
+
+def quadratic_form_characteristic(rho, a):
+    """r -> E exp(i (A psi, psi)) under the Gaussian state of covariance r B,
+    prod_j (1 - 2 i r mu_j)^(-1/2), with mu_j the eigenvalues of F_a^T A F_a
+    and F_a = `rho.active_factor`: one eigvalsh serves every ratio r."""
+    fmat = rho.active_factor
     m = fmat.T @ a @ fmat
     if not np.all(np.isfinite(m)):  # eigvalsh may not converge; NaN fails the caller's gate
-        return complex(math.nan, math.nan)
+        return lambda r: complex(math.nan, math.nan)
     mu = np.linalg.eigvalsh(m)
-    return complex(np.prod((1.0 - 2.0j * mu) ** -0.5))
+    return lambda r: complex(np.prod((1.0 - 2.0j * (r * mu)) ** -0.5))
 
 
 class Quadratic(QuadFormFunctional):
@@ -440,8 +444,9 @@ class Quadratic(QuadFormFunctional):
     g = staticmethod(lambda q: q)
     g_derivative = staticmethod(lambda m: int(m == 1))
 
-    def closed_form(self, rho) -> float:
-        return trace_product(rho.covariance, self.operator)
+    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+        trace = trace_product(rho.covariance, self.operator)
+        return _at_ratios(lambda r: r * trace, ratios)
 
 
 class SinQuad(QuadFormFunctional):
@@ -450,8 +455,9 @@ class SinQuad(QuadFormFunctional):
     g = staticmethod(np.sin)
     g_derivative = staticmethod(lambda m: (0, 1, 0, -1)[m % 4])
 
-    def closed_form(self, rho) -> float:
-        return float(quadratic_form_characteristic(rho, self.operator).imag)
+    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+        phi = quadratic_form_characteristic(rho, self.operator)
+        return _at_ratios(lambda r: float(phi(r).imag), ratios)
 
 
 class CosQuadMinusOne(QuadFormFunctional):
@@ -460,8 +466,9 @@ class CosQuadMinusOne(QuadFormFunctional):
     g = staticmethod(lambda q: np.cos(q) - 1.0)
     g_derivative = staticmethod(lambda m: (1, 0, -1, 0)[m % 4])
 
-    def closed_form(self, rho) -> float:
-        return float(quadratic_form_characteristic(rho, self.operator).real) - 1.0
+    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+        phi = quadratic_form_characteristic(rho, self.operator)
+        return _at_ratios(lambda r: float(phi(r).real) - 1.0, ratios)
 
 
 class EvenPolynomial(Functional):
@@ -504,9 +511,11 @@ class EvenPolynomial(Functional):
             return self.terms[k].scaled(float(math.factorial(k)))
         return SymmetricForm.zero(k, self.dim)
 
-    def closed_form(self, rho) -> float:
-        return float(sum(trace_forms(moment_form(rho.covariance, order), q)
-                         for order, q in self.terms.items()))
+    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+        # each term is contracted once; the order-2j term under r B is r^j times its value
+        terms = [(order // 2, trace_forms(moment_form(rho.covariance, order), q))
+                 for order, q in self.terms.items()]
+        return _at_ratios(lambda r: float(sum(r ** j * value for j, value in terms)), ratios)
 
 
 class ScaledFunctional(Functional):
@@ -532,8 +541,9 @@ class ScaledFunctional(Functional):
     def taylor_form(self, k: int) -> SymmetricForm:
         return self.base.taylor_form(k).scaled(self.factor)
 
-    def closed_form(self, rho) -> float:
-        return self.factor * self.base.closed_form(rho)
+    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+        values = self.base.closed_form(rho, ratios)
+        return self.factor * values if ratios is None else [self.factor * v for v in values]
 
 
 def amplify(f: Functional, alpha: float) -> Functional:

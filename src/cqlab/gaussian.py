@@ -197,10 +197,11 @@ class GaussianState:
 
     The covariance is checked and factored once, here.  With
     clip = EIG_CLIP_REL * max(Tr B, 0), B is rejected when an eigenvalue
-    lies below -clip, eigenvalues below +clip are set to zero, and draws
-    apply the factor of the remaining (active) eigenvalues.  Membership in the dispersion-alpha
-    class is not a property of the state; `correspondence.t_state` decides
-    it.
+    lies below -clip, eigenvalues below +clip are set to zero, and the
+    spectral factor F_a of the remaining (active) eigenvalues, F_a F_a^T = B,
+    is the state's one factor: draws, pullbacks and closed forms read it.
+    Membership in the dispersion-alpha class is not a property of the state;
+    `correspondence.t_state` decides it.
     """
 
     def __init__(self, covariance):
@@ -216,40 +217,13 @@ class GaussianState:
         if min_eig < -clip:
             raise InvalidCovarianceError(
                 f"covariance is indefinite: min eigenvalue {min_eig:.3e} below clip {-clip:.3e}")
-        # spectral factor of B with round-off eigenvalues clipped to zero
+        # eigenvalues descend, so the columns of nonzero eigenvalue lead: F_a is dim x rank
         eigenvalues = np.where(dec.eigenvalues < clip, 0.0, dec.eigenvalues)
-        self._set_factor(dec.eigenvectors * np.sqrt(eigenvalues), np.count_nonzero(eigenvalues))
-
-    def _set_factor(self, fmat: np.ndarray, rank: int) -> None:
-        self._sampling_matrix = fmat
-        # F_a: the columns of F with a nonzero eigenvalue, dim x rank
-        self.active_factor = fmat[:, :rank]
-
-    def scaled(self, r: float) -> "GaussianState":
-        """The state of covariance r B, for a finite r > 0, with factor sqrt(r) F.
-
-        Scaling by r > 0 keeps B's symmetry, its positive spectrum and its
-        clip relative to Tr B, so the new state is neither checked nor
-        eigendecomposed again.
-        """
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"a state is scaled by a finite positive number, got {r!r}")
-        with np.errstate(over="ignore"):  # an overflow is rejected below
-            covariance = r * self.covariance
-        if not np.all(np.isfinite(covariance)):
-            raise InvalidCovarianceError("scaled covariance has non-finite entries")
-        out = object.__new__(GaussianState)
-        out.covariance = covariance
-        out.dim = self.dim
-        out._set_factor(math.sqrt(r) * self._sampling_matrix, self.active_factor.shape[1])
-        return out
+        rank = np.count_nonzero(eigenvalues)
+        self.active_factor = (dec.eigenvectors * np.sqrt(eigenvalues))[:, :rank]
 
     def dispersion(self) -> float:
         return float(np.trace(self.covariance))
-
-    def sampling_matrix(self) -> np.ndarray:
-        """F with F F^T = B (columns of zero eigenvalue are exactly zero)."""
-        return self._sampling_matrix
 
     def white(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """The m x rank standard normals z behind `fill(rng, m)`, which is

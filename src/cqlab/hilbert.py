@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
 
+# `require_symmetric` accepts |a_ij - a_ji| <= SYMMETRY_RTOL * (1 + max |a_ij|)
+SYMMETRY_RTOL = 1e-12
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a 1-d float64 field vector, optionally checking its length."""
@@ -31,13 +34,13 @@ def symmetric_from_entries(raw) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def require_symmetric(a, rtol: float = 1e-12) -> np.ndarray:
+def require_symmetric(a) -> np.ndarray:
     """Check near-symmetry and return the exactly symmetrized matrix."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     scale = 1.0 + float(np.abs(m).max(initial=0.0))
-    if float(np.abs(m - m.T).max(initial=0.0)) > rtol * scale:
+    if float(np.abs(m - m.T).max(initial=0.0)) > SYMMETRY_RTOL * scale:
         raise DimensionMismatchError("matrix is not symmetric")
     return (m + m.T) / 2.0
 

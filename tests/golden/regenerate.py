@@ -12,6 +12,9 @@ A change that moves an output on purpose regenerates the file and commits
 the diff:
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+Before it overwrites the file, the script prints every path whose value
+moved, compared exactly, as "path: old -> new".
 """
 
 from __future__ import annotations
@@ -74,22 +77,25 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def mismatches(want, got, where: str = "") -> list[str]:
-    """The paths at which `got` departs from the golden `want`."""
+def mismatches(want, got, where: str = "", rtol: float = RTOL,
+               zero_atol: float = ZERO_ATOL) -> list[str]:
+    """"path: golden -> got" at each path where `got` departs from the golden
+    `want`; with rtol = zero_atol = 0, at each path whose value moved."""
     if _is_number(want) and _is_number(got):
         gap = abs(want - got)
-        if gap <= RTOL * max(abs(want), abs(got)) or (0 in (want, got) and gap <= ZERO_ATOL):
+        if gap <= rtol * max(abs(want), abs(got)) or (0 in (want, got) and gap <= zero_atol):
             return []
     elif isinstance(want, dict) and isinstance(got, dict):
         if want.keys() == got.keys():
-            return [m for k in want for m in mismatches(want[k], got[k], f"{where}/{k}")]
+            return [m for k in want
+                    for m in mismatches(want[k], got[k], f"{where}/{k}", rtol, zero_atol)]
     elif isinstance(want, list) and isinstance(got, list):
         if len(want) == len(got):
             return [m for i, (w, g) in enumerate(zip(want, got))
-                    for m in mismatches(w, g, f"{where}[{i}]")]
+                    for m in mismatches(w, g, f"{where}[{i}]", rtol, zero_atol)]
     elif type(want) is type(got) and want == got:
         return []
-    return [f"{where or '/'}: golden {want!r:.80}, got {got!r:.80}"]
+    return [f"{where or '/'}: {want!r:.80} -> {got!r:.80}"]
 
 
 def main() -> int:
@@ -105,6 +111,9 @@ def main() -> int:
                     rc = cqlab_main([subcommand, "--config", str(config), "--out", str(out_dir),
                                      "--threads", "1"])
                 golden[key(subcommand, config)] = record(rc, stderr.getvalue(), out_dir)
+    old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
+    for moved in mismatches(old, golden, rtol=0.0, zero_atol=0.0):
+        print(moved)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(golden)} runs to {GOLDEN_PATH.relative_to(REPO)}")
     return 0

@@ -371,6 +371,8 @@ def test_non_object_quartic_is_a_one_line_error(tmp_path, capsys):
      "finite nonnegative weights"),
     ("sweep", dict(COS_SWEEP, state={"shape": "rank1", "psi": [float("nan")]}),
      "finite nonzero psi"),
+    # the last ratio alpha_i / alpha_0 underflows to 0, a state outside every alpha class
+    ("sweep", dict(COS_SWEEP, alpha_grid=[1e10, 1.0, 5e-324]), "underflows to 0"),
 ])
 def test_bad_numbers_are_one_line_errors(tmp_path, capsys, subcommand, cfg, fragment):
     rc = main([subcommand, "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
@@ -378,6 +380,14 @@ def test_bad_numbers_are_one_line_errors(tmp_path, capsys, subcommand, cfg, frag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_sweep_runs_at_a_subnormal_ratio(tmp_path):
+    cfg = dict(COS_SWEEP, alpha_grid=[1.0, 1e-3, 1e-310], slope_band=None)
+    rc = main(["sweep", "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    rows = json.loads((tmp_path / "o" / "result.json").read_text())["report"]["rows"]
+    assert [r["alpha"] for r in rows] == [1.0, 1e-3, 1e-310]
 
 
 def test_higher_order_runs_at_order_four(tmp_path):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cqlab import experiments
 from cqlab.correspondence import (
     DensityOperator,
     ObservableMultiple,
@@ -195,7 +196,7 @@ def test_t2n_order_one_reduces_to_t_variable():
     a = symmetric_from_entries(rng.normal(size=(2, 2)))
     multiple = t2n_variable(Quadratic(a), 1, 0.1)
     assert len(multiple.forms) == 1
-    assert np.allclose(multiple.forms[0].matrix_representation(),
+    assert np.allclose(multiple.forms[0].dense(),
                        t_variable(Quadratic(a)), atol=1e-15)
 
 
@@ -217,7 +218,7 @@ def test_t2n_even_polynomial_bookkeeping():
     f = EvenPolynomial({2: SymmetricForm.from_matrix(q2), 4: q4})
     alpha = 1.0
     multiple = t2n_variable(f, 2, alpha)
-    assert np.allclose(multiple.forms[0].matrix_representation(), q2, atol=1e-14)
+    assert np.allclose(multiple.forms[0].dense(), q2, atol=1e-14)
     assert np.allclose(multiple.forms[1].dense(), q4.dense(), rtol=1e-12)
 
 
@@ -299,20 +300,21 @@ def test_density_operator_validation():
 
 
 def test_t_state_reuses_the_checked_spectrum(monkeypatch):
-    calls = {"eigvalsh": 0, "eigh": 0}
-    for name in calls:
-        def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+    calls = dict.fromkeys(["eigvalsh", "eigh", "t_state", "closed_form_average"], 0)
+    for module, name in [(np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                         (experiments, "t_state"), (experiments, "closed_form_average")]:
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     path = Path(__file__).resolve().parent.parent / "configs" / "cos_sweep.json"
     cfg = ExperimentConfig.from_json(json.loads(path.read_text(encoding="utf-8")))
     alpha_sweep(cfg)
-    # one eigh as the first state is built, which the other grid points
-    # scale; per grid point one eigvalsh in the cos closed form; t_state
-    # eigendecomposes nothing
+    # the whole grid reads one state: one eigh as it is built, one t_state,
+    # which eigendecomposes nothing, and one closed-form call at every ratio,
+    # whose cos closed form takes one eigvalsh
     assert len(cfg.alpha_grid) == 5
-    assert calls == {"eigvalsh": 5, "eigh": 1}
+    assert calls == {"eigvalsh": 1, "eigh": 1, "t_state": 1, "closed_form_average": 1}
 
 
 def test_map_outputs_pass_density_invariants():

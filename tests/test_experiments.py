@@ -217,7 +217,7 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
         report = pure_state_experiment(v, alpha, a, count, seed)
     amplified = _check(report, "amplified_average")
     assert (amplified.statistic, amplified.stderr) == mean_stderr(Quadratic(a).eval_batch(x) / alpha)
-    direction = rho.sampling_matrix()[:, 0]
+    direction = rho.active_factor[:, 0]
     off_axis = x[:, direction == 0.0] == 0.0
     assert _check(report, "span").statistic == np.mean(exact_span_coefficients(x, direction)[0])
     assert _check(report, "off_axis_zero").statistic == \
@@ -400,6 +400,8 @@ def test_nan_slope_fails_its_band():
     report = alpha_sweep(ExperimentConfig.from_json(nan_op))
     assert math.isnan(report["fitted_slope"])
     assert not _check(report, "fitted_slope").passed
+    # every row reads the one NaN closed form and quantum term, so every row fails
+    assert not any(_check(report, f"remainder[{i}]").passed for i in range(len(report["rows"])))
 
 
 def test_library_sweep_in_a_sampling_block_pins_blas(monkeypatch):
@@ -470,6 +472,34 @@ def test_sweep_evaluates_each_chunk_once(family, monkeypatch):
     assert rows == [4096] * 16
 
 
+@pytest.mark.parametrize("family", list(_PULLBACK_FUNCTIONALS))
+@pytest.mark.parametrize("state", list(_PULLBACK_STATES))
+def test_sweep_row_i_is_the_alpha_i_state(state, family):
+    # row i reads the first state at the ratio alpha_i / alpha_0; a state
+    # built at alpha_i has the same covariance to a few ulps per entry, so
+    # the two differ by rounding alone.  A closed-form term c g((A psi, psi))
+    # (g 1-Lipschitz, j = 1) or c q^j then moves by at most
+    # dim * eps * c j (2j-1)!! (alpha ||A||)^j, and the quantum term by
+    # dim * eps * alpha ||A_2||, with A_2 = t_variable(f).  The remainder is
+    # their difference, which cancels, so it is not compared.
+    dim, eps = 16, np.finfo(np.float64).eps
+    cfg = ExperimentConfig(dim=dim, alpha_grid=(0.5, 0.1, 0.03, 0.01, 0.003, 0.001),
+                           functional_spec=_PULLBACK_FUNCTIONALS[family],
+                           state_spec=_PULLBACK_STATES[state], mc_samples=1000, seed=1)
+    f = build_functional(cfg.functional_spec, dim)
+    a2 = t_variable(f)
+    rows = alpha_sweep(cfg)["rows"]
+    assert len(rows) == len(cfg.alpha_grid)
+    for alpha, row in zip(cfg.alpha_grid, rows):
+        rho = build_state(cfg.state_spec, dim, alpha)
+        quantum = alpha * quantum_average(t_state(rho, alpha), a2)
+        tol = dim * eps * sum(c * j * double_factorial(2 * j - 1)
+                              * (alpha * np.linalg.norm(a, 2)) ** j
+                              for c, j, a in _quadratic_terms(f))
+        assert abs(row.classical_analytic - f.closed_form(rho)) <= tol, alpha
+        assert abs(row.quantum_term - quantum) <= dim * eps * alpha * np.linalg.norm(a2, 2), alpha
+
+
 @pytest.mark.parametrize("family", ["cos-quad-minus-one", "sin-quad", "quadratic"])
 def test_shared_draw_rows_are_unbiased(family):
     # each row's MC mean still estimates its own state's exact average
@@ -521,11 +551,12 @@ _TAYLOR_REFERENCE = {
 }
 
 
-def _reference_closed_form(f, rho):
+def _reference_closed_form(f, rho, r=1.0):
+    # the average under r B: Tr(r B A), or mu_j -> r mu_j in the characteristic
     if type(f) is Quadratic:
-        return trace_product(rho.covariance, f.operator)
-    fmat = rho.sampling_matrix()
-    mu = np.linalg.eigvalsh(fmat.T @ f.operator @ fmat)
+        return r * trace_product(rho.covariance, f.operator)
+    fmat = rho.active_factor
+    mu = r * np.linalg.eigvalsh(fmat.T @ f.operator @ fmat)
     char = complex(np.prod((1.0 - 2.0j * mu) ** -0.5))
     return float(char.imag) if type(f) is SinQuad else float(char.real) - 1.0
 
@@ -551,6 +582,14 @@ def test_quadratic_form_families_match_reference_bit_for_bit(family):
     rho = GaussianState(m @ m.T * 0.05)
     assert closed_form_average(f, rho) == _reference_closed_form(f, rho)
     assert closed_form_average(amplify(f, 0.1), rho) == 10.0 * _reference_closed_form(f, rho)
+    # at dispersion ratios, from one factorization; ratio 1.0 gives the bits above
+    ratios = [1.0, 0.3, 0.01]
+    expected = [_reference_closed_form(f, rho, r) for r in ratios]
+    assert closed_form_average(f, rho, ratios) == expected
+    assert closed_form_average(amplify(f, 0.1), rho, ratios) == [10.0 * v for v in expected]
+    assert closed_form_average(f, rho, ratios)[0] == closed_form_average(f, rho)
+    assert closed_form_average(amplify(f, 0.1), rho, ratios)[0] == \
+        closed_form_average(amplify(f, 0.1), rho)
 
 
 class _NoClosedForm(Functional):
@@ -594,6 +633,14 @@ def test_even_polynomial_closed_form_integrates_term_by_term():
     expected = sum(gaussian_integral_multilinear(q, rho.covariance) for q in f.terms.values())
     assert f.closed_form(rho) == expected
     assert closed_form_average(f, rho) == expected
+    # under r B the order-2j term scales by r^j; ratio 1.0 gives the bits above
+    ratios = [1.0, 0.3, 0.01]
+    values = f.closed_form(rho, ratios)
+    assert values[0] == expected
+    assert amplify(f, 0.1).closed_form(rho, ratios)[0] == amplify(f, 0.1).closed_form(rho)
+    for r, value in zip(ratios, values):
+        terms = [gaussian_integral_multilinear(q, r * rho.covariance) for q in f.terms.values()]
+        assert abs(value - sum(terms)) <= 1e-13 * sum(map(abs, terms)), r
 
 
 def test_noninjectivity_witness_pair():
@@ -630,6 +677,12 @@ def test_pure_state_amplified_average_flip_operator():
 def test_pure_state_requires_unit_vector():
     with pytest.raises(ValueError):
         pure_state_experiment(np.array([1.0, 1.0]), 0.05, np.eye(2), 5000, seed=3)
+
+
+def test_pure_state_rejects_a_covariance_that_underflows_to_zero():
+    # alpha psi psi^T rounds to 0 entrywise, so the state has no factor column
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        pure_state_experiment(np.full(4, 0.5), 5e-324, np.eye(4), 5000, seed=3)
 
 
 def test_sub_alpha_rejection_and_energy_bound():

@@ -56,46 +56,22 @@ def test_make_gaussian_rank_one_pure_state_class():
     assert np.allclose(t_state(rho, 0.1).matrix, outer_product(psi), rtol=0.0, atol=1e-15)
 
 
-_SCALED_STATES = {
+_FACTOR_STATES = {
     "random": lambda: GaussianState(np.cov(np.random.default_rng(1).normal(size=(6, 20)))),
     "rank1": lambda: pure_state_measure(np.array([0.6, 0.0, 0.8]), 0.1),
     "zero-weight-diagonal": lambda: GaussianState(np.diag([0.05, 0.0, 0.03, 0.0, 0.02])),
 }
 
 
-@pytest.mark.parametrize("r", [1.0, 0.3, 1e-3, 7.5])
-@pytest.mark.parametrize("state", list(_SCALED_STATES))
-def test_scaled_state_is_the_state_of_r_times_b(state, r):
-    rho = _SCALED_STATES[state]()
-    alpha = rho.dispersion()
-    scaled = rho.scaled(r)
-    assert np.array_equal(scaled.covariance, r * rho.covariance)
-    f = scaled.sampling_matrix()
-    assert np.abs(f @ f.T - r * rho.covariance).max() <= 1e-14 * r * alpha
-    assert scaled.active_factor.shape == rho.active_factor.shape
-    assert np.array_equal(t_state(scaled, r * alpha).matrix, scaled.covariance / (r * alpha))
-    if r == 1.0:  # no bit of the state moves
-        assert np.array_equal(f, rho.sampling_matrix())
-
-
-@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, -math.inf])
-def test_scaled_state_rejects_a_non_positive_or_non_finite_ratio(r):
-    with pytest.raises(ValueError, match="finite positive"):
-        GaussianState(np.eye(2)).scaled(r)
-
-
-def test_scaled_state_rejects_an_overflowing_covariance():
-    with pytest.raises(InvalidCovarianceError):
-        GaussianState(1e10 * np.eye(2)).scaled(1e300)
-
-
-@pytest.mark.parametrize("state", list(_SCALED_STATES))
+@pytest.mark.parametrize("state", list(_FACTOR_STATES))
 def test_fill_is_the_white_draws_through_the_active_factor(state):
-    rho = _SCALED_STATES[state]()
+    rho = _FACTOR_STATES[state]()
     z = rho.white(np.random.Generator(np.random.Philox(3)), 50)
     x = rho.fill(np.random.Generator(np.random.Philox(3)), 50)
     assert z.shape == (50, rho.active_factor.shape[1])
     assert np.array_equal(x, z @ rho.active_factor.T)
+    fmat = rho.active_factor
+    assert np.abs(fmat @ fmat.T - rho.covariance).max() <= 1e-14 * rho.dispersion()
 
 
 def test_dispersion_isotropic():
@@ -336,7 +312,7 @@ def test_pure_state_samples_are_exact_multiples_of_direction():
     psi = np.array([2.0, -1.0, 2.0]) / 3.0
     rho = pure_state_measure(psi, 0.04)
     batch = rho.sample(seed=21, count=50_000)
-    direction = rho.sampling_matrix()[:, 0]
+    direction = rho.active_factor[:, 0]
     ok, _ = exact_span_coefficients(batch.samples, direction)
     assert np.all(ok)
 
