@@ -215,7 +215,8 @@ def main(argv=None) -> int:
             if args.threads < 1:
                 raise ConfigError("--threads must be >= 1")
             status = run(args.subcommand, cfg, out_dir, workers=args.threads)
-        except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        # RuntimeError: a worker thread that cannot start, or a NumericalError
+        except (ConfigError, ValueError, OSError, MemoryError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if caught:

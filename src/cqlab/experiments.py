@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -365,10 +366,9 @@ def build_second_moment_state(spec: dict, dim: int, alpha: float) -> SecondMomen
 
 
 def mc_average(f: Functional, state, n_samples: int, seed: int,
-               ratios: list[float] | None = None
-               ) -> tuple[float, float] | list[tuple[float, float]]:
+               ratios: Sequence[float] = (1.0,)) -> list[tuple[float, float]]:
     """Sample mean and standard error of f over a deterministic stream of
-    draws.
+    draws, one (mean, stderr) pair per dispersion ratio.
 
     Each chunk of draws is evaluated as soon as it is drawn and only its
     values are kept, so memory is O(n_samples + workers * chunk * dim), not
@@ -386,12 +386,10 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
 
     With dispersion `ratios` = (r_1, ..., r_k) the same draws serve k
     averages: each chunk is evaluated once by `g.eval_batch(z, ratios)`,
-    whose column i holds f(sqrt(r_i) x), and the call returns a list of k
-    (mean, stderr) pairs and keeps k * n_samples values.  A ratio of exactly
-    1.0 gives the pair returned without `ratios`.  A draw x of N(0, B) scaled
-    by sqrt(r) is a draw of N(0, r B), so this averages f over the states
-    r_1 B, ..., r_k B with common random numbers: each average is unbiased,
-    but their errors are correlated.
+    whose column i holds f(sqrt(r_i) x), and the call keeps k * n_samples
+    values.  A draw x of N(0, B) scaled by sqrt(r) is a draw of N(0, r B),
+    so this averages f over the states r_1 B, ..., r_k B with common random
+    numbers: each average is unbiased, but their errors are correlated.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -402,8 +400,6 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
         return g.eval_batch(draw(rng, m), ratios)
 
     values = draw_chunked(seed, n_samples, fill).samples
-    if ratios is None:
-        return mean_stderr(values)
     # each column copied contiguous, so it is reduced exactly as a 1-D array of its values
     return [mean_stderr(np.ascontiguousarray(c)) for c in values.T]
 
@@ -420,8 +416,8 @@ def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float
 
 
 def closed_form_average(f: Functional, rho: GaussianState,
-                        ratios: list[float] | None = None) -> float | list[float]:
-    """Exact classical average of f under rho, or its list at `ratios` (`f.closed_form`)."""
+                        ratios: Sequence[float] = (1.0,)) -> list[float]:
+    """Exact classical averages of f under rho at the dispersion `ratios` (`f.closed_form`)."""
     return f.closed_form(rho, ratios)
 
 
@@ -458,14 +454,18 @@ def _gate(name, statistic, reference, stderr, band, sigmas, passed, *inputs) -> 
     return Check(name, *numbers, bool(passed) and finite)
 
 
+# the k of every k-sigma band on a Monte-Carlo statistic
+MC_SIGMAS = 4.0
+
+
 def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def within_sigmas(name: str, statistic, reference, stderr, sigmas: float, floor: float) -> Check:
-    """|statistic - reference| <= sigmas * stderr + floor."""
-    band = sigmas * stderr + floor
-    return _gate(name, statistic, reference, stderr, band, sigmas,
+def within_sigmas(name: str, statistic, reference, stderr, floor: float = 0.0) -> Check:
+    """|statistic - reference| <= MC_SIGMAS * stderr + floor."""
+    band = MC_SIGMAS * stderr + floor
+    return _gate(name, statistic, reference, stderr, band, MC_SIGMAS,
                  abs(statistic - reference) <= band, floor)
 
 
@@ -475,12 +475,11 @@ def relatively_exact(name: str, statistic, reference, rtol: float) -> Check:
                  relative_error(statistic, reference) <= rtol)
 
 
-def bound_plus_noise(name: str, statistic, bound, stderr, sigmas: float,
-                     bound_inputs: tuple) -> Check:
-    """statistic <= bound + sigmas * stderr; `bound_inputs` are the numbers
+def bound_plus_noise(name: str, statistic, bound, stderr, bound_inputs: tuple) -> Check:
+    """statistic <= bound + MC_SIGMAS * stderr; `bound_inputs` are the numbers
     the bound was computed from (a bound at an infinite threshold is 0)."""
-    band = sigmas * stderr
-    return _gate(name, statistic, bound, stderr, band, sigmas, statistic <= bound + band,
+    band = MC_SIGMAS * stderr
+    return _gate(name, statistic, bound, stderr, band, MC_SIGMAS, statistic <= bound + band,
                  *bound_inputs)
 
 
@@ -490,11 +489,11 @@ def in_range(name: str, statistic, lo: float, hi: float) -> Check:
                  lo <= statistic <= hi, lo, hi)
 
 
-def separated(name: str, statistic, reference, stderr, sigmas: float) -> Check:
-    """|statistic - reference| / stderr > sigmas (a zero stderr separates)."""
+def separated(name: str, statistic, reference, stderr) -> Check:
+    """|statistic - reference| / stderr > MC_SIGMAS (a zero stderr separates)."""
     separation = abs(statistic - reference) / stderr if stderr > 0.0 else math.inf
-    return _gate(name, statistic, reference, stderr, sigmas * stderr, sigmas,
-                 separation > sigmas)
+    return _gate(name, statistic, reference, stderr, MC_SIGMAS * stderr, MC_SIGMAS,
+                 separation > MC_SIGMAS)
 
 
 def measured(name: str, statistic, reference, stderr) -> Check:
@@ -617,12 +616,12 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
 
     b = rho.covariance
     cov_err = np.abs(batch.chunk_sum / n_samples / alpha - np.outer(v, v))
-    band = 4.0 * np.sqrt((np.outer(np.diag(b), np.diag(b)) + b ** 2) / n_samples) / alpha
+    band = MC_SIGMAS * np.sqrt((np.outer(np.diag(b), np.diag(b)) + b ** 2) / n_samples) / alpha
 
     # span, off_axis_zero and covariance_shape are fractions of rows or
     # entries that hold, so each must be exactly 1
     return _report([
-        within_sigmas("amplified_average", amp_mean, expected, amp_stderr, 4.0, 0.0),
+        within_sigmas("amplified_average", amp_mean, expected, amp_stderr),
         relatively_exact("span", np.mean(span), 1.0, 0.0),
         relatively_exact("off_axis_zero",
                          np.sum(zeros) / off_axis_entries if off_axis_entries else 1.0, 1.0, 0.0),
@@ -660,14 +659,14 @@ def sub_alpha_states(alpha: float, shrink: float, dim: int, hamiltonian,
         error = str(exc)
 
     extended = t_state_extended(rho)
-    mean, stderr = mc_average(f, rho, n_samples, seed)
+    [(mean, stderr)] = mc_average(f, rho, n_samples, seed)
     norm = operator_norm(f.operator)
     boundary = abs(sigma2 - alpha) <= EXACT_CLASS_RTOL * alpha
     return _report([
         # 1 if the exact map accepted the state, against 1 if it should have
         relatively_exact("exact_map_accepts", error is None, boundary, 0.0),
-        within_sigmas("extended_trace", np.trace(extended.matrix), 1.0, 0.0, 0.0, 1e-12),
-        bound_plus_noise("energy", abs(mean), norm * sigma2, stderr, 4.0, (norm, sigma2)),
+        relatively_exact("extended_trace", np.trace(extended.matrix), 1.0, 1e-12),
+        bound_plus_noise("energy", abs(mean), norm * sigma2, stderr, (norm, sigma2)),
     ], alpha=alpha, shrink=shrink, dispersion=sigma2, exact_map_error=error)
 
 
@@ -679,18 +678,18 @@ def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: in
     """Quadratic averages see only the covariance; a quartic form exposes the
     non-Gaussian fourth moments against the Gaussian pairing prediction."""
     quad = Quadratic(a)
-    mean, stderr = mc_average(quad, state, n_samples, seed)
+    [(mean, stderr)] = mc_average(quad, state, n_samples, seed)
     expected = trace_product(state.covariance, quad.operator)
 
     quartic = SymmetricForm.from_quadratic_power(np.eye(state.dim), 2, 1.0)
-    q_mean, q_stderr = mc_average(EvenPolynomial({4: quartic}), state, n_samples,
-                                  derive_seed(seed, 1))
+    [(q_mean, q_stderr)] = mc_average(EvenPolynomial({4: quartic}), state, n_samples,
+                                      derive_seed(seed, 1))
     gaussian_pred = gaussian_integral_multilinear(quartic, state.covariance)
     return _report([
         # the FP floor matters when the statistic is constant (uniform sphere
         # with A = I), where both the error and stderr sit at round-off scale
-        within_sigmas("quadratic", mean, expected, stderr, 4.0, 1e-12 * max(1.0, abs(expected))),
-        separated("quartic", q_mean, gaussian_pred, q_stderr, 4.0),
+        within_sigmas("quadratic", mean, expected, stderr, 1e-12 * max(1.0, abs(expected))),
+        separated("quartic", q_mean, gaussian_pred, q_stderr),
     ], kind=state.kind, samples=n_samples)
 
 
@@ -725,7 +724,7 @@ def finite_qm_demo(cfg: ExperimentConfig) -> dict:
     rho = _random_state(rng, n, alpha)
     d = t_state(rho, alpha)
     f = Quadratic(_random_symmetric(rng, n))
-    mc, stderr = mc_average(amplify(f, alpha), rho, cfg.mc_samples, derive_seed(cfg.seed, 11))
+    [(mc, stderr)] = mc_average(amplify(f, alpha), rho, cfg.mc_samples, derive_seed(cfg.seed, 11))
     expected = quantum_average(d, t_variable(f))
 
     # higher-order model: exact polynomial equality through order 4
@@ -734,7 +733,7 @@ def finite_qm_demo(cfg: ExperimentConfig) -> dict:
     generalized = alpha * generalized_average(d, t2n_variable(poly, 2, alpha))
 
     return _report([replace(c, name=f"pure_{c.name}") for c in pure] + [
-        within_sigmas("mixed_quadratic", mc, expected, stderr, 4.0, 0.0),
+        within_sigmas("mixed_quadratic", mc, expected, stderr),
         relatively_exact("higher_order", classical, generalized, 1e-10),
     ], dim=n, alpha=alpha)
 
@@ -758,7 +757,7 @@ def moments_check(cfg: ExperimentConfig) -> dict:
     rng = substream(cfg.seed, MOMENTS_TAG)
     ak = SymmetricForm.from_dense(rng.standard_normal((cfg.dim,) * (2 * k)))
     analytic, mc, stderr = moment_mc_check(rho, ak, cfg.mc_samples, derive_seed(cfg.seed, 6))
-    checks = [within_sigmas("moment", mc, analytic, stderr, 4.0, 0.0)]
+    checks = [within_sigmas("moment", mc, analytic, stderr)]
     if shape == "isotropic" and cfg.dim >= 2:
         e1 = np.eye(cfg.dim)[0]
         e2 = np.eye(cfg.dim)[1]
@@ -801,7 +800,7 @@ def chebyshev_experiment(cfg: ExperimentConfig) -> dict:
             c = mult * alpha
             bound, empirical = chebyshev_tail(rho, c, energies)
             check = bound_plus_noise(f"tail[{len(rows)}]", empirical, bound,
-                                     math.sqrt(bound / cfg.mc_samples), 4.0, (c,))
+                                     math.sqrt(bound / cfg.mc_samples), (c,))
             rows.append(TailRow(alpha, c, bound, empirical, check.band))
             checks.append(check)
     return _report(checks, rows=rows)
@@ -824,9 +823,9 @@ def higher_order_check(cfg: ExperimentConfig) -> dict:
     # the MC mean averages every term of f, not only those up to order 2n
     exact = analytic_average(f, rho, max(f.terms))
     generalized = alpha * generalized_average(d, observable)
-    mc, stderr = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, 4))
+    [(mc, stderr)] = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, 4))
     return _report([
         relatively_exact("exactness", classical, generalized, 1e-10),
-        within_sigmas("mc_overlay", mc, exact, stderr, 4.0, 0.0),
+        within_sigmas("mc_overlay", mc, exact, stderr),
     ], alpha=alpha, order=cfg.order, relative_error=relative_error(classical, generalized),
         density_operator=d.to_dict(), observable=observable.to_dict())

@@ -15,6 +15,7 @@ moment forms live here, and each variable integrates its own terms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import permutations
 
@@ -339,14 +340,11 @@ class Functional:
     def eval(self, psi) -> float:
         raise NotImplementedError
 
-    def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
-        """f at every row of x, shape (N,).
-
-        With dispersion ratios r_1, ..., r_k the values f(sqrt(r_i) x_p)
-        instead, shape (N, k), from one contraction of x: every family is
+    def eval_batch(self, x: np.ndarray, ratios: Sequence[float] = (1.0,)) -> np.ndarray:
+        """f(sqrt(r_i) x_p) at every row x_p of x and dispersion ratio r_i,
+        shape (N, k), from one contraction of x: every family is
         g((A psi, psi)) or an even polynomial, so scaling psi by sqrt(r)
-        scales each order-2j term by r^j.  A ratio of exactly 1.0 gives the
-        bits of the call without ratios.
+        scales each order-2j term by r^j.
         """
         raise NotImplementedError
 
@@ -354,17 +352,15 @@ class Functional:
         """Exact k-th Taylor coefficient f^(k)(0) as a symmetric k-form."""
         raise NotImplementedError
 
-    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
-        """Exact average of f under the Gaussian state rho; with dispersion
-        ratios r_1, ..., r_k, the list of its averages under r_i B from one
-        factorization of rho.  A ratio of exactly 1.0 gives the bits of the
-        call without ratios."""
+    def closed_form(self, rho, ratios: Sequence[float] = (1.0,)) -> list[float]:
+        """Exact averages of f under r_i B, one per dispersion ratio r_i, for
+        the Gaussian state rho of covariance B, from one factorization of rho."""
         raise NotImplementedError
 
     def pullback(self, fmat: np.ndarray) -> "Functional":
         """f o F on R^r, for a dim x r matrix F: the variable z -> f(F z), of
         the same family.  Its `eval_batch` on rows z equals this one's on
-        the rows z F^T up to rounding, with ratios as without."""
+        the rows z F^T up to rounding, at every ratio."""
         raise NotImplementedError
 
     def __call__(self, psi) -> float:
@@ -388,8 +384,8 @@ class QuadFormFunctional(Functional):
     - ``g_derivative(m)``: the integer g^(m)(0) for m >= 1, so the Maclaurin
       coefficient is c_m = g^(m)(0) / m! and the order-2m Taylor form is
       c_m (2m)! times the pairing form of A^(x)m;
-    - ``closed_form(rho, ratios=None)``: the exact average of g((A psi, psi))
-      under the Gaussian state rho, or under r_i B at each ratio r_i.
+    - ``closed_form(rho, ratios)``: the exact average of g((A psi, psi))
+      under r_i B at each ratio r_i, for the Gaussian state rho of covariance B.
     """
 
     def __init__(self, a):
@@ -400,9 +396,8 @@ class QuadFormFunctional(Functional):
         v = as_vector(psi, self.dim)
         return float(self.g(v @ self.operator @ v))
 
-    def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
-        q = quadratic_form_rows(x, self.operator)
-        return self.g(q if ratios is None else np.multiply.outer(q, ratios))
+    def eval_batch(self, x: np.ndarray, ratios: Sequence[float] = (1.0,)) -> np.ndarray:
+        return self.g(np.multiply.outer(quadratic_form_rows(x, self.operator), ratios))
 
     def pullback(self, fmat: np.ndarray) -> "QuadFormFunctional":
         return type(self)(fmat.T @ self.operator @ fmat)  # the constructor symmetrizes
@@ -418,12 +413,6 @@ class QuadFormFunctional(Functional):
         if m == 1:
             return SymmetricForm.from_matrix(scale * self.operator)
         return SymmetricForm.from_quadratic_power(self.operator, m, scale)
-
-
-def _at_ratios(value, ratios: list[float] | None):
-    """value(1.0) without ratios, else [value(r) for r in ratios]: every
-    closed form's one path, so a ratio of exactly 1.0 gives the same bits."""
-    return value(1.0) if ratios is None else [value(r) for r in ratios]
 
 
 def quadratic_form_characteristic(rho, a):
@@ -444,9 +433,9 @@ class Quadratic(QuadFormFunctional):
     g = staticmethod(lambda q: q)
     g_derivative = staticmethod(lambda m: int(m == 1))
 
-    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+    def closed_form(self, rho, ratios: Sequence[float] = (1.0,)) -> list[float]:
         trace = trace_product(rho.covariance, self.operator)
-        return _at_ratios(lambda r: r * trace, ratios)
+        return [r * trace for r in ratios]
 
 
 class SinQuad(QuadFormFunctional):
@@ -455,9 +444,9 @@ class SinQuad(QuadFormFunctional):
     g = staticmethod(np.sin)
     g_derivative = staticmethod(lambda m: (0, 1, 0, -1)[m % 4])
 
-    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+    def closed_form(self, rho, ratios: Sequence[float] = (1.0,)) -> list[float]:
         phi = quadratic_form_characteristic(rho, self.operator)
-        return _at_ratios(lambda r: float(phi(r).imag), ratios)
+        return [float(phi(r).imag) for r in ratios]
 
 
 class CosQuadMinusOne(QuadFormFunctional):
@@ -466,9 +455,9 @@ class CosQuadMinusOne(QuadFormFunctional):
     g = staticmethod(lambda q: np.cos(q) - 1.0)
     g_derivative = staticmethod(lambda m: (1, 0, -1, 0)[m % 4])
 
-    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+    def closed_form(self, rho, ratios: Sequence[float] = (1.0,)) -> list[float]:
         phi = quadratic_form_characteristic(rho, self.operator)
-        return _at_ratios(lambda r: float(phi(r).real) - 1.0, ratios)
+        return [float(phi(r).real) - 1.0 for r in ratios]
 
 
 class EvenPolynomial(Functional):
@@ -494,10 +483,9 @@ class EvenPolynomial(Functional):
         v = as_vector(psi, self.dim)
         return float(sum(q.eval_diag(v) for q in self.terms.values()))
 
-    def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
-        # without ratios r is the 0-d 1.0, so out is (N,) and every term is added unscaled
-        r = np.ones(()) if ratios is None else np.asarray(ratios, dtype=np.float64)
-        out = np.zeros(x.shape[:1] + r.shape)
+    def eval_batch(self, x: np.ndarray, ratios: Sequence[float] = (1.0,)) -> np.ndarray:
+        r = np.asarray(ratios, dtype=np.float64)
+        out = np.zeros((x.shape[0], r.size))
         for order, q in self.terms.items():
             out += np.multiply.outer(q.eval_diag_batch(x), r ** (order // 2))
         return out
@@ -511,11 +499,11 @@ class EvenPolynomial(Functional):
             return self.terms[k].scaled(float(math.factorial(k)))
         return SymmetricForm.zero(k, self.dim)
 
-    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
+    def closed_form(self, rho, ratios: Sequence[float] = (1.0,)) -> list[float]:
         # each term is contracted once; the order-2j term under r B is r^j times its value
         terms = [(order // 2, trace_forms(moment_form(rho.covariance, order), q))
                  for order, q in self.terms.items()]
-        return _at_ratios(lambda r: float(sum(r ** j * value for j, value in terms)), ratios)
+        return [float(sum(r ** j * value for j, value in terms)) for r in ratios]
 
 
 class ScaledFunctional(Functional):
@@ -532,7 +520,7 @@ class ScaledFunctional(Functional):
     def eval(self, psi) -> float:
         return self.factor * self.base.eval(psi)
 
-    def eval_batch(self, x: np.ndarray, ratios: list[float] | None = None) -> np.ndarray:
+    def eval_batch(self, x: np.ndarray, ratios: Sequence[float] = (1.0,)) -> np.ndarray:
         return self.factor * self.base.eval_batch(x, ratios)
 
     def pullback(self, fmat: np.ndarray) -> "ScaledFunctional":
@@ -541,9 +529,8 @@ class ScaledFunctional(Functional):
     def taylor_form(self, k: int) -> SymmetricForm:
         return self.base.taylor_form(k).scaled(self.factor)
 
-    def closed_form(self, rho, ratios: list[float] | None = None) -> float | list[float]:
-        values = self.base.closed_form(rho, ratios)
-        return self.factor * values if ratios is None else [self.factor * v for v in values]
+    def closed_form(self, rho, ratios: Sequence[float] = (1.0,)) -> list[float]:
+        return [self.factor * v for v in self.base.closed_form(rho, ratios)]
 
 
 def amplify(f: Functional, alpha: float) -> Functional:

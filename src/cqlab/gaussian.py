@@ -83,8 +83,9 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(mean), float(std / math.sqrt(values.shape[0]))
 
 
-def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SIZE) -> SampleBatch:
-    """Assemble `count` rows from per-chunk generators.
+def draw_chunked(seed: int, count: int, fill) -> SampleBatch:
+    """Assemble `count` rows from per-chunk generators, `DEFAULT_CHUNK_SIZE`
+    rows per chunk.
 
     `fill(rng, m)` must return m values, shape (m,), or m rows, shape
     (m, k), using only `rng`; or a pair (rows, partial), where partial is an
@@ -97,10 +98,10 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    n_chunks = (count + chunk_size - 1) // chunk_size
+    n_chunks = (count + DEFAULT_CHUNK_SIZE - 1) // DEFAULT_CHUNK_SIZE
 
     def make(c: int) -> tuple:
-        m = min(chunk_size, count - c * chunk_size)
+        m = min(DEFAULT_CHUNK_SIZE, count - c * DEFAULT_CHUNK_SIZE)
         made = fill(substream(seed, c), m)
         return made if isinstance(made, tuple) else (made, None)
 
@@ -109,7 +110,7 @@ def draw_chunked(seed: int, count: int, fill, chunk_size: int = DEFAULT_CHUNK_SI
     for c, (rows, partial) in enumerate(chunks):
         if out is None:
             out = np.empty((count,) + rows.shape[1:], dtype=rows.dtype)
-        out[c * chunk_size:(c + 1) * chunk_size] = rows
+        out[c * DEFAULT_CHUNK_SIZE:(c + 1) * DEFAULT_CHUNK_SIZE] = rows
         if partial is not None:
             total = partial if total is None else total + partial
     return SampleBatch(samples=out, chunk_count=n_chunks, chunk_sum=total)

@@ -66,7 +66,7 @@ def test_criterion_01_trace_formula_identity():
         b = symmetric_from_entries(m @ m.T / n)
         a = symmetric_from_entries(rng.normal(size=(n, n)))
         rho = GaussianState(b)
-        mean, stderr = mc_average(Quadratic(a), rho, n_samples, seed=2000 + trial)
+        [(mean, stderr)] = mc_average(Quadratic(a), rho, n_samples, seed=2000 + trial)
         if abs(mean - trace_product(b, a)) <= 4.0 * stderr:
             hits += 1
     elapsed = time.perf_counter() - t0
@@ -189,8 +189,8 @@ def test_criterion_06_degeneration_of_variable_map():
         ok_exact = ok_exact and np.array_equal(t_variable(SinQuad(am)), t_variable(Quadratic(am)))
         for alpha in (0.1, 0.05, 0.01):
             rho = GaussianState(np.array([[alpha]]))
-            gap = abs(closed_form_average(Quadratic(am), rho)
-                      - closed_form_average(SinQuad(am), rho))
+            gap = abs(closed_form_average(Quadratic(am), rho)[0]
+                      - closed_form_average(SinQuad(am), rho)[0])
             gaps.append(gap)
             ok_gap = ok_gap and 0.0 < gap <= 3.0 * a ** 3 * alpha ** 3
     elapsed = time.perf_counter() - t0

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -294,6 +295,28 @@ def test_unusable_paths_are_one_line_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _refuse_thread_start(thread):
+    raise RuntimeError("can't start new thread")
+
+
+def _refuse_eigh(matrix):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("target, name, replacement, threads", [
+    (threading.Thread, "start", _refuse_thread_start, "2"),  # a worker that cannot start
+    (np.linalg, "eigh", _refuse_eigh, "1"),  # spectral_decompose raises NumericalError
+], ids=["thread-start", "numerical-error"])
+def test_runtime_errors_are_one_line_errors(tmp_path, capsys, monkeypatch, target, name,
+                                            replacement, threads):
+    # MINIMAL draws 3 chunks, so 2 threads ask the pool for a worker
+    monkeypatch.setattr(target, name, replacement)
+    assert main(["moments-check", "--config", str(_write(tmp_path, MINIMAL)),
+                 "--out", str(tmp_path / "o"), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _limit_address_space():  # runs in the child only
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -414,8 +437,11 @@ def test_threads_do_not_change_bytes(tmp_path, subcommand, stem):
         rc = main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / threads),
                    "--threads", threads])
         assert rc == 0
-    tables = sorted(p.name for p in (tmp_path / "1").iterdir() if p.suffix in (".csv", ".dat"))
-    assert tables
+    # result.json holds values no table shows: every check's stderr, the
+    # pure state's covariance_max_error, the higher-order density operator
+    tables = sorted(p.name for p in (tmp_path / "1").iterdir()
+                    if p.suffix in (".csv", ".dat") or p.name == "result.json")
+    assert "result.json" in tables and len(tables) > 1
     for name in tables:
         for threads in ("2", "8"):
             assert (tmp_path / "1" / name).read_bytes() == \

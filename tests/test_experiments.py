@@ -51,6 +51,7 @@ from cqlab.functionals import (
     double_factorial,
 )
 from cqlab.gaussian import (
+    DEFAULT_CHUNK_SIZE,
     GaussianState,
     draw_chunked,
     exact_span_coefficients,
@@ -85,7 +86,7 @@ def test_mc_average_quadratic_trace_formula():
     b = m @ m.T * 0.01
     rho = GaussianState(b)
     a = symmetric_from_entries(rng.normal(size=(4, 4)))
-    mean, stderr = mc_average(Quadratic(a), rho, 100_000, seed=3)
+    [(mean, stderr)] = mc_average(Quadratic(a), rho, 100_000, seed=3)
     assert abs(mean - trace_product(b, a)) <= 4.0 * stderr
 
 
@@ -93,13 +94,13 @@ def test_mc_average_cos_matches_characteristic_function():
     rho = GaussianState(np.array([[0.1]]))
     two = complex(1.0, -0.2) ** -0.5
     assert two.real - 1.0 == pytest.approx(COS_ORACLE_A1_ALPHA01, rel=1e-12)
-    mean, stderr = mc_average(CosQuadMinusOne([[1.0]]), rho, 200_000, seed=5)
+    [(mean, stderr)] = mc_average(CosQuadMinusOne([[1.0]]), rho, 200_000, seed=5)
     assert abs(mean - COS_ORACLE_A1_ALPHA01) <= 4.0 * stderr
 
 
 def test_mc_average_sin_matches_characteristic_function():
     rho = GaussianState(np.array([[0.1]]))
-    mean, stderr = mc_average(SinQuad([[1.0]]), rho, 200_000, seed=5)
+    [(mean, stderr)] = mc_average(SinQuad([[1.0]]), rho, 200_000, seed=5)
     assert abs(mean - SIN_ORACLE_A1_ALPHA01) <= 4.0 * stderr
 
 
@@ -151,8 +152,8 @@ def test_pullback_reads_the_white_draws_as_the_rows(family, state, alpha):
     for f in (base, amplify(base, 1e-3)):
         pulled = f.pullback(fmat)
         assert type(pulled) is type(f) and pulled.dim == fmat.shape[1]
-        for r in (None, ratios):
-            scale = np.multiply.outer(w, 1.0 if r is None else r)
+        for r in ((1.0,), ratios):
+            scale = np.multiply.outer(w, r)
             tol = eps * sum(c * (dim * j * (scale * np.linalg.norm(a, 2)) ** j + 1.0)
                             for c, j, a in _quadratic_terms(f))
             got, want = pulled.eval_batch(z, r), f.eval_batch(z @ fmat.T, r)
@@ -165,7 +166,7 @@ def test_mc_average_of_a_zero_state_is_zero():
     rho = GaussianState(np.zeros((3, 3)))
     for spec in _PULLBACK_FUNCTIONALS.values():
         f = build_functional(spec, 3)
-        assert mc_average(f, rho, 5000, seed=1) == (0.0, 0.0)
+        assert mc_average(f, rho, 5000, seed=1) == [(0.0, 0.0)]
         assert mc_average(f, rho, 5000, seed=1, ratios=[1.0, 0.5]) == [(0.0, 0.0)] * 2
 
 
@@ -191,14 +192,20 @@ def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
     state = _STREAM_STATES[state_name]()
     a = symmetric_from_entries(substream(4, 0).standard_normal((16, 16)))
     count = 3 * 4096 + 17
+    ratios = [1.0, 0.3, 1e-3]
     for f in (CosQuadMinusOne(a),
               EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(16), 2, 1.0)})):
         # the reference: the draws the state hands over, held at once, with
         # one worker, and evaluated by the variable it hands back
         g, draw = state.whitened(f)
-        expected = mean_stderr(g.eval_batch(draw_chunked(21, count, draw).samples))
+        values = g.eval_batch(draw_chunked(21, count, draw).samples, ratios)
+        expected = [mean_stderr(np.ascontiguousarray(column)) for column in values.T]
         with sampling_workers(workers):
-            assert mc_average(f, state, count, 21) == expected
+            # the default call is the one pair of ratio 1.0, and pair i of a
+            # k-ratio call is the one-ratio call at r_i
+            assert mc_average(f, state, count, 21) == expected[:1]
+            assert mc_average(f, state, count, 21, ratios) == expected
+            assert [mc_average(f, state, count, 21, [r])[0] for r in ratios] == expected
 
 
 @pytest.mark.parametrize("workers", [1, 8])
@@ -216,7 +223,8 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
     with sampling_workers(workers):
         report = pure_state_experiment(v, alpha, a, count, seed)
     amplified = _check(report, "amplified_average")
-    assert (amplified.statistic, amplified.stderr) == mean_stderr(Quadratic(a).eval_batch(x) / alpha)
+    assert (amplified.statistic, amplified.stderr) == \
+        mean_stderr(Quadratic(a).eval_batch(x)[:, 0] / alpha)
     direction = rho.active_factor[:, 0]
     off_axis = x[:, direction == 0.0] == 0.0
     assert _check(report, "span").statistic == np.mean(exact_span_coefficients(x, direction)[0])
@@ -310,7 +318,7 @@ def test_analytic_average_polynomial_matches_mc():
             symmetric_from_entries(rng.normal(size=(2, 2))), 2, 1.0),
     })
     analytic = analytic_average(f, rho, 4)
-    mean, stderr = mc_average(f, rho, 200_000, seed=13)
+    [(mean, stderr)] = mc_average(f, rho, 200_000, seed=13)
     assert abs(mean - analytic) <= 4.0 * stderr
 
 
@@ -321,7 +329,7 @@ def test_analytic_average_sin_truncation_error_is_cubic():
         f = SinQuad([[a]])
         trunc = analytic_average(f, rho, 2)
         assert trunc == pytest.approx(a * alpha, rel=1e-12)
-        closed = closed_form_average(f, rho)
+        [closed] = closed_form_average(f, rho)
         # leading error term is -(5/2) a^3 alpha^3
         assert abs(closed - trunc) <= 3.0 * a ** 3 * alpha ** 3
 
@@ -331,7 +339,7 @@ def test_closed_form_cos_truncation_error_is_quartic():
     for alpha in (0.1, 0.03, 0.01):
         rho = GaussianState(np.array([[alpha]]))
         f = CosQuadMinusOne([[a]])
-        closed = closed_form_average(f, rho)
+        [closed] = closed_form_average(f, rho)
         trunc = analytic_average(f, rho, 4)
         assert trunc == pytest.approx(-1.5 * a * a * alpha * alpha, rel=1e-12)
         # next term in the characteristic-function series is (35/8) a^4 alpha^4
@@ -346,8 +354,8 @@ def test_closed_form_matches_mc_at_higher_dimension():
     rho = GaussianState(b)
     a = symmetric_from_entries(0.3 * rng.normal(size=(3, 3)))
     for f in (SinQuad(a), CosQuadMinusOne(a)):
-        closed = closed_form_average(f, rho)
-        mean, stderr = mc_average(f, rho, 300_000, seed=15)
+        [closed] = closed_form_average(f, rho)
+        [(mean, stderr)] = mc_average(f, rho, 300_000, seed=15)
         assert abs(mean - closed) <= 4.0 * stderr
 
 
@@ -448,7 +456,7 @@ def test_sweep_rows_share_one_rescaled_draw(family, workers):
     with sampling_workers(workers):
         rows = alpha_sweep(cfg)["rows"]
         # row 0 is what the sweep computed before the draw was shared
-        assert expected[0] == mc_average(f, first, cfg.mc_samples, derive_seed(cfg.seed, 0))
+        assert expected[:1] == mc_average(f, first, cfg.mc_samples, derive_seed(cfg.seed, 0))
     assert [(r.classical_mc, r.stderr) for r in rows] == expected
 
 
@@ -496,7 +504,7 @@ def test_sweep_row_i_is_the_alpha_i_state(state, family):
         tol = dim * eps * sum(c * j * double_factorial(2 * j - 1)
                               * (alpha * np.linalg.norm(a, 2)) ** j
                               for c, j, a in _quadratic_terms(f))
-        assert abs(row.classical_analytic - f.closed_form(rho)) <= tol, alpha
+        assert abs(row.classical_analytic - f.closed_form(rho)[0]) <= tol, alpha
         assert abs(row.quantum_term - quantum) <= dim * eps * alpha * np.linalg.norm(a2, 2), alpha
 
 
@@ -521,7 +529,7 @@ def test_amplified_averages_converge_monotonically():
     for alpha in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3):
         rho = GaussianState(np.array([[alpha]]))
         d = t_state(rho, alpha)
-        amplified_classical = closed_form_average(f, rho) / alpha
+        amplified_classical = closed_form_average(f, rho)[0] / alpha
         quantum = quantum_average(d, t_variable(f))
         gaps.append(abs(amplified_classical - quantum))
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -538,7 +546,7 @@ def test_extended_map_trace_formula_exact_for_quadratics():
     b = m @ m.T * 0.01
     rho = GaussianState(b)
     a = symmetric_from_entries(rng.normal(size=(3, 3)))
-    lhs = closed_form_average(Quadratic(a), rho)
+    [lhs] = closed_form_average(Quadratic(a), rho)
     rhs = rho.dispersion() * quantum_average(t_state_extended(rho), a)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -580,16 +588,17 @@ def test_quadratic_form_families_match_reference_bit_for_bit(family):
             assert form.coeff == 0.0 and form.tensor is None and form.matrix is None
     m = rng.normal(size=(3, 3))
     rho = GaussianState(m @ m.T * 0.05)
-    assert closed_form_average(f, rho) == _reference_closed_form(f, rho)
-    assert closed_form_average(amplify(f, 0.1), rho) == 10.0 * _reference_closed_form(f, rho)
-    # at dispersion ratios, from one factorization; ratio 1.0 gives the bits above
+    # the variable, and the variable pulled back to R^2 under a state there
+    cases = [(f, rho), (f.pullback(rng.normal(size=(3, 2))), GaussianState(np.diag([0.04, 0.01])))]
     ratios = [1.0, 0.3, 0.01]
-    expected = [_reference_closed_form(f, rho, r) for r in ratios]
-    assert closed_form_average(f, rho, ratios) == expected
-    assert closed_form_average(amplify(f, 0.1), rho, ratios) == [10.0 * v for v in expected]
-    assert closed_form_average(f, rho, ratios)[0] == closed_form_average(f, rho)
-    assert closed_form_average(amplify(f, 0.1), rho, ratios)[0] == \
-        closed_form_average(amplify(f, 0.1), rho)
+    for g, state in cases:
+        # at dispersion ratios, from one factorization; the default is ratio 1.0
+        expected = [_reference_closed_form(g, state, r) for r in ratios]
+        for h, gain in ((g, 1.0), (amplify(g, 0.1), 10.0)):
+            values = closed_form_average(h, state, ratios)
+            assert values == [gain * v for v in expected], h
+            assert closed_form_average(h, state) == values[:1], h
+            assert [closed_form_average(h, state, [r])[0] for r in ratios] == values, h
 
 
 class _NoClosedForm(Functional):
@@ -617,7 +626,7 @@ def test_every_config_family_has_a_closed_form(family, dim):
             "quartic": {"operator": {"random": {"seed": 4}}, "coeff": 0.5}}
     f = build_functional(spec, dim)
     rho = build_state({"shape": "random", "seed": 5}, dim, 0.1)
-    value = closed_form_average(f, rho)
+    [value] = closed_form_average(f, rho)
     assert type(value) is float and math.isfinite(value), (family, value)
 
 
@@ -631,13 +640,14 @@ def test_even_polynomial_closed_form_integrates_term_by_term():
         6: SymmetricForm.from_dense(rng.normal(size=(3,) * 6)),
     })
     expected = sum(gaussian_integral_multilinear(q, rho.covariance) for q in f.terms.values())
-    assert f.closed_form(rho) == expected
-    assert closed_form_average(f, rho) == expected
+    assert f.closed_form(rho) == [expected]
+    assert closed_form_average(f, rho) == [expected]
     # under r B the order-2j term scales by r^j; ratio 1.0 gives the bits above
     ratios = [1.0, 0.3, 0.01]
     values = f.closed_form(rho, ratios)
     assert values[0] == expected
-    assert amplify(f, 0.1).closed_form(rho, ratios)[0] == amplify(f, 0.1).closed_form(rho)
+    assert amplify(f, 0.1).closed_form(rho, ratios) == \
+        [amplify(f, 0.1).closed_form(rho, [r])[0] for r in ratios]
     for r, value in zip(ratios, values):
         terms = [gaussian_integral_multilinear(q, r * rho.covariance) for q in f.terms.values()]
         assert abs(value - sum(terms)) <= 1e-13 * sum(map(abs, terms)), r
@@ -651,7 +661,7 @@ def test_noninjectivity_witness_pair():
         rho = GaussianState(np.array([[alpha]]))
         d = t_state(rho, alpha)
         assert quantum_average(d, t_variable(fq)) == quantum_average(d, t_variable(fs))
-        gap = abs(closed_form_average(fq, rho) - closed_form_average(fs, rho))
+        gap = abs(closed_form_average(fq, rho)[0] - closed_form_average(fs, rho)[0])
         assert 0.0 < gap <= 3.0 * a ** 3 * alpha ** 3
 
 
@@ -846,8 +856,10 @@ def test_builder_streams_are_not_sample_chunks():
     # configs/nongaussian_laplace.json) must not hand the builder the
     # normals of one of the run's sample chunks
     seed, dim = 31, 3
-    firsts = draw_chunked(seed, 8, lambda rng, m: rng.standard_normal((m, dim * dim)),
-                          chunk_size=1).samples
+    # row 0 of each of 8 chunks
+    firsts = draw_chunked(seed, 8 * DEFAULT_CHUNK_SIZE,
+                          lambda rng, m: rng.standard_normal((m, dim * dim))
+                          ).samples[::DEFAULT_CHUNK_SIZE]
     operator = experiments.build_operator({"random": {"seed": seed}}, dim)
     covariance = build_state({"shape": "random", "seed": seed}, dim, 1.0).covariance
     for chunk, row in enumerate(firsts):
@@ -871,11 +883,11 @@ def test_build_state_rejects_non_finite_weights():
 
 
 _HELPER_ARGS = [
-    (within_sigmas, ("w", 1.0, 1.0, 0.1, 4.0, 0.0)),
+    (within_sigmas, ("w", 1.0, 1.0, 0.1, 0.0)),
     (relatively_exact, ("r", 1.0, 1.0, 1e-10)),
-    (bound_plus_noise, ("b", 0.1, 0.5, 0.01, 4.0, (1.0, 2.0))),
+    (bound_plus_noise, ("b", 0.1, 0.5, 0.01, (1.0, 2.0))),
     (in_range, ("i", 2.0, 1.9, 2.1)),
-    (separated, ("s", 1.0, 0.0, 0.1, 4.0)),
+    (separated, ("s", 1.0, 0.0, 0.1)),
     (measured, ("m", 1.0, 0.5, 0.1)),
 ]
 

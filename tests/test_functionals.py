@@ -195,7 +195,7 @@ def test_batch_eval_matches_pointwise():
     a = symmetric_from_entries(rng.normal(size=(3, 3)))
     x = rng.normal(size=(40, 3))
     for f in _families(a):
-        batch = f.eval_batch(x)
+        batch = f.eval_batch(x)[:, 0]
         point = np.array([f.eval(row) for row in x])
         assert np.allclose(batch, point, rtol=1e-12, atol=1e-14)
     form = SymmetricForm.from_dense(rng.normal(size=(3, 3, 3, 3)))
@@ -209,23 +209,28 @@ _RATIOS = [1.0, 0.3, 0.1, 0.03, 1e-3]
 
 @pytest.mark.parametrize("dim", [1, 7, 64])
 def test_eval_batch_at_ratios_reads_one_contraction(dim):
-    # f(sqrt(r) x) for every ratio r from one contraction of x: the r = 1.0
-    # column keeps the bits of the call without ratios, the others agree
-    # with scaling x first
+    # f(sqrt(r) x) for every ratio r from one contraction of x: the default
+    # call is the one column of ratio 1.0, column i of a k-ratio call is the
+    # one-ratio call at r_i bit for bit, and each agrees with scaling x first
     rng = np.random.default_rng(dim)
     m = rng.normal(size=(dim, dim))
     # positive semidefinite with trace 1, so q has no cancellation, and these
-    # draws keep it well below pi, near which sin's relative error grows
+    # draws keep it well below pi, near which sin's relative error grows; an
+    # orthogonal pullback keeps both
     a = m @ m.T / np.trace(m @ m.T)
     x = 0.5 * rng.normal(size=(300, dim))
     families = _families(a)
     families.append(amplify(families[2], 1e-3))
+    orthogonal = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    families += [f.pullback(orthogonal) for f in families]
     for f in families:
+        assert f.eval_batch(x).shape == (x.shape[0], 1)
+        assert np.array_equal(f.eval_batch(x), f.eval_batch(x, [1.0])), f
         values = f.eval_batch(x, _RATIOS)
         assert values.shape == (x.shape[0], len(_RATIOS))
-        assert np.array_equal(values[:, 0], f.eval_batch(x)), f
-        for i, r in enumerate(_RATIOS[1:], 1):
-            np.testing.assert_allclose(values[:, i], f.eval_batch(math.sqrt(r) * x),
+        for i, r in enumerate(_RATIOS):
+            assert np.array_equal(values[:, i], f.eval_batch(x, [r])[:, 0]), (f, r)
+            np.testing.assert_allclose(values[:, i], f.eval_batch(math.sqrt(r) * x)[:, 0],
                                        rtol=1e-12, atol=0.0, err_msg=f"{f} at r = {r}")
 
 

@@ -14,6 +14,7 @@ from cqlab import gaussian
 from cqlab.correspondence import t_state
 from cqlab.errors import ClassMembershipError, InvalidCovarianceError
 from cqlab.gaussian import (
+    DEFAULT_CHUNK_SIZE,
     GaussianState,
     chebyshev_tail,
     draw_chunked,
@@ -163,21 +164,24 @@ def _normals(rng, m):
     return rng.standard_normal((m, 2))
 
 
+_THREE_CHUNKS = 3 * DEFAULT_CHUNK_SIZE
+
+
 def test_draw_chunked_caps_workers_at_chunk_count(pool_sizes):
     with sampling_workers(10 ** 6):
-        capped = draw_chunked(5, 300, _normals, chunk_size=100)
+        capped = draw_chunked(5, _THREE_CHUNKS, _normals)
     assert pool_sizes and max(pool_sizes) <= 3
     assert capped.chunk_count == 3
-    assert np.array_equal(capped.samples, draw_chunked(5, 300, _normals, chunk_size=100).samples)
+    assert np.array_equal(capped.samples, draw_chunked(5, _THREE_CHUNKS, _normals).samples)
 
 
 def test_one_sampling_worker_builds_no_pool(pool_sizes):
-    draw_chunked(5, 300, _normals, chunk_size=100)
+    draw_chunked(5, _THREE_CHUNKS, _normals)
     with sampling_workers(2):
         with sampling_workers(1):
-            draw_chunked(5, 300, _normals, chunk_size=100)
+            draw_chunked(5, _THREE_CHUNKS, _normals)
         assert pool_sizes == []
-        draw_chunked(5, 300, _normals, chunk_size=100)
+        draw_chunked(5, _THREE_CHUNKS, _normals)
     assert pool_sizes == [2]
 
 
@@ -222,24 +226,24 @@ def test_every_chunk_is_filled_by_the_pool():
         return rng.standard_normal((m, 2))
 
     with sampling_workers(2):
-        pooled = draw_chunked(5, 300, fill, chunk_size=100)
+        pooled = draw_chunked(5, _THREE_CHUNKS, fill)
     assert len(threads) == 3
     assert threading.main_thread() not in threads.values()
-    assert np.array_equal(pooled.samples, draw_chunked(5, 300, _normals, chunk_size=100).samples)
+    assert np.array_equal(pooled.samples, draw_chunked(5, _THREE_CHUNKS, _normals).samples)
 
 
 def test_draw_chunked_keeps_few_chunks_in_flight():
-    # One future per chunk, all submitted up front, held about 1.8 kB per
-    # chunk here; a pool's threads and queue cost about 18 kB whatever the
-    # chunk count.
+    # One future per chunk, all submitted up front, would hold each chunk's
+    # 4 kB of rows here until its turn; a pool's threads and queue cost
+    # about 18 kB whatever the chunk count.
     def fill(rng, m):
-        return np.zeros((m, 128))
+        return np.zeros(m, dtype=np.uint8)
 
     def peak(workers: int) -> int:
         tracemalloc.start()
         try:
             with sampling_workers(workers):
-                draw_chunked(1, 500, fill, chunk_size=1)
+                draw_chunked(1, 500 * DEFAULT_CHUNK_SIZE, fill)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
