@@ -26,6 +26,7 @@ from .gaussian import (
     GaussianState,
     SampleBatch,
     chebyshev_tail,
+    mc_average,
     pure_state_measure,
     sampling_workers,
 )
@@ -39,7 +40,6 @@ from .hilbert import (
 from .wick import (
     gaussian_integral_multilinear,
     moment_form,
-    moment_form_eval,
     moment_mc_check,
     trace_forms,
 )
@@ -50,7 +50,6 @@ from .experiments import (
     analytic_average,
     closed_form_average,
     finite_qm_demo,
-    mc_average,
     nongaussian_experiment,
     pure_state_experiment,
     sub_alpha_states,
@@ -63,7 +62,7 @@ __all__ = [
     "SpectralDecomposition", "SymmetricForm", "alpha_sweep", "amplify",
     "analytic_average", "chebyshev_tail", "closed_form_average",
     "finite_qm_demo", "gaussian_integral_multilinear", "generalized_average",
-    "mc_average", "moment_form", "moment_form_eval", "moment_mc_check",
+    "mc_average", "moment_form", "moment_mc_check",
     "nongaussian_experiment", "outer_product", "pure_state_experiment",
     "pure_state_measure", "quantum_average", "sampling_workers",
     "spectral_decompose", "sub_alpha_states", "symmetric_from_entries",

@@ -35,6 +35,7 @@ from .correspondence import (
 from .errors import ClassMembershipError, ConfigError
 from .functionals import (
     MAX_DENSE_ORDER,
+    MAX_DENSE_SIZE,
     MAX_FORM_ORDER,
     CosQuadMinusOne,
     EvenPolynomial,
@@ -43,18 +44,20 @@ from .functionals import (
     SinQuad,
     SymmetricForm,
     amplify,
+    moment_form,
 )
 from .gaussian import (
     GaussianState,
     chebyshev_tail,
     draw_chunked,
     exact_span_coefficients,
+    mc_average,
     mean_stderr,
     pure_state_measure,
     substream,
 )
 from .hilbert import as_vector, operator_norm, symmetric_from_entries, trace_product
-from .wick import gaussian_integral_multilinear, moment_form_eval, moment_mc_check
+from .wick import gaussian_integral_multilinear, moment_mc_check
 
 # Large odd stride so per-row substream seeds never collide for small indices.
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -365,45 +368,6 @@ def build_second_moment_state(spec: dict, dim: int, alpha: float) -> SecondMomen
 # averages
 
 
-def mc_average(f: Functional, state, n_samples: int, seed: int,
-               ratios: Sequence[float] = (1.0,)) -> list[tuple[float, float]]:
-    """Sample mean and standard error of f over a deterministic stream of
-    draws, one (mean, stderr) pair per dispersion ratio.
-
-    Each chunk of draws is evaluated as soon as it is drawn and only its
-    values are kept, so memory is O(n_samples + workers * chunk * dim), not
-    O(n_samples * dim), with workers the `gaussian.sampling_workers` count.
-    Every Monte-Carlo statistic of the package streams this way.  With
-    (g, draw) = `state.whitened(f)`, the values equal those of `g.eval_batch`
-    on the rows of `draw_chunked(seed, n_samples, draw)` row for row, and the
-    mean is a pairwise reduction over them, so it does not depend on how
-    many workers filled them.  For a Gaussian state g is f pulled back by
-    the active factor F_a and draw hands over the white normals z behind
-    `state.fill`: f(F_a z) is read as (f o F_a)(z), one GEMM per chunk
-    rather than two, and no row F_a z is formed.  The draws are the state's
-    own, not those of an eigenbasis of f, so the mean stays an independent
-    check of the closed form.
-
-    With dispersion `ratios` = (r_1, ..., r_k) the same draws serve k
-    averages: each chunk is evaluated once by `g.eval_batch(z, ratios)`,
-    whose column i holds f(sqrt(r_i) x), and the call keeps k * n_samples
-    values.  A draw x of N(0, B) scaled by sqrt(r) is a draw of N(0, r B),
-    so this averages f over the states r_1 B, ..., r_k B with common random
-    numbers: each average is unbiased, but their errors are correlated.
-    """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
-
-    g, draw = state.whitened(f)
-
-    def fill(rng: np.random.Generator, m: int) -> np.ndarray:
-        return g.eval_batch(draw(rng, m), ratios)
-
-    values = draw_chunked(seed, n_samples, fill).samples
-    # each column copied contiguous, so it is reduced exactly as a 1-D array of its values
-    return [mean_stderr(np.ascontiguousarray(c)) for c in values.T]
-
-
 def analytic_average(f: Functional, rho: GaussianState, max_order: int) -> float:
     """Taylor/Wick average: sum over even orders 2k <= max_order of
     (1/(2k)!) Tr e(2k, B) f^(2k)(0).  Exact when f is a polynomial of
@@ -614,9 +578,9 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     expected = float(v @ f.operator @ v)
     off_axis_entries = n_samples * int(np.count_nonzero(off_axis))
 
-    b = rho.covariance
+    d = rho.covariance / alpha  # B's squares underflow from alpha ~ 1e-160 down, D's do not
     cov_err = np.abs(batch.chunk_sum / n_samples / alpha - np.outer(v, v))
-    band = MC_SIGMAS * np.sqrt((np.outer(np.diag(b), np.diag(b)) + b ** 2) / n_samples) / alpha
+    band = MC_SIGMAS * np.sqrt((np.outer(np.diag(d), np.diag(d)) + d ** 2) / n_samples)
 
     # span, off_axis_zero and covariance_shape are fractions of rows or
     # entries that hold, so each must be exactly 1
@@ -729,7 +693,7 @@ def finite_qm_demo(cfg: ExperimentConfig) -> dict:
 
     # higher-order model: exact polynomial equality through order 4
     poly = _random_polynomial(rng, n, 0.5)
-    classical = analytic_average(poly, rho, 4)
+    [classical] = poly.closed_form(rho)
     generalized = alpha * generalized_average(d, t2n_variable(poly, 2, alpha))
 
     return _report([replace(c, name=f"pure_{c.name}") for c in pure] + [
@@ -750,6 +714,9 @@ def moments_check(cfg: ExperimentConfig) -> dict:
     k = cfg.order
     if 2 * k > MAX_DENSE_ORDER:
         raise ConfigError(f"moments-check supports orders 2k <= {MAX_DENSE_ORDER}, got k={k}")
+    if cfg.dim ** (2 * k) > MAX_DENSE_SIZE:
+        raise ConfigError(f"moments-check at order {2 * k} and dim {cfg.dim} needs a dense "
+                          f"tensor of more than {MAX_DENSE_SIZE} entries")
     shape = cfg.state_spec.get("shape", "isotropic")
     rho = build_state(cfg.state_spec, cfg.dim, float(cfg.dim))
     d = rho.covariance
@@ -762,8 +729,8 @@ def moments_check(cfg: ExperimentConfig) -> dict:
         e1 = np.eye(cfg.dim)[0]
         e2 = np.eye(cfg.dim)[1]
         checks += [
-            relatively_exact("repeated_axis", moment_form_eval(d, [e1, e1, e1, e1]), 3.0, 0.0),
-            relatively_exact("split_axes", moment_form_eval(d, [e1, e1, e2, e2]), 1.0, 0.0)]
+            relatively_exact("repeated_axis", moment_form(d, 4)(e1, e1, e1, e1), 3.0, 0.0),
+            relatively_exact("split_axes", moment_form(d, 4)(e1, e1, e2, e2), 1.0, 0.0)]
     # bench/workloads.py re-checks the band from these three top-level values
     return _report(checks, order=2 * k, samples=cfg.mc_samples, analytic=analytic, mc=mc,
                    stderr=stderr)
@@ -821,7 +788,7 @@ def higher_order_check(cfg: ExperimentConfig) -> dict:
     observable = t2n_variable(f, cfg.order, alpha)
     classical = analytic_average(f, rho, 2 * cfg.order)
     # the MC mean averages every term of f, not only those up to order 2n
-    exact = analytic_average(f, rho, max(f.terms))
+    [exact] = f.closed_form(rho)
     generalized = alpha * generalized_average(d, observable)
     [(mc, stderr)] = mc_average(f, rho, cfg.mc_samples, derive_seed(cfg.seed, 4))
     return _report([

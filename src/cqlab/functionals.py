@@ -31,8 +31,8 @@ from .hilbert import as_vector, require_symmetric, symmetric_from_entries, trace
 # closed form, so the cap bounds enumeration, not contraction.
 MAX_DENSE_ORDER = 6
 MAX_FORM_ORDER = 8
-_DENSE_SIZE_LIMIT = 20_000_000
-_DIAG_BLOCK = 2048  # rows per contraction pass of a dense eval_diag_batch
+MAX_DENSE_SIZE = 20_000_000  # entries of a dense tensor, and of one eval_diag_batch product
+_DIAG_BLOCK = 2048  # most rows per contraction pass of a dense eval_diag_batch
 _EINSUM_LETTERS = "abcdefgh"
 
 
@@ -66,6 +66,15 @@ def perfect_matchings(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                 yield ((a, b),) + tail
 
     return tuple(rec(tuple(range(2 * k))))
+
+
+def _require_dense_size(order: int, dim: int) -> None:
+    """Raise SizeError unless a dense tensor of this order on R^dim is within
+    both dense caps."""
+    if order > MAX_DENSE_ORDER:
+        raise SizeError(f"dense forms are capped at order {MAX_DENSE_ORDER}")
+    if dim ** order > MAX_DENSE_SIZE:
+        raise SizeError(f"dense tensor of order {order} at dim {dim} is too large")
 
 
 def quadratic_form_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -127,11 +136,10 @@ class SymmetricForm:
         t = np.asarray(tensor, dtype=np.float64)
         if t.ndim < 1:
             raise OrderError("a form needs at least one axis")
-        if t.ndim > MAX_DENSE_ORDER:
-            raise SizeError(f"dense forms are capped at order {MAX_DENSE_ORDER}")
         dims = set(t.shape)
         if len(dims) != 1:
             raise DimensionMismatchError(f"tensor axes disagree: shape {t.shape}")
+        _require_dense_size(t.ndim, t.shape[0])
         return cls("dense", t.ndim, t.shape[0], tensor=symmetrize_tensor(t))
 
     @classmethod
@@ -224,20 +232,18 @@ class SymmetricForm:
             return self.coeff * double_factorial(2 * self.npairs - 1) * q ** self.npairs
         out = np.empty(x.shape[0])
         flat = self.tensor.reshape(self.dim, -1)
-        for start in range(0, x.shape[0], _DIAG_BLOCK):
-            v = x[start:start + _DIAG_BLOCK]
+        # each pass forms a (rows, dim^(order-1)) product, held to MAX_DENSE_SIZE entries
+        block = max(1, min(_DIAG_BLOCK, MAX_DENSE_SIZE // flat.shape[1]))
+        for start in range(0, x.shape[0], block):
+            v = x[start:start + block]
             cur = v @ flat
             for _ in range(self.order - 1):
                 cur = np.einsum("pi,pij->pj", v, cur.reshape(v.shape[0], self.dim, -1))
-            out[start:start + _DIAG_BLOCK] = cur[:, 0]
+            out[start:start + block] = cur[:, 0]
         return out
 
     def dense(self) -> np.ndarray:
-        if self.order > MAX_DENSE_ORDER:
-            raise SizeError(f"dense materialization capped at order {MAX_DENSE_ORDER}")
-        if self.dim ** self.order > _DENSE_SIZE_LIMIT:
-            raise SizeError(
-                f"dense tensor of order {self.order} at dim {self.dim} is too large")
+        _require_dense_size(self.order, self.dim)
         if self.kind == "zero":
             return np.zeros((self.dim,) * self.order)
         if self.kind == "dense":

@@ -22,11 +22,13 @@ import functools
 import glob
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidCovarianceError
+from .functionals import Functional
 from .hilbert import as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
@@ -246,6 +248,45 @@ class GaussianState:
         """`count` rows drawn from N(0, B), all held at once.  The package's
         own statistics stream per-row values through `draw_chunked` instead."""
         return draw_chunked(seed, count, self.fill)
+
+
+def mc_average(f: Functional, state, n_samples: int, seed: int,
+               ratios: Sequence[float] = (1.0,)) -> list[tuple[float, float]]:
+    """Sample mean and standard error of f over a deterministic stream of
+    draws, one (mean, stderr) pair per dispersion ratio.
+
+    Each chunk of draws is evaluated as soon as it is drawn and only its
+    values are kept, so memory is O(n_samples + workers * chunk * dim), not
+    O(n_samples * dim), with workers the `gaussian.sampling_workers` count.
+    Every Monte-Carlo statistic of the package streams this way.  With
+    (g, draw) = `state.whitened(f)`, the values equal those of `g.eval_batch`
+    on the rows of `draw_chunked(seed, n_samples, draw)` row for row, and the
+    mean is a pairwise reduction over them, so it does not depend on how
+    many workers filled them.  For a Gaussian state g is f pulled back by
+    the active factor F_a and draw hands over the white normals z behind
+    `state.fill`: f(F_a z) is read as (f o F_a)(z), one GEMM per chunk
+    rather than two, and no row F_a z is formed.  The draws are the state's
+    own, not those of an eigenbasis of f, so the mean stays an independent
+    check of the closed form.
+
+    With dispersion `ratios` = (r_1, ..., r_k) the same draws serve k
+    averages: each chunk is evaluated once by `g.eval_batch(z, ratios)`,
+    whose column i holds f(sqrt(r_i) x), and the call keeps k * n_samples
+    values.  A draw x of N(0, B) scaled by sqrt(r) is a draw of N(0, r B),
+    so this averages f over the states r_1 B, ..., r_k B with common random
+    numbers: each average is unbiased, but their errors are correlated.
+    """
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples, got {n_samples}")
+
+    g, draw = state.whitened(f)
+
+    def fill(rng: np.random.Generator, m: int) -> np.ndarray:
+        return g.eval_batch(draw(rng, m), ratios)
+
+    values = draw_chunked(seed, n_samples, fill).samples
+    # each column copied contiguous, so it is reduced exactly as a 1-D array of its values
+    return [mean_stderr(np.ascontiguousarray(c)) for c in values.T]
 
 
 def pure_state_measure(psi, alpha: float) -> GaussianState:

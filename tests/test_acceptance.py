@@ -44,7 +44,7 @@ from cqlab.functionals import (
 )
 from cqlab.gaussian import GaussianState, pure_state_measure
 from cqlab.hilbert import symmetric_from_entries, trace_product
-from cqlab.wick import moment_form_eval, moment_mc_check
+from cqlab.wick import moment_form, moment_mc_check
 
 
 def _check(report: dict, name: str):
@@ -90,8 +90,8 @@ def test_criterion_02_wick_engine():
         analytic, mc, stderr = moment_mc_check(rho, form, n_samples, seed=3001)
         oks.append(abs(analytic - mc) <= 4.0 * stderr)
     e = np.eye(n)
-    rep = moment_form_eval(np.eye(n), [e[0], e[0], e[0], e[0]])
-    split = moment_form_eval(np.eye(n), [e[0], e[0], e[1], e[1]])
+    rep = moment_form(np.eye(n), 4)(e[0], e[0], e[0], e[0])
+    split = moment_form(np.eye(n), 4)(e[0], e[0], e[1], e[1])
     spots = rep == 3.0 and split == 1.0
     elapsed = time.perf_counter() - t0
     passed = all(oks) and spots and elapsed <= 60.0

@@ -249,14 +249,20 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
         assert [r.empirical for r in rows[3 * i:3 * i + 3]] == \
             [float(np.mean(energies > r.C)) for r in rows[3 * i:3 * i + 3]]
 
-    state = build_state(cfg.state_spec, dim, 1.0)
-    x = state.sample(seed, count).samples
+
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("shape", ["isotropic", "random"])
+def test_moment_mc_check_is_mc_average_of_the_one_term_polynomial(shape, workers):
+    # the reference is taken with one worker
+    dim, count, seed = 5, 3 * 4096 + 17, 21
+    state = build_state({"shape": shape, "seed": 3}, dim, 1.0)
+    a = symmetric_from_entries(substream(4, 0).standard_normal((dim, dim)))
     for form in (SymmetricForm.from_dense(substream(5, 0).standard_normal((dim,) * 4)),
                  SymmetricForm.from_quadratic_power(a, 2, 0.5)):
+        expected = (gaussian_integral_multilinear(form, state.covariance),
+                    *mc_average(EvenPolynomial({form.order: form}), state, count, seed)[0])
         with sampling_workers(workers):
-            streamed = moment_mc_check(state, form, count, seed)
-        assert streamed == (gaussian_integral_multilinear(form, state.covariance),
-                            *mean_stderr(form.eval_diag_batch(x)))
+            assert moment_mc_check(state, form, count, seed) == expected
 
 
 def test_mc_average_memory_is_bounded_by_the_values():
@@ -689,6 +695,14 @@ def test_pure_state_requires_unit_vector():
         pure_state_experiment(np.array([1.0, 1.0]), 0.05, np.eye(2), 5000, seed=3)
 
 
+@pytest.mark.parametrize("alpha", [1e-100, 1e-200, 1e-300])
+def test_pure_state_covariance_gate_holds_at_tiny_alpha(alpha):
+    # the band is taken from D = B / alpha, whose squares do not underflow
+    report = pure_state_experiment(np.array([0.6, 0.8]), alpha, np.eye(2), 10_000, seed=1)
+    assert _check(report, "covariance_shape").statistic == 1.0
+    assert report["passed"]
+
+
 def test_pure_state_rejects_a_covariance_that_underflows_to_zero():
     # alpha psi psi^T rounds to 0 entrywise, so the state has no factor column
     with pytest.raises(ValueError, match="direction must be nonzero"):
@@ -813,6 +827,18 @@ def test_moments_check_identity_spots():
     assert _check(report, "split_axes").statistic == 1.0
     assert _check(report, "moment").passed
     assert report["passed"]
+
+
+def test_moments_check_refuses_a_tensor_over_the_dense_cap(monkeypatch):
+    # 17^6 entries are over the cap; the refusal comes before the form is drawn
+    def no_draw(*args):
+        raise AssertionError("moments-check drew its form")
+
+    monkeypatch.setattr(experiments, "substream", no_draw)
+    cfg = ExperimentConfig(dim=17, alpha_grid=(0.1,), functional_spec={"family": "quadratic"},
+                           state_spec={"shape": "isotropic"}, mc_samples=1000, seed=1, order=3)
+    with pytest.raises(ConfigError, match="more than 20000000 entries"):
+        moments_check(cfg)
 
 
 def test_chebyshev_experiment_bounds_hold():

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqlab import functionals
+from cqlab.errors import SizeError
 from cqlab.functionals import (
     CosQuadMinusOne,
     EvenPolynomial,
@@ -271,6 +274,30 @@ def test_order_six_blocked_eval_cross_checks_factored_route():
                        rtol=1e-9, atol=1e-9 * np.abs(values).max())
     direct = 0.3 * np.einsum("pi,ij,pj->p", x, a, x) ** 3
     assert np.allclose(values, direct, rtol=1e-12)
+
+
+def test_dense_eval_pass_is_held_to_the_size_cap(monkeypatch):
+    # a row's product has 6^5 entries at dim 6 and order 6; a cap of four
+    # rows' worth splits 300 rows into 75 passes of the same values
+    rng = np.random.default_rng(21)
+    form = SymmetricForm.from_dense(rng.normal(size=(6,) * 6))
+    x = rng.normal(size=(300, 6))
+    whole = form.eval_diag_batch(x)
+    monkeypatch.setattr(functionals, "MAX_DENSE_SIZE", 4 * 6 ** 5)
+    tracemalloc.start()
+    try:
+        blocked = form.eval_diag_batch(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.shape[0] * 6 ** 5 * 8 / 4
+    assert np.allclose(blocked, whole, rtol=1e-12, atol=1e-12 * np.abs(whole).max())
+
+
+def test_from_dense_refuses_a_tensor_over_the_size_cap(monkeypatch):
+    monkeypatch.setattr(functionals, "MAX_DENSE_SIZE", 3 ** 4 - 1)
+    with pytest.raises(SizeError, match="order 4 at dim 3 is too large"):
+        SymmetricForm.from_dense(np.zeros((3,) * 4))
 
 
 @given(st.integers(1, 64), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),

@@ -15,7 +15,6 @@ from cqlab.hilbert import symmetric_from_entries, trace_product
 from cqlab.wick import (
     gaussian_integral_multilinear,
     moment_form,
-    moment_form_eval,
     moment_mc_check,
     trace_forms,
 )
@@ -52,13 +51,13 @@ def test_pairing_count_is_double_factorial(k):
 def test_moment_eval_repeated_axis_is_three():
     # oracle: fourth moment of a standard normal coordinate, E z^4 = 3
     e1 = np.eye(3)[0]
-    assert moment_form_eval(np.eye(3), [e1, e1, e1, e1]) == 3.0
+    assert moment_form(np.eye(3), 4)(e1, e1, e1, e1) == 3.0
 
 
 def test_moment_eval_split_axes_is_one():
     # only the (0,1)(2,3) matching survives
     e = np.eye(3)
-    assert moment_form_eval(np.eye(3), [e[0], e[0], e[1], e[1]]) == 1.0
+    assert moment_form(np.eye(3), 4)(e[0], e[0], e[1], e[1]) == 1.0
 
 
 def test_moment_eval_order_two_is_covariance_form():
@@ -66,12 +65,12 @@ def test_moment_eval_order_two_is_covariance_form():
     m = rng.normal(size=(4, 4))
     d = m @ m.T
     y1, y2 = rng.normal(size=4), rng.normal(size=4)
-    assert moment_form_eval(d, [y1, y2]) == pytest.approx(float(y1 @ d @ y2), rel=1e-12)
+    assert moment_form(d, 2)(y1, y2) == pytest.approx(float(y1 @ d @ y2), rel=1e-12)
 
 
 def test_moment_eval_rejects_odd_count():
     with pytest.raises(OrderError):
-        moment_form_eval(np.eye(2), [np.eye(2)[0]] * 3)
+        moment_form(np.eye(2), 3)
 
 
 def test_moment_form_multilinear_in_each_slot():
@@ -88,8 +87,8 @@ def test_moment_form_multilinear_in_each_slot():
         with_u[slot] = u
         with_v = list(args)
         with_v[slot] = v
-        lhs = moment_form_eval(d, left)
-        rhs = a * moment_form_eval(d, with_u) + b * moment_form_eval(d, with_v)
+        lhs = moment_form(d, 4)(*left)
+        rhs = a * moment_form(d, 4)(*with_u) + b * moment_form(d, 4)(*with_v)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -177,7 +176,7 @@ def test_pairing_form_evaluation_capped_at_max_form_order():
     # moment forms exist at any even order, but explicit arguments are
     # contracted by a sum over matchings, which stops at order 8
     with pytest.raises(SizeError):
-        moment_form_eval(np.eye(1), [[1.0]] * 10)
+        moment_form(np.eye(1), 10)(*[[1.0]] * 10)
 
 
 def test_trace_forms_order_mismatch():
@@ -258,14 +257,14 @@ def test_moment_mc_order_four():
     assert abs(analytic - mc) <= 4.0 * stderr
 
 
-def test_moment_mc_order_three_compatible_with_zero():
+def test_moment_mc_rejects_odd_order():
+    # odd integrals are 0 through gaussian_integral_multilinear; the MC check
+    # averages an even polynomial, so an odd form is refused in one line
     rng = np.random.default_rng(19)
-    d = np.eye(3) * 0.5
-    rho = GaussianState(d)
     form = SymmetricForm.from_dense(rng.normal(size=(3, 3, 3)))
-    analytic, mc, stderr = moment_mc_check(rho, form, 50_000, seed=31)
-    assert analytic == 0.0
-    assert abs(mc) <= 4.0 * stderr
+    with pytest.raises(OrderError, match="even order") as info:
+        moment_mc_check(GaussianState(np.eye(3) * 0.5), form, 50_000, seed=31)
+    assert "\n" not in str(info.value)
 
 
 def test_integral_bounded_by_form_norm_times_moment():
