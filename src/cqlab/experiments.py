@@ -286,6 +286,9 @@ def build_state(spec: dict, dim: int, alpha: float) -> GaussianState:
         if (w.shape != (dim,) or not np.all(np.isfinite(w)) or np.any(w < 0.0)
                 or not 0.0 < total < math.inf):
             raise ConfigError("diagonal state needs finite nonnegative weights of length dim")
+        if total < sys.float_info.min:  # subnormal: alpha * w / total would lose digits
+            w = w / w.max()
+            total = w.sum()
         return GaussianState(np.diag(alpha * w / total))
     if shape == "rank1":
         psi = _state_psi(spec, dim)
@@ -454,10 +457,11 @@ def in_range(name: str, statistic, lo: float, hi: float) -> Check:
 
 
 def separated(name: str, statistic, reference, stderr) -> Check:
-    """|statistic - reference| / stderr > MC_SIGMAS (a zero stderr separates)."""
-    separation = abs(statistic - reference) / stderr if stderr > 0.0 else math.inf
-    return _gate(name, statistic, reference, stderr, MC_SIGMAS * stderr, MC_SIGMAS,
-                 separation > MC_SIGMAS)
+    """|statistic - reference| > MC_SIGMAS * stderr, the complement of
+    `within_sigmas`: a zero stderr separates a nonzero gap only."""
+    band = MC_SIGMAS * stderr
+    return _gate(name, statistic, reference, stderr, band, MC_SIGMAS,
+                 abs(statistic - reference) > band)
 
 
 def measured(name: str, statistic, reference, stderr) -> Check:
@@ -645,10 +649,9 @@ def nongaussian_experiment(state: SecondMomentState, a, n_samples: int, seed: in
     [(mean, stderr)] = mc_average(quad, state, n_samples, seed)
     expected = trace_product(state.covariance, quad.operator)
 
-    quartic = SymmetricForm.from_quadratic_power(np.eye(state.dim), 2, 1.0)
-    [(q_mean, q_stderr)] = mc_average(EvenPolynomial({4: quartic}), state, n_samples,
-                                      derive_seed(seed, 1))
-    gaussian_pred = gaussian_integral_multilinear(quartic, state.covariance)
+    quartic = EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(state.dim), 2, 1.0)})
+    [(q_mean, q_stderr)] = mc_average(quartic, state, n_samples, derive_seed(seed, 1))
+    [gaussian_pred] = quartic.closed_form(state)
     return _report([
         # the FP floor matters when the statistic is constant (uniform sphere
         # with A = I), where both the error and stderr sit at round-off scale

@@ -208,19 +208,6 @@ class SymmetricForm:
             cur = np.tensordot(cur, v, axes=([0], [0]))
         return float(cur)
 
-    def eval_diag(self, psi) -> float:
-        """Value on the repeated argument (psi, ..., psi)."""
-        v = as_vector(psi, self.dim)
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "pairing":
-            q = float(v @ self.matrix @ v)
-            return float(self.coeff * double_factorial(2 * self.npairs - 1) * q ** self.npairs)
-        cur = self.tensor
-        for _ in range(self.order):
-            cur = cur @ v
-        return float(cur)
-
     def eval_diag_batch(self, x: np.ndarray) -> np.ndarray:
         """Diagonal values for each row of x, shape (N,)."""
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -339,12 +326,10 @@ def trace_forms(bform: SymmetricForm, aform: SymmetricForm) -> float:
 
 
 class Functional:
-    """A classical variable f with f(0) = 0, even in psi."""
+    """A classical variable f with f(0) = 0, even in psi, evaluated on batches
+    of rows only: `eval_batch`, `taylor_form`, `closed_form`, `pullback`."""
 
     dim: int
-
-    def eval(self, psi) -> float:
-        raise NotImplementedError
 
     def eval_batch(self, x: np.ndarray, ratios: Sequence[float] = (1.0,)) -> np.ndarray:
         """f(sqrt(r_i) x_p) at every row x_p of x and dispersion ratio r_i,
@@ -368,9 +353,6 @@ class Functional:
         the same family.  Its `eval_batch` on rows z equals this one's on
         the rows z F^T up to rounding, at every ratio."""
         raise NotImplementedError
-
-    def __call__(self, psi) -> float:
-        return self.eval(psi)
 
     def _check_order(self, k: int) -> None:
         if k < 1:
@@ -397,10 +379,6 @@ class QuadFormFunctional(Functional):
     def __init__(self, a):
         self.operator = symmetric_from_entries(a)
         self.dim = self.operator.shape[0]
-
-    def eval(self, psi) -> float:
-        v = as_vector(psi, self.dim)
-        return float(self.g(v @ self.operator @ v))
 
     def eval_batch(self, x: np.ndarray, ratios: Sequence[float] = (1.0,)) -> np.ndarray:
         return self.g(np.multiply.outer(quadratic_form_rows(x, self.operator), ratios))
@@ -485,10 +463,6 @@ class EvenPolynomial(Functional):
             raise DimensionMismatchError(f"terms live on different dimensions: {sorted(dims)}")
         self.dim = dims.pop()
 
-    def eval(self, psi) -> float:
-        v = as_vector(psi, self.dim)
-        return float(sum(q.eval_diag(v) for q in self.terms.values()))
-
     def eval_batch(self, x: np.ndarray, ratios: Sequence[float] = (1.0,)) -> np.ndarray:
         r = np.asarray(ratios, dtype=np.float64)
         out = np.zeros((x.shape[0], r.size))
@@ -522,9 +496,6 @@ class ScaledFunctional(Functional):
         self.base = base
         self.factor = factor
         self.dim = base.dim
-
-    def eval(self, psi) -> float:
-        return self.factor * self.base.eval(psi)
 
     def eval_batch(self, x: np.ndarray, ratios: Sequence[float] = (1.0,)) -> np.ndarray:
         return self.factor * self.base.eval_batch(x, ratios)

@@ -69,20 +69,21 @@ def substream(seed: int, tag: int) -> np.random.Generator:
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean of a 1-D array and its standard error (ddof=1).
 
-    Squared deviations overflow for finite values above about 1e154, and
-    the running sum for finite values near the largest double; either
-    statistic is then taken of the values divided by their largest
-    magnitude and scaled back.
+    Squared deviations overflow for values above about 1e154 and underflow
+    for values below about 1e-154.  When the largest magnitude lies outside
+    [2^-400, 2^400], both statistics are taken of the values scaled by the
+    power of two that brings it into [0.5, 1), and scaled back; a
+    power-of-two scaling is exact, and inside the window nothing is scaled.
     """
-    with np.errstate(over="ignore"):
-        mean, std = np.mean(values), np.std(values, ddof=1)
-    if not (math.isfinite(mean) and math.isfinite(std)) and np.all(np.isfinite(values)):
-        scale = np.max(np.abs(values))
-        if not math.isfinite(mean):
-            mean = scale * np.mean(values / scale)
-        if not math.isfinite(std):
-            std = scale * np.std(values / scale, ddof=1)
-    return float(mean), float(std / math.sqrt(values.shape[0]))
+    top = float(np.max(np.abs(values)))
+    exponent = 0
+    if math.isfinite(top) and top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
+        exponent = math.frexp(top)[1]
+        values = np.ldexp(values, -exponent)
+    mean, std = np.mean(values), np.std(values, ddof=1)
+    with np.errstate(over="ignore"):  # a statistic beyond the largest double is inf
+        return (float(np.ldexp(mean, exponent)),
+                float(np.ldexp(std / math.sqrt(values.shape[0]), exponent)))
 
 
 def draw_chunked(seed: int, count: int, fill) -> SampleBatch:

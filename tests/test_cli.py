@@ -276,6 +276,29 @@ def test_nongaussian_overflow_fails_its_gates(tmp_path, capsys):
     assert "RuntimeWarning: overflow encountered" in err
 
 
+# Underflow probes: at a tiny dispersion the squared deviations of a draw
+# underflow, and the quartic values underflow to exactly 0.
+def test_higher_order_stderr_survives_a_tiny_dispersion(tmp_path):
+    cfg = dict(MINIMAL, dim=3, functional={"family": "cos-quad-minus-one"},
+               state={"shape": "isotropic"}, alpha_grid=[1e-200], mc_samples=5000, seed=1)
+    rc = main(["higher-order", "--config", str(_write(tmp_path, cfg)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    overlay = _check(json.loads((tmp_path / "o" / "result.json").read_text()), "mc_overlay")
+    assert overlay["stderr"] > 0.0 and overlay["passed"]
+
+
+def test_nongaussian_quartic_fails_without_a_separation(tmp_path):
+    cfg = dict(MINIMAL, dim=3, alpha_grid=[1e-200], mc_samples=5000, seed=1,
+               state={"sampler": "product-laplace"})
+    rc = main(["nongaussian", "--config", str(_write(tmp_path, cfg)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    quartic = _check(json.loads((tmp_path / "o" / "result.json").read_text()), "quartic")
+    assert (quartic["statistic"], quartic["reference"], quartic["stderr"]) == (0.0, 0.0, 0.0)
+    assert quartic["passed"] is False
+
+
 def test_chebyshev_infinite_threshold_fails_its_gate(tmp_path):
     cfg = dict(MINIMAL, dim=4, alpha_grid=[1e308, 1e306, 1e304], mc_samples=1000)
     rc = main(["chebyshev", "--config", str(_write(tmp_path, cfg)),

@@ -908,6 +908,19 @@ def test_build_state_rejects_non_finite_weights():
         build_state({"shape": "diagonal", "weights": [1e308, 1e308, 0.0]}, 3, 0.1)
 
 
+
+def test_build_state_takes_diagonal_weights_with_a_subnormal_sum():
+    # alpha * w / sum(w) would round 1e-321 / 1e-320 to 0.0998...
+    rho = build_state({"shape": "diagonal", "weights": [1e-320, 0.0]}, 2, 0.1)
+    assert rho.dispersion() == 0.1
+    assert np.array_equal(rho.covariance, np.diag([0.1, 0.0]))
+
+
+def test_separated_needs_a_nonzero_gap_when_the_stderr_is_zero():
+    assert separated("s", 1.0, 0.0, 0.0).passed
+    assert not separated("s", 0.0, 0.0, 0.0).passed
+    assert not separated("s", 2.5, 2.5, 0.0).passed
+
 _HELPER_ARGS = [
     (within_sigmas, ("w", 1.0, 1.0, 0.1, 0.0)),
     (relatively_exact, ("r", 1.0, 1.0, 1e-10)),

@@ -35,26 +35,36 @@ def _families(a):
     ]
 
 
+def _value(f, psi):
+    """f(psi) at one point, read from the batch kernel."""
+    return f.eval_batch(np.asarray(psi, dtype=np.float64)[None])[0, 0]
+
+
+def _diag(form, psi):
+    """form(psi, ..., psi) at one point, read from the batch kernel."""
+    return form.eval_diag_batch(np.asarray(psi, dtype=np.float64)[None])[0]
+
+
 def test_quadratic_eval():
-    assert Quadratic(np.eye(2)).eval([3.0, 4.0]) == 25.0
+    assert _value(Quadratic(np.eye(2)), [3.0, 4.0]) == 25.0
 
 
 def test_sin_quad_preserves_vacuum():
     a = symmetric_from_entries([[0.5, 0.1], [0.1, 0.2]])
-    assert SinQuad(a).eval(np.zeros(2)) == 0.0
+    assert _value(SinQuad(a), np.zeros(2)) == 0.0
 
 
 def test_all_families_vanish_at_zero():
     a = symmetric_from_entries([[0.5, 0.1], [0.1, 0.2]])
     for f in _families(a):
-        assert f.eval(np.zeros(2)) == 0.0
+        assert _value(f, np.zeros(2)) == 0.0
 
 
 def test_cos_minus_one_range():
     rng = np.random.default_rng(2)
     f = CosQuadMinusOne(symmetric_from_entries(rng.normal(size=(3, 3))))
     for _ in range(50):
-        v = f.eval(rng.normal(size=3) * 3.0)
+        v = _value(f, rng.normal(size=3) * 3.0)
         assert -2.0 <= v <= 0.0
 
 
@@ -64,7 +74,7 @@ def test_quadratic_taylor_form_defining_identity():
     f = Quadratic(a)
     form = f.taylor_form(2)
     psi = rng.normal(size=3)
-    assert form.eval_diag(psi) / 2.0 == pytest.approx(f.eval(psi), rel=1e-12)
+    assert _diag(form, psi) / 2.0 == pytest.approx(_value(f, psi), rel=1e-12)
 
 
 def test_sin_quad_taylor_order_four_is_zero():
@@ -83,7 +93,7 @@ def test_sin_taylor_order_six_one_dimensional_coefficient():
     a = 0.4
     form = SinQuad([[a]]).taylor_form(6)
     one = np.array([1.0])
-    assert form.eval_diag(one) == pytest.approx(-120.0 * a ** 3, rel=1e-12)
+    assert _diag(form, one) == pytest.approx(-120.0 * a ** 3, rel=1e-12)
 
 
 def test_even_polynomial_taylor_scaling():
@@ -111,8 +121,8 @@ def test_taylor_consistency_remainder_shrinks():
 
         def residual(v):
             total = sum(
-                f.taylor_form(k).eval_diag(v) / math.factorial(k) for k in range(1, 7))
-            return f.eval(v) - total
+                _diag(f.taylor_form(k), v) / math.factorial(k) for k in range(1, 7))
+            return _value(f, v) - total
 
         r1, r2 = abs(residual(psi)), abs(residual(psi / 2.0))
         if r1 < 1e-14:
@@ -128,8 +138,8 @@ def test_polynomial_families_reproduced_exactly_by_taylor_data():
         4: SymmetricForm.from_quadratic_power(a, 2, -0.2),
     })
     psi = rng.normal(size=3)
-    total = sum(f.taylor_form(k).eval_diag(psi) / math.factorial(k) for k in (2, 4))
-    assert total == pytest.approx(f.eval(psi), rel=1e-12)
+    total = sum(_diag(f.taylor_form(k), psi) / math.factorial(k) for k in (2, 4))
+    assert total == pytest.approx(_value(f, psi), rel=1e-12)
 
 
 def test_amplify_quadratic_matches_scaled_operator():
@@ -138,7 +148,7 @@ def test_amplify_quadratic_matches_scaled_operator():
     f = amplify(Quadratic(a), 0.1)
     g = Quadratic(10.0 * a)
     psi = rng.normal(size=2)
-    assert f.eval(psi) == pytest.approx(g.eval(psi), rel=1e-12)
+    assert _value(f, psi) == pytest.approx(_value(g, psi), rel=1e-12)
     assert np.allclose(f.taylor_form(2).dense(), g.taylor_form(2).dense(), rtol=1e-12)
 
 
@@ -149,7 +159,7 @@ def test_amplify_composition(alpha, beta):
     twice = amplify(amplify(f, alpha), beta)
     once = amplify(f, alpha * beta)
     psi = np.array([0.3, -0.4])
-    assert twice.eval(psi) == pytest.approx(once.eval(psi), rel=1e-12)
+    assert _value(twice, psi) == pytest.approx(_value(once, psi), rel=1e-12)
 
 
 def test_amplified_quadratic_average_is_exact():
@@ -190,7 +200,16 @@ def test_pairing_form_matches_dense_on_arguments():
     args = [rng.normal(size=3) for _ in range(4)]
     assert form(*args) == pytest.approx(dense(*args), rel=1e-10)
     psi = rng.normal(size=3)
-    assert form.eval_diag(psi) == pytest.approx(0.7 * float(psi @ a @ psi) ** 2, rel=1e-12)
+    assert _diag(form, psi) == pytest.approx(0.7 * float(psi @ a @ psi) ** 2, rel=1e-12)
+
+
+def _pointwise(f, v):
+    """An independent reference for f(v): g((A v, v)) for the quadratic-form
+    families, and each term's form on the explicit arguments (v, ..., v) for
+    an even polynomial."""
+    if hasattr(f, "g"):
+        return f.g(v @ f.operator @ v)
+    return sum(q(*[v] * q.order) for q in f.terms.values())
 
 
 def test_batch_eval_matches_pointwise():
@@ -199,11 +218,11 @@ def test_batch_eval_matches_pointwise():
     x = rng.normal(size=(40, 3))
     for f in _families(a):
         batch = f.eval_batch(x)[:, 0]
-        point = np.array([f.eval(row) for row in x])
+        point = np.array([_pointwise(f, row) for row in x])
         assert np.allclose(batch, point, rtol=1e-12, atol=1e-14)
     form = SymmetricForm.from_dense(rng.normal(size=(3, 3, 3, 3)))
     batch = form.eval_diag_batch(x)
-    point = np.array([form.eval_diag(row) for row in x])
+    point = np.array([form(*[row] * form.order) for row in x])
     assert np.allclose(batch, point, rtol=1e-10, atol=1e-12)
 
 

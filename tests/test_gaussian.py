@@ -376,6 +376,15 @@ def test_mean_stderr_survives_a_sum_that_overflows():
     assert stderr == pytest.approx(1.5e308 * mean_stderr(v / 1.5e308)[1], rel=1e-15)
 
 
+@pytest.mark.parametrize("exponent", [-700, -1000])
+def test_mean_stderr_survives_values_whose_squares_underflow(exponent):
+    # a power-of-two scaling is exact, so both statistics scale by it bit for bit
+    v = np.random.default_rng(6).standard_normal(1001)
+    mean, stderr = mean_stderr(np.ldexp(v, exponent))
+    assert stderr > 0.0
+    assert (mean, stderr) == tuple(math.ldexp(x, exponent) for x in mean_stderr(v))
+
+
 def test_mean_stderr_keeps_its_bits_where_finite():
     v = np.random.default_rng(5).standard_normal(1001) * 1e150
     assert mean_stderr(v)[1] == float(np.std(v, ddof=1) / math.sqrt(v.size))
