@@ -3,8 +3,10 @@
 A state is determined by its covariance operator B.  Its dispersion is
 Tr B, the mean squared field norm.  Sampling factors B through its
 spectral decomposition so rank-deficient covariances (pure states) work
-without pivoting, and draws come from counter-based Philox substreams so
-batches are bit-reproducible regardless of how many workers fill them.
+without pivoting, and draws come from SFC64 substreams, one per chunk, so
+batches are bit-reproducible regardless of how many workers fill them.  The
+substreams are SeedSequence children: independent with overwhelming
+probability rather than by construction (see `substream`).
 Every Monte-Carlo statistic of the package streams: `draw_chunked` maps each
 chunk of draws to per-row values as it is drawn, so no caller holds the
 draws themselves.  The number of threads that fill chunks is a resource,
@@ -60,10 +62,22 @@ class SampleBatch:
 
 
 def substream(seed: int, tag: int) -> np.random.Generator:
-    """The Philox stream keyed by (seed mod 2^64, tag); every seeded draw
-    in the package comes from one of these."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(tag)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The SFC64 stream of (seed mod 2^64, tag): child `tag` of
+    `SeedSequence(seed mod 2^64)`, as `spawn` would make it.  Every seeded
+    draw in the package comes from one of these.
+
+    The seed fills the entropy pool zero-padded before the tag's words, so
+    distinct (seed mod 2^64, tag) pairs give distinct SeedSequence inputs;
+    a list entropy [seed, tag] would not (NumPy joins each int's 32-bit
+    words, so (0, 1 + 5 * 2^32) and (2^32, 5) would build one state).  The
+    inputs are hashed into a 128-bit pool that seeds a 256-bit SFC64
+    state, so distinct pairs give independent streams with overwhelming
+    probability, not by construction as distinct Philox keys would; and
+    SFC64 is not counter-based, so no stream can jump into another.
+    Neither is needed: every chunk and every builder gets its own generator.
+    """
+    entropy = np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(tag,))
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -93,7 +107,7 @@ def draw_chunked(seed: int, count: int, fill) -> SampleBatch:
     `fill(rng, m)` must return m values, shape (m,), or m rows, shape
     (m, k), using only `rng`; or a pair (rows, partial), where partial is an
     array computed from the chunk's draws, such as a sum over them.  Chunk c
-    always uses the Philox stream keyed by (seed, c).  Chunks are taken in
+    always uses the SFC64 stream `substream(seed, c)`.  Chunks are taken in
     chunk order: the first one sizes the output array, each writes its own
     slice of it, and the partials are added in that order, so the result is
     independent of `sampling_workers` and of scheduling order, and no chunk

@@ -763,6 +763,24 @@ def test_nongaussian_uniform_sphere():
     assert _check(report, "quartic").passed
 
 
+def test_nongaussian_quadratic_gate_fails_at_a_tiny_dispersion(monkeypatch):
+    # the round-off floor is relative: an absolute 1e-12 would swallow a
+    # 10-sigma miss when every value is of order 1e-200
+    state = experiments.build_second_moment_state({"sampler": "product-laplace"}, 3, 1e-200)
+    a = np.eye(3)
+    expected = trace_product(state.covariance, a)
+    real = experiments.mc_average
+
+    def ten_sigmas_off(f, state, n_samples, seed, ratios=(1.0,)):
+        [(mean, stderr)] = real(f, state, n_samples, seed, ratios)
+        return [(expected + 10.0 * stderr if isinstance(f, Quadratic) else mean, stderr)]
+
+    monkeypatch.setattr(experiments, "mc_average", ten_sigmas_off)
+    quadratic = _check(nongaussian_experiment(state, a, 5000, seed=1), "quadratic")
+    assert quadratic.stderr > 0.0
+    assert not quadratic.passed
+
+
 def test_laplace_sample_covariance_matches_target():
     v = np.array([0.01, 0.02, 0.03])
     state = SecondMomentState.product_laplace(v)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cqlab import gaussian
+from cqlab import experiments, gaussian
 from cqlab.correspondence import t_state
 from cqlab.errors import ClassMembershipError, InvalidCovarianceError
 from cqlab.gaussian import (
@@ -22,6 +22,7 @@ from cqlab.gaussian import (
     mean_stderr,
     pure_state_measure,
     sampling_workers,
+    substream,
 )
 from cqlab.hilbert import outer_product
 
@@ -67,8 +68,8 @@ _FACTOR_STATES = {
 @pytest.mark.parametrize("state", list(_FACTOR_STATES))
 def test_fill_is_the_white_draws_through_the_active_factor(state):
     rho = _FACTOR_STATES[state]()
-    z = rho.white(np.random.Generator(np.random.Philox(3)), 50)
-    x = rho.fill(np.random.Generator(np.random.Philox(3)), 50)
+    z = rho.white(substream(3, 0), 50)
+    x = rho.fill(substream(3, 0), 50)
     assert z.shape == (50, rho.active_factor.shape[1])
     assert np.array_equal(x, z @ rho.active_factor.T)
     fmat = rho.active_factor
@@ -133,9 +134,9 @@ def test_sample_deterministic_across_worker_counts():
     assert one.chunk_count == eight.chunk_count > 1
 
 
-# sha256 of the sampled bytes as drawn before the output array was
-# preallocated; a diagonal factor keeps the bits independent of the BLAS
-SAMPLE_STREAM_SHA256 = "1d7c9c0ce7f7bf5f45b8af3dc77dd45a4050101dfc1cdb50a8610e26d6abf46f"
+# sha256 of the sampled bytes of the SFC64 chunk streams; a diagonal factor
+# keeps the bits independent of the BLAS
+SAMPLE_STREAM_SHA256 = "97899826333c3d1bb4ffd8ed96fbf89a79bb0a74f783ac0c61b169573e27e3de"
 
 
 @pytest.mark.parametrize("workers", [1, 8])
@@ -144,6 +145,38 @@ def test_sample_stream_is_pinned(workers):
     with sampling_workers(workers):
         batch = rho.sample(seed=9, count=20_000)
     assert hashlib.sha256(batch.samples.tobytes()).hexdigest() == SAMPLE_STREAM_SHA256
+
+
+MASK64 = 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2 ** 32, MASK64])
+@pytest.mark.parametrize("chunk", [0, 1, 5])
+def test_substream_is_a_spawned_child(seed, chunk):
+    # chunk c of a run is child c of SeedSequence(seed), NumPy's parallel-stream recipe
+    child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
+    expected = np.random.Generator(np.random.SFC64(child)).standard_normal(64)
+    assert np.array_equal(substream(seed, chunk).standard_normal(64), expected)
+
+
+def test_substream_keeps_seed_and_tag_apart():
+    # a SeedSequence([seed, tag]) entropy list joins the 32-bit words of both,
+    # so these two pairs would build one state
+    assert not np.array_equal(substream(0, 1 + 5 * 2 ** 32).standard_normal(8),
+                              substream(2 ** 32, 5).standard_normal(8))
+
+
+def test_substream_seed_is_taken_mod_2_64():
+    assert np.array_equal(substream(-1, 7).standard_normal(8),
+                          substream(MASK64, 7).standard_normal(8))
+
+
+def test_substream_first_outputs_are_pairwise_distinct():
+    reserved = (experiments.OPERATOR_TAG, experiments.STATE_TAG, experiments.FINITE_QM_TAG,
+                experiments.HIGHER_ORDER_TAG, experiments.MOMENTS_TAG)
+    firsts = [substream(seed, tag).bit_generator.random_raw()
+              for seed in (0, 1, 2 ** 32, MASK64) for tag in (*range(1024), *reserved)]
+    assert len(set(firsts)) == len(firsts) == 4 * 1029
 
 
 @pytest.fixture
