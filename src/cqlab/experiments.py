@@ -561,7 +561,9 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     Each chunk of draws x becomes three values per row (the amplified value,
     1 when the row is an exact multiple of the direction, and the number of
     its off-axis entries that are zero) and one x^T x, which is summed in
-    chunk order.
+    chunk order.  The chunk is formed column-major, x^T = F_a z^T of shape
+    (dim, m), one product per entry for the rank-1 factor, so the row
+    checks reduce along its contiguous axis.
     """
     v = as_vector(psi)
     nrm = float(np.linalg.norm(v))
@@ -574,10 +576,10 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     off_axis = direction == 0.0
 
     def fill(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        x = rho.fill(rng, m)
-        ok, _coeffs = exact_span_coefficients(x, direction)
-        zeros = np.count_nonzero(x[:, off_axis] == 0.0, axis=1)
-        return np.column_stack([f.eval_batch(x) / alpha, ok, zeros]), x.T @ x
+        xt = fmat @ rho.white(rng, m).T
+        ok, _coeffs = exact_span_coefficients(xt.T, direction)
+        zeros = np.count_nonzero(xt[off_axis] == 0.0, axis=0)
+        return np.column_stack([f.eval_batch(xt.T) / alpha, ok, zeros]), xt @ xt.T
 
     batch = draw_chunked(seed, n_samples, fill)
     amplified, span, zeros = batch.samples.T

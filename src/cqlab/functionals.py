@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import lru_cache
-from itertools import permutations
+from functools import cached_property, lru_cache
+from itertools import groupby, permutations
 
 import numpy as np
 
@@ -81,6 +81,27 @@ def quadratic_form_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """(A x_p, x_p) for every row x_p of x, shape (N,): one GEMM, then a
     row-wise dot product."""
     return np.einsum("pi,pi->p", x @ a, x)
+
+
+def _monomials(dim: int, degree: int) -> list[tuple[int, ...]]:
+    """The sorted index tuples of length `degree` over range(dim), in colex
+    order: by last index, then the same way on the rest."""
+    out = [()]
+    for _ in range(degree):
+        out = [m + (i,) for i in range(dim) for m in out if not m or m[-1] <= i]
+    return out
+
+
+def _monomial_rows(xt: np.ndarray, degree: int) -> list[np.ndarray]:
+    """[y_0, ..., y_degree] for the columns of xt, shape (dim, rows): y_j
+    holds the degree-j monomials, one row per `_monomials(dim, j)` tuple.
+    In colex order the degree-(j-1) tuples whose last index is at most i
+    lead, so y_j stacks those rows of y_(j-1) times row i of xt."""
+    ys = [np.ones((1, xt.shape[1])), xt][:degree + 1]
+    for j in range(2, degree + 1):
+        ys.append(np.concatenate([ys[-1][:math.comb(i + j - 1, j - 1)] * xt[i]
+                                  for i in range(xt.shape[0])]))
+    return ys
 
 
 def symmetrize_tensor(t: np.ndarray) -> np.ndarray:
@@ -209,7 +230,13 @@ class SymmetricForm:
         return float(cur)
 
     def eval_diag_batch(self, x: np.ndarray) -> np.ndarray:
-        """Diagonal values for each row of x, shape (N,)."""
+        """Diagonal values form(x_p, ..., x_p) for each row x_p of x, shape (N,).
+
+        A dense form is a homogeneous polynomial, so it needs only the
+        C(dim + k - 1, k) monomials of a row: with y_j the degree-j
+        monomials of a block of rows laid out (monomials, rows), its value
+        is the column sum of y_b * (W^T y_a), W from `_packed_weights`.
+        A pairing form is c (2m-1)!! (M x_p, x_p)^m."""
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionMismatchError(f"expected (N, {self.dim}) samples, got {x.shape}")
         if self.kind == "zero":
@@ -217,17 +244,32 @@ class SymmetricForm:
         if self.kind == "pairing":
             q = quadratic_form_rows(x, self.matrix)
             return self.coeff * double_factorial(2 * self.npairs - 1) * q ** self.npairs
+        # the largest array of a pass is (n_b, rows), held to MAX_DENSE_SIZE entries
+        a = self.order // 2
+        wt = self._packed_weights
         out = np.empty(x.shape[0])
-        flat = self.tensor.reshape(self.dim, -1)
-        # each pass forms a (rows, dim^(order-1)) product, held to MAX_DENSE_SIZE entries
-        block = max(1, min(_DIAG_BLOCK, MAX_DENSE_SIZE // flat.shape[1]))
+        block = max(1, min(_DIAG_BLOCK, MAX_DENSE_SIZE // wt.shape[0]))
         for start in range(0, x.shape[0], block):
-            v = x[start:start + block]
-            cur = v @ flat
-            for _ in range(self.order - 1):
-                cur = np.einsum("pi,pij->pj", v, cur.reshape(v.shape[0], self.dim, -1))
-            out[start:start + block] = cur[:, 0]
+            ys = _monomial_rows(np.ascontiguousarray(x[start:start + block].T), self.order - a)
+            out[start:start + block] = np.einsum("bp,bp->p", ys[-1], wt @ ys[a])
         return out
+
+    @cached_property
+    def _packed_weights(self) -> np.ndarray:
+        """W^T of a dense form of order k = a + b, a = k // 2, shape (n_b, n_a):
+        W[A, B] = T[A, B] m_A m_B over the sorted index tuples A of length a
+        and B of length b in `_monomials` order, with m_A the number of
+        orderings of A.  Every stored dense tensor is exactly symmetric, so T
+        at the joined tuple (A, B) is its entry at the sorted one."""
+        a = self.order // 2
+        tuples = [_monomials(self.dim, self.order - a), _monomials(self.dim, a)]
+        ib, ia = (np.array(ts, dtype=np.intp).reshape(len(ts), -1) for ts in tuples)
+        entries = self.tensor[tuple(ib[:, [j]] for j in range(ib.shape[1]))
+                              + tuple(ia[:, j] for j in range(ia.shape[1]))]
+        wb, wa = (np.array([math.factorial(len(t)) // math.prod(
+            math.factorial(len(list(run))) for _, run in groupby(t)) for t in ts],
+            dtype=np.float64) for ts in tuples)
+        return entries * np.multiply.outer(wb, wa)
 
     def dense(self) -> np.ndarray:
         _require_dense_size(self.order, self.dim)

@@ -245,9 +245,11 @@ class GaussianState:
 
     def white(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """The m x rank standard normals z behind `fill(rng, m)`, which is
-        z F_a^T.  Each sample draws dim normals, so the stream layout does not
-        depend on the covariance rank; the first rank of them are used."""
-        return rng.standard_normal((m, self.dim))[:, :self.active_factor.shape[1]]
+        z F_a^T.  Each sample draws rank normals, one per active eigenvalue,
+        so a full-rank state draws dim and a pure state one; the stream
+        layout therefore depends on the numerical rank, and a state whose
+        clipped rank changes draws a different stream."""
+        return rng.standard_normal((m, self.active_factor.shape[1]))
 
     def fill(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m rows drawn from N(0, B) using only `rng`."""
@@ -330,25 +332,29 @@ def exact_span_coefficients(samples: np.ndarray, direction) -> tuple[np.ndarray,
     Returns (ok, coeffs).  ok[i] is True when some double c reproduces row i
     bit-for-bit under IEEE multiplication, which is the strongest form of
     "lies in span{direction}" available in floating point.  Candidates are
-    the per-row division estimate and its +-2 ulp neighbours, tried in that
-    order, each on the rows no earlier candidate reproduced.
+    the per-row division estimate, then its +1, -1, +2 and -2 ulp
+    neighbours on the rows it does not reproduce; a row keeps the first
+    candidate that does.  Every check reduces along axis 0 of samples.T, so
+    rows handed over as the transpose of a C-ordered (dim, N) array are
+    compared along contiguous memory; the result does not depend on the
+    layout.
     """
     u = as_vector(direction)
     if not np.any(u != 0.0):
         raise ValueError("direction must be nonzero")
+    cols = samples.T  # (dim, N): contiguous rows when samples is a transposed (dim, N) array
     jmax = int(np.argmax(np.abs(u)))
-    base = samples[:, jmax] / u[jmax]
-    ok = np.all(base[:, None] * u[None, :] == samples, axis=1)
+    base = cols[jmax] / u[jmax]
+    ok = np.all(u[:, None] * base[None, :] == cols, axis=0)
     coeffs = base.copy()
     rows = np.flatnonzero(~ok)
-    for ulps in (1, -1, 2, -2):
-        if not rows.size:  # the usual case: no per-candidate calls on every streamed chunk
-            break
-        cand = base[rows]
-        for _ in range(abs(ulps)):
-            cand = np.nextafter(cand, math.copysign(math.inf, ulps))
-        hit = np.all(cand[:, None] * u[None, :] == samples[rows], axis=1)
-        coeffs[rows[hit]] = cand[hit]
-        ok[rows[hit]] = True
-        rows = rows[~hit]
+    if rows.size:
+        away = np.array([[math.inf], [-math.inf]])
+        one = np.nextafter(base[rows], away)
+        # (4, rows) candidates in trial order +1, -1, +2, -2 ulp, all tried in one pass
+        cands = np.concatenate([one, np.nextafter(one, away)])
+        hits = np.all(u[:, None, None] * cands == cols[:, None, rows], axis=0)
+        hit = hits.any(axis=0)
+        coeffs[rows[hit]] = cands[hits.argmax(axis=0), np.arange(rows.size)][hit]
+        ok[rows] = hit
     return ok, coeffs

@@ -295,9 +295,42 @@ def test_order_six_blocked_eval_cross_checks_factored_route():
     assert np.allclose(values, direct, rtol=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_packed_dense_eval_matches_the_form_on_explicit_arguments(order, dim):
+    # the packed kernel against the tensor contracted with k copies of each row
+    rng = np.random.default_rng(100 * order + dim)
+    form = SymmetricForm.from_dense(rng.normal(size=(dim,) * order))
+    x = rng.normal(size=(30, dim)) * 10.0 ** rng.uniform(-2, 2, size=(30, 1))
+    x[0] = 0.0
+    reference = np.array([form(*[row] * order) for row in x])
+    bound = 1e-14 * np.abs(form.tensor).sum() * np.abs(x).max(axis=1) ** order
+    assert np.all(np.abs(form.eval_diag_batch(x) - reference) <= bound)
+
+
+def test_packed_dense_eval_stays_small_at_order_six():
+    # dim 6, order 6: a pass holds (56, 2048) monomial arrays, where a
+    # (2048, 6^5) product, 127 MB, would be needed to contract row by axis
+    rng = np.random.default_rng(22)
+    form = SymmetricForm.from_dense(rng.normal(size=(6,) * 6))
+    x = rng.normal(size=(4096, 6))
+    tracemalloc.start()
+    try:
+        values = form.eval_diag_batch(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    reference = np.array([form(*[row] * 6) for row in x[:50]])
+    assert np.allclose(values[:50], reference, rtol=0.0,
+                       atol=1e-14 * np.abs(form.tensor).sum() * np.abs(x[:50]).max() ** 6)
+
+
 def test_dense_eval_pass_is_held_to_the_size_cap(monkeypatch):
-    # a row's product has 6^5 entries at dim 6 and order 6; a cap of four
-    # rows' worth splits 300 rows into 75 passes of the same values
+    # a pass at dim 6 and order 6 forms (56, rows) monomial products, held to
+    # MAX_DENSE_SIZE entries; under a cap of 4 * 6^5 entries the 300 rows
+    # give the same values, and the pass stays far below the 6^5 entries per
+    # row that contracting the tensor with each row would hold
     rng = np.random.default_rng(21)
     form = SymmetricForm.from_dense(rng.normal(size=(6,) * 6))
     x = rng.normal(size=(300, 6))

@@ -391,6 +391,44 @@ def test_exact_span_coefficients_match_the_all_rows_loop():
     assert {-1.0, 0.0, 1.0} <= set(steps.tolist())  # some rows need a +-1 ulp candidate
 
 
+def test_exact_span_coefficients_do_not_depend_on_the_row_layout():
+    # products near the subnormal range keep few bits, so some rows need a
+    # +-1 or +-2 ulp candidate and some are reproduced by none; row 0 is
+    # moved off the span
+    rng = np.random.default_rng(4)
+    u = np.array([1.0, -0.7, 0.3, 0.0]) * 1e-305
+    rows = (rng.standard_normal(4000) * 1e-3)[:, None] * u[None, :]
+    rows[0, 1] *= 1.5
+    ok, coeffs = exact_span_coefficients(rows, u)
+    columns = np.ascontiguousarray(rows.T)  # (dim, N), handed over as its transpose
+    ok_t, coeffs_t = exact_span_coefficients(columns.T, u)
+    assert np.array_equal(ok, ok_t)
+    assert np.array_equal(coeffs, coeffs_t)
+    ref_ok, ref_coeffs = _span_reference(rows, u)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(coeffs, ref_coeffs)
+    assert not ok[0] and 0 < np.count_nonzero(~ok) < 400
+    base = rows[:, 0] / u[0]
+    steps = np.rint((coeffs[ok] - base[ok]) / np.spacing(np.abs(base[ok])))
+    assert set(steps.tolist()) == {-2.0, -1.0, 0.0, 1.0, 2.0}
+
+
+@pytest.mark.parametrize("rank", [0, 1, 32])
+def test_white_draws_rank_normals_per_row(rank):
+    weights = np.zeros(64)
+    weights[:rank] = np.arange(1.0, rank + 1.0)
+    rho = GaussianState(np.diag(weights))
+    assert rho.white(substream(2, 0), 100).shape == (100, rank)
+
+
+def test_a_rank_one_chunk_consumes_one_normal_per_row():
+    rho = pure_state_measure(np.array([0.6, 0.0, 0.8]), 0.1)
+    rng, reference = substream(8, 0), substream(8, 0)
+    z = rho.white(rng, 1000)
+    assert np.array_equal(z[:, 0], reference.standard_normal(1000))
+    assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5))
+
+
 def test_mean_stderr_survives_large_finite_values():
     # squaring deviations of 1e200 overflows; the stderr itself fits a double
     v = np.array([1e200, -1e200, 3e200, 2e200])
