@@ -7,9 +7,10 @@ numeric differentiation: the correspondence maps need f''(0) and f''''(0)
 exactly.
 
 Forms induced by powers of a quadratic form, e.g. (A psi, psi)^m, are kept
-in a factored pairing representation and densified only on demand.  Only
-this module knows how a form is stored, so form contraction and Gaussian
-moment forms live here, and each variable integrates its own terms.
+in a factored pairing representation and densified only on demand.  An
+order-2 form is always such a form, with one pair: one symmetric matrix.
+Only this module knows how a form is stored, so form contraction and
+Gaussian moment forms live here, and each variable integrates its own terms.
 """
 
 from __future__ import annotations
@@ -132,9 +133,10 @@ def symmetrize_tensor(t: np.ndarray) -> np.ndarray:
 class SymmetricForm:
     """Symmetric k-linear form on R^n.
 
-    kind == "dense":   explicit tensor with k axes.
+    kind == "dense":   explicit tensor with k axes, k != 2.
     kind == "pairing": coeff * sum over perfect matchings of prod (z_a, M z_b),
                        order 2m; this is coeff*(2m-1)!! * sym(M tensor-power m).
+                       Every nonzero order-2 form is one: coeff * (z_1, M z_2).
     kind == "zero":    identically zero at any order.
     """
 
@@ -161,12 +163,13 @@ class SymmetricForm:
         if len(dims) != 1:
             raise DimensionMismatchError(f"tensor axes disagree: shape {t.shape}")
         _require_dense_size(t.ndim, t.shape[0])
+        if t.ndim == 2:
+            return cls.from_matrix(t)
         return cls("dense", t.ndim, t.shape[0], tensor=symmetrize_tensor(t))
 
     @classmethod
     def from_matrix(cls, m) -> "SymmetricForm":
-        mm = symmetric_from_entries(m)
-        return cls("dense", 2, mm.shape[0], tensor=mm)
+        return cls.from_quadratic_power(m, 1, 1.0)
 
     @classmethod
     def from_quadratic_power(cls, m, power: int, scale: float) -> "SymmetricForm":
@@ -290,8 +293,6 @@ class SymmetricForm:
         if self.kind == "pairing":
             out["coefficient"] = float(self.coeff)
             out["matrix"] = [[float(x) for x in row] for row in self.matrix]
-        elif self.kind == "dense" and self.order == 2:
-            out["matrix"] = [[float(x) for x in row] for row in self.tensor]
         elif self.kind == "dense" and self.dim ** self.order <= 4096:
             out["entries"] = self.tensor.tolist()
         return out
@@ -343,10 +344,10 @@ def _contract_dense_with_pairing(dense: np.ndarray, matrix: np.ndarray, npairs: 
 def trace_forms(bform: SymmetricForm, aform: SymmetricForm) -> float:
     """Generalized trace: sum over all basis tuples of B(e_j1,..) * A(e_j1,..).
 
-    The value is basis independent; order 2 reduces to the matrix trace
-    product.  Two pairing forms contract in closed form at any order, with
-    no dense tensor and no sum over matchings: the moment form of D against
-    the pairing form of M^(x)k is (2k-1)!! E[(M psi, psi)^k], psi ~ N(0, D).
+    The value is basis independent.  Two pairing forms contract in closed
+    form at any order, with no dense tensor and no sum over matchings: the
+    moment form of D against the pairing form of M^(x)k is
+    (2k-1)!! E[(M psi, psi)^k], psi ~ N(0, D), which at order 2 is Tr(DM).
     """
     if bform.order != aform.order:
         raise OrderError(f"order mismatch: {bform.order} vs {aform.order}")
@@ -354,8 +355,6 @@ def trace_forms(bform: SymmetricForm, aform: SymmetricForm) -> float:
         raise DimensionMismatchError(f"dimension mismatch: {bform.dim} vs {aform.dim}")
     if bform.is_zero or aform.is_zero:
         return 0.0
-    if bform.order == 2:
-        return trace_product(bform.dense(), aform.dense())
     if bform.kind == "pairing" and aform.kind == "pairing":
         k = bform.npairs
         return (bform.coeff * aform.coeff * double_factorial(2 * k - 1)
@@ -436,21 +435,27 @@ class QuadFormFunctional(Functional):
             return SymmetricForm.zero(k, self.dim)
         # c_m (2m)! = g^(m)(0) (2m)! / m!, exact in integer arithmetic
         scale = float(derivative * (math.factorial(k) // math.factorial(m)))
-        if m == 1:
-            return SymmetricForm.from_matrix(scale * self.operator)
         return SymmetricForm.from_quadratic_power(self.operator, m, scale)
 
 
 def quadratic_form_characteristic(rho, a):
-    """r -> E exp(i (A psi, psi)) under the Gaussian state of covariance r B,
-    prod_j (1 - 2 i r mu_j)^(-1/2), with mu_j the eigenvalues of F_a^T A F_a
-    and F_a = `rho.active_factor`: one eigvalsh serves every ratio r."""
+    """r -> (x, y) with E exp(i (A psi, psi)) = e^(x + i y) under the Gaussian
+    state of covariance r B.  That average is prod_j (1 - 2 i r mu_j)^(-1/2),
+    so x = -1/4 sum log1p(4 r^2 mu_j^2) and y = 1/2 sum atan(2 r mu_j), with
+    mu_j the eigenvalues of F_a^T A F_a and F_a = `rho.active_factor`: one
+    eigvalsh serves every ratio r.  No complex power is taken, so the
+    averages built from x and y keep their relative accuracy as r -> 0."""
     fmat = rho.active_factor
     m = fmat.T @ a @ fmat
     if not np.all(np.isfinite(m)):  # eigvalsh may not converge; NaN fails the caller's gate
-        return lambda r: complex(math.nan, math.nan)
+        return lambda r: (math.nan, math.nan)
     mu = np.linalg.eigvalsh(m)
-    return lambda r: complex(np.prod((1.0 - 2.0j * (r * mu)) ** -0.5))
+
+    def xy(r: float) -> tuple[float, float]:
+        with np.errstate(over="ignore"):  # 4 (r mu)^2 = inf gives x = -inf, the limit
+            t = 2.0 * (r * mu)
+            return -0.25 * float(np.sum(np.log1p(t * t))), 0.5 * float(np.sum(np.arctan(t)))
+    return xy
 
 
 class Quadratic(QuadFormFunctional):
@@ -472,18 +477,20 @@ class SinQuad(QuadFormFunctional):
 
     def closed_form(self, rho, ratios: Sequence[float] = (1.0,)) -> list[float]:
         phi = quadratic_form_characteristic(rho, self.operator)
-        return [float(phi(r).imag) for r in ratios]
+        return [math.exp(x) * math.sin(y) for x, y in map(phi, ratios)]
 
 
 class CosQuadMinusOne(QuadFormFunctional):
-    """f(psi) = cos((A psi, psi)) - 1."""
+    """f(psi) = cos((A psi, psi)) - 1, computed as -2 sin^2(q / 2) and
+    e^x cos y - 1 = expm1(x) cos y - 2 sin^2(y / 2), with no cancellation."""
 
-    g = staticmethod(lambda q: np.cos(q) - 1.0)
+    g = staticmethod(lambda q: -2.0 * np.sin(0.5 * q) ** 2)
     g_derivative = staticmethod(lambda m: (1, 0, -1, 0)[m % 4])
 
     def closed_form(self, rho, ratios: Sequence[float] = (1.0,)) -> list[float]:
         phi = quadratic_form_characteristic(rho, self.operator)
-        return [float(phi(r).real) - 1.0 for r in ratios]
+        return [math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2
+                for x, y in map(phi, ratios)]
 
 
 class EvenPolynomial(Functional):

@@ -559,20 +559,24 @@ def test_extended_map_trace_formula_exact_for_quadratics():
 
 # (kind, c_m (2m)!) of every nonzero Taylor form at orders 1..8
 _TAYLOR_REFERENCE = {
-    Quadratic: {2: ("dense", 2)},
-    SinQuad: {2: ("dense", 2), 6: ("pairing", -120)},
+    Quadratic: {2: ("pairing", 2)},
+    SinQuad: {2: ("pairing", 2), 6: ("pairing", -120)},
     CosQuadMinusOne: {4: ("pairing", -12), 8: ("pairing", 1680)},
 }
 
 
 def _reference_closed_form(f, rho, r=1.0):
     # the average under r B: Tr(r B A), or mu_j -> r mu_j in the characteristic
+    # prod_j (1 - 2 i mu_j)^(-1/2) = e^(x + i y), whose sin and cos - 1 parts
+    # are e^x sin y and expm1(x) cos y - 2 sin^2(y / 2)
     if type(f) is Quadratic:
         return r * trace_product(rho.covariance, f.operator)
     fmat = rho.active_factor
-    mu = r * np.linalg.eigvalsh(fmat.T @ f.operator @ fmat)
-    char = complex(np.prod((1.0 - 2.0j * mu) ** -0.5))
-    return float(char.imag) if type(f) is SinQuad else float(char.real) - 1.0
+    t = 2.0 * (r * np.linalg.eigvalsh(fmat.T @ f.operator @ fmat))
+    x, y = -0.25 * float(np.sum(np.log1p(t * t))), 0.5 * float(np.sum(np.arctan(t)))
+    if type(f) is SinQuad:
+        return math.exp(x) * math.sin(y)
+    return math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2
 
 
 @pytest.mark.parametrize("family", list(_TAYLOR_REFERENCE), ids=lambda c: c.__name__)
@@ -583,10 +587,7 @@ def test_quadratic_form_families_match_reference_bit_for_bit(family):
         form = f.taylor_form(k)
         kind, scale = _TAYLOR_REFERENCE[family].get(k, ("zero", 0))
         assert (form.kind, form.order, form.dim) == (kind, k, 3)
-        if kind == "dense":
-            assert form.coeff == 0.0
-            assert np.array_equal(form.tensor, scale * f.operator)
-        elif kind == "pairing":
+        if kind == "pairing":
             assert form.npairs == k // 2
             assert form.coeff == scale / double_factorial(k - 1)
             assert np.array_equal(form.matrix, f.operator)

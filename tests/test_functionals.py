@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from cqlab.functionals import (
     SinQuad,
     SymmetricForm,
     amplify,
+    moment_form,
     quadratic_form_rows,
     symmetrize_tensor,
 )
+from cqlab.gaussian import GaussianState
 from cqlab.hilbert import operator_norm, symmetric_from_entries, trace_product
 
 
@@ -266,7 +269,8 @@ def test_form_pullback_contracts_every_argument(rank):
     forms = [SymmetricForm.zero(4, 5), SymmetricForm.from_matrix(a),
              SymmetricForm.from_quadratic_power(a, 2, 0.7),
              SymmetricForm.from_dense(rng.normal(size=(5, 5, 5))),
-             SymmetricForm.from_dense(rng.normal(size=(5, 5, 5, 5)))]
+             SymmetricForm.from_dense(rng.normal(size=(5, 5, 5, 5))),
+             SymmetricForm.from_dense(rng.normal(size=(5, 5)))]
     for form in forms:
         pulled = form.pullback(fmat)
         assert (pulled.order, pulled.dim) == (form.order, rank)
@@ -276,6 +280,26 @@ def test_form_pullback_contracts_every_argument(rank):
         # a dense pullback is exactly symmetric, as every dense form is
         if pulled.kind == "dense":
             assert pulled.tensor is symmetrize_tensor(pulled.tensor)
+
+
+def test_every_order_two_form_is_a_pairing_form():
+    # one symmetric matrix per order-2 form, whichever way it was built
+    rng = np.random.default_rng(23)
+    t = rng.normal(size=(4, 4))
+    a = symmetric_from_entries(t)
+    fmat = rng.normal(size=(4, 2))
+    forms = [SymmetricForm.from_matrix(t), SymmetricForm.from_dense(t), moment_form(a @ a, 2)]
+    forms += [f.taylor_form(2) for f in _families(a) + [amplify(SinQuad(a), 0.1)]]
+    forms += [q.scaled(-0.5) for q in forms] + [q.pullback(fmat) for q in forms]
+    for form in forms:
+        assert form.order == 2 and form.kind in ("pairing", "zero")
+        assert (form.kind == "zero") == (form.coeff == 0.0)
+    # cos - 1 has no quadratic term: its order-2 forms are the zero form
+    assert sum(q.kind == "zero" for q in forms) == 3
+    # the matrix has the bits the dense route's symmetrized tensor had
+    assert np.array_equal(SymmetricForm.from_dense(t).matrix, a)
+    assert np.array_equal(a, symmetrize_tensor(t))
+    assert SymmetricForm.from_dense(t).coeff == 1.0
 
 
 def test_order_six_blocked_eval_cross_checks_factored_route():
@@ -304,7 +328,7 @@ def test_packed_dense_eval_matches_the_form_on_explicit_arguments(order, dim):
     x = rng.normal(size=(30, dim)) * 10.0 ** rng.uniform(-2, 2, size=(30, 1))
     x[0] = 0.0
     reference = np.array([form(*[row] * order) for row in x])
-    bound = 1e-14 * np.abs(form.tensor).sum() * np.abs(x).max(axis=1) ** order
+    bound = 1e-14 * np.abs(form.dense()).sum() * np.abs(x).max(axis=1) ** order
     assert np.all(np.abs(form.eval_diag_batch(x) - reference) <= bound)
 
 
@@ -362,3 +386,75 @@ def test_quadratic_form_rows_matches_three_operand_einsum(dim, rows, seed, scale
     reference = np.einsum("pi,ij,pj->p", x, a, x)
     bound = 1e-12 * np.einsum("pi,pi->p", x, x) * operator_norm(a)
     assert np.all(np.abs(quadratic_form_rows(x, a) - reference) <= bound)
+
+
+def _binomial_characteristic(mu: Fraction) -> tuple[Fraction, Fraction]:
+    """(1 - 2 i mu)^(-1/2) as (real, imaginary) Fractions: its binomial
+    series sum_n C(2n, n) (i mu / 2)^n, whose n-th term is at most |2 mu|^n.
+    The sum stops when the tail is below 1e-30 (2 mu)^2, relative to cos - 1,
+    which is of order mu^2."""
+    ratio = abs(2 * mu)
+    assert ratio < 1
+    parts, n, term = [Fraction(0), Fraction(0)], 0, Fraction(1)
+    while ratio ** n / (1 - ratio) >= Fraction(1, 10 ** 30) * ratio ** 2:
+        sign = 1 if n % 4 < 2 else -1
+        parts[n % 2] += sign * term
+        n += 1
+        term *= Fraction(2 * n * (2 * n - 1), n * n) * mu / 2
+    return parts[0], parts[1]
+
+
+def _relative_error(value: float, exact: Fraction) -> Fraction:
+    return abs(Fraction(value) - exact) / abs(exact)
+
+
+# diagonal B and A with dyadic entries, which floats hold exactly
+_ORACLE_CASES = [
+    ([Fraction(3, 4)], [Fraction(5, 8)]),
+    ([Fraction(1, 2), Fraction(1, 4)], [Fraction(3, 4), Fraction(-1, 2)]),
+    ([Fraction(1, 8), Fraction(3, 8), Fraction(1)],
+     [Fraction(-1, 4), Fraction(7, 8), Fraction(1, 2)]),
+]
+
+
+@pytest.mark.parametrize("b, a", _ORACLE_CASES, ids=["dim1", "dim2", "dim3"])
+def test_sin_and_cos_closed_forms_match_an_exact_series(b, a):
+    # under alpha B the characteristic is prod_j (1 - 2 i alpha b_j a_j)^(-1/2),
+    # summed exactly in rationals: cos - 1 and sin keep 1e-15 relative
+    # accuracy down to alpha = 1e-8, where cos - 1 is of order 1e-17
+    rho = GaussianState(np.diag([float(v) for v in b]))
+    op = np.diag([float(v) for v in a])
+    alphas = [1e-1, 1e-2, 1e-4, 1e-6, 1e-8]
+    cos_values = CosQuadMinusOne(op).closed_form(rho, alphas)
+    sin_values = SinQuad(op).closed_form(rho, alphas)
+    for alpha, cos_value, sin_value in zip(alphas, cos_values, sin_values):
+        re, im = Fraction(1), Fraction(0)
+        for bj, aj in zip(b, a):
+            fre, fim = _binomial_characteristic(Fraction(alpha) * bj * aj)
+            re, im = re * fre - im * fim, re * fim + im * fre
+        assert _relative_error(cos_value, re - 1) <= Fraction(1, 10 ** 15), alpha
+        assert _relative_error(sin_value, im) <= Fraction(1, 10 ** 15), alpha
+
+
+def test_cos_minus_one_kernel_matches_an_exact_series():
+    # cos q - 1 = sum_(n >= 1) (-1)^n q^(2n) / (2n)!, alternating with
+    # falling terms for q <= 1, so the first omitted term bounds the tail
+    qs = [10.0 ** -k for k in range(9)]
+    values = CosQuadMinusOne([[1.0]]).eval_batch(np.ones((1, 1)), qs)[0]
+    for q, value in zip(qs, values):
+        x = Fraction(q)
+        exact, n, term = Fraction(0), 1, -x * x / 2
+        while abs(term) >= Fraction(1, 10 ** 30) * x * x:
+            exact += term
+            term *= -x * x / ((2 * n + 1) * (2 * n + 2))
+            n += 1
+        assert _relative_error(float(value), exact) <= Fraction(1, 10 ** 15), q
+
+
+def test_closed_forms_reach_their_limit_when_the_characteristic_overflows():
+    # 4 (r mu)^2 overflows to inf: |E exp(i q)| -> 0, so cos - 1 -> -1 and
+    # sin -> 0, with no RuntimeWarning (warnings are errors in this suite)
+    rho = GaussianState(np.diag([1.0, 0.5]))
+    op = np.diag([2.0, -3.0])
+    assert SinQuad(op).closed_form(rho, [1e300]) == [0.0]
+    assert CosQuadMinusOne(op).closed_form(rho, [1e300]) == [pytest.approx(-1.0, rel=1e-15)]

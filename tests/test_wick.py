@@ -281,4 +281,4 @@ def test_integral_bounded_by_form_norm_times_moment():
         powers = norms ** order
         moment = powers.mean()
         moment_se = powers.std(ddof=1) / math.sqrt(batch.count)
-        assert abs(integral) <= np.linalg.norm(form.tensor) * (moment + 4.0 * moment_se)
+        assert abs(integral) <= np.linalg.norm(form.dense()) * (moment + 4.0 * moment_se)
