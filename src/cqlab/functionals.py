@@ -9,6 +9,9 @@ exactly.
 Forms induced by powers of a quadratic form, e.g. (A psi, psi)^m, are kept
 in a factored pairing representation and densified only on demand.  An
 order-2 form is always such a form, with one pair: one symmetric matrix.
+Which entries of a dense tensor are one coefficient is said once, by the
+orbit map `_orbits`: symmetrization, densification and the packed weights
+of dense evaluation all read it.
 Only this module knows how a form is stored, so form contraction and
 Gaussian moment forms live here, and each variable integrates its own terms.
 """
@@ -17,8 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cached_property, lru_cache
-from itertools import groupby, permutations
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -84,20 +86,33 @@ def quadratic_form_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("pi,pi->p", x @ a, x)
 
 
-def _monomials(dim: int, degree: int) -> list[tuple[int, ...]]:
-    """The sorted index tuples of length `degree` over range(dim), in colex
-    order: by last index, then the same way on the rest."""
-    out = [()]
-    for _ in range(degree):
-        out = [m + (i,) for i in range(dim) for m in out if not m or m[-1] <= i]
-    return out
+def _orbits(dim: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rank, sizes, tuples) for the orbits of the dim^order index tuples
+    under reordering.  rank[p] is the colex rank (by last index, then the
+    same way on the rest) of the p-th tuple in C order once sorted,
+    i_0 <= i_1 <= ...: sum_j C(i_j + j, j + 1).  Orbit m holds sizes[m]
+    tuples; tuples[:, m] is its sorted one, read off m from the last index."""
+    comb = np.array([[math.comb(i + j, j + 1) for i in range(dim)] for j in range(order)],
+                    dtype=np.intp)
+    idx = np.indices((dim,) * order, dtype=np.int32).reshape(order, dim ** order)
+    idx.sort(axis=0)
+    rank = np.zeros(dim ** order, dtype=np.intp)
+    for c, row in zip(comb, idx):
+        rank += c[row]
+    sizes = np.bincount(rank)
+    tuples, left = np.empty((order, sizes.size), dtype=np.intp), np.arange(sizes.size)
+    for j in reversed(range(order)):
+        tuples[j] = np.searchsorted(comb[j], left, side="right") - 1
+        left -= comb[j, tuples[j]]
+    return rank, sizes, tuples
 
 
 def _monomial_rows(xt: np.ndarray, degree: int) -> list[np.ndarray]:
     """[y_0, ..., y_degree] for the columns of xt, shape (dim, rows): y_j
-    holds the degree-j monomials, one row per `_monomials(dim, j)` tuple.
-    In colex order the degree-(j-1) tuples whose last index is at most i
-    lead, so y_j stacks those rows of y_(j-1) times row i of xt."""
+    holds the degree-j monomials, row m the product over orbit m's sorted
+    tuple in `_orbits(dim, j)`.  In colex order the degree-(j-1) tuples
+    whose last index is at most i lead, so y_j stacks those rows of y_(j-1)
+    times row i of xt."""
     ys = [np.ones((1, xt.shape[1])), xt][:degree + 1]
     for j in range(2, degree + 1):
         ys.append(np.concatenate([ys[-1][:math.comb(i + j - 1, j - 1)] * xt[i]
@@ -106,28 +121,14 @@ def _monomial_rows(xt: np.ndarray, degree: int) -> list[np.ndarray]:
 
 
 def symmetrize_tensor(t: np.ndarray) -> np.ndarray:
-    """Average a tensor over all axis permutations.
-
-    Each orbit's average is computed once (at the sorted index slot) and
-    broadcast to every permuted position, so the output is bitwise
+    """Average a tensor over all axis permutations: each entry becomes the
+    mean of its `_orbits` orbit, so the output is bitwise
     permutation-invariant and symmetrization is exactly idempotent;
-    already-symmetric input is returned unchanged.
-    """
-    k = t.ndim
-    if k <= 1:
+    already-symmetric input is returned unchanged."""
+    if all(np.array_equal(t, np.swapaxes(t, i, i + 1)) for i in range(t.ndim - 1)):
         return t
-    axes = tuple(range(k))
-    if all(
-        np.array_equal(t, np.transpose(t, axes[:i] + (axes[i + 1], axes[i]) + axes[i + 2:]))
-        for i in range(k - 1)
-    ):
-        return t
-    acc = np.zeros_like(t)
-    for perm in permutations(axes):
-        acc += np.transpose(t, perm)
-    acc /= float(math.factorial(k))
-    canon = np.sort(np.indices(t.shape).reshape(k, -1), axis=0)
-    return acc[tuple(canon)].reshape(t.shape)
+    rank, sizes, _ = _orbits(t.shape[0], t.ndim)
+    return (np.bincount(rank, t.ravel()) / sizes)[rank].reshape(t.shape)
 
 
 class SymmetricForm:
@@ -260,32 +261,26 @@ class SymmetricForm:
     @cached_property
     def _packed_weights(self) -> np.ndarray:
         """W^T of a dense form of order k = a + b, a = k // 2, shape (n_b, n_a):
-        W[A, B] = T[A, B] m_A m_B over the sorted index tuples A of length a
-        and B of length b in `_monomials` order, with m_A the number of
-        orderings of A.  Every stored dense tensor is exactly symmetric, so T
-        at the joined tuple (A, B) is its entry at the sorted one."""
+        W[A, B] = T[A, B] m_A m_B over the orbits A of `_orbits(dim, a)` and
+        B of `_orbits(dim, b)`, with m_A the size of orbit A.  Every stored
+        dense tensor is exactly symmetric, so T at the joined tuple (A, B)
+        is its entry at the sorted one."""
         a = self.order // 2
-        tuples = [_monomials(self.dim, self.order - a), _monomials(self.dim, a)]
-        ib, ia = (np.array(ts, dtype=np.intp).reshape(len(ts), -1) for ts in tuples)
-        entries = self.tensor[tuple(ib[:, [j]] for j in range(ib.shape[1]))
-                              + tuple(ia[:, j] for j in range(ia.shape[1]))]
-        wb, wa = (np.array([math.factorial(len(t)) // math.prod(
-            math.factorial(len(list(run))) for _, run in groupby(t)) for t in ts],
-            dtype=np.float64) for ts in tuples)
-        return entries * np.multiply.outer(wb, wa)
+        _, wb, ib = _orbits(self.dim, self.order - a)
+        _, wa, ia = _orbits(self.dim, a)
+        return self.tensor[tuple(ib[:, :, None]) + tuple(ia)] * np.multiply.outer(wb, wa)
 
     def dense(self) -> np.ndarray:
+        """The form as a dense tensor.  A pairing form's is
+        coeff (2m-1)!! sym(M^(x)m), its sum over matchings; calling the form
+        sums the matchings themselves, so the two check each other."""
         _require_dense_size(self.order, self.dim)
         if self.kind == "zero":
             return np.zeros((self.dim,) * self.order)
         if self.kind == "dense":
             return self.tensor
-        letters = _EINSUM_LETTERS[: self.order]
-        acc = np.zeros((self.dim,) * self.order)
-        for matching in perfect_matchings(self.npairs):
-            script = ",".join(letters[a] + letters[b] for a, b in matching) + "->" + letters
-            acc += np.einsum(script, *([self.matrix] * self.npairs))
-        return self.coeff * acc
+        power = reduce(np.multiply.outer, [self.matrix] * self.npairs)
+        return self.coeff * double_factorial(self.order - 1) * symmetrize_tensor(power)
 
     def to_dict(self) -> dict:
         """JSON form: order, dim and kind, plus the stored data unless it is large."""

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +188,57 @@ def test_symmetrize_idempotent_exactly():
     assert np.array_equal(symmetrize_tensor(once), once)
 
 
+def _symmetrize_by_transposes(t):
+    """The mean of t over its k! axis transposes, one array per permutation."""
+    perms = list(itertools.permutations(range(t.ndim)))
+    return sum(np.transpose(t, perm) for perm in perms) / len(perms)
+
+
+@pytest.mark.parametrize("order", range(7))
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_symmetrize_matches_the_transpose_average(order, dim):
+    # each side sums at most k! terms of the orbit's entries, so the two
+    # differ by at most k! ulps of the orbit's mean |t|
+    rng = np.random.default_rng(10 * order + dim)
+    t = rng.normal(size=(dim,) * order)
+    got = symmetrize_tensor(t)
+    bound = math.factorial(order) * np.finfo(float).eps * _symmetrize_by_transposes(np.abs(t))
+    assert np.all(np.abs(got - _symmetrize_by_transposes(t)) <= bound)
+    assert symmetrize_tensor(got) is got
+
+
+def test_symmetrize_holds_a_few_copies_of_the_tensor():
+    # the orbit map holds int32 sorted indices and one rank per entry; the
+    # k! transpose average held 13 copies of this dim-8, order-6 tensor
+    t = np.random.default_rng(24).normal(size=(8,) * 6)
+    tracemalloc.start()
+    try:
+        symmetrize_tensor(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * t.nbytes
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_orbit_ranks_follow_the_monomial_rows(order, dim):
+    # orbit m of _orbits is row m of the degree-`order` monomials, each
+    # tuple in C order is ranked at its sorted form, and an orbit holds as
+    # many tuples as its sorted tuple has orderings
+    rank, sizes, tuples = functionals._orbits(dim, order)
+    xt = np.random.default_rng(25).normal(size=(dim, 7))
+    y = functionals._monomial_rows(xt, order)[order]
+    assert y.shape[0] == sizes.size == math.comb(dim + order - 1, order)
+    np.testing.assert_allclose(y, np.prod(xt[tuples], axis=0), rtol=1e-15, atol=0.0)
+    indices = np.indices((dim,) * order).reshape(order, dim ** order)
+    assert np.array_equal(tuples[:, rank], np.sort(indices, axis=0))
+    orderings = [math.factorial(order) // math.prod(map(math.factorial, Counter(m).values()))
+                 for m in tuples.T]
+    assert sizes.tolist() == orderings
+    assert sizes.sum() == dim ** order
+
+
 def test_symmetric_form_permutation_invariance():
     rng = np.random.default_rng(17)
     form = SymmetricForm.from_dense(rng.normal(size=(3, 3, 3, 3)))
@@ -195,15 +248,17 @@ def test_symmetric_form_permutation_invariance():
     assert form(args[3], args[2], args[1], args[0]) == pytest.approx(base, rel=1e-12)
 
 
-def test_pairing_form_matches_dense_on_arguments():
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_pairing_form_matches_dense_on_arguments(order):
+    # the call sums the matchings; dense() symmetrizes a tensor power of M
     rng = np.random.default_rng(18)
     a = symmetric_from_entries(rng.normal(size=(3, 3)))
-    form = SymmetricForm.from_quadratic_power(a, 2, 0.7)
+    form = SymmetricForm.from_quadratic_power(a, order // 2, 0.7)
     dense = SymmetricForm.from_dense(form.dense())
-    args = [rng.normal(size=3) for _ in range(4)]
+    args = [rng.normal(size=3) for _ in range(order)]
     assert form(*args) == pytest.approx(dense(*args), rel=1e-10)
     psi = rng.normal(size=3)
-    assert _diag(form, psi) == pytest.approx(0.7 * float(psi @ a @ psi) ** 2, rel=1e-12)
+    assert _diag(form, psi) == pytest.approx(0.7 * float(psi @ a @ psi) ** (order // 2), rel=1e-12)
 
 
 def _pointwise(f, v):
