@@ -138,8 +138,12 @@ def t2n_variable(f: Functional, n: int, alpha: float) -> ObservableMultiple:
         raise ValueError(f"alpha must be positive, got {alpha}")
     forms = []
     for k in range(1, n + 1):
-        scale = alpha ** (k - 1) / math.factorial(2 * k)
-        forms.append(f.taylor_form(2 * k).scaled(scale))
+        form = f.taylor_form(2 * k)  # refuses an order whose (2k)! is not a double
+        try:
+            scale = alpha ** (k - 1) / math.factorial(2 * k)
+        except OverflowError:
+            raise ValueError(f"alpha^{k - 1} overflows a double at alpha={alpha!r}") from None
+        forms.append(form.scaled(scale))
     return ObservableMultiple(tuple(forms))
 
 

@@ -36,7 +36,6 @@ from .errors import ClassMembershipError, ConfigError
 from .functionals import (
     MAX_DENSE_ORDER,
     MAX_DENSE_SIZE,
-    MAX_FORM_ORDER,
     CosQuadMinusOne,
     EvenPolynomial,
     Functional,
@@ -784,9 +783,6 @@ def chebyshev_experiment(cfg: ExperimentConfig) -> dict:
 
 def higher_order_check(cfg: ExperimentConfig) -> dict:
     """Exactness of the generalized model on even polynomials, MC overlay included."""
-    if 2 * cfg.order > MAX_FORM_ORDER:
-        raise ConfigError(f"higher-order checks support order n with 2n <= {MAX_FORM_ORDER}, "
-                          f"got n={cfg.order}")
     alpha = cfg.alpha_grid[0]
     if cfg.functional_spec.get("family") == "even-polynomial":
         f = build_functional(cfg.functional_spec, cfg.dim)

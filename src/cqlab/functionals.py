@@ -19,6 +19,7 @@ Gaussian moment forms live here, and each variable integrates its own terms.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
 
@@ -27,16 +28,13 @@ import numpy as np
 from .errors import DimensionMismatchError, OrderError, SizeError
 from .hilbert import as_vector, require_symmetric, symmetric_from_entries, trace_product
 
-# The two order caps; every other order bound in the package derives from
-# one of them.  Dense tensors beyond order 6 are never materialized.
-# Taylor data, factored forms and sums over explicit matchings stop at
-# order 8, where a form has 105 matchings; factored forms contract in
-# closed form, so the cap bounds enumeration, not contraction.
+# The one order cap: every enumeration (dense tensors, orbit maps and sums
+# over explicit matchings) stops at order 6.  Factored forms contract in
+# closed form at any order, so Taylor data stop only where k! leaves the
+# double range (`Functional._check_order`).
 MAX_DENSE_ORDER = 6
-MAX_FORM_ORDER = 8
 MAX_DENSE_SIZE = 20_000_000  # entries of a dense tensor, and of one eval_diag_batch product
 _DIAG_BLOCK = 2048  # most rows per contraction pass of a dense eval_diag_batch
-_EINSUM_LETTERS = "abcdefgh"
 
 
 def double_factorial(m: int) -> int:
@@ -176,11 +174,8 @@ class SymmetricForm:
     def from_quadratic_power(cls, m, power: int, scale: float) -> "SymmetricForm":
         """The symmetric form whose diagonal is scale * ((M psi, psi))^power."""
         mm = symmetric_from_entries(m)
-        order = 2 * power
-        if order > MAX_FORM_ORDER:
-            raise OrderError(f"factored forms are capped at order {MAX_FORM_ORDER}")
         coeff = scale / double_factorial(2 * power - 1)
-        return cls("pairing", order, mm.shape[0], matrix=mm, npairs=power, coeff=coeff)
+        return cls("pairing", 2 * power, mm.shape[0], matrix=mm, npairs=power, coeff=coeff)
 
     @property
     def is_zero(self) -> bool:
@@ -217,8 +212,8 @@ class SymmetricForm:
         if self.kind == "zero":
             return 0.0
         if self.kind == "pairing":
-            if self.order > MAX_FORM_ORDER:
-                raise SizeError(f"matching sums are capped at order {MAX_FORM_ORDER}")
+            if self.order > MAX_DENSE_ORDER:
+                raise SizeError(f"matching sums are capped at order {MAX_DENSE_ORDER}")
             z = np.stack(vs)
             gram = z @ self.matrix @ z.T
             total = 0.0
@@ -330,9 +325,8 @@ def _contract_dense_with_pairing(dense: np.ndarray, matrix: np.ndarray, npairs: 
                                  coeff: float) -> float:
     # a dense form is exactly symmetric, so all (2k-1)!! matchings contract
     # to the value of the first one, (0,1)(2,3)...
-    letters = _EINSUM_LETTERS[: 2 * npairs]
-    script = letters + "," + ",".join(letters[i:i + 2] for i in range(0, 2 * npairs, 2)) + "->"
-    value = float(np.einsum(script, dense, *([matrix] * npairs)))
+    pairs = [x for i in range(0, 2 * npairs, 2) for x in (matrix, [i, i + 1])]
+    value = float(np.einsum(dense, range(2 * npairs), *pairs, []))
     return coeff * double_factorial(2 * npairs - 1) * value
 
 
@@ -393,8 +387,8 @@ class Functional:
     def _check_order(self, k: int) -> None:
         if k < 1:
             raise OrderError(f"Taylor order must be >= 1, got {k}")
-        if k > MAX_FORM_ORDER:
-            raise OrderError(f"Taylor data capped at order {MAX_FORM_ORDER}")
+        if math.lgamma(k + 1) > math.log(sys.float_info.max):  # k! is not a double: k > 170
+            raise OrderError(f"Taylor order {k} is out of range: {k}! overflows a double")
 
 
 class QuadFormFunctional(Functional):

@@ -410,7 +410,8 @@ def test_non_object_quartic_is_a_one_line_error(tmp_path, capsys):
     ("sweep", dict(COS_SWEEP, alpha_grid=0.1), "'alpha_grid' must be a list"),
     ("sweep", dict(COS_SWEEP, slope_band=[float("nan"), float("nan")]), "'slope_band' must be"),
     ("sweep", dict(COS_SWEEP, slope_band=["a", "b"]), "'slope_band' must be"),
-    ("higher-order", dict(MINIMAL, order=5), "2n <= 8"),
+    # the order-172 Taylor form needs 172!, past the largest double
+    ("higher-order", dict(MINIMAL, order=86), "Taylor order 172 is out of range"),
     # finite weights whose sum overflows
     ("chebyshev", dict(MINIMAL, dim=3, alpha_grid=COS_SWEEP["alpha_grid"],
                        state={"shape": "diagonal", "weights": [1e308, 1e308, 0.0]}),
@@ -419,6 +420,10 @@ def test_non_object_quartic_is_a_one_line_error(tmp_path, capsys):
      "finite nonzero psi"),
     # the last ratio alpha_i / alpha_0 underflows to 0, a state outside every alpha class
     ("sweep", dict(COS_SWEEP, alpha_grid=[1e10, 1.0, 5e-324]), "underflows to 0"),
+    # a larger n stops at the same first form past the limit
+    ("higher-order", dict(MINIMAL, order=1_000_000), "Taylor order 172 is out of range"),
+    # the order-8 component's scale alpha^3 / 8! overflows before the division
+    ("higher-order", dict(MINIMAL, alpha_grid=[1e120], order=4), "alpha^3 overflows a double"),
 ])
 def test_bad_numbers_are_one_line_errors(tmp_path, capsys, subcommand, cfg, fragment):
     rc = main([subcommand, "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "o")])
@@ -444,6 +449,19 @@ def test_higher_order_runs_at_order_four(tmp_path):
     assert rc == 0
     result = json.loads((tmp_path / "h" / "result.json").read_text())
     assert result["report"]["order"] == 4
+    assert result["report"]["relative_error"] <= 1e-10
+
+
+def test_higher_order_runs_at_the_largest_order(tmp_path):
+    # 2n = 170 is the largest order whose (2n)! is a double
+    cfg = dict(json.loads((CONFIG_DIR / "higher_order.json").read_text()), order=85,
+               mc_samples=4096)
+    rc = main(["higher-order", "--config", str(_write(tmp_path, cfg)),
+               "--out", str(tmp_path / "h")])
+    assert rc == 0
+    result = json.loads((tmp_path / "h" / "result.json").read_text())
+    assert result["report"]["order"] == 85
+    assert result["report"]["observable"]["orders"] == list(range(2, 171, 2))
     assert result["report"]["relative_error"] <= 1e-10
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -246,7 +248,7 @@ def test_generalized_average_one_dimensional_quartic():
 
 def test_generalized_average_cos_quad_order_eight():
     # the order-8 component is a factored form, contracted in closed form;
-    # Taylor data stop at order 8, so n = 5 is refused
+    # Taylor data stop where (2n)! leaves the double range, so n = 86 is refused
     rng = np.random.default_rng(12)
     alpha = 0.3
     m = rng.normal(size=(3, 3))
@@ -255,7 +257,48 @@ def test_generalized_average_cos_quad_order_eight():
     generalized = alpha * generalized_average(t_state(rho, alpha), t2n_variable(f, 4, alpha))
     assert generalized == pytest.approx(analytic_average(f, rho, 8), rel=1e-12)
     with pytest.raises(OrderError):
-        t2n_variable(f, 5, alpha)
+        t2n_variable(f, 86, alpha)
+
+
+# g^(k)(0) for k = 0, 1, 2, 3 (mod 4)
+_G_DERIVATIVES = {SinQuad: (0, 1, 0, -1), CosQuadMinusOne: (1, 0, -1, 0)}
+
+
+@pytest.mark.parametrize("alpha, rtol", [(0.3, 1e-15), (2.0, 4e-15)])
+@pytest.mark.parametrize("family", list(_G_DERIVATIVES), ids=lambda c: c.__name__)
+def test_generalized_average_matches_the_exact_series_to_order_170(family, alpha, rtol):
+    # at dim 1, E (a psi^2)^k = (a alpha)^k (2k-1)!! under N(0, alpha), so the
+    # order-2n model of g(a psi^2) is sum_(k<=n) g^(k)(0)/k! (a alpha)^k (2k-1)!!,
+    # summed here in exact rationals of the same doubles a and alpha.  At
+    # alpha = 2, past alpha_c = 1/(2a), each partial sum is dominated by its
+    # last term, so every order's contraction shows, to a few ulps of it
+    a = 0.7
+    f, rho = family([[a]]), GaussianState(np.array([[alpha]]))
+    d = t_state(rho, alpha)
+    x = Fraction(a) * Fraction(alpha)
+    exact, double_fact = Fraction(0), 1
+    for n in range(1, 86):
+        double_fact *= 2 * n - 1
+        exact += Fraction(_G_DERIVATIVES[family][n % 4], math.factorial(n)) * x ** n * double_fact
+        got = alpha * generalized_average(d, t2n_variable(f, n, alpha))
+        assert abs(Fraction(got) - exact) <= Fraction(rtol) * abs(exact), n
+
+
+@pytest.mark.parametrize("family", list(_G_DERIVATIVES), ids=lambda c: c.__name__)
+def test_order_170_model_matches_the_closed_form_inside_the_radius(family):
+    # the model is a power series in alpha with radius alpha_c = 1/(2 max |mu|),
+    # mu the eigenvalues of D A; at alpha = alpha_c / 10 its order-170
+    # truncation is the closed form to round-off: cumulants against the
+    # characteristic function
+    rng = np.random.default_rng(29)
+    m = rng.normal(size=(3, 3))
+    dmat = m @ m.T / np.trace(m @ m.T)
+    f = family(symmetric_from_entries(rng.normal(size=(3, 3))))
+    alpha = 0.1 / (2.0 * np.abs(np.linalg.eigvals(dmat @ f.operator)).max())
+    rho = GaussianState(alpha * dmat)
+    generalized = alpha * generalized_average(t_state(rho, alpha), t2n_variable(f, 85, alpha))
+    [closed] = f.closed_form(rho)
+    assert generalized == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 def test_observable_multiple_validates_orders():

@@ -172,11 +172,12 @@ def test_trace_forms_dimension_mismatch():
         trace_forms(SymmetricForm.from_matrix(np.eye(2)), SymmetricForm.from_matrix(np.eye(3)))
 
 
-def test_pairing_form_evaluation_capped_at_max_form_order():
+@pytest.mark.parametrize("order", [8, 10])
+def test_pairing_form_evaluation_capped_at_max_dense_order(order):
     # moment forms exist at any even order, but explicit arguments are
-    # contracted by a sum over matchings, which stops at order 8
-    with pytest.raises(SizeError):
-        moment_form(np.eye(1), 10)(*[[1.0]] * 10)
+    # contracted by a sum over matchings, which stops at MAX_DENSE_ORDER = 6
+    with pytest.raises(SizeError, match="capped at order 6"):
+        moment_form(np.eye(1), order)(*[[1.0]] * order)
 
 
 def test_trace_forms_order_mismatch():
