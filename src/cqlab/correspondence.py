@@ -140,10 +140,11 @@ def t2n_variable(f: Functional, n: int, alpha: float) -> ObservableMultiple:
     for k in range(1, n + 1):
         form = f.taylor_form(2 * k)  # refuses an order whose (2k)! is not a double
         try:
-            scale = alpha ** (k - 1) / math.factorial(2 * k)
+            power = alpha ** (k - 1)
         except OverflowError:
             raise ValueError(f"alpha^{k - 1} overflows a double at alpha={alpha!r}") from None
-        forms.append(form.scaled(scale))
+        # two scalings: alpha^(k-1) / (2k)! as one double underflows while the term matters
+        forms.append(form.scaled(1.0 / math.factorial(2 * k)).scaled(power))
     return ObservableMultiple(tuple(forms))
 
 

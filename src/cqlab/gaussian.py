@@ -34,6 +34,9 @@ from .functionals import Functional
 from .hilbert import as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
+# draws `mc_average` evaluates at once per worker: 512 KB of doubles, so a
+# block of white normals and its GEMM product stay near L2
+BLOCK_VALUES = 1 << 16
 
 # the worker count that `draw_chunked` reads, set only by `sampling_workers`;
 # a context variable, so a block opened in one thread leaves other threads at 1
@@ -272,22 +275,27 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     """Sample mean and standard error of f over a deterministic stream of
     draws, one (mean, stderr) pair per dispersion ratio.
 
-    Each chunk of draws is evaluated as soon as it is drawn and only its
-    values are kept, so memory is O(n_samples + workers * chunk * dim), not
+    Each chunk of draws is evaluated as it is drawn, in near-equal blocks of
+    at most `BLOCK_VALUES` // width rows, and only the values are kept, so
+    memory is O(n_samples * k + workers * BLOCK_VALUES) for k ratios, not
     O(n_samples * dim), with workers the `gaussian.sampling_workers` count.
     Every Monte-Carlo statistic of the package streams this way.  With
-    (g, draw) = `state.whitened(f)`, the values equal those of `g.eval_batch`
-    on the rows of `draw_chunked(seed, n_samples, draw)` row for row, and the
-    mean is a pairwise reduction over them, so it does not depend on how
-    many workers filled them.  For a Gaussian state g is f pulled back by
-    the active factor F_a and draw hands over the white normals z behind
-    `state.fill`: f(F_a z) is read as (f o F_a)(z), one GEMM per chunk
-    rather than two, and no row F_a z is formed.  The draws are the state's
-    own, not those of an eigenbasis of f, so the mean stays an independent
-    check of the closed form.
+    (g, draw) = `state.whitened(f)`, whose width is `g.dim`, the blocks are
+    drawn in order from the chunk's own stream, so the values equal those of
+    `g.eval_batch(draw(rng, m), ratios)` on each whole chunk bit for bit: a
+    split normal fill draws the same values, and a GEMM row does not depend
+    on the row count unless a block has one row, which the split edges
+    m * i // n give only a one-row chunk.  Widths up to 16 are not split.
+    The mean is a pairwise reduction over the values, so it does not depend
+    on how many workers filled them.  For a Gaussian state g is f pulled
+    back by the active factor F_a, of width rank, and draw hands over the
+    white normals z behind `state.fill`: f(F_a z) is read as (f o F_a)(z),
+    one GEMM per block rather than two, and no row F_a z is formed.  The
+    draws are the state's own, not those of an eigenbasis of f, so the mean
+    stays an independent check of the closed form.
 
     With dispersion `ratios` = (r_1, ..., r_k) the same draws serve k
-    averages: each chunk is evaluated once by `g.eval_batch(z, ratios)`,
+    averages: each block is evaluated once by `g.eval_batch(z, ratios)`,
     whose column i holds f(sqrt(r_i) x), and the call keeps k * n_samples
     values.  A draw x of N(0, B) scaled by sqrt(r) is a draw of N(0, r B),
     so this averages f over the states r_1 B, ..., r_k B with common random
@@ -297,9 +305,12 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
         raise ValueError(f"need at least 2 samples, got {n_samples}")
 
     g, draw = state.whitened(f)
+    block_rows = max(1, BLOCK_VALUES // max(g.dim, 1))
 
     def fill(rng: np.random.Generator, m: int) -> np.ndarray:
-        return g.eval_batch(draw(rng, m), ratios)
+        n = -(-m // block_rows)
+        blocks = [g.eval_batch(draw(rng, m * (i + 1) // n - m * i // n), ratios) for i in range(n)]
+        return blocks[0] if n == 1 else np.concatenate(blocks)
 
     values = draw_chunked(seed, n_samples, fill).samples
     # each column copied contiguous, so it is reduced exactly as a 1-D array of its values
@@ -326,35 +337,38 @@ def chebyshev_tail(rho: GaussianState, c: float, energies: np.ndarray) -> tuple[
     return bound, float(np.mean(energies > c))
 
 
-def exact_span_coefficients(samples: np.ndarray, direction) -> tuple[np.ndarray, np.ndarray]:
+def exact_span_coefficients(samples: np.ndarray, direction,
+                            guess=None) -> tuple[np.ndarray, np.ndarray]:
     """Exhibit float coefficients c with samples[i] == c[i] * direction elementwise.
 
     Returns (ok, coeffs).  ok[i] is True when some double c reproduces row i
     bit-for-bit under IEEE multiplication, which is the strongest form of
-    "lies in span{direction}" available in floating point.  Candidates are
-    the per-row division estimate, then its +1, -1, +2 and -2 ulp
-    neighbours on the rows it does not reproduce; a row keeps the first
-    candidate that does.  Every check reduces along axis 0 of samples.T, so
-    rows handed over as the transpose of a C-ordered (dim, N) array are
-    compared along contiguous memory; the result does not depend on the
-    layout.
+    "lies in span{direction}" available in floating point.  The first
+    candidate is `guess[i]` when a guess is given (for draws c * direction,
+    the c that made them), else the per-row division estimate; on the rows
+    it does not reproduce, the division estimate and its +1, -1, +2 and -2
+    ulp neighbours follow, and a row keeps the first candidate that does.
+    A row no candidate reproduces keeps the division estimate.  Every check
+    reduces along axis 0 of samples.T, so rows handed over as the transpose
+    of a C-ordered (dim, N) array are compared along contiguous memory; the
+    result does not depend on the layout.
     """
     u = as_vector(direction)
     if not np.any(u != 0.0):
         raise ValueError("direction must be nonzero")
     cols = samples.T  # (dim, N): contiguous rows when samples is a transposed (dim, N) array
     jmax = int(np.argmax(np.abs(u)))
-    base = cols[jmax] / u[jmax]
-    ok = np.all(u[:, None] * base[None, :] == cols, axis=0)
-    coeffs = base.copy()
+    coeffs = cols[jmax] / u[jmax] if guess is None else np.array(guess, dtype=np.float64)
+    ok = np.all(u[:, None] * coeffs == cols, axis=0)
     rows = np.flatnonzero(~ok)
     if rows.size:
+        base = cols[jmax, rows] / u[jmax]
         away = np.array([[math.inf], [-math.inf]])
-        one = np.nextafter(base[rows], away)
-        # (4, rows) candidates in trial order +1, -1, +2, -2 ulp, all tried in one pass
-        cands = np.concatenate([one, np.nextafter(one, away)])
+        one = np.nextafter(base, away)
+        # (5, rows) candidates in trial order 0, +1, -1, +2, -2 ulp, all tried in one pass
+        cands = np.concatenate([base[None], one, np.nextafter(one, away)])
         hits = np.all(u[:, None, None] * cands == cols[:, None, rows], axis=0)
         hit = hits.any(axis=0)
-        coeffs[rows[hit]] = cands[hits.argmax(axis=0), np.arange(rows.size)][hit]
+        coeffs[rows] = np.where(hit, cands[hits.argmax(axis=0), np.arange(rows.size)], base)
         ok[rows] = hit
     return ok, coeffs

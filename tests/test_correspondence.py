@@ -264,7 +264,9 @@ def test_generalized_average_cos_quad_order_eight():
 _G_DERIVATIVES = {SinQuad: (0, 1, 0, -1), CosQuadMinusOne: (1, 0, -1, 0)}
 
 
-@pytest.mark.parametrize("alpha, rtol", [(0.3, 1e-15), (2.0, 4e-15)])
+# alpha_c = 1/(2a) = 0.714: at 0.6 and 0.7 (0.84 and 0.98 of it) the order-170
+# term still matters while alpha^84 / 170! is below the smallest double
+@pytest.mark.parametrize("alpha, rtol", [(0.3, 1e-15), (0.6, 1e-15), (0.7, 1e-15), (2.0, 4e-15)])
 @pytest.mark.parametrize("family", list(_G_DERIVATIVES), ids=lambda c: c.__name__)
 def test_generalized_average_matches_the_exact_series_to_order_170(family, alpha, rtol):
     # at dim 1, E (a psi^2)^k = (a alpha)^k (2k-1)!! under N(0, alpha), so the

@@ -277,6 +277,46 @@ def test_mc_average_memory_is_bounded_by_the_values():
     assert peak < count * dim * 8 / 4
 
 
+def _dim64_cos_sweep():
+    # the shape of the benchmark's mc_sweep calls: dim 64, random state and operator, 5 ratios
+    dim = 64
+    state = build_state({"shape": "random", "seed": 5}, dim, 0.1)
+    f = CosQuadMinusOne(symmetric_from_entries(substream(3, 0).standard_normal((dim, dim))))
+    return f, state, (1.0, 0.3, 0.1, 0.03, 0.01)
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("count", [65_536, 3 * 4096 + 17, 4096 + 1025, 2 * 4096 + 1])
+def test_blocked_mc_average_matches_one_eval_batch_per_chunk(count, workers):
+    # at dim 64 each chunk is evaluated in blocks of BLOCK_VALUES // 64 rows;
+    # the reference evaluates each whole chunk in one call, with one worker
+    f, state, ratios = _dim64_cos_sweep()
+    g, draw = state.whitened(f)
+    assert gaussian.BLOCK_VALUES // g.dim < DEFAULT_CHUNK_SIZE
+    values = draw_chunked(7, count, lambda rng, m: g.eval_batch(draw(rng, m), ratios)).samples
+    expected = [mean_stderr(np.ascontiguousarray(column)) for column in values.T]
+    with sampling_workers(workers):
+        assert mc_average(f, state, count, 7, ratios) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_average_holds_blocks_not_chunks(workers):
+    # past the kept values and mean_stderr's two copies of one column, a
+    # worker holds a few arrays of BLOCK_VALUES draws; a whole 4096 x 64
+    # chunk of normals and its GEMM product would be 4 MiB per worker
+    f, state, ratios = _dim64_cos_sweep()
+    count = 65_536
+    tracemalloc.start()
+    try:
+        with sampling_workers(workers):
+            mc_average(f, state, count, 7, ratios)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = count * len(ratios) * 8
+    assert peak < kept + 2 * count * 8 + workers * 4 * 8 * gaussian.BLOCK_VALUES
+
+
 _DIM64 = ExperimentConfig(dim=64, alpha_grid=(0.1, 0.01, 0.001),
                           functional_spec={"family": "quadratic"},
                           state_spec={"shape": "isotropic"}, mc_samples=200_000, seed=4)
@@ -751,6 +791,19 @@ def test_nongaussian_product_laplace():
     assert _check(report, "quadratic").passed
     assert _check(report, "quartic").passed
     assert report["passed"]
+
+
+@pytest.mark.parametrize("seed", [31, 1, 2, 3, 4])
+def test_product_laplace_quartic_mean_matches_its_exact_value(seed):
+    # E |x|^4 = sum_i E x_i^4 + sum_(i != j) v_i v_j = (sum v)^2 + 5 sum v^2,
+    # since a Laplace coordinate of variance v has E x^4 = 6 v^2; the
+    # variances are those of configs/nongaussian_laplace.json
+    v = np.full(4, 0.025)
+    report = nongaussian_experiment(SecondMomentState.product_laplace(v), np.eye(4), 100_000, seed)
+    quartic = _check(report, "quartic")
+    exact = v.sum() ** 2 + 5.0 * np.sum(v ** 2)
+    assert exact == pytest.approx(0.0225, rel=1e-15)
+    assert abs(quartic.statistic - exact) <= 4.0 * quartic.stderr
 
 
 def test_nongaussian_uniform_sphere():

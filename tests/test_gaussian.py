@@ -413,6 +413,28 @@ def test_exact_span_coefficients_do_not_depend_on_the_row_layout():
     assert set(steps.tolist()) == {-2.0, -1.0, 0.0, 1.0, 2.0}
 
 
+def test_exact_span_coefficients_try_the_guess_first():
+    # rows the guess reproduces keep it; every other row gets the search
+    # the all-rows loop makes
+    rng = np.random.default_rng(5)
+    u = np.array([0.3, -0.7, 1.1])
+    c = rng.standard_normal(4000) * 10.0 ** rng.uniform(-3, 3, 4000)
+    rows = c[:, None] * u[None, :]
+    rows[:40, 0] += 1e-3 * np.abs(rows[:40, 0])  # off the span
+    guess = c.copy()
+    guess[40:400] = np.nextafter(guess[40:400], np.inf)  # a ulp off: some rows still hit
+    guess[400:500] *= -1.0
+    ok, coeffs = exact_span_coefficients(rows, u, guess=guess)
+    hits = np.all(guess[:, None] * u[None, :] == rows, axis=1)
+    ref_ok, ref_coeffs = _span_reference(rows, u)
+    assert np.array_equal(ok, ref_ok | hits)
+    assert np.array_equal(coeffs, np.where(hits, guess, ref_coeffs))
+    assert not ok[:40].any() and ok[40:].all()
+    assert hits[40:400].any() and not hits[40:500].all()
+    ok, coeffs = exact_span_coefficients(rows, u, guess=c)  # the coefficients that made the rows
+    assert np.array_equal(ok, ref_ok) and np.array_equal(coeffs[40:], c[40:])
+
+
 @pytest.mark.parametrize("rank", [0, 1, 32])
 def test_white_draws_rank_normals_per_row(rank):
     weights = np.zeros(64)
