@@ -24,6 +24,7 @@ from .functionals import (
 )
 from .gaussian import (
     GaussianState,
+    Moments,
     SampleBatch,
     chebyshev_tail,
     mc_average,
@@ -57,7 +58,7 @@ from .experiments import (
 
 __all__ = [
     "CosQuadMinusOne", "DensityOperator", "EvenPolynomial",
-    "ExperimentConfig", "Functional", "GaussianState", "ObservableMultiple",
+    "ExperimentConfig", "Functional", "GaussianState", "Moments", "ObservableMultiple",
     "Quadratic", "SampleBatch", "SecondMomentState", "SinQuad",
     "SpectralDecomposition", "SymmetricForm", "alpha_sweep", "amplify",
     "analytic_average", "chebyshev_tail", "closed_form_average",

@@ -47,12 +47,13 @@ from .functionals import (
 )
 from .gaussian import (
     GaussianState,
+    Moments,
     chebyshev_tail,
     draw_chunked,
     exact_span_coefficients,
     mc_average,
-    mean_stderr,
     pure_state_measure,
+    row_blocks,
     substream,
 )
 from .hilbert import as_vector, operator_norm, symmetric_from_entries, trace_product
@@ -562,13 +563,15 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     """Rank-1 mixture demo: amplified average, exact span membership, and the
     sample-covariance shape against psi (x) psi.
 
-    Each chunk of draws x keeps one value per row, the amplified value; its
-    x^T x, the number of rows that are exact multiples of the direction and
-    the number of off-axis entries that are zero are summed in chunk order.
-    The chunk is formed column-major, x^T = F_a z^T of shape (dim, m), one
-    product per entry for the rank-1 factor, so row i is z_i times the
-    direction and the span check tries the chunk's own normals z_i first,
-    and every check reduces along the contiguous axis.
+    Each chunk of draws x is drawn and checked in the `row_blocks` of width
+    dim and reduced to partials: the `Moments` of its amplified values, and
+    its x^T x, the number of rows that are exact multiples of the direction
+    and the number of off-axis entries that are zero, summed.  The partials
+    are merged in chunk order.  A block is formed column-major,
+    x^T = F_a z^T of shape (dim, r), one product per entry for the rank-1
+    factor, so row i is z_i times the direction and the span check tries
+    the block's own normals z_i first, and every check reduces along the
+    contiguous axis.
     """
     v = as_vector(psi)
     nrm = float(np.linalg.norm(v))
@@ -580,21 +583,25 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     direction = fmat[:, 0] if fmat.shape[1] else np.zeros(rho.dim)
     off_axis = direction == 0.0
 
-    def fill(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        z = rho.white(rng, m)  # (m, rank), rank 0 or 1
-        xt = fmat @ z.T
-        ok, _coeffs = exact_span_coefficients(xt.T, direction, guess=z.ravel())
-        counts = [np.count_nonzero(ok), np.count_nonzero(xt[off_axis] == 0.0)]
-        return f.eval_batch(xt.T)[:, 0] / alpha, np.append(xt @ xt.T, counts)
+    def fill(rng: np.random.Generator, m: int) -> tuple[Moments, np.ndarray]:
+        amplified, sums = [], 0.0
+        for r in row_blocks(m, rho.dim):
+            z = rho.white(rng, r)  # (r, rank), rank 0 or 1
+            xt = fmat @ z.T
+            ok, _coeffs = exact_span_coefficients(xt.T, direction, guess=z.ravel())
+            amplified.append(f.eval_batch(xt.T)[:, 0] / alpha)
+            counts = [np.count_nonzero(ok), np.count_nonzero(xt[off_axis] == 0.0)]
+            sums = sums + np.append(xt @ xt.T, counts)
+        return Moments.of(np.concatenate(amplified)), sums
 
-    batch = draw_chunked(seed, n_samples, fill)
-    amp_mean, amp_stderr = mean_stderr(batch.samples)
+    amplified, sums = draw_chunked(seed, n_samples, fill).partial
+    [(amp_mean, amp_stderr)] = amplified.mean_stderr()
     expected = float(v @ f.operator @ v)
     off_axis_entries = n_samples * int(np.count_nonzero(off_axis))
-    span, zeros = batch.chunk_sum[-2:]
+    span, zeros = sums[-2:]
 
     d = rho.covariance / alpha  # B's squares underflow from alpha ~ 1e-160 down, D's do not
-    cov_sum = batch.chunk_sum[:-2].reshape(rho.dim, rho.dim)
+    cov_sum = sums[:-2].reshape(rho.dim, rho.dim)
     cov_err = np.abs(cov_sum / n_samples / alpha - np.outer(v, v))
     band = MC_SIGMAS * np.sqrt((np.outer(np.diag(d), np.diag(d)) + d ** 2) / n_samples)
 
@@ -761,13 +768,20 @@ class TailRow:
     noise: float
 
 
-def _energies(rho: GaussianState, n_samples: int, seed: int) -> np.ndarray:
-    """||psi||^2 of `n_samples` draws from rho, one value kept per draw."""
-    def fill(rng: np.random.Generator, m: int) -> np.ndarray:
-        x = rho.fill(rng, m)
-        return np.einsum("pi,pi->p", x, x)
+def _tail_counts(rho: GaussianState, thresholds: Sequence[float], n_samples: int,
+                 seed: int) -> tuple[int, ...]:
+    """How many of `n_samples` draws from rho have an energy ||psi||^2 above
+    each threshold.  Each chunk is drawn in the `row_blocks` of width dim
+    and kept as its counts only, which are exact, so no energy is held."""
+    def fill(rng: np.random.Generator, m: int) -> tuple[int, ...]:
+        counts = [0] * len(thresholds)
+        for r in row_blocks(m, rho.dim):
+            x = rho.fill(rng, r)
+            energies = np.einsum("pi,pi->p", x, x)
+            counts = [n + np.count_nonzero(energies > c) for n, c in zip(counts, thresholds)]
+        return tuple(counts)
 
-    return draw_chunked(seed, n_samples, fill).samples
+    return draw_chunked(seed, n_samples, fill).partial
 
 
 def chebyshev_experiment(cfg: ExperimentConfig) -> dict:
@@ -778,10 +792,10 @@ def chebyshev_experiment(cfg: ExperimentConfig) -> dict:
     rows, checks = [], []
     for i, alpha in enumerate(alphas):
         rho = build_state(cfg.state_spec, cfg.dim, alpha)
-        energies = _energies(rho, cfg.mc_samples, derive_seed(cfg.seed, 20 + i))
-        for mult in (1.0, 10.0, 100.0):
-            c = mult * alpha
-            bound, empirical = chebyshev_tail(rho, c, energies)
+        thresholds = [mult * alpha for mult in (1.0, 10.0, 100.0)]
+        counts = _tail_counts(rho, thresholds, cfg.mc_samples, derive_seed(cfg.seed, 20 + i))
+        for c, above in zip(thresholds, counts):
+            bound, empirical = chebyshev_tail(rho, c, above, cfg.mc_samples)
             check = bound_plus_noise(f"tail[{len(rows)}]", empirical, bound,
                                      math.sqrt(bound / cfg.mc_samples), (c,))
             rows.append(TailRow(alpha, c, bound, empirical, check.band))

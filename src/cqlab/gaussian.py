@@ -7,10 +7,14 @@ without pivoting, and draws come from SFC64 substreams, one per chunk, so
 batches are bit-reproducible regardless of how many workers fill them.  The
 substreams are SeedSequence children: independent with overwhelming
 probability rather than by construction (see `substream`).
-Every Monte-Carlo statistic of the package streams: `draw_chunked` maps each
-chunk of draws to per-row values as it is drawn, so no caller holds the
-draws themselves.  The number of threads that fill chunks is a resource,
-not an input: `sampling_workers(n)` alone sets it, and it moves no result bit.
+Every Monte-Carlo statistic of the package streams: `draw_chunked` reduces
+each chunk of draws to a small partial as it is drawn, the (count, mean, M2)
+of each value column (`Moments`) or exact counts, and merges the partials
+in chunk order on a binary-counter stack, so no caller holds a draw or a
+per-sample value, and a statistic of k columns over `chunks` chunks holds
+O(k * log chunks + workers * BLOCK_VALUES) doubles whatever the sample count.
+The number of threads that fill chunks is a resource, not an input:
+`sampling_workers(n)` alone sets it, and it moves no result bit.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import contextvars
 import ctypes
 import functools
 import glob
+import itertools
 import math
 import os
 from collections.abc import Sequence
@@ -48,20 +53,21 @@ _WORKERS = contextvars.ContextVar("sampling_workers", default=1)
 # rejects the covariance as indefinite.
 EIG_CLIP_REL = 1e-12
 
+# the scale exponent of an all-zero `Moments` column: below frexp's exponent
+# of the smallest subnormal, -1073
+_ZERO_EXPONENT = -1100
+
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """The rows of one `draw_chunked` call, the number of chunks that filled
-    them, and the chunk-order sum of the fill's per-chunk partials (None when
-    the fill returns rows only)."""
+    """What one `draw_chunked` call drew: `count` rows in `chunk_count`
+    chunks, and either the rows themselves or the chunk-order merge of the
+    fill's per-chunk partials, never both."""
 
-    samples: np.ndarray  # (count, k), or (count,) when each draw is one value
+    count: int
     chunk_count: int
-    chunk_sum: np.ndarray | None = None
-
-    @property
-    def count(self) -> int:
-        return self.samples.shape[0]
+    samples: np.ndarray  # (count, k) or (count,) rows; empty when the fill returns partials
+    partial: object = None
 
 
 def substream(seed: int, tag: int) -> np.random.Generator:
@@ -83,57 +89,128 @@ def substream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(entropy))
 
 
-def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean of a 1-D array and its standard error (ddof=1).
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and M2 (the sum of squared deviations from the mean) of
+    each of k columns of values, column i held in units of 2^exponent[i].
 
     Squared deviations overflow for values above about 1e154 and underflow
-    for values below about 1e-154.  When the largest magnitude lies outside
-    [2^-400, 2^400], both statistics are taken of the values scaled by the
-    power of two that brings it into [0.5, 1), and scaled back; a
-    power-of-two scaling is exact, and inside the window nothing is scaled.
+    for values below about 1e-154.  So `of` scales a column whose largest
+    magnitude lies outside [2^-400, 2^400] by the power of two that brings
+    it into [0.5, 1), and leaves a column inside that window as it is; a
+    power-of-two scaling is exact.  An all-zero column takes an exponent
+    below that of any nonzero double, so it never sets the scale of a merge.
+    `+` is the pairwise update of Chan, Golub & LeVeque (1979), taken at the
+    larger exponent of each column: the other side's mean is scaled down by
+    the exponent gap and its M2 by twice the gap, so no deviation is squared
+    outside the window.
     """
-    top = float(np.max(np.abs(values)))
-    exponent = 0
-    if math.isfinite(top) and top > 0.0 and not 2.0 ** -400 <= top <= 2.0 ** 400:
-        exponent = math.frexp(top)[1]
-        values = np.ldexp(values, -exponent)
-    mean, std = np.mean(values), np.std(values, ddof=1)
-    with np.errstate(over="ignore"):  # a statistic beyond the largest double is inf
-        return (float(np.ldexp(mean, exponent)),
-                float(np.ldexp(std / math.sqrt(values.shape[0]), exponent)))
+
+    count: int
+    mean: np.ndarray  # (k,)
+    m2: np.ndarray  # (k,)
+    exponent: np.ndarray  # (k,) integers
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "Moments":
+        """The partial of m values, shape (m,), or of m rows of k columns,
+        shape (m, k).  Each column is reduced as a contiguous array, so the
+        mean and M2 are pairwise sums, the bits `np.mean` and `np.std` give."""
+        cols = np.ascontiguousarray(values.T if values.ndim == 2 else values[None])
+        top = np.maximum(cols.max(axis=1), -cols.min(axis=1))
+        outside = (top < 2.0 ** -400) | (top > 2.0 ** 400)
+        exponent = np.where(top == 0.0, _ZERO_EXPONENT,
+                            np.where(outside & np.isfinite(top), np.frexp(top)[1], 0))
+        if np.any(exponent != 0):
+            cols = np.ldexp(cols, -exponent[:, None])
+        n = cols.shape[1]
+        mean = np.add.reduce(cols, axis=1) / n
+        dev = cols - mean[:, None]
+        return cls(n, mean, np.add.reduce(dev * dev, axis=1), exponent)
+
+    def __add__(self, other: "Moments") -> "Moments":
+        exponent = np.maximum(self.exponent, other.exponent)
+        shift_a, shift_b = self.exponent - exponent, other.exponent - exponent
+        mean_a, mean_b = np.ldexp(self.mean, shift_a), np.ldexp(other.mean, shift_b)
+        count = self.count + other.count
+        delta = mean_b - mean_a
+        return Moments(count, mean_a + delta * (other.count / count),
+                       np.ldexp(self.m2, 2 * shift_a) + np.ldexp(other.m2, 2 * shift_b)
+                       + delta * delta * (self.count * other.count / count), exponent)
+
+    def mean_stderr(self) -> list[tuple[float, float]]:
+        """(sample mean, its standard error with ddof=1) of each column, in
+        the values' own units."""
+        stderr = np.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+        with np.errstate(over="ignore"):  # a statistic beyond the largest double is inf
+            return list(zip(np.ldexp(self.mean, self.exponent).tolist(),
+                            np.ldexp(stderr, self.exponent).tolist()))
+
+
+def _merge(a, b):
+    return tuple(map(_merge, a, b)) if isinstance(a, tuple) else a + b
+
+
+def merged(partials):
+    """The chunk-order merge of `partials` as a binary counter adds them:
+    each partial is merged with the run of equal-size merges before it, and
+    the runs left at the end are merged from the last one back.  So at most
+    log2(n) + 1 partials are held, every merge takes an earlier partial on
+    its left, and the tree depends on the partial count alone.  A partial is
+    anything `+` merges, or a tuple of such, merged entrywise."""
+    stack = []  # (chunks merged, partial), sizes strictly decreasing
+    for partial in partials:
+        size = 1
+        while stack and stack[-1][0] == size:
+            partial = _merge(stack.pop()[1], partial)
+            size *= 2
+        stack.append((size, partial))
+    total = stack.pop()[1]
+    while stack:
+        total = _merge(stack.pop()[1], total)
+    return total
 
 
 def draw_chunked(seed: int, count: int, fill) -> SampleBatch:
-    """Assemble `count` rows from per-chunk generators, `DEFAULT_CHUNK_SIZE`
-    rows per chunk.
+    """Draw `count` rows in chunks of `DEFAULT_CHUNK_SIZE` rows and keep
+    either the rows or a merge of one partial per chunk.
 
-    `fill(rng, m)` must return m values, shape (m,), or m rows, shape
-    (m, k), using only `rng`; or a pair (rows, partial), where partial is an
-    array computed from the chunk's draws, such as a sum over them.  Chunk c
-    always uses the SFC64 stream `substream(seed, c)`.  Chunks are taken in
-    chunk order: the first one sizes the output array, each writes its own
-    slice of it, and the partials are added in that order, so the result is
-    independent of `sampling_workers` and of scheduling order, and no chunk
-    outlives its copy into the output.
+    `fill(rng, m)` uses only `rng` and returns either m rows, an ndarray of
+    shape (m,) or (m, k), or a partial of the chunk's m draws: a `Moments`,
+    a count, or a tuple of these.  Chunk c always uses the SFC64 stream
+    `substream(seed, c)`.  Chunks are taken in chunk order: rows are copied
+    into one (count, ...) array, and partials are combined by `merged`, so
+    a partial-only call holds O(log chunks) partials and no row, and
+    `samples` comes back empty.  Either way the result is independent of
+    `sampling_workers` and of scheduling order.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     n_chunks = (count + DEFAULT_CHUNK_SIZE - 1) // DEFAULT_CHUNK_SIZE
 
-    def make(c: int) -> tuple:
-        m = min(DEFAULT_CHUNK_SIZE, count - c * DEFAULT_CHUNK_SIZE)
-        made = fill(substream(seed, c), m)
-        return made if isinstance(made, tuple) else (made, None)
+    def make(c: int):
+        return fill(substream(seed, c), min(DEFAULT_CHUNK_SIZE, count - c * DEFAULT_CHUNK_SIZE))
 
-    out = total = None
     chunks = _in_chunk_order(make, n_chunks, min(_WORKERS.get(), n_chunks))
-    for c, (rows, partial) in enumerate(chunks):
-        if out is None:
-            out = np.empty((count,) + rows.shape[1:], dtype=rows.dtype)
+    first = next(chunks)
+    if not isinstance(first, np.ndarray):
+        return SampleBatch(count, n_chunks, np.empty(0), merged(itertools.chain([first], chunks)))
+    out = np.empty((count,) + first.shape[1:], dtype=first.dtype)
+    for c, rows in enumerate(itertools.chain([first], chunks)):
         out[c * DEFAULT_CHUNK_SIZE:(c + 1) * DEFAULT_CHUNK_SIZE] = rows
-        if partial is not None:
-            total = partial if total is None else total + partial
-    return SampleBatch(samples=out, chunk_count=n_chunks, chunk_sum=total)
+    return SampleBatch(count, n_chunks, out)
+
+
+def row_blocks(m: int, width: int) -> list[int]:
+    """Row counts of the near-equal blocks, at most `BLOCK_VALUES` // width
+    rows each, in which a chunk of m rows of `width` values is drawn and
+    evaluated: the split edges are m * i // n for n blocks.  Drawn in order
+    from the chunk's stream, the blocks hold the values one fill of m rows
+    would, and a GEMM row does not depend on the row count unless a block
+    has one row, which these edges give only a one-row chunk.  Widths up to
+    16 are not split."""
+    n = -(-m // max(1, BLOCK_VALUES // max(width, 1)))
+    return [m * (i + 1) // n - m * i // n for i in range(n)]
 
 
 def _in_chunk_order(make, n_chunks: int, workers: int):
@@ -266,7 +343,8 @@ class GaussianState:
 
     def sample(self, seed: int, count: int) -> SampleBatch:
         """`count` rows drawn from N(0, B), all held at once.  The package's
-        own statistics stream per-row values through `draw_chunked` instead."""
+        own statistics reduce each chunk to a partial through `draw_chunked`
+        instead."""
         return draw_chunked(seed, count, self.fill)
 
 
@@ -275,46 +353,42 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     """Sample mean and standard error of f over a deterministic stream of
     draws, one (mean, stderr) pair per dispersion ratio.
 
-    Each chunk of draws is evaluated as it is drawn, in near-equal blocks of
-    at most `BLOCK_VALUES` // width rows, and only the values are kept, so
-    memory is O(n_samples * k + workers * BLOCK_VALUES) for k ratios, not
-    O(n_samples * dim), with workers the `gaussian.sampling_workers` count.
+    Each chunk of draws is evaluated as it is drawn, in the `row_blocks` of
+    its width, and reduced to a `Moments` partial while its values are in
+    cache; `draw_chunked` merges the partials in chunk order.  So memory is
+    O(k * log chunks + workers * BLOCK_VALUES) for k ratios, with workers
+    the `gaussian.sampling_workers` count, and no per-sample value is kept.
     Every Monte-Carlo statistic of the package streams this way.  With
     (g, draw) = `state.whitened(f)`, whose width is `g.dim`, the blocks are
-    drawn in order from the chunk's own stream, so the values equal those of
-    `g.eval_batch(draw(rng, m), ratios)` on each whole chunk bit for bit: a
-    split normal fill draws the same values, and a GEMM row does not depend
-    on the row count unless a block has one row, which the split edges
-    m * i // n give only a one-row chunk.  Widths up to 16 are not split.
-    The mean is a pairwise reduction over the values, so it does not depend
-    on how many workers filled them.  For a Gaussian state g is f pulled
-    back by the active factor F_a, of width rank, and draw hands over the
-    white normals z behind `state.fill`: f(F_a z) is read as (f o F_a)(z),
-    one GEMM per block rather than two, and no row F_a z is formed.  The
-    draws are the state's own, not those of an eigenbasis of f, so the mean
-    stays an independent check of the closed form.
+    drawn in order from the chunk's own stream, so a chunk's values equal
+    those of `g.eval_batch(draw(rng, m), ratios)` on the whole chunk bit for
+    bit, and the result is the merge of those chunks' partials, whatever the
+    worker count.  For a Gaussian state g is f pulled back by the active
+    factor F_a, of width rank, and draw hands over the white normals z
+    behind `state.fill`: f(F_a z) is read as (f o F_a)(z), one GEMM per
+    block rather than two, and no row F_a z is formed.  The draws are the
+    state's own, not those of an eigenbasis of f, so the mean stays an
+    independent check of the closed form.
 
     With dispersion `ratios` = (r_1, ..., r_k) the same draws serve k
     averages: each block is evaluated once by `g.eval_batch(z, ratios)`,
-    whose column i holds f(sqrt(r_i) x), and the call keeps k * n_samples
-    values.  A draw x of N(0, B) scaled by sqrt(r) is a draw of N(0, r B),
-    so this averages f over the states r_1 B, ..., r_k B with common random
-    numbers: each average is unbiased, but their errors are correlated.
+    whose column i holds f(sqrt(r_i) x).  A draw x of N(0, B) scaled by
+    sqrt(r) is a draw of N(0, r B), so this averages f over the states
+    r_1 B, ..., r_k B with common random numbers: each average is unbiased,
+    but their errors are correlated.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
 
     g, draw = state.whitened(f)
-    block_rows = max(1, BLOCK_VALUES // max(g.dim, 1))
 
-    def fill(rng: np.random.Generator, m: int) -> np.ndarray:
-        n = -(-m // block_rows)
-        blocks = [g.eval_batch(draw(rng, m * (i + 1) // n - m * i // n), ratios) for i in range(n)]
-        return blocks[0] if n == 1 else np.concatenate(blocks)
+    def fill(rng: np.random.Generator, m: int) -> Moments:
+        # the blocks' columns side by side, contiguous: the (k, m) layout `Moments.of` reduces
+        cols = np.concatenate([g.eval_batch(draw(rng, r), ratios).T
+                               for r in row_blocks(m, g.dim)], axis=1)
+        return Moments.of(cols.T)
 
-    values = draw_chunked(seed, n_samples, fill).samples
-    # each column copied contiguous, so it is reduced exactly as a 1-D array of its values
-    return [mean_stderr(np.ascontiguousarray(c)) for c in values.T]
+    return draw_chunked(seed, n_samples, fill).partial.mean_stderr()
 
 
 def pure_state_measure(psi, alpha: float) -> GaussianState:
@@ -327,14 +401,14 @@ def pure_state_measure(psi, alpha: float) -> GaussianState:
     return GaussianState(alpha * outer_product(v))
 
 
-def chebyshev_tail(rho: GaussianState, c: float, energies: np.ndarray) -> tuple[float, float]:
-    """Markov-type tail bound min(1, Tr B / C) vs the observed fraction of
-    `energies` above C, where `energies` are the squared norms ||psi||^2 of
-    draws from rho."""
+def chebyshev_tail(rho: GaussianState, c: float, above: int, count: int) -> tuple[float, float]:
+    """Markov-type tail bound min(1, Tr B / C) vs the observed fraction
+    above / count, where `above` of `count` draws from rho have a squared
+    norm ||psi||^2 above C."""
     if not c > 0.0:
         raise ValueError(f"C must be positive, got {c}")
     bound = min(1.0, rho.dispersion() / c)
-    return bound, float(np.mean(energies > c))
+    return bound, above / count
 
 
 def exact_span_coefficients(samples: np.ndarray, direction,

@@ -52,9 +52,10 @@ from cqlab.functionals import (
 from cqlab.gaussian import (
     DEFAULT_CHUNK_SIZE,
     GaussianState,
+    Moments,
     draw_chunked,
     exact_span_coefficients,
-    mean_stderr,
+    merged,
     pure_state_measure,
     sampling_workers,
     substream,
@@ -65,6 +66,17 @@ from cqlab.wick import gaussian_integral_multilinear, moment_mc_check
 
 def _check(report: dict, name: str):
     return next(c for c in report["checks"] if c.name == name)
+
+
+def _chunk_merge(values: np.ndarray) -> list[tuple[float, float]]:
+    """The reference statistic of values held at once: the `Moments` of each
+    `DEFAULT_CHUNK_SIZE`-row chunk, merged in chunk order."""
+    return merged(Moments.of(values[c:c + DEFAULT_CHUNK_SIZE])
+                  for c in range(0, values.shape[0], DEFAULT_CHUNK_SIZE)).mean_stderr()
+
+
+# a worker holds at most four arrays of BLOCK_VALUES doubles, whatever the sample count
+_WORKER_BYTES = 4 * 8 * gaussian.BLOCK_VALUES
 
 # frozen characteristic-function oracle values for psi ~ N(0, 0.1), a = 1:
 # E exp(i a psi^2) = (1 - 2i a alpha)^(-1/2)
@@ -170,11 +182,14 @@ def test_mc_average_of_a_zero_state_is_zero():
 
 
 def test_mc_average_independent_of_workers():
+    # 14 chunks: the merge leaves runs of 8, 4 and 2 chunks on its stack
     rho = GaussianState(np.eye(3) * 0.2)
     f = Quadratic(np.eye(3))
-    one = mc_average(f, rho, 30_000, seed=9)
-    with sampling_workers(8):
-        assert mc_average(f, rho, 30_000, seed=9) == one
+    count, ratios = 13 * DEFAULT_CHUNK_SIZE + 17, [1.0, 0.1, 1e-3]
+    one = mc_average(f, rho, count, seed=9, ratios=ratios)
+    for workers in (2, 8):
+        with sampling_workers(workers):
+            assert mc_average(f, rho, count, seed=9, ratios=ratios) == one
 
 
 _STREAM_STATES = {
@@ -197,8 +212,7 @@ def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
         # the reference: the draws the state hands over, held at once, with
         # one worker, and evaluated by the variable it hands back
         g, draw = state.whitened(f)
-        values = g.eval_batch(draw_chunked(21, count, draw).samples, ratios)
-        expected = [mean_stderr(np.ascontiguousarray(column)) for column in values.T]
+        expected = _chunk_merge(g.eval_batch(draw_chunked(21, count, draw).samples, ratios))
         with sampling_workers(workers):
             # the default call is the one pair of ratio 1.0, and pair i of a
             # k-ratio call is the one-ratio call at r_i
@@ -222,14 +236,14 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
     with sampling_workers(workers):
         report = pure_state_experiment(v, alpha, a, count, seed)
     amplified = _check(report, "amplified_average")
-    assert (amplified.statistic, amplified.stderr) == \
-        mean_stderr(Quadratic(a).eval_batch(x)[:, 0] / alpha)
+    assert [(amplified.statistic, amplified.stderr)] == \
+        _chunk_merge(Quadratic(a).eval_batch(x)[:, 0] / alpha)
     direction = rho.active_factor[:, 0]
     off_axis = x[:, direction == 0.0] == 0.0
     assert _check(report, "span").statistic == np.mean(exact_span_coefficients(x, direction)[0])
     assert _check(report, "off_axis_zero").statistic == \
         (np.mean(off_axis) if off_axis.size else 1.0)
-    # x^T x is summed chunk by chunk, so only its last digits may move
+    # x^T x is summed block by block, so only its last digits may move
     cov_err = np.abs((x.T @ x) / count / alpha - np.outer(v, v)).max()
     assert abs(report["covariance_max_error"] - cov_err) <= 1e-12 * np.abs(np.outer(v, v)).max()
 
@@ -242,11 +256,13 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
         state = build_state(cfg.state_spec, dim, alpha_i)
         x = state.sample(derive_seed(seed, 20 + i), count).samples
         energies = np.einsum("pi,pi->p", x, x)
+        thresholds = [r.C for r in rows[3 * i:3 * i + 3]]
         with sampling_workers(workers):
-            streamed = experiments._energies(state, count, derive_seed(seed, 20 + i))
-        assert np.array_equal(streamed, energies)
+            streamed = experiments._tail_counts(state, thresholds, count,
+                                                derive_seed(seed, 20 + i))
+        assert streamed == tuple(np.count_nonzero(energies > c) for c in thresholds)
         assert [r.empirical for r in rows[3 * i:3 * i + 3]] == \
-            [float(np.mean(energies > r.C)) for r in rows[3 * i:3 * i + 3]]
+            [float(np.mean(energies > c)) for c in thresholds]
 
 
 @pytest.mark.parametrize("workers", [1, 8])
@@ -265,6 +281,7 @@ def test_moment_mc_check_is_mc_average_of_the_one_term_polynomial(shape, workers
 
 
 def test_mc_average_memory_is_bounded_by_the_values():
+    # N x dim rows would be 100 MB, and N values 1.6 MB
     dim, count = 64, 200_000
     rho = GaussianState(np.eye(dim) / dim)
     tracemalloc.start()
@@ -274,7 +291,7 @@ def test_mc_average_memory_is_bounded_by_the_values():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < count * dim * 8 / 4
+    assert peak < 2 * _WORKER_BYTES
 
 
 def _dim64_cos_sweep():
@@ -294,27 +311,25 @@ def test_blocked_mc_average_matches_one_eval_batch_per_chunk(count, workers):
     g, draw = state.whitened(f)
     assert gaussian.BLOCK_VALUES // g.dim < DEFAULT_CHUNK_SIZE
     values = draw_chunked(7, count, lambda rng, m: g.eval_batch(draw(rng, m), ratios)).samples
-    expected = [mean_stderr(np.ascontiguousarray(column)) for column in values.T]
+    expected = _chunk_merge(values)
     with sampling_workers(workers):
         assert mc_average(f, state, count, 7, ratios) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_average_holds_blocks_not_chunks(workers):
-    # past the kept values and mean_stderr's two copies of one column, a
-    # worker holds a few arrays of BLOCK_VALUES draws; a whole 4096 x 64
-    # chunk of normals and its GEMM product would be 4 MiB per worker
+    # a worker holds a few arrays of BLOCK_VALUES draws and one chunk's
+    # values; a whole 4096 x 64 chunk of normals and its GEMM product would
+    # be 4 MiB per worker, and the 65,536 x 5 values 2.5 MiB
     f, state, ratios = _dim64_cos_sweep()
-    count = 65_536
     tracemalloc.start()
     try:
         with sampling_workers(workers):
-            mc_average(f, state, count, 7, ratios)
+            mc_average(f, state, 65_536, 7, ratios)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = count * len(ratios) * 8
-    assert peak < kept + 2 * count * 8 + workers * 4 * 8 * gaussian.BLOCK_VALUES
+    assert peak < workers * _WORKER_BYTES
 
 
 _DIM64 = ExperimentConfig(dim=64, alpha_grid=(0.1, 0.01, 0.001),
@@ -322,22 +337,47 @@ _DIM64 = ExperimentConfig(dim=64, alpha_grid=(0.1, 0.01, 0.001),
                           state_spec={"shape": "isotropic"}, mc_samples=200_000, seed=4)
 
 
-@pytest.mark.parametrize("run", [
-    lambda cfg: pure_state_experiment(np.full(cfg.dim, 0.125), 0.1, np.eye(cfg.dim),
-                                      cfg.mc_samples, cfg.seed),
-    chebyshev_experiment,
-    moments_check,
-], ids=["pure-state", "chebyshev", "moments-check"])
-def test_experiment_memory_is_bounded_by_the_values(run):
-    # the same bound as mc_average's: a quarter of the N x dim rows
+def _mc_average_run(cfg: ExperimentConfig):
+    f, state, ratios = _dim64_cos_sweep()
+    return mc_average(f, state, cfg.mc_samples, cfg.seed, ratios)
+
+
+_MEMORY_RUNS = {
+    "mc-average": _mc_average_run,
+    "pure-state": lambda cfg: pure_state_experiment(np.full(cfg.dim, 0.125), 0.1,
+                                                    np.eye(cfg.dim), cfg.mc_samples, cfg.seed),
+    "chebyshev": chebyshev_experiment,
+    "moments-check": moments_check,
+}
+
+
+def _traced(run, cfg: ExperimentConfig, workers: int) -> tuple:
+    """(run(cfg), its tracemalloc peak in bytes) with `workers` sampling workers."""
     tracemalloc.start()
     try:
-        with sampling_workers(2):
-            assert run(_DIM64)["passed"]
-        _, peak = tracemalloc.get_traced_memory()
+        with sampling_workers(workers):
+            result = run(cfg)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _DIM64.mc_samples * _DIM64.dim * 8 / 4
+
+
+@pytest.mark.parametrize("name", ["pure-state", "chebyshev", "moments-check"])
+def test_experiment_memory_is_bounded_by_the_values(name):
+    # the same bound as mc_average's; N x dim rows would be 100 MB
+    report, peak = _traced(_MEMORY_RUNS[name], _DIM64, 2)
+    assert report["passed"]
+    assert peak < 2 * _WORKER_BYTES
+
+
+@pytest.mark.parametrize("name", list(_MEMORY_RUNS))
+def test_memory_does_not_grow_with_the_sample_count(name):
+    # 4 and 64 chunks: the partials held on the binary-counter stack grow
+    # with log2 of the chunk count, the rest not at all
+    count = 4 * DEFAULT_CHUNK_SIZE
+    for n in (count, 16 * count):
+        _, peak = _traced(_MEMORY_RUNS[name], replace(_DIM64, mc_samples=n), 2)
+        assert peak < 2 * _WORKER_BYTES, n
 
 
 def test_analytic_average_quadratic_exact():
@@ -495,9 +535,8 @@ def test_sweep_rows_share_one_rescaled_draw(family, workers):
     # one worker, and evaluated by f pulled back through its active factor
     # at every grid ratio alpha_i / alpha_0 in one call
     z = draw_chunked(cfg.seed, cfg.mc_samples, first.white).samples
-    values = f.pullback(first.active_factor).eval_batch(
-        z, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid])
-    expected = [mean_stderr(np.ascontiguousarray(column)) for column in values.T]
+    expected = _chunk_merge(f.pullback(first.active_factor).eval_batch(
+        z, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid]))
     with sampling_workers(workers):
         rows = alpha_sweep(cfg)["rows"]
         # row 0 is what the sweep computed before the draw was shared

@@ -6,6 +6,7 @@ import hashlib
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from cqlab.errors import ClassMembershipError, InvalidCovarianceError
 from cqlab.gaussian import (
     DEFAULT_CHUNK_SIZE,
     GaussianState,
+    Moments,
     chebyshev_tail,
     draw_chunked,
     exact_span_coefficients,
-    mean_stderr,
+    merged,
     pure_state_measure,
     sampling_workers,
     substream,
@@ -292,14 +294,15 @@ def test_sample_mean_converges_to_zero():
     assert np.all(np.abs(batch.samples.mean(axis=0)) <= 4.0 * se)
 
 
-def _energies(batch):
-    return np.einsum("pi,pi->p", batch.samples, batch.samples)
+def _above(batch, c):
+    """How many rows of the batch have a squared norm above c."""
+    return np.count_nonzero(np.einsum("pi,pi->p", batch.samples, batch.samples) > c)
 
 
 def test_chebyshev_bound_value():
     rho = GaussianState(np.eye(2) * 0.005)  # dispersion 0.01
     batch = rho.sample(seed=3, count=2000)
-    bound, empirical = chebyshev_tail(rho, 1.0, _energies(batch))
+    bound, empirical = chebyshev_tail(rho, 1.0, _above(batch, 1.0), batch.count)
     assert bound == pytest.approx(0.01, rel=1e-12)
     assert 0.0 <= empirical <= bound + 4.0 * math.sqrt(bound / batch.count)
 
@@ -307,7 +310,7 @@ def test_chebyshev_bound_value():
 def test_chebyshev_bound_vanishes_for_large_threshold():
     rho = GaussianState(np.eye(2) * 0.005)
     batch = rho.sample(seed=3, count=2000)
-    bound, empirical = chebyshev_tail(rho, 1e12, _energies(batch))
+    bound, empirical = chebyshev_tail(rho, 1e12, _above(batch, 1e12), batch.count)
     assert bound <= 1e-13
     assert empirical == 0.0
 
@@ -317,7 +320,7 @@ def test_chebyshev_one_dimensional_tail_matches_normal():
     alpha = 0.04
     rho = GaussianState(np.array([[alpha]]))
     batch = rho.sample(seed=15, count=200_000)
-    bound, empirical = chebyshev_tail(rho, alpha, _energies(batch))
+    bound, empirical = chebyshev_tail(rho, alpha, _above(batch, alpha), batch.count)
     assert bound == 1.0
     p_oracle = math.erfc(1.0 / math.sqrt(2.0))  # 0.31731...
     se = math.sqrt(p_oracle * (1.0 - p_oracle) / batch.count)
@@ -451,6 +454,12 @@ def test_a_rank_one_chunk_consumes_one_normal_per_row():
     assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5))
 
 
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean and stderr of one held 1-D array: the one-partial case of `Moments`."""
+    [pair] = Moments.of(values).mean_stderr()
+    return pair
+
+
 def test_mean_stderr_survives_large_finite_values():
     # squaring deviations of 1e200 overflows; the stderr itself fits a double
     v = np.array([1e200, -1e200, 3e200, 2e200])
@@ -482,3 +491,101 @@ def test_mean_stderr_keeps_its_bits_where_finite():
     v = np.random.default_rng(5).standard_normal(1001) * 1e150
     assert mean_stderr(v)[1] == float(np.std(v, ddof=1) / math.sqrt(v.size))
 
+
+
+def _exact_mean_stderr(values) -> tuple[float, float]:
+    """Mean and stderr (ddof=1) of the doubles `values`, each rounded once
+    from exact rational arithmetic (the stderr twice: its square, then the
+    square root)."""
+    xs = [Fraction(x) for x in values.tolist()]
+    n = len(xs)
+    s1 = sum(xs)
+    q = (sum(x * x for x in xs) - s1 * s1 / n) / ((n - 1) * n)  # the stderr squared
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return float(s1 / n), math.ldexp(math.sqrt(float(q / Fraction(4) ** e)), e)
+
+
+def _assert_within_ulps(got, want, ulps):
+    assert abs(got - want) <= ulps * math.ulp(want), (got, want, (got - want) / math.ulp(want))
+
+
+def _merge_chunks(chunks) -> list[tuple[float, float]]:
+    return merged(Moments.of(np.asarray(c, dtype=np.float64)) for c in chunks).mean_stderr()
+
+
+@pytest.mark.parametrize("sizes", [
+    (1, DEFAULT_CHUNK_SIZE + 17),
+    (DEFAULT_CHUNK_SIZE + 17, 1, 3 * DEFAULT_CHUNK_SIZE + 17),
+    (3 * DEFAULT_CHUNK_SIZE + 17, DEFAULT_CHUNK_SIZE, 1, DEFAULT_CHUNK_SIZE + 17, 2),
+])
+def test_merged_moments_match_exact_arithmetic(sizes):
+    rng = np.random.default_rng(len(sizes))
+    n = sum(sizes)
+    values = np.column_stack([rng.standard_normal(n) + 3.0, rng.standard_exponential(n) * 1e-3])
+    got = _merge_chunks(np.split(values, np.cumsum(sizes)[:-1]))
+    for column, (mean, stderr) in zip(values.T, got):
+        want_mean, want_stderr = _exact_mean_stderr(column)
+        _assert_within_ulps(mean, want_mean, 2)
+        _assert_within_ulps(stderr, want_stderr, 2)
+
+
+def _offset_normals(seed: int, n: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal(n) + 3.0
+
+
+# mean_stderr's edge cases, split into chunks whose scale exponents differ
+_EDGE_CHUNKS = {
+    "near-2^600": [np.ldexp(_offset_normals(1, 1001), 600), np.ldexp(_offset_normals(2, 5), 610),
+                   np.ldexp(_offset_normals(3, 300), 590)],
+    "near-2^-600": [np.ldexp(_offset_normals(1, 1001), -600), np.ldexp(_offset_normals(2, 5), -590),
+                    np.ldexp(_offset_normals(3, 300), -610)],
+    # the running sum passes the largest double; the mean fits one
+    "sum-overflows": [[1e308, 1e308], [-1e308, 1.5e308], [1e300]],
+    # squared deviations underflow: chunks at 2^-700 and 2^-1000
+    "squares-underflow": [np.ldexp(_offset_normals(4, 1001), -700),
+                          np.ldexp(_offset_normals(5, 1001), -1000)],
+    # one chunk inside the unscaled window [2^-400, 2^400], one above it
+    "window-edge": [np.ldexp(_offset_normals(6, 1001), 396), np.ldexp(_offset_normals(7, 99), 402)],
+    # an all-zero chunk sets no scale, so the tiny chunk keeps its spread
+    "zero-chunk": [np.zeros(DEFAULT_CHUNK_SIZE), np.ldexp(_offset_normals(8, 1001), -700)],
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CHUNKS))
+def test_merged_moments_survive_chunks_of_different_scales(case):
+    chunks = _EDGE_CHUNKS[case]
+    [(mean, stderr)] = _merge_chunks(chunks)  # a RuntimeWarning would fail under the "error" filter
+    want_mean, want_stderr = _exact_mean_stderr(np.concatenate(chunks))
+    assert stderr > 0.0
+    _assert_within_ulps(mean, want_mean, 2)
+    _assert_within_ulps(stderr, want_stderr, 2)
+
+
+class _Tree(str):
+    """A partial that records the order of its merges."""
+
+    def __add__(self, other):
+        return _Tree(f"({self}{other})")
+
+
+def test_merged_adds_like_a_binary_counter():
+    assert merged(map(_Tree, "a")) == "a"
+    assert merged(map(_Tree, "abcdefg")) == "(((ab)(cd))((ef)g))"
+    # tuples merge entrywise
+    assert merged([(_Tree("a"), 1), (_Tree("b"), 2), (_Tree("c"), 4)]) == ("((ab)c)", 7)
+
+
+def test_draw_chunked_keeps_a_partial_and_no_rows():
+    count = 13 * DEFAULT_CHUNK_SIZE + 17  # 14 chunks: runs of 8, 4 and 2 are left on the stack
+
+    def fill(rng, m):
+        return Moments.of(_normals(rng, m))
+
+    rows = draw_chunked(5, count, _normals).samples
+    want = merged(Moments.of(rows[c:c + DEFAULT_CHUNK_SIZE])
+                  for c in range(0, count, DEFAULT_CHUNK_SIZE)).mean_stderr()
+    for workers in (1, 2, 8):
+        with sampling_workers(workers):
+            batch = draw_chunked(5, count, fill)
+        assert (batch.count, batch.chunk_count, batch.samples.nbytes) == (count, 14, 0)
+        assert batch.partial.mean_stderr() == want

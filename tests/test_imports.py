@@ -65,7 +65,6 @@ def test_importing_the_package_leaves_blas_alone():
 UNREACHED_ALLOWED = {
     "sub_alpha_states": "checks the sub-dispersion states of acceptance criterion 8",
     "GaussianState.sample": "bench/tracer.py wraps it",
-    "SampleBatch.count": "bench/tracer.py reads it",
 }
 
 
