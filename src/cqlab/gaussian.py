@@ -103,13 +103,15 @@ class Moments:
     `+` is the pairwise update of Chan, Golub & LeVeque (1979), taken at the
     larger exponent of each column: the other side's mean is scaled down by
     the exponent gap and its M2 by twice the gap, so no deviation is squared
-    outside the window.
+    outside the window.  A partial is a few numbers per column, merged in
+    Python floats, whose IEEE arithmetic gives NumPy's bits: a merge costs
+    microseconds, as does a chunk of a small state.
     """
 
     count: int
-    mean: np.ndarray  # (k,)
-    m2: np.ndarray  # (k,)
-    exponent: np.ndarray  # (k,) integers
+    mean: tuple[float, ...]
+    m2: tuple[float, ...]
+    exponent: tuple[int, ...]
 
     @classmethod
     def of(cls, values: np.ndarray) -> "Moments":
@@ -117,34 +119,49 @@ class Moments:
         shape (m, k).  Each column is reduced as a contiguous array, so the
         mean and M2 are pairwise sums, the bits `np.mean` and `np.std` give."""
         cols = np.ascontiguousarray(values.T if values.ndim == 2 else values[None])
-        top = np.maximum(cols.max(axis=1), -cols.min(axis=1))
-        outside = (top < 2.0 ** -400) | (top > 2.0 ** 400)
-        exponent = np.where(top == 0.0, _ZERO_EXPONENT,
-                            np.where(outside & np.isfinite(top), np.frexp(top)[1], 0))
-        if np.any(exponent != 0):
-            cols = np.ldexp(cols, -exponent[:, None])
+        exponent = tuple(map(_scale_exponent, cols.max(axis=1).tolist(),
+                             cols.min(axis=1).tolist()))
+        if any(exponent):
+            cols = np.ldexp(cols, np.negative(exponent)[:, None])
         n = cols.shape[1]
         mean = np.add.reduce(cols, axis=1) / n
         dev = cols - mean[:, None]
-        return cls(n, mean, np.add.reduce(dev * dev, axis=1), exponent)
+        return cls(n, tuple(mean.tolist()), tuple(np.add.reduce(dev * dev, axis=1).tolist()),
+                   exponent)
 
     def __add__(self, other: "Moments") -> "Moments":
-        exponent = np.maximum(self.exponent, other.exponent)
-        shift_a, shift_b = self.exponent - exponent, other.exponent - exponent
-        mean_a, mean_b = np.ldexp(self.mean, shift_a), np.ldexp(other.mean, shift_b)
         count = self.count + other.count
-        delta = mean_b - mean_a
-        return Moments(count, mean_a + delta * (other.count / count),
-                       np.ldexp(self.m2, 2 * shift_a) + np.ldexp(other.m2, 2 * shift_b)
-                       + delta * delta * (self.count * other.count / count), exponent)
+        weight_b, weight_ab = other.count / count, self.count * other.count / count
+        mean, m2, exponent = [], [], []
+        for mean_a, m2_a, e_a, mean_b, m2_b, e_b in zip(self.mean, self.m2, self.exponent,
+                                                        other.mean, other.m2, other.exponent):
+            e = max(e_a, e_b)
+            mean_a, mean_b = math.ldexp(mean_a, e_a - e), math.ldexp(mean_b, e_b - e)
+            delta = mean_b - mean_a
+            mean.append(mean_a + delta * weight_b)
+            m2.append(math.ldexp(m2_a, 2 * (e_a - e)) + math.ldexp(m2_b, 2 * (e_b - e))
+                      + delta * delta * weight_ab)
+            exponent.append(e)
+        return Moments(count, tuple(mean), tuple(m2), tuple(exponent))
 
     def mean_stderr(self) -> list[tuple[float, float]]:
         """(sample mean, its standard error with ddof=1) of each column, in
         the values' own units."""
-        stderr = np.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+        stderr = np.sqrt(np.array(self.m2) / (self.count - 1)) / math.sqrt(self.count)
         with np.errstate(over="ignore"):  # a statistic beyond the largest double is inf
             return list(zip(np.ldexp(self.mean, self.exponent).tolist(),
                             np.ldexp(stderr, self.exponent).tolist()))
+
+
+def _scale_exponent(high: float, low: float) -> int:
+    """The `Moments` exponent of a column whose largest and smallest values
+    are high and low."""
+    top = max(high, -low)
+    if top == 0.0:
+        return _ZERO_EXPONENT
+    if not math.isfinite(top) or 2.0 ** -400 <= top <= 2.0 ** 400:
+        return 0
+    return math.frexp(top)[1]
 
 
 def _merge(a, b):
