@@ -39,8 +39,8 @@ from .functionals import Functional
 from .hilbert import as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
-# draws `mc_average` evaluates at once per worker: 512 KB of doubles, so a
-# block of white normals and its GEMM product stay near L2
+# draws a Monte-Carlo fill holds at once per worker (`row_blocks`): 512 KB of
+# doubles, so a block of white normals and its GEMM product stay near L2
 BLOCK_VALUES = 1 << 16
 
 # the worker count that `draw_chunked` reads, set only by `sampling_workers`;
