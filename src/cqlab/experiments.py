@@ -53,7 +53,6 @@ from .gaussian import (
     exact_span_coefficients,
     mc_average,
     pure_state_measure,
-    row_blocks,
     substream,
 )
 from .hilbert import as_vector, operator_norm, symmetric_from_entries, trace_product
@@ -563,15 +562,14 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     """Rank-1 mixture demo: amplified average, exact span membership, and the
     sample-covariance shape against psi (x) psi.
 
-    Each chunk of draws x is drawn and checked in the `row_blocks` of width
-    dim and reduced to partials: the `Moments` of its amplified values, and
-    its x^T x, the number of rows that are exact multiples of the direction
-    and the number of off-axis entries that are zero, summed.  The partials
-    are merged in chunk order.  A block is formed column-major,
-    x^T = F_a z^T of shape (dim, r), one product per entry for the rank-1
-    factor, so row i is z_i times the direction and the span check tries
-    the block's own normals z_i first, and every check reduces along the
-    contiguous axis.
+    Each chunk of draws x, rows of width dim, is drawn, checked and reduced
+    to partials: the `Moments` of its amplified values, and its x^T x, the
+    number of rows that are exact multiples of the direction and the number
+    of off-axis entries that are zero.  The partials are merged in chunk
+    order.  A chunk is formed column-major, x^T = F_a z^T of shape (dim, m),
+    one product per entry for the rank-1 factor, so row i is z_i times the
+    direction and the span check tries the chunk's own normals z_i first,
+    and every check reduces along the contiguous axis.
     """
     v = as_vector(psi)
     nrm = float(np.linalg.norm(v))
@@ -584,17 +582,13 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     off_axis = direction == 0.0
 
     def fill(rng: np.random.Generator, m: int) -> tuple[Moments, np.ndarray]:
-        amplified, sums = [], 0.0
-        for r in row_blocks(m, rho.dim):
-            z = rho.white(rng, r)  # (r, rank), rank 0 or 1
-            xt = fmat @ z.T
-            ok, _coeffs = exact_span_coefficients(xt.T, direction, guess=z.ravel())
-            amplified.append(f.eval_batch(xt.T)[:, 0] / alpha)
-            counts = [np.count_nonzero(ok), np.count_nonzero(xt[off_axis] == 0.0)]
-            sums = sums + np.append(xt @ xt.T, counts)
-        return Moments.of(np.concatenate(amplified)), sums
+        z = rho.white(rng, m)  # (m, rank), rank 0 or 1
+        xt = fmat @ z.T
+        ok, _coeffs = exact_span_coefficients(xt.T, direction, guess=z.ravel())
+        counts = [np.count_nonzero(ok), np.count_nonzero(xt[off_axis] == 0.0)]
+        return Moments.of(f.eval_batch(xt.T)[:, 0] / alpha), np.append(xt @ xt.T, counts)
 
-    amplified, sums = draw_chunked(seed, n_samples, fill).partial
+    amplified, sums = draw_chunked(seed, n_samples, fill, rho.dim).partial
     [(amp_mean, amp_stderr)] = amplified.mean_stderr()
     expected = float(v @ f.operator @ v)
     off_axis_entries = n_samples * int(np.count_nonzero(off_axis))
@@ -771,17 +765,14 @@ class TailRow:
 def _tail_counts(rho: GaussianState, thresholds: Sequence[float], n_samples: int,
                  seed: int) -> tuple[int, ...]:
     """How many of `n_samples` draws from rho have an energy ||psi||^2 above
-    each threshold.  Each chunk is drawn in the `row_blocks` of width dim
-    and kept as its counts only, which are exact, so no energy is held."""
+    each threshold.  Each chunk, rows of width dim, is kept as its counts
+    only, which are exact, so no energy is held."""
     def fill(rng: np.random.Generator, m: int) -> tuple[int, ...]:
-        counts = [0] * len(thresholds)
-        for r in row_blocks(m, rho.dim):
-            x = rho.fill(rng, r)
-            energies = np.einsum("pi,pi->p", x, x)
-            counts = [n + np.count_nonzero(energies > c) for n, c in zip(counts, thresholds)]
-        return tuple(counts)
+        x = rho.fill(rng, m)
+        energies = np.einsum("pi,pi->p", x, x)
+        return tuple(np.count_nonzero(energies > c) for c in thresholds)
 
-    return draw_chunked(seed, n_samples, fill).partial
+    return draw_chunked(seed, n_samples, fill, rho.dim).partial
 
 
 def chebyshev_experiment(cfg: ExperimentConfig) -> dict:

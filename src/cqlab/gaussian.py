@@ -7,11 +7,12 @@ without pivoting, and draws come from SFC64 substreams, one per chunk, so
 batches are bit-reproducible regardless of how many workers fill them.  The
 substreams are SeedSequence children: independent with overwhelming
 probability rather than by construction (see `substream`).
-Every Monte-Carlo statistic of the package streams: `draw_chunked` reduces
-each chunk of draws to a small partial as it is drawn, the (count, mean, M2)
-of each value column (`Moments`) or exact counts, and merges the partials
-in chunk order on a binary-counter stack, so no caller holds a draw or a
-per-sample value, and a statistic of k columns over `chunks` chunks holds
+Every Monte-Carlo statistic of the package streams: a chunk is one fill of
+at most `BLOCK_VALUES` draws, and `draw_chunked` reduces it to a small
+partial as it is drawn, the (count, mean, M2) of each value column
+(`Moments`) or exact counts, and merges the partials in chunk order on a
+binary-counter stack, so no caller holds a draw or a per-sample value, and
+a statistic of k columns over `chunks` chunks holds
 O(k * log chunks + workers * BLOCK_VALUES) doubles whatever the sample count.
 The number of threads that fill chunks is a resource, not an input:
 `sampling_workers(n)` alone sets it, and it moves no result bit.
@@ -39,8 +40,10 @@ from .functionals import Functional
 from .hilbert import as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
-# draws a Monte-Carlo fill holds at once per worker (`row_blocks`): 512 KB of
-# doubles, so a block of white normals and its GEMM product stay near L2
+# the most draws one chunk holds, 512 KB of doubles per worker, so a chunk of
+# white normals and its GEMM product stay near L2: a fill of width values per
+# row takes chunks of BLOCK_VALUES // width rows above width 16.  It fixes the
+# stream layout at those widths, so a new value moves their bits.
 BLOCK_VALUES = 1 << 16
 
 # the worker count that `draw_chunked` reads, set only by `sampling_workers`;
@@ -61,8 +64,8 @@ _ZERO_EXPONENT = -1100
 @dataclass(frozen=True)
 class SampleBatch:
     """What one `draw_chunked` call drew: `count` rows in `chunk_count`
-    chunks, and either the rows themselves or the chunk-order merge of the
-    fill's per-chunk partials, never both."""
+    chunks, one fill each, and either the rows themselves or the chunk-order
+    merge of the fill's per-chunk partials, never both."""
 
     count: int
     chunk_count: int
@@ -188,25 +191,28 @@ def merged(partials):
     return total
 
 
-def draw_chunked(seed: int, count: int, fill) -> SampleBatch:
-    """Draw `count` rows in chunks of `DEFAULT_CHUNK_SIZE` rows and keep
-    either the rows or a merge of one partial per chunk.
+def draw_chunked(seed: int, count: int, fill, width: int) -> SampleBatch:
+    """Draw `count` rows of `width` values in chunks of
+    min(DEFAULT_CHUNK_SIZE, BLOCK_VALUES // width) rows, at least one, and
+    keep either the rows or a merge of one partial per chunk.
 
     `fill(rng, m)` uses only `rng` and returns either m rows, an ndarray of
     shape (m,) or (m, k), or a partial of the chunk's m draws: a `Moments`,
-    a count, or a tuple of these.  Chunk c always uses the SFC64 stream
-    `substream(seed, c)`.  Chunks are taken in chunk order: rows are copied
-    into one (count, ...) array, and partials are combined by `merged`, so
-    a partial-only call holds O(log chunks) partials and no row, and
-    `samples` comes back empty.  Either way the result is independent of
-    `sampling_workers` and of scheduling order.
+    a count, or a tuple of these.  Chunk c is one `fill` call on the SFC64
+    stream `substream(seed, c)`, so its values depend on (seed, c) and its
+    row count alone, never on how a fill might split it.  Chunks are taken in
+    chunk order: rows are copied into one (count, ...) array, and partials
+    are combined by `merged`, so a partial-only call holds O(log chunks)
+    partials and no row, and `samples` comes back empty.  Either way the
+    result is independent of `sampling_workers` and of scheduling order.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    n_chunks = (count + DEFAULT_CHUNK_SIZE - 1) // DEFAULT_CHUNK_SIZE
+    size = min(DEFAULT_CHUNK_SIZE, max(1, BLOCK_VALUES // max(width, 1)))
+    n_chunks = (count + size - 1) // size
 
     def make(c: int):
-        return fill(substream(seed, c), min(DEFAULT_CHUNK_SIZE, count - c * DEFAULT_CHUNK_SIZE))
+        return fill(substream(seed, c), min(size, count - c * size))
 
     chunks = _in_chunk_order(make, n_chunks, min(_WORKERS.get(), n_chunks))
     first = next(chunks)
@@ -214,20 +220,8 @@ def draw_chunked(seed: int, count: int, fill) -> SampleBatch:
         return SampleBatch(count, n_chunks, np.empty(0), merged(itertools.chain([first], chunks)))
     out = np.empty((count,) + first.shape[1:], dtype=first.dtype)
     for c, rows in enumerate(itertools.chain([first], chunks)):
-        out[c * DEFAULT_CHUNK_SIZE:(c + 1) * DEFAULT_CHUNK_SIZE] = rows
+        out[c * size:(c + 1) * size] = rows
     return SampleBatch(count, n_chunks, out)
-
-
-def row_blocks(m: int, width: int) -> list[int]:
-    """Row counts of the near-equal blocks, at most `BLOCK_VALUES` // width
-    rows each, in which a chunk of m rows of `width` values is drawn and
-    evaluated: the split edges are m * i // n for n blocks.  Drawn in order
-    from the chunk's stream, the blocks hold the values one fill of m rows
-    would, and a GEMM row does not depend on the row count unless a block
-    has one row, which these edges give only a one-row chunk.  Widths up to
-    16 are not split."""
-    n = -(-m // max(1, BLOCK_VALUES // max(width, 1)))
-    return [m * (i + 1) // n - m * i // n for i in range(n)]
 
 
 def _in_chunk_order(make, n_chunks: int, workers: int):
@@ -362,7 +356,7 @@ class GaussianState:
         """`count` rows drawn from N(0, B), all held at once.  The package's
         own statistics reduce each chunk to a partial through `draw_chunked`
         instead."""
-        return draw_chunked(seed, count, self.fill)
+        return draw_chunked(seed, count, self.fill, self.dim)
 
 
 def mc_average(f: Functional, state, n_samples: int, seed: int,
@@ -370,25 +364,24 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     """Sample mean and standard error of f over a deterministic stream of
     draws, one (mean, stderr) pair per dispersion ratio.
 
-    Each chunk of draws is evaluated as it is drawn, in the `row_blocks` of
-    its width, and reduced to a `Moments` partial while its values are in
-    cache; `draw_chunked` merges the partials in chunk order.  So memory is
+    Each chunk of draws is evaluated as it is drawn and reduced to a
+    `Moments` partial while its values are in cache; `draw_chunked` merges
+    the partials in chunk order.  So memory is
     O(k * log chunks + workers * BLOCK_VALUES) for k ratios, with workers
     the `gaussian.sampling_workers` count, and no per-sample value is kept.
     Every Monte-Carlo statistic of the package streams this way.  With
-    (g, draw) = `state.whitened(f)`, whose width is `g.dim`, the blocks are
-    drawn in order from the chunk's own stream, so a chunk's values equal
-    those of `g.eval_batch(draw(rng, m), ratios)` on the whole chunk bit for
-    bit, and the result is the merge of those chunks' partials, whatever the
-    worker count.  For a Gaussian state g is f pulled back by the active
-    factor F_a, of width rank, and draw hands over the white normals z
-    behind `state.fill`: f(F_a z) is read as (f o F_a)(z), one GEMM per
-    block rather than two, and no row F_a z is formed.  The draws are the
-    state's own, not those of an eigenbasis of f, so the mean stays an
-    independent check of the closed form.
+    (g, draw) = `state.whitened(f)`, a chunk of m rows of width `g.dim` is
+    evaluated as `g.eval_batch(draw(rng, m), ratios)` on its own stream, and
+    the result is the merge of those chunks' partials, whatever the worker
+    count.  For a Gaussian state g is f pulled back by the active factor
+    F_a, of width rank, and draw hands over the white normals z behind
+    `state.fill`: f(F_a z) is read as (f o F_a)(z), one GEMM per chunk
+    rather than two, and no row F_a z is formed.  The draws are the state's
+    own, not those of an eigenbasis of f, so the mean stays an independent
+    check of the closed form.
 
     With dispersion `ratios` = (r_1, ..., r_k) the same draws serve k
-    averages: each block is evaluated once by `g.eval_batch(z, ratios)`,
+    averages: each chunk is evaluated once by `g.eval_batch(z, ratios)`,
     whose column i holds f(sqrt(r_i) x).  A draw x of N(0, B) scaled by
     sqrt(r) is a draw of N(0, r B), so this averages f over the states
     r_1 B, ..., r_k B with common random numbers: each average is unbiased,
@@ -400,12 +393,9 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     g, draw = state.whitened(f)
 
     def fill(rng: np.random.Generator, m: int) -> Moments:
-        # the blocks' columns side by side, contiguous: the (k, m) layout `Moments.of` reduces
-        cols = np.concatenate([g.eval_batch(draw(rng, r), ratios).T
-                               for r in row_blocks(m, g.dim)], axis=1)
-        return Moments.of(cols.T)
+        return Moments.of(g.eval_batch(draw(rng, m), ratios))
 
-    return draw_chunked(seed, n_samples, fill).partial.mean_stderr()
+    return draw_chunked(seed, n_samples, fill, g.dim).partial.mean_stderr()
 
 
 def pure_state_measure(psi, alpha: float) -> GaussianState:

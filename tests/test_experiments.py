@@ -68,11 +68,16 @@ def _check(report: dict, name: str):
     return next(c for c in report["checks"] if c.name == name)
 
 
-def _chunk_merge(values: np.ndarray) -> list[tuple[float, float]]:
+def _chunk_rows(width: int) -> int:
+    """The rows of a `draw_chunked` chunk whose rows hold `width` draws."""
+    return min(DEFAULT_CHUNK_SIZE, max(1, gaussian.BLOCK_VALUES // width))
+
+
+def _chunk_merge(values: np.ndarray, rows: int) -> list[tuple[float, float]]:
     """The reference statistic of values held at once: the `Moments` of each
-    `DEFAULT_CHUNK_SIZE`-row chunk, merged in chunk order."""
-    return merged(Moments.of(values[c:c + DEFAULT_CHUNK_SIZE])
-                  for c in range(0, values.shape[0], DEFAULT_CHUNK_SIZE)).mean_stderr()
+    chunk of `rows` rows, merged in chunk order."""
+    return merged(Moments.of(values[c:c + rows])
+                  for c in range(0, values.shape[0], rows)).mean_stderr()
 
 
 # a worker holds at most four arrays of BLOCK_VALUES doubles, whatever the sample count
@@ -197,6 +202,10 @@ _STREAM_STATES = {
     "pure-rank1": lambda: pure_state_measure(np.linspace(1.0, 2.0, 16), 0.2),
     "product-laplace": lambda: SecondMomentState.product_laplace(np.linspace(0.01, 0.02, 16)),
     "uniform-sphere": lambda: SecondMomentState.uniform_sphere(0.4, 16),
+    # above width 16 a chunk has BLOCK_VALUES // width rows
+    "gaussian-dim40": lambda: build_state({"shape": "random", "seed": 3}, 40, 0.2),
+    "product-laplace-dim40": lambda: SecondMomentState.product_laplace(
+        np.linspace(0.01, 0.02, 40)),
 }
 
 
@@ -204,15 +213,17 @@ _STREAM_STATES = {
 @pytest.mark.parametrize("state_name", list(_STREAM_STATES))
 def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
     state = _STREAM_STATES[state_name]()
-    a = symmetric_from_entries(substream(4, 0).standard_normal((16, 16)))
+    dim = state.dim
+    a = symmetric_from_entries(substream(4, 0).standard_normal((dim, dim)))
     count = 3 * 4096 + 17
     ratios = [1.0, 0.3, 1e-3]
     for f in (CosQuadMinusOne(a),
-              EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(16), 2, 1.0)})):
+              EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(dim), 2, 1.0)})):
         # the reference: the draws the state hands over, held at once, with
         # one worker, and evaluated by the variable it hands back
         g, draw = state.whitened(f)
-        expected = _chunk_merge(g.eval_batch(draw_chunked(21, count, draw).samples, ratios))
+        x = draw_chunked(21, count, draw, g.dim).samples
+        expected = _chunk_merge(g.eval_batch(x, ratios), _chunk_rows(g.dim))
         with sampling_workers(workers):
             # the default call is the one pair of ratio 1.0, and pair i of a
             # k-ratio call is the one-ratio call at r_i
@@ -222,11 +233,13 @@ def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 8])
-@pytest.mark.parametrize("psi", [np.linspace(1.0, 2.0, 16), np.array([0.6, 0.0, 0.8, 0.0])],
-                         ids=["dense", "two-axes"])
+@pytest.mark.parametrize("psi", [np.linspace(1.0, 2.0, 16), np.array([0.6, 0.0, 0.8, 0.0]),
+                                 np.linspace(-1.0, 2.0, 40)],
+                         ids=["dense", "two-axes", "dim40"])
 def test_streamed_experiments_match_a_full_batch(psi, workers):
     # references computed on the rows of GaussianState.sample, held at once,
-    # with one worker
+    # with one worker; a sample row and a chunk row of either experiment
+    # hold dim draws, so their chunks match at dim 40 too
     dim, count, seed, alpha = psi.size, 3 * 4096 + 17, 21, 0.2
     v = psi / np.linalg.norm(psi)
     a = symmetric_from_entries(substream(4, 0).standard_normal((dim, dim)))
@@ -237,13 +250,13 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
         report = pure_state_experiment(v, alpha, a, count, seed)
     amplified = _check(report, "amplified_average")
     assert [(amplified.statistic, amplified.stderr)] == \
-        _chunk_merge(Quadratic(a).eval_batch(x)[:, 0] / alpha)
+        _chunk_merge(Quadratic(a).eval_batch(x)[:, 0] / alpha, _chunk_rows(dim))
     direction = rho.active_factor[:, 0]
     off_axis = x[:, direction == 0.0] == 0.0
     assert _check(report, "span").statistic == np.mean(exact_span_coefficients(x, direction)[0])
     assert _check(report, "off_axis_zero").statistic == \
         (np.mean(off_axis) if off_axis.size else 1.0)
-    # x^T x is summed block by block, so only its last digits may move
+    # x^T x is summed chunk by chunk, so only its last digits may move
     cov_err = np.abs((x.T @ x) / count / alpha - np.outer(v, v)).max()
     assert abs(report["covariance_max_error"] - cov_err) <= 1e-12 * np.abs(np.outer(v, v)).max()
 
@@ -305,22 +318,25 @@ def _dim64_cos_sweep():
 @pytest.mark.parametrize("workers", [1, 8])
 @pytest.mark.parametrize("count", [65_536, 3 * 4096 + 17, 4096 + 1025, 2 * 4096 + 1])
 def test_blocked_mc_average_matches_one_eval_batch_per_chunk(count, workers):
-    # at dim 64 each chunk is evaluated in blocks of BLOCK_VALUES // 64 rows;
-    # the reference evaluates each whole chunk in one call, with one worker
+    # at dim 64 chunk c is the BLOCK_VALUES // 64 rows drawn from
+    # substream(seed, c), the last one shorter; the reference evaluates each
+    # chunk in one call, with one worker and no draw_chunked
     f, state, ratios = _dim64_cos_sweep()
     g, draw = state.whitened(f)
-    assert gaussian.BLOCK_VALUES // g.dim < DEFAULT_CHUNK_SIZE
-    values = draw_chunked(7, count, lambda rng, m: g.eval_batch(draw(rng, m), ratios)).samples
-    expected = _chunk_merge(values)
+    rows = gaussian.BLOCK_VALUES // g.dim
+    assert rows == _chunk_rows(g.dim) < DEFAULT_CHUNK_SIZE
+    values = np.concatenate([g.eval_batch(draw(substream(7, c // rows), min(rows, count - c)),
+                                          ratios) for c in range(0, count, rows)])
+    expected = _chunk_merge(values, rows)
     with sampling_workers(workers):
         assert mc_average(f, state, count, 7, ratios) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_average_holds_blocks_not_chunks(workers):
-    # a worker holds a few arrays of BLOCK_VALUES draws and one chunk's
-    # values; a whole 4096 x 64 chunk of normals and its GEMM product would
-    # be 4 MiB per worker, and the 65,536 x 5 values 2.5 MiB
+    # a worker holds a few arrays of one chunk's BLOCK_VALUES draws and its
+    # values; a 4096 x 64 chunk of normals and its GEMM product would be
+    # 4 MiB per worker, and the 65,536 x 5 values 2.5 MiB
     f, state, ratios = _dim64_cos_sweep()
     tracemalloc.start()
     try:
@@ -534,9 +550,10 @@ def test_sweep_rows_share_one_rescaled_draw(family, workers):
     # the reference: the white draws of the first state held at once, with
     # one worker, and evaluated by f pulled back through its active factor
     # at every grid ratio alpha_i / alpha_0 in one call
-    z = draw_chunked(cfg.seed, cfg.mc_samples, first.white).samples
+    rank = first.active_factor.shape[1]
+    z = draw_chunked(cfg.seed, cfg.mc_samples, first.white, rank).samples
     expected = _chunk_merge(f.pullback(first.active_factor).eval_batch(
-        z, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid]))
+        z, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid]), _chunk_rows(rank))
     with sampling_workers(workers):
         rows = alpha_sweep(cfg)["rows"]
         # row 0 is what the sweep computed before the draw was shared
@@ -876,7 +893,7 @@ def test_nongaussian_quadratic_gate_fails_at_a_tiny_dispersion(monkeypatch):
 def test_laplace_sample_covariance_matches_target():
     v = np.array([0.01, 0.02, 0.03])
     state = SecondMomentState.product_laplace(v)
-    batch = draw_chunked(41, 200_000, state.fill)
+    batch = draw_chunked(41, 200_000, state.fill, state.dim)
     x = batch.samples
     cov_hat = x.T @ x / batch.count
     target = np.diag(v)
@@ -994,7 +1011,7 @@ def test_builder_streams_are_not_sample_chunks():
     seed, dim = 31, 3
     # row 0 of each of 8 chunks
     firsts = draw_chunked(seed, 8 * DEFAULT_CHUNK_SIZE,
-                          lambda rng, m: rng.standard_normal((m, dim * dim))
+                          lambda rng, m: rng.standard_normal((m, dim * dim)), dim * dim
                           ).samples[::DEFAULT_CHUNK_SIZE]
     operator = experiments.build_operator({"random": {"seed": seed}}, dim)
     covariance = build_state({"shape": "random", "seed": seed}, dim, 1.0).covariance

@@ -204,19 +204,19 @@ _THREE_CHUNKS = 3 * DEFAULT_CHUNK_SIZE
 
 def test_draw_chunked_caps_workers_at_chunk_count(pool_sizes):
     with sampling_workers(10 ** 6):
-        capped = draw_chunked(5, _THREE_CHUNKS, _normals)
+        capped = draw_chunked(5, _THREE_CHUNKS, _normals, 2)
     assert pool_sizes and max(pool_sizes) <= 3
     assert capped.chunk_count == 3
-    assert np.array_equal(capped.samples, draw_chunked(5, _THREE_CHUNKS, _normals).samples)
+    assert np.array_equal(capped.samples, draw_chunked(5, _THREE_CHUNKS, _normals, 2).samples)
 
 
 def test_one_sampling_worker_builds_no_pool(pool_sizes):
-    draw_chunked(5, _THREE_CHUNKS, _normals)
+    draw_chunked(5, _THREE_CHUNKS, _normals, 2)
     with sampling_workers(2):
         with sampling_workers(1):
-            draw_chunked(5, _THREE_CHUNKS, _normals)
+            draw_chunked(5, _THREE_CHUNKS, _normals, 2)
         assert pool_sizes == []
-        draw_chunked(5, _THREE_CHUNKS, _normals)
+        draw_chunked(5, _THREE_CHUNKS, _normals, 2)
     assert pool_sizes == [2]
 
 
@@ -261,10 +261,10 @@ def test_every_chunk_is_filled_by_the_pool():
         return rng.standard_normal((m, 2))
 
     with sampling_workers(2):
-        pooled = draw_chunked(5, _THREE_CHUNKS, fill)
+        pooled = draw_chunked(5, _THREE_CHUNKS, fill, 2)
     assert len(threads) == 3
     assert threading.main_thread() not in threads.values()
-    assert np.array_equal(pooled.samples, draw_chunked(5, _THREE_CHUNKS, _normals).samples)
+    assert np.array_equal(pooled.samples, draw_chunked(5, _THREE_CHUNKS, _normals, 2).samples)
 
 
 def test_draw_chunked_keeps_few_chunks_in_flight():
@@ -278,13 +278,32 @@ def test_draw_chunked_keeps_few_chunks_in_flight():
         tracemalloc.start()
         try:
             with sampling_workers(workers):
-                draw_chunked(1, 500 * DEFAULT_CHUNK_SIZE, fill)
+                draw_chunked(1, 500 * DEFAULT_CHUNK_SIZE, fill, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     peak(1), peak(2)  # first-call allocations out of the way
     assert peak(2) <= peak(1) + 64 * 1024
+
+
+@pytest.mark.parametrize("width, rows", [(0, DEFAULT_CHUNK_SIZE), (1, DEFAULT_CHUNK_SIZE),
+                                         (16, DEFAULT_CHUNK_SIZE), (17, 3855), (64, 1024),
+                                         (gaussian.BLOCK_VALUES + 1, 1)])
+def test_a_chunk_is_one_fill_of_at_most_block_values_draws(width, rows):
+    # chunk c is one fill of `rows` rows from substream(seed, c), the last
+    # chunk holding what is left
+    calls = []
+
+    def fill(rng, m):
+        calls.append(m)
+        return rng.standard_normal(m)
+
+    last = max(1, rows // 3)
+    batch = draw_chunked(5, 3 * rows + last, fill, width)
+    assert calls == [rows] * 3 + [last] and batch.chunk_count == 4
+    assert np.array_equal(batch.samples, np.concatenate(
+        [substream(5, c).standard_normal(m) for c, m in enumerate(calls)]))
 
 
 def test_sample_mean_converges_to_zero():
@@ -581,11 +600,11 @@ def test_draw_chunked_keeps_a_partial_and_no_rows():
     def fill(rng, m):
         return Moments.of(_normals(rng, m))
 
-    rows = draw_chunked(5, count, _normals).samples
+    rows = draw_chunked(5, count, _normals, 2).samples
     want = merged(Moments.of(rows[c:c + DEFAULT_CHUNK_SIZE])
                   for c in range(0, count, DEFAULT_CHUNK_SIZE)).mean_stderr()
     for workers in (1, 2, 8):
         with sampling_workers(workers):
-            batch = draw_chunked(5, count, fill)
+            batch = draw_chunked(5, count, fill, 2)
         assert (batch.count, batch.chunk_count, batch.samples.nbytes) == (count, 14, 0)
         assert batch.partial.mean_stderr() == want
