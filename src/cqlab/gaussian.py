@@ -14,6 +14,7 @@ partial as it is drawn, the (count, mean, M2) of each value column
 binary-counter stack, so no caller holds a draw or a per-sample value, and
 a statistic of k columns over `chunks` chunks holds
 O(k * log chunks + workers * BLOCK_VALUES) doubles whatever the sample count.
+A pool of workers fills aligned runs of chunks, each a subtree of that merge.
 The number of threads that fill chunks is a resource, not an input:
 `sampling_workers(n)` alone sets it, and it moves no result bit.
 """
@@ -21,7 +22,6 @@ The number of threads that fill chunks is a resource, not an input:
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import contextlib
 import contextvars
 import ctypes
@@ -40,11 +40,14 @@ from .functionals import Functional
 from .hilbert import as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
-# the most draws one chunk holds, 512 KB of doubles per worker, so a chunk of
-# white normals and its GEMM product stay near L2: a fill of width values per
-# row takes chunks of BLOCK_VALUES // width rows above width 16.  It fixes the
-# stream layout at those widths, so a new value moves their bits.
-BLOCK_VALUES = 1 << 16
+# the most draws one chunk holds, 256 KB of doubles: a chunk's white normals
+# and their GEMM product are two such arrays, and two freed blocks of 512 KB
+# sat at glibc's dynamic trim threshold (about twice the largest freed mmapped
+# block, mallopt(3)), so each chunk gave its pages back to the kernel and
+# faulted them in again.  A fill of width values per row takes chunks of
+# BLOCK_VALUES // width rows above width 8.  It fixes the stream layout at
+# those widths, so a new value moves their bits.
+BLOCK_VALUES = 1 << 15
 
 # the worker count that `draw_chunked` reads, set only by `sampling_workers`;
 # a context variable, so a block opened in one thread leaves other threads at 1
@@ -178,9 +181,17 @@ def merged(partials):
     log2(n) + 1 partials are held, every merge takes an earlier partial on
     its left, and the tree depends on the partial count alone.  A partial is
     anything `+` merges, or a tuple of such, merged entrywise."""
+    return _merged_runs(zip(itertools.repeat(1), partials))
+
+
+def _merged_runs(runs):
+    """`merged` of the chunks behind (k, partial) pairs, each the merge of
+    a run of k consecutive chunks: a run of 2^j chunks that starts at a
+    multiple of 2^j, or the last run of fewer, which no size on the stack
+    equals.  So each run takes the place of its subtree, and the tree and
+    its bits are those of `merged` over the chunks one by one."""
     stack = []  # (chunks merged, partial), sizes strictly decreasing
-    for partial in partials:
-        size = 1
+    for size, partial in runs:
         while stack and stack[-1][0] == size:
             partial = _merge(stack.pop()[1], partial)
             size *= 2
@@ -203,41 +214,68 @@ def draw_chunked(seed: int, count: int, fill, width: int) -> SampleBatch:
     row count alone, never on how a fill might split it.  Chunks are taken in
     chunk order: rows are copied into one (count, ...) array, and partials
     are combined by `merged`, so a partial-only call holds O(log chunks)
-    partials and no row, and `samples` comes back empty.  Either way the
-    result is independent of `sampling_workers` and of scheduling order.
+    partials and no row, and `samples` comes back empty.  A pool of workers
+    fills aligned runs of 2^j chunks, 2^j the largest power of two with
+    2^j * rows <= DEFAULT_CHUNK_SIZE, so a hand-off to a worker covers about
+    as many rows at every width; a run comes back as its rows or as the
+    `merged` partial of its chunks, a subtree of the chunk-order merge.
+    Either way the result is independent of `sampling_workers` and of
+    scheduling order.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     size = min(DEFAULT_CHUNK_SIZE, max(1, BLOCK_VALUES // max(width, 1)))
     n_chunks = (count + size - 1) // size
+    run = 1 << ((DEFAULT_CHUNK_SIZE // size).bit_length() - 1)
 
     def make(c: int):
         return fill(substream(seed, c), min(size, count - c * size))
 
-    chunks = _in_chunk_order(make, n_chunks, min(_WORKERS.get(), n_chunks))
-    first = next(chunks)
-    if not isinstance(first, np.ndarray):
-        return SampleBatch(count, n_chunks, np.empty(0), merged(itertools.chain([first], chunks)))
-    out = np.empty((count,) + first.shape[1:], dtype=first.dtype)
-    for c, rows in enumerate(itertools.chain([first], chunks)):
-        out[c * size:(c + 1) * size] = rows
+    runs = _in_chunk_order(make, n_chunks, run, _WORKERS.get())
+    first = next(runs)
+    if not isinstance(first[1], np.ndarray):
+        return SampleBatch(count, n_chunks, np.empty(0),
+                           _merged_runs(itertools.chain([first], runs)))
+    out = np.empty((count,) + first[1].shape[1:], dtype=first[1].dtype)
+    start = 0
+    for _, rows in itertools.chain([first], runs):
+        out[start:start + len(rows)] = rows
+        start += len(rows)
     return SampleBatch(count, n_chunks, out)
 
 
-def _in_chunk_order(make, n_chunks: int, workers: int):
-    """make(0), ..., make(n_chunks - 1) in chunk order; a pool keeps at most
-    2 * workers chunks in flight rather than one future per chunk."""
+def _in_chunk_order(make, n_chunks: int, run: int, workers: int):
+    """(k, result) for consecutive runs of k chunks, in chunk order: at one
+    worker each chunk alone, result make(c); in a pool the aligned runs of
+    `run` chunks, the last one shorter, result their rows in one array or
+    the `merged` partial of their chunks.  A pool of at most one worker per
+    run keeps at most 2 * workers runs in flight rather than one future per
+    run."""
+    workers = min(workers, (n_chunks + run - 1) // run)
     if workers <= 1:
-        yield from map(make, range(n_chunks))
+        yield from zip(itertools.repeat(1), map(make, range(n_chunks)))
         return
+    import concurrent.futures  # here, so a one-worker run loads neither it nor logging
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         window = collections.deque()
-        for c in range(n_chunks):
-            window.append(pool.submit(make, c))
+        for start in range(0, n_chunks, run):
+            window.append(pool.submit(_fill_run, make, range(start, min(start + run, n_chunks))))
             if len(window) == 2 * workers:
                 yield window.popleft().result()
         while window:
             yield window.popleft().result()
+
+
+def _fill_run(make, chunks: range) -> tuple:
+    """(len(chunks), the chunks' rows in one array or the `merged` partial
+    of the chunks).  Partials are merged as their chunks come, so a worker
+    of a statistic holds one chunk's draws and O(log run) partials."""
+    first = make(chunks[0])
+    rest = map(make, chunks[1:])
+    if isinstance(first, np.ndarray):
+        return len(chunks), np.concatenate([first, *rest])
+    return len(chunks), merged(itertools.chain([first], rest))
 
 
 # (get, set) thread-count functions of the OpenBLAS builds that NumPy wheels

@@ -249,8 +249,13 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
     with sampling_workers(workers):
         report = pure_state_experiment(v, alpha, a, count, seed)
     amplified = _check(report, "amplified_average")
-    assert [(amplified.statistic, amplified.stderr)] == \
-        _chunk_merge(Quadratic(a).eval_batch(x)[:, 0] / alpha, _chunk_rows(dim))
+    # one eval_batch per chunk of column-major rows, as the experiment forms
+    # them (x^T = F_a z^T): a BLAS GEMM row's last bits can depend on how
+    # many rows its batch holds and on their layout
+    rows = _chunk_rows(dim)
+    values = np.concatenate([Quadratic(a).eval_batch(np.asfortranarray(x[c:c + rows]))[:, 0]
+                             for c in range(0, count, rows)])
+    assert [(amplified.statistic, amplified.stderr)] == _chunk_merge(values / alpha, rows)
     direction = rho.active_factor[:, 0]
     off_axis = x[:, direction == 0.0] == 0.0
     assert _check(report, "span").statistic == np.mean(exact_span_coefficients(x, direction)[0])
@@ -315,12 +320,15 @@ def _dim64_cos_sweep():
     return f, state, (1.0, 0.3, 0.1, 0.03, 0.01)
 
 
-@pytest.mark.parametrize("workers", [1, 8])
-@pytest.mark.parametrize("count", [65_536, 3 * 4096 + 17, 4096 + 1025, 2 * 4096 + 1])
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("count", [65_536, 3 * 4096 + 17, 4096 + 1025, 2 * 4096 + 1,
+                                   65_536 + 3 * 512 + 17])
 def test_blocked_mc_average_matches_one_eval_batch_per_chunk(count, workers):
-    # at dim 64 chunk c is the BLOCK_VALUES // 64 rows drawn from
+    # at dim 64 chunk c is the BLOCK_VALUES // 64 = 512 rows drawn from
     # substream(seed, c), the last one shorter; the reference evaluates each
-    # chunk in one call, with one worker and no draw_chunked
+    # chunk in one call, with one worker and no draw_chunked.  A pool task
+    # fills a run of 8 chunks, and every count but 65,536 leaves a short
+    # last run: 1, 3, 1 and 4 chunks
     f, state, ratios = _dim64_cos_sweep()
     g, draw = state.whitened(f)
     rows = gaussian.BLOCK_VALUES // g.dim

@@ -191,7 +191,7 @@ def pool_sizes(monkeypatch):
             requested.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(gaussian.concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     return requested
 
 
@@ -288,7 +288,7 @@ def test_draw_chunked_keeps_few_chunks_in_flight():
 
 
 @pytest.mark.parametrize("width, rows", [(0, DEFAULT_CHUNK_SIZE), (1, DEFAULT_CHUNK_SIZE),
-                                         (16, DEFAULT_CHUNK_SIZE), (17, 3855), (64, 1024),
+                                         (16, 2048), (17, 1927), (64, 512),
                                          (gaussian.BLOCK_VALUES + 1, 1)])
 def test_a_chunk_is_one_fill_of_at_most_block_values_draws(width, rows):
     # chunk c is one fill of `rows` rows from substream(seed, c), the last
@@ -592,6 +592,28 @@ def test_merged_adds_like_a_binary_counter():
     assert merged(map(_Tree, "abcdefg")) == "(((ab)(cd))((ef)g))"
     # tuples merge entrywise
     assert merged([(_Tree("a"), 1), (_Tree("b"), 2), (_Tree("c"), 4)]) == ("((ab)c)", 7)
+
+
+def _chunk_name(rng, m):
+    """A partial that names its chunk by the first output of its stream."""
+    return _Tree(f"[{rng.bit_generator.random_raw():x}]")
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+@pytest.mark.parametrize("width, chunks", [(64, 8), (64, 19), (40, 11), (17, 5), (16, 3),
+                                           (8, 3)])
+def test_pool_runs_keep_the_chunk_by_chunk_merge_tree(width, chunks, workers):
+    # a pool task merges an aligned run of 8 chunks at width 64, 4 at 40, 2
+    # at 16 and 17 and 1 at 8; the last run is cut short
+    rows = min(DEFAULT_CHUNK_SIZE, gaussian.BLOCK_VALUES // width)
+    count = (chunks - 1) * rows + 1
+    want = merged(_chunk_name(substream(5, c), 0) for c in range(chunks))
+    with sampling_workers(workers):
+        batch = draw_chunked(5, count, _chunk_name, width)
+    assert batch.chunk_count == chunks and batch.partial == want
+    with sampling_workers(workers):
+        pooled = draw_chunked(5, count, lambda rng, m: rng.standard_normal((m, 2)), width)
+    assert np.array_equal(pooled.samples, draw_chunked(5, count, _normals, width).samples)
 
 
 def test_draw_chunked_keeps_a_partial_and_no_rows():

@@ -50,15 +50,33 @@ def test_modules_import_only_earlier_modules(module):
     assert [name for name in imported if name not in earlier] == []
 
 
-def test_importing_the_package_leaves_blas_alone():
-    # a fresh process, so no earlier run has looked the library up
-    code = ("import cqlab, cqlab.cli\n"
-            "print(cqlab.gaussian._blas_thread_control.cache_info().currsize)")
+def _fresh_process(code: str) -> str:
+    """What `code` prints in a new interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "0"
+    return proc.stdout.strip()
+
+
+def test_importing_the_package_leaves_blas_alone():
+    # a fresh process, so no earlier run has looked the library up
+    assert _fresh_process("import cqlab, cqlab.cli\n"
+                          "print(cqlab.gaussian._blas_thread_control.cache_info().currsize)") == "0"
+
+
+def test_only_a_pool_loads_concurrent_futures():
+    # a one-worker run neither imports the thread pool nor the logging it brings
+    code = ("import sys, numpy as np, cqlab\n"
+            "rho, f = cqlab.GaussianState(np.eye(2)), cqlab.Quadratic(np.eye(2))\n"
+            "def loaded():\n"
+            "    print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+            "cqlab.mc_average(f, rho, 3 * 4096, 1)\n"
+            "loaded()\n"
+            "with cqlab.sampling_workers(2):\n"
+            "    cqlab.mc_average(f, rho, 3 * 4096, 1)\n"
+            "loaded()\n")
+    assert _fresh_process(code).splitlines() == ["[]", "['concurrent.futures', 'logging']"]
 
 
 # Public names that no package path reaches but that stay, each for a reason.
