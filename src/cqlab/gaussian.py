@@ -216,9 +216,10 @@ def draw_chunked(seed: int, count: int, fill, width: int) -> SampleBatch:
     are combined by `merged`, so a partial-only call holds O(log chunks)
     partials and no row, and `samples` comes back empty.  A pool of workers
     fills aligned runs of 2^j chunks, 2^j the largest power of two with
-    2^j * rows <= DEFAULT_CHUNK_SIZE, so a hand-off to a worker covers about
-    as many rows at every width; a run comes back as its rows or as the
-    `merged` partial of its chunks, a subtree of the chunk-order merge.
+    2^j * rows <= DEFAULT_CHUNK_SIZE, so a hand-off to a worker covers more
+    than half of DEFAULT_CHUNK_SIZE rows at every width; a run comes back as
+    its rows or as the `merged` partial of its chunks, a subtree of the
+    chunk-order merge.
     Either way the result is independent of `sampling_workers` and of
     scheduling order.
     """

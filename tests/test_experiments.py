@@ -202,7 +202,7 @@ _STREAM_STATES = {
     "pure-rank1": lambda: pure_state_measure(np.linspace(1.0, 2.0, 16), 0.2),
     "product-laplace": lambda: SecondMomentState.product_laplace(np.linspace(0.01, 0.02, 16)),
     "uniform-sphere": lambda: SecondMomentState.uniform_sphere(0.4, 16),
-    # above width 16 a chunk has BLOCK_VALUES // width rows
+    # above width 8 a chunk has BLOCK_VALUES // width rows
     "gaussian-dim40": lambda: build_state({"shape": "random", "seed": 3}, 40, 0.2),
     "product-laplace-dim40": lambda: SecondMomentState.product_laplace(
         np.linspace(0.01, 0.02, 40)),
