@@ -612,7 +612,7 @@ def test_pool_runs_keep_the_chunk_by_chunk_merge_tree(width, chunks, workers):
         batch = draw_chunked(5, count, _chunk_name, width)
     assert batch.chunk_count == chunks and batch.partial == want
     with sampling_workers(workers):
-        pooled = draw_chunked(5, count, lambda rng, m: rng.standard_normal((m, 2)), width)
+        pooled = draw_chunked(5, count, _normals, width)
     assert np.array_equal(pooled.samples, draw_chunked(5, count, _normals, width).samples)
 
 
