@@ -581,21 +581,19 @@ def pure_state_experiment(psi, alpha: float, a, n_samples: int, seed: int) -> di
     direction = fmat[:, 0] if fmat.shape[1] else np.zeros(rho.dim)
     off_axis = direction == 0.0
 
-    def fill(rng: np.random.Generator, m: int) -> tuple[Moments, np.ndarray]:
+    def fill(rng: np.random.Generator, m: int) -> tuple[Moments, np.ndarray, int, int]:
         z = rho.white(rng, m)  # (m, rank), rank 0 or 1
         xt = fmat @ z.T
         ok, _coeffs = exact_span_coefficients(xt.T, direction, guess=z.ravel())
-        counts = [np.count_nonzero(ok), np.count_nonzero(xt[off_axis] == 0.0)]
-        return Moments.of(f.eval_batch(xt.T)[:, 0] / alpha), np.append(xt @ xt.T, counts)
+        return (Moments.of(f.eval_batch(xt.T)[:, 0] / alpha), xt @ xt.T,
+                np.count_nonzero(ok), np.count_nonzero(xt[off_axis] == 0.0))
 
-    amplified, sums = draw_chunked(seed, n_samples, fill, rho.dim).partial
+    amplified, cov_sum, span, zeros = draw_chunked(seed, n_samples, fill, rho.dim).partial
     [(amp_mean, amp_stderr)] = amplified.mean_stderr()
     expected = float(v @ f.operator @ v)
     off_axis_entries = n_samples * int(np.count_nonzero(off_axis))
-    span, zeros = sums[-2:]
 
     d = rho.covariance / alpha  # B's squares underflow from alpha ~ 1e-160 down, D's do not
-    cov_sum = sums[:-2].reshape(rho.dim, rho.dim)
     cov_err = np.abs(cov_sum / n_samples / alpha - np.outer(v, v))
     band = MC_SIGMAS * np.sqrt((np.outer(np.diag(d), np.diag(d)) + d ** 2) / n_samples)
 

@@ -14,7 +14,8 @@ partial as it is drawn, the (count, mean, M2) of each value column
 binary-counter stack, so no caller holds a draw or a per-sample value, and
 a statistic of k columns over `chunks` chunks holds
 O(k * log chunks + workers * BLOCK_VALUES) doubles whatever the sample count.
-A pool of workers fills aligned runs of chunks, each a subtree of that merge.
+Chunks are filled in aligned runs, each a subtree of that merge, inline at
+one worker and by a pool at more.
 The number of threads that fill chunks is a resource, not an input:
 `sampling_workers(n)` alone sets it, and it moves no result bit.
 """
@@ -67,13 +68,15 @@ _ZERO_EXPONENT = -1100
 @dataclass(frozen=True)
 class SampleBatch:
     """What one `draw_chunked` call drew: `count` rows in `chunk_count`
-    chunks, one fill each, and either the rows themselves or the chunk-order
-    merge of the fill's per-chunk partials, never both."""
+    chunks, one fill each, and `partial`, the chunk-order merge of the
+    fill's per-chunk partials."""
 
     count: int
     chunk_count: int
-    samples: np.ndarray  # (count, k) or (count,) rows; empty when the fill returns partials
-    partial: object = None
+    partial: object
+    # no rows are kept; bench/tracer.py reads samples.nbytes until its
+    # counters are retargeted (ROADMAP item 12)
+    samples = np.empty(0)
 
 
 def substream(seed: int, tag: int) -> np.random.Generator:
@@ -153,6 +156,8 @@ class Moments:
     def mean_stderr(self) -> list[tuple[float, float]]:
         """(sample mean, its standard error with ddof=1) of each column, in
         the values' own units."""
+        if self.count < 2:
+            raise ValueError(f"need at least 2 samples, got {self.count}")
         stderr = np.sqrt(np.array(self.m2) / (self.count - 1)) / math.sqrt(self.count)
         with np.errstate(over="ignore"):  # a statistic beyond the largest double is inf
             return list(zip(np.ldexp(self.mean, self.exponent).tolist(),
@@ -205,23 +210,21 @@ def _merged_runs(runs):
 def draw_chunked(seed: int, count: int, fill, width: int) -> SampleBatch:
     """Draw `count` rows of `width` values in chunks of
     min(DEFAULT_CHUNK_SIZE, BLOCK_VALUES // width) rows, at least one, and
-    keep either the rows or a merge of one partial per chunk.
+    merge one partial per chunk.
 
-    `fill(rng, m)` uses only `rng` and returns either m rows, an ndarray of
-    shape (m,) or (m, k), or a partial of the chunk's m draws: a `Moments`,
-    a count, or a tuple of these.  Chunk c is one `fill` call on the SFC64
-    stream `substream(seed, c)`, so its values depend on (seed, c) and its
-    row count alone, never on how a fill might split it.  Chunks are taken in
-    chunk order: rows are copied into one (count, ...) array, and partials
-    are combined by `merged`, so a partial-only call holds O(log chunks)
-    partials and no row, and `samples` comes back empty.  A pool of workers
-    fills aligned runs of 2^j chunks, 2^j the largest power of two with
-    2^j * rows <= DEFAULT_CHUNK_SIZE, so a hand-off to a worker covers more
-    than half of DEFAULT_CHUNK_SIZE rows at every width; a run comes back as
-    its rows or as the `merged` partial of its chunks, a subtree of the
-    chunk-order merge.
-    Either way the result is independent of `sampling_workers` and of
-    scheduling order.
+    `fill(rng, m)` uses only `rng` and returns a partial of the chunk's m
+    draws: a `Moments`, a count, a list (merged by concatenation, so a
+    `[rows]` fill keeps its rows in chunk order) or a tuple of these.
+    Chunk c is one `fill` call on the SFC64 stream `substream(seed, c)`, so
+    its values depend on (seed, c) and its row count alone, never on how a
+    fill might split it.  The chunks are filled in aligned runs of 2^j
+    chunks, 2^j the largest power of two with 2^j * rows <= DEFAULT_CHUNK_SIZE,
+    so a run covers more than half of DEFAULT_CHUNK_SIZE rows at every
+    width.  A run is the `merged` partial of its chunks, a subtree of the
+    chunk-order merge, and `_merged_runs` continues that merge with the runs
+    in chunk order, so a call holds O(log chunks) partials and the result is
+    independent of `sampling_workers` and of scheduling order.  One worker
+    fills the runs inline; a pool fills one run per task.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -229,54 +232,33 @@ def draw_chunked(seed: int, count: int, fill, width: int) -> SampleBatch:
     n_chunks = (count + size - 1) // size
     run = 1 << ((DEFAULT_CHUNK_SIZE // size).bit_length() - 1)
 
-    def make(c: int):
-        return fill(substream(seed, c), min(size, count - c * size))
+    def fill_run(start: int) -> tuple:
+        chunks = range(start, min(start + run, n_chunks))
+        return len(chunks), merged(fill(substream(seed, c), min(size, count - c * size))
+                                   for c in chunks)
 
-    runs = _in_chunk_order(make, n_chunks, run, _WORKERS.get())
-    first = next(runs)
-    if not isinstance(first[1], np.ndarray):
-        return SampleBatch(count, n_chunks, np.empty(0),
-                           _merged_runs(itertools.chain([first], runs)))
-    out = np.empty((count,) + first[1].shape[1:], dtype=first[1].dtype)
-    start = 0
-    for _, rows in itertools.chain([first], runs):
-        out[start:start + len(rows)] = rows
-        start += len(rows)
-    return SampleBatch(count, n_chunks, out)
+    runs = _in_order(fill_run, range(0, n_chunks, run), _WORKERS.get())
+    return SampleBatch(count, n_chunks, _merged_runs(runs))
 
 
-def _in_chunk_order(make, n_chunks: int, run: int, workers: int):
-    """(k, result) for consecutive runs of k chunks, in chunk order: at one
-    worker each chunk alone, result make(c); in a pool the aligned runs of
-    `run` chunks, the last one shorter, result their rows in one array or
-    the `merged` partial of their chunks.  A pool of at most one worker per
-    run keeps at most 2 * workers runs in flight rather than one future per
-    run."""
-    workers = min(workers, (n_chunks + run - 1) // run)
+def _in_order(func, items: range, workers: int):
+    """func(item) for each of `items`, in order: inline at one worker, else
+    from a pool of at most one thread per item that keeps at most
+    2 * workers calls in flight rather than one future per item."""
+    workers = min(workers, len(items))
     if workers <= 1:
-        yield from zip(itertools.repeat(1), map(make, range(n_chunks)))
+        yield from map(func, items)
         return
     import concurrent.futures  # here, so a one-worker run loads neither it nor logging
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         window = collections.deque()
-        for start in range(0, n_chunks, run):
-            window.append(pool.submit(_fill_run, make, range(start, min(start + run, n_chunks))))
+        for item in items:
+            window.append(pool.submit(func, item))
             if len(window) == 2 * workers:
                 yield window.popleft().result()
         while window:
             yield window.popleft().result()
-
-
-def _fill_run(make, chunks: range) -> tuple:
-    """(len(chunks), the chunks' rows in one array or the `merged` partial
-    of the chunks).  Partials are merged as their chunks come, so a worker
-    of a statistic holds one chunk's draws and O(log run) partials."""
-    first = make(chunks[0])
-    rest = map(make, chunks[1:])
-    if isinstance(first, np.ndarray):
-        return len(chunks), np.concatenate([first, *rest])
-    return len(chunks), merged(itertools.chain([first], rest))
 
 
 # (get, set) thread-count functions of the OpenBLAS builds that NumPy wheels
@@ -391,11 +373,12 @@ class GaussianState:
         formed: (F_a z)^T A (F_a z) = z^T (F_a^T A F_a) z."""
         return f.pullback(self.active_factor), self.white
 
-    def sample(self, seed: int, count: int) -> SampleBatch:
-        """`count` rows drawn from N(0, B), all held at once.  The package's
-        own statistics reduce each chunk to a partial through `draw_chunked`
-        instead."""
-        return draw_chunked(seed, count, self.fill, self.dim)
+    def sample(self, seed: int, count: int) -> np.ndarray:
+        """`count` rows drawn from N(0, B), all held at once: the chunks'
+        rows, each a one-element list partial, in chunk order.  The
+        package's own statistics reduce each chunk to a partial instead."""
+        rows = draw_chunked(seed, count, lambda rng, m: [self.fill(rng, m)], self.dim).partial
+        return np.concatenate(rows)
 
 
 def mc_average(f: Functional, state, n_samples: int, seed: int,
@@ -426,9 +409,6 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     r_1 B, ..., r_k B with common random numbers: each average is unbiased,
     but their errors are correlated.
     """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
-
     g, draw = state.whitened(f)
 
     def fill(rng: np.random.Generator, m: int) -> Moments:

@@ -117,10 +117,10 @@ def test_t_state_extended_non_gaussian_state():
     state = SecondMomentState.product_laplace(v)
     d = t_state_extended(state)
     assert np.allclose(d.matrix, np.diag(v) / v.sum(), atol=1e-15)
-    batch = draw_chunked(71, 200_000, state.fill, state.dim)
-    x = batch.samples
-    cov_hat = x.T @ x / batch.count
-    band = 4.0 * np.sqrt(5.0 * np.outer(v, v) / batch.count)  # Laplace 4th moment 6 v^2
+    x = np.concatenate(draw_chunked(71, 200_000, lambda rng, m: [state.fill(rng, m)],
+                                    state.dim).partial)
+    cov_hat = x.T @ x / len(x)
+    band = 4.0 * np.sqrt(5.0 * np.outer(v, v) / len(x))  # Laplace 4th moment 6 v^2
     assert np.all(np.abs(cov_hat - np.diag(v)) <= band + 1e-12)
 
 

@@ -73,6 +73,12 @@ def _chunk_rows(width: int) -> int:
     return min(DEFAULT_CHUNK_SIZE, max(1, gaussian.BLOCK_VALUES // width))
 
 
+def _drawn_rows(seed: int, count: int, draw, width: int) -> np.ndarray:
+    """The rows `draw` fills in a `draw_chunked` call, held at once: each
+    chunk's rows as a one-element list partial, in chunk order."""
+    return np.concatenate(draw_chunked(seed, count, lambda rng, m: [draw(rng, m)], width).partial)
+
+
 def _chunk_merge(values: np.ndarray, rows: int) -> list[tuple[float, float]]:
     """The reference statistic of values held at once: the `Moments` of each
     chunk of `rows` rows, merged in chunk order."""
@@ -186,6 +192,14 @@ def test_mc_average_of_a_zero_state_is_zero():
         assert mc_average(f, rho, 5000, seed=1, ratios=[1.0, 0.5]) == [(0.0, 0.0)] * 2
 
 
+def test_one_sample_has_no_stderr():
+    # Moments.mean_stderr divides by count - 1, so every caller refuses one sample
+    with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
+        mc_average(Quadratic(np.eye(2)), GaussianState(np.eye(2)), 1, seed=3)
+    with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
+        pure_state_experiment(np.array([0.6, 0.8]), 0.1, np.eye(2), 1, 3)
+
+
 def test_mc_average_independent_of_workers():
     # 14 chunks: the merge leaves runs of 8, 4 and 2 chunks on its stack
     rho = GaussianState(np.eye(3) * 0.2)
@@ -222,7 +236,7 @@ def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
         # the reference: the draws the state hands over, held at once, with
         # one worker, and evaluated by the variable it hands back
         g, draw = state.whitened(f)
-        x = draw_chunked(21, count, draw, g.dim).samples
+        x = _drawn_rows(21, count, draw, g.dim)
         expected = _chunk_merge(g.eval_batch(x, ratios), _chunk_rows(g.dim))
         with sampling_workers(workers):
             # the default call is the one pair of ratio 1.0, and pair i of a
@@ -245,7 +259,7 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
     a = symmetric_from_entries(substream(4, 0).standard_normal((dim, dim)))
 
     rho = pure_state_measure(v, alpha)
-    x = rho.sample(seed, count).samples
+    x = rho.sample(seed, count)
     with sampling_workers(workers):
         report = pure_state_experiment(v, alpha, a, count, seed)
     amplified = _check(report, "amplified_average")
@@ -272,7 +286,7 @@ def test_streamed_experiments_match_a_full_batch(psi, workers):
         rows = chebyshev_experiment(cfg)["rows"]
     for i, alpha_i in enumerate(cfg.alpha_grid):
         state = build_state(cfg.state_spec, dim, alpha_i)
-        x = state.sample(derive_seed(seed, 20 + i), count).samples
+        x = state.sample(derive_seed(seed, 20 + i), count)
         energies = np.einsum("pi,pi->p", x, x)
         thresholds = [r.C for r in rows[3 * i:3 * i + 3]]
         with sampling_workers(workers):
@@ -326,9 +340,9 @@ def _dim64_cos_sweep():
 def test_blocked_mc_average_matches_one_eval_batch_per_chunk(count, workers):
     # at dim 64 chunk c is the BLOCK_VALUES // 64 = 512 rows drawn from
     # substream(seed, c), the last one shorter; the reference evaluates each
-    # chunk in one call, with one worker and no draw_chunked.  A pool task
-    # fills a run of 8 chunks, and every count but 65,536 leaves a short
-    # last run: 1, 3, 1 and 4 chunks
+    # chunk in one call, with one worker and no draw_chunked.  Chunks are
+    # filled in runs of 8, and every count but 65,536 leaves a short last
+    # run: 1, 3, 1 and 4 chunks
     f, state, ratios = _dim64_cos_sweep()
     g, draw = state.whitened(f)
     rows = gaussian.BLOCK_VALUES // g.dim
@@ -559,7 +573,7 @@ def test_sweep_rows_share_one_rescaled_draw(family, workers):
     # one worker, and evaluated by f pulled back through its active factor
     # at every grid ratio alpha_i / alpha_0 in one call
     rank = first.active_factor.shape[1]
-    z = draw_chunked(cfg.seed, cfg.mc_samples, first.white, rank).samples
+    z = _drawn_rows(cfg.seed, cfg.mc_samples, first.white, rank)
     expected = _chunk_merge(f.pullback(first.active_factor).eval_batch(
         z, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid]), _chunk_rows(rank))
     with sampling_workers(workers):
@@ -901,16 +915,15 @@ def test_nongaussian_quadratic_gate_fails_at_a_tiny_dispersion(monkeypatch):
 def test_laplace_sample_covariance_matches_target():
     v = np.array([0.01, 0.02, 0.03])
     state = SecondMomentState.product_laplace(v)
-    batch = draw_chunked(41, 200_000, state.fill, state.dim)
-    x = batch.samples
-    cov_hat = x.T @ x / batch.count
+    x = _drawn_rows(41, 200_000, state.fill, state.dim)
+    cov_hat = x.T @ x / len(x)
     target = np.diag(v)
     # Laplace fourth moment is 6 v^2, so var of the diagonal estimator is 5 v^2 / N
     for i in range(3):
-        band = 4.0 * math.sqrt(5.0 * v[i] ** 2 / batch.count)
+        band = 4.0 * math.sqrt(5.0 * v[i] ** 2 / len(x))
         assert abs(cov_hat[i, i] - v[i]) <= band
     off = np.abs(cov_hat - np.diag(np.diag(cov_hat))).max()
-    assert off <= 4.0 * math.sqrt(v.max() ** 2 / batch.count)
+    assert off <= 4.0 * math.sqrt(v.max() ** 2 / len(x))
 
 
 def test_finite_qm_demo_end_to_end():
@@ -1018,9 +1031,9 @@ def test_builder_streams_are_not_sample_chunks():
     # normals of one of the run's sample chunks
     seed, dim = 31, 3
     # row 0 of each of 8 chunks
-    firsts = draw_chunked(seed, 8 * DEFAULT_CHUNK_SIZE,
-                          lambda rng, m: rng.standard_normal((m, dim * dim)), dim * dim
-                          ).samples[::DEFAULT_CHUNK_SIZE]
+    firsts = _drawn_rows(seed, 8 * DEFAULT_CHUNK_SIZE,
+                         lambda rng, m: rng.standard_normal((m, dim * dim)), dim * dim
+                         )[::DEFAULT_CHUNK_SIZE]
     operator = experiments.build_operator({"random": {"seed": seed}}, dim)
     covariance = build_state({"shape": "random", "seed": seed}, dim, 1.0).covariance
     for chunk, row in enumerate(firsts):

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqlab import experiments, gaussian
 from cqlab.correspondence import t_state
@@ -93,9 +95,9 @@ def test_dispersion_rank_one():
 def test_dispersion_monte_carlo():
     # oracle: sample mean of ||psi||^2 must sit within 4 standard errors
     rho = GaussianState(np.diag([0.3, 0.5, 0.2]))
-    batch = rho.sample(seed=101, count=100_000)
-    energies = np.einsum("pi,pi->p", batch.samples, batch.samples)
-    se = energies.std(ddof=1) / math.sqrt(batch.count)
+    x = rho.sample(seed=101, count=100_000)
+    energies = np.einsum("pi,pi->p", x, x)
+    se = energies.std(ddof=1) / math.sqrt(len(x))
     assert abs(energies.mean() - rho.dispersion()) <= 4.0 * se
 
 
@@ -104,36 +106,33 @@ def test_scaled_samples_covariance():
     alpha = 0.1
     b = np.diag([0.06, 0.04])
     scaled = GaussianState(b / alpha)
-    batch = scaled.sample(seed=33, count=100_000)
-    x = batch.samples
-    cov_hat = x.T @ x / batch.count
+    x = scaled.sample(seed=33, count=100_000)
+    cov_hat = x.T @ x / len(x)
     target = b / alpha
     band = 4.0 * np.sqrt(
-        (np.outer(np.diag(target), np.diag(target)) + target ** 2) / batch.count)
+        (np.outer(np.diag(target), np.diag(target)) + target ** 2) / len(x))
     assert np.all(np.abs(cov_hat - target) <= band + 1e-12)
 
 
 def test_sample_variances_land_in_band():
     rho = GaussianState(np.diag([1.0, 4.0]))
-    batch = rho.sample(seed=77, count=100_000)
-    v = batch.samples.var(axis=0, ddof=1)
+    v = rho.sample(seed=77, count=100_000).var(axis=0, ddof=1)
     assert 0.95 <= v[0] <= 1.05
     assert 3.8 <= v[1] <= 4.2
 
 
 def test_sample_rank_one_axis_coordinates_exactly_zero():
     rho = pure_state_measure(np.array([1.0, 0.0, 0.0]), 0.03)
-    batch = rho.sample(seed=5, count=5000)
-    assert np.all(batch.samples[:, 1:] == 0.0)
+    assert np.all(rho.sample(seed=5, count=5000)[:, 1:] == 0.0)
 
 
-def test_sample_deterministic_across_worker_counts():
+def test_sample_deterministic_across_worker_counts(pool_sizes):
     rho = GaussianState(np.diag([1.0, 2.0, 3.0]))
     one = rho.sample(seed=9, count=20_000)
     with sampling_workers(8):
         eight = rho.sample(seed=9, count=20_000)
-    assert np.array_equal(one.samples, eight.samples)
-    assert one.chunk_count == eight.chunk_count > 1
+    assert np.array_equal(one, eight) and one.shape == (20_000, 3)
+    assert pool_sizes == [5]  # 5 chunks of 4096 rows, one pool thread each
 
 
 # sha256 of the sampled bytes of the SFC64 chunk streams; a diagonal factor
@@ -145,8 +144,8 @@ SAMPLE_STREAM_SHA256 = "97899826333c3d1bb4ffd8ed96fbf89a79bb0a74f783ac0c61b16957
 def test_sample_stream_is_pinned(workers):
     rho = GaussianState(np.diag([1.0, 2.0, 3.0]))
     with sampling_workers(workers):
-        batch = rho.sample(seed=9, count=20_000)
-    assert hashlib.sha256(batch.samples.tobytes()).hexdigest() == SAMPLE_STREAM_SHA256
+        x = rho.sample(seed=9, count=20_000)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == SAMPLE_STREAM_SHA256
 
 
 MASK64 = 2 ** 64 - 1
@@ -199,24 +198,34 @@ def _normals(rng, m):
     return rng.standard_normal((m, 2))
 
 
+def _rows(rng, m):
+    """A `[rows]` fill: the chunk's rows as a one-element list partial."""
+    return [_normals(rng, m)]
+
+
+def _drawn_rows(count: int, width: int, fill=_rows) -> np.ndarray:
+    """The rows of a `[rows]` fill, in chunk order."""
+    return np.concatenate(draw_chunked(5, count, fill, width).partial)
+
+
 _THREE_CHUNKS = 3 * DEFAULT_CHUNK_SIZE
 
 
 def test_draw_chunked_caps_workers_at_chunk_count(pool_sizes):
     with sampling_workers(10 ** 6):
-        capped = draw_chunked(5, _THREE_CHUNKS, _normals, 2)
+        capped = draw_chunked(5, _THREE_CHUNKS, _rows, 2)
     assert pool_sizes and max(pool_sizes) <= 3
     assert capped.chunk_count == 3
-    assert np.array_equal(capped.samples, draw_chunked(5, _THREE_CHUNKS, _normals, 2).samples)
+    assert np.array_equal(np.concatenate(capped.partial), _drawn_rows(_THREE_CHUNKS, 2))
 
 
 def test_one_sampling_worker_builds_no_pool(pool_sizes):
-    draw_chunked(5, _THREE_CHUNKS, _normals, 2)
+    draw_chunked(5, _THREE_CHUNKS, _rows, 2)
     with sampling_workers(2):
         with sampling_workers(1):
-            draw_chunked(5, _THREE_CHUNKS, _normals, 2)
+            draw_chunked(5, _THREE_CHUNKS, _rows, 2)
         assert pool_sizes == []
-        draw_chunked(5, _THREE_CHUNKS, _normals, 2)
+        draw_chunked(5, _THREE_CHUNKS, _rows, 2)
     assert pool_sizes == [2]
 
 
@@ -258,19 +267,20 @@ def test_every_chunk_is_filled_by_the_pool():
 
     def fill(rng, m):
         threads[len(threads)] = threading.current_thread()
-        return rng.standard_normal((m, 2))
+        return _rows(rng, m)
 
     with sampling_workers(2):
-        pooled = draw_chunked(5, _THREE_CHUNKS, fill, 2)
+        pooled = _drawn_rows(_THREE_CHUNKS, 2, fill)
     assert len(threads) == 3
     assert threading.main_thread() not in threads.values()
-    assert np.array_equal(pooled.samples, draw_chunked(5, _THREE_CHUNKS, _normals, 2).samples)
+    assert np.array_equal(pooled, _drawn_rows(_THREE_CHUNKS, 2))
 
 
 def test_draw_chunked_keeps_few_chunks_in_flight():
-    # One future per chunk, all submitted up front, would hold each chunk's
-    # 4 kB of rows here until its turn; a pool's threads and queue cost
-    # about 18 kB whatever the chunk count.
+    # A chunk's partial here is its 4 kB of draws, summed elementwise when
+    # merged.  One future per run, all submitted up front, would hold each
+    # partial until its turn; a pool's threads and queue cost about 18 kB
+    # whatever the chunk count.
     def fill(rng, m):
         return np.zeros(m, dtype=np.uint8)
 
@@ -292,44 +302,48 @@ def test_draw_chunked_keeps_few_chunks_in_flight():
                                          (gaussian.BLOCK_VALUES + 1, 1)])
 def test_a_chunk_is_one_fill_of_at_most_block_values_draws(width, rows):
     # chunk c is one fill of `rows` rows from substream(seed, c), the last
-    # chunk holding what is left
-    calls = []
-
-    def fill(rng, m):
-        calls.append(m)
-        return rng.standard_normal(m)
-
+    # chunk holding what is left; pool threads may make the calls in any order
     last = max(1, rows // 3)
-    batch = draw_chunked(5, 3 * rows + last, fill, width)
-    assert calls == [rows] * 3 + [last] and batch.chunk_count == 4
-    assert np.array_equal(batch.samples, np.concatenate(
-        [substream(5, c).standard_normal(m) for c, m in enumerate(calls)]))
+    sizes = [rows] * 3 + [last]
+    want = np.concatenate([substream(5, c).standard_normal(m) for c, m in enumerate(sizes)])
+    for workers in (1, 2):
+        calls = []
+
+        def fill(rng, m):
+            calls.append(m)
+            return [rng.standard_normal(m)]
+
+        with sampling_workers(workers):
+            batch = draw_chunked(5, 3 * rows + last, fill, width)
+        assert (calls if workers == 1 else sorted(calls, reverse=True)) == sizes
+        assert batch.chunk_count == 4
+        assert np.array_equal(np.concatenate(batch.partial), want)
 
 
 def test_sample_mean_converges_to_zero():
     rho = GaussianState(np.diag([0.5, 0.5]))
-    batch = rho.sample(seed=8, count=100_000)
-    se = batch.samples.std(axis=0, ddof=1) / math.sqrt(batch.count)
-    assert np.all(np.abs(batch.samples.mean(axis=0)) <= 4.0 * se)
+    x = rho.sample(seed=8, count=100_000)
+    se = x.std(axis=0, ddof=1) / math.sqrt(len(x))
+    assert np.all(np.abs(x.mean(axis=0)) <= 4.0 * se)
 
 
-def _above(batch, c):
-    """How many rows of the batch have a squared norm above c."""
-    return np.count_nonzero(np.einsum("pi,pi->p", batch.samples, batch.samples) > c)
+def _above(x, c):
+    """How many rows of x have a squared norm above c."""
+    return np.count_nonzero(np.einsum("pi,pi->p", x, x) > c)
 
 
 def test_chebyshev_bound_value():
     rho = GaussianState(np.eye(2) * 0.005)  # dispersion 0.01
-    batch = rho.sample(seed=3, count=2000)
-    bound, empirical = chebyshev_tail(rho, 1.0, _above(batch, 1.0), batch.count)
+    x = rho.sample(seed=3, count=2000)
+    bound, empirical = chebyshev_tail(rho, 1.0, _above(x, 1.0), len(x))
     assert bound == pytest.approx(0.01, rel=1e-12)
-    assert 0.0 <= empirical <= bound + 4.0 * math.sqrt(bound / batch.count)
+    assert 0.0 <= empirical <= bound + 4.0 * math.sqrt(bound / len(x))
 
 
 def test_chebyshev_bound_vanishes_for_large_threshold():
     rho = GaussianState(np.eye(2) * 0.005)
-    batch = rho.sample(seed=3, count=2000)
-    bound, empirical = chebyshev_tail(rho, 1e12, _above(batch, 1e12), batch.count)
+    x = rho.sample(seed=3, count=2000)
+    bound, empirical = chebyshev_tail(rho, 1e12, _above(x, 1e12), len(x))
     assert bound <= 1e-13
     assert empirical == 0.0
 
@@ -338,11 +352,11 @@ def test_chebyshev_one_dimensional_tail_matches_normal():
     # oracle: for psi ~ N(0, alpha), P(psi^2 > alpha) = P(|z| > 1) = 2(1 - Phi(1))
     alpha = 0.04
     rho = GaussianState(np.array([[alpha]]))
-    batch = rho.sample(seed=15, count=200_000)
-    bound, empirical = chebyshev_tail(rho, alpha, _above(batch, alpha), batch.count)
+    x = rho.sample(seed=15, count=200_000)
+    bound, empirical = chebyshev_tail(rho, alpha, _above(x, alpha), len(x))
     assert bound == 1.0
     p_oracle = math.erfc(1.0 / math.sqrt(2.0))  # 0.31731...
-    se = math.sqrt(p_oracle * (1.0 - p_oracle) / batch.count)
+    se = math.sqrt(p_oracle * (1.0 - p_oracle) / len(x))
     assert abs(empirical - p_oracle) <= 4.0 * se
     assert empirical <= bound
 
@@ -370,9 +384,9 @@ def test_pure_state_rejects_zero_vector():
 def test_pure_state_samples_are_exact_multiples_of_direction():
     psi = np.array([2.0, -1.0, 2.0]) / 3.0
     rho = pure_state_measure(psi, 0.04)
-    batch = rho.sample(seed=21, count=50_000)
+    x = rho.sample(seed=21, count=50_000)
     direction = rho.active_factor[:, 0]
-    ok, _ = exact_span_coefficients(batch.samples, direction)
+    ok, _ = exact_span_coefficients(x, direction)
     assert np.all(ok)
 
 
@@ -587,6 +601,13 @@ class _Tree(str):
         return _Tree(f"({self}{other})")
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40))
+def test_merged_lists_keep_their_order(n):
+    # a `[rows]` fill keeps chunk order: every merge takes the earlier partial on its left
+    assert merged([i] for i in range(n)) == list(range(n))
+
+
 def test_merged_adds_like_a_binary_counter():
     assert merged(map(_Tree, "a")) == "a"
     assert merged(map(_Tree, "abcdefg")) == "(((ab)(cd))((ef)g))"
@@ -599,21 +620,21 @@ def _chunk_name(rng, m):
     return _Tree(f"[{rng.bit_generator.random_raw():x}]")
 
 
-@pytest.mark.parametrize("workers", [2, 8])
+@pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("width, chunks", [(64, 8), (64, 19), (40, 11), (17, 5), (16, 3),
                                            (8, 3)])
 def test_pool_runs_keep_the_chunk_by_chunk_merge_tree(width, chunks, workers):
-    # a pool task merges an aligned run of 8 chunks at width 64, 4 at 40, 2
-    # at 16 and 17 and 1 at 8; the last run is cut short
+    # a run merges an aligned run of 8 chunks at width 64, 4 at 40, 2 at 16
+    # and 17 and 1 at 8; the last run is cut short
     rows = min(DEFAULT_CHUNK_SIZE, gaussian.BLOCK_VALUES // width)
     count = (chunks - 1) * rows + 1
     want = merged(_chunk_name(substream(5, c), 0) for c in range(chunks))
     with sampling_workers(workers):
         batch = draw_chunked(5, count, _chunk_name, width)
+        drawn = _drawn_rows(count, width)
     assert batch.chunk_count == chunks and batch.partial == want
-    with sampling_workers(workers):
-        pooled = draw_chunked(5, count, _normals, width)
-    assert np.array_equal(pooled.samples, draw_chunked(5, count, _normals, width).samples)
+    assert np.array_equal(drawn, np.concatenate(
+        [_normals(substream(5, c), min(rows, count - c * rows)) for c in range(chunks)]))
 
 
 def test_draw_chunked_keeps_a_partial_and_no_rows():
@@ -622,7 +643,7 @@ def test_draw_chunked_keeps_a_partial_and_no_rows():
     def fill(rng, m):
         return Moments.of(_normals(rng, m))
 
-    rows = draw_chunked(5, count, _normals, 2).samples
+    rows = _drawn_rows(count, 2)
     want = merged(Moments.of(rows[c:c + DEFAULT_CHUNK_SIZE])
                   for c in range(0, count, DEFAULT_CHUNK_SIZE)).mean_stderr()
     for workers in (1, 2, 8):

@@ -274,12 +274,12 @@ def test_integral_bounded_by_form_norm_times_moment():
     m = rng.normal(size=(3, 3))
     d = symmetric_from_entries(m @ m.T / 3.0)
     rho = GaussianState(d)
-    batch = rho.sample(seed=37, count=100_000)
-    norms = np.sqrt(np.einsum("pi,pi->p", batch.samples, batch.samples))
+    x = rho.sample(seed=37, count=100_000)
+    norms = np.sqrt(np.einsum("pi,pi->p", x, x))
     for order in (2, 4):
         form = SymmetricForm.from_dense(rng.normal(size=(3,) * order))
         integral = gaussian_integral_multilinear(form, d)
         powers = norms ** order
         moment = powers.mean()
-        moment_se = powers.std(ddof=1) / math.sqrt(batch.count)
+        moment_se = powers.std(ddof=1) / math.sqrt(len(x))
         assert abs(integral) <= np.linalg.norm(form.dense()) * (moment + 4.0 * moment_se)
