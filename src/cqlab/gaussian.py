@@ -15,14 +15,14 @@ binary-counter stack, so no caller holds a draw or a per-sample value, and
 a statistic of k columns over `chunks` chunks holds
 O(k * log chunks + workers * BLOCK_VALUES) doubles whatever the sample count.
 Chunks are filled in aligned runs, each a subtree of that merge, inline at
-one worker and by a pool at more.
+one worker; at n workers the calling thread and n - 1 helper threads, which
+the call starts and joins, each take the next unfilled run.
 The number of threads that fill chunks is a resource, not an input:
 `sampling_workers(n)` alone sets it, and it moves no result bit.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import ctypes
@@ -31,6 +31,7 @@ import glob
 import itertools
 import math
 import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -224,7 +225,8 @@ def draw_chunked(seed: int, count: int, fill, width: int) -> SampleBatch:
     chunk-order merge, and `_merged_runs` continues that merge with the runs
     in chunk order, so a call holds O(log chunks) partials and the result is
     independent of `sampling_workers` and of scheduling order.  One worker
-    fills the runs inline; a pool fills one run per task.
+    fills the runs inline; at n workers the calling thread and n - 1 helper
+    threads each take the next unfilled run (`_in_order`).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -237,28 +239,82 @@ def draw_chunked(seed: int, count: int, fill, width: int) -> SampleBatch:
         return len(chunks), merged(fill(substream(seed, c), min(size, count - c * size))
                                    for c in chunks)
 
-    runs = _in_order(fill_run, range(0, n_chunks, run), _WORKERS.get())
-    return SampleBatch(count, n_chunks, _merged_runs(runs))
+    with contextlib.closing(_in_order(fill_run, range(0, n_chunks, run), _WORKERS.get())) as runs:
+        return SampleBatch(count, n_chunks, _merged_runs(runs))
 
 
 def _in_order(func, items: range, workers: int):
-    """func(item) for each of `items`, in order: inline at one worker, else
-    from a pool of at most one thread per item that keeps at most
-    2 * workers calls in flight rather than one future per item."""
+    """func(item) for each of `items`, in order.  One worker maps them
+    inline.  At more, the calling thread is worker 0 beside
+    min(workers, len(items)) - 1 helper threads, all started before any
+    call: every thread calls func on the next unclaimed item, and the caller
+    yields the results in item order, raising an item's exception at its
+    turn.  No item more than `workers` past the one yielded next is claimed,
+    so at most workers + 1 results are held; the one item of slack lets a
+    thread that finishes before the item yielded next go on to another.
+    Every exit, the generator closed early included, stops and joins the
+    helpers, so no thread outlives the call."""
     workers = min(workers, len(items))
     if workers <= 1:
         yield from map(func, items)
         return
-    import concurrent.futures  # here, so a one-worker run loads neither it nor logging
+    done = {}  # index: (exception or None, result) of each item called and not yet yielded
+    claimed = head = 0  # the next index to claim, and the index yielded next
+    stop = False
+    turn = threading.Condition()
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        window = collections.deque()
-        for item in items:
-            window.append(pool.submit(func, item))
-            if len(window) == 2 * workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
+    def claim():
+        """Under `turn`: the next index to call, or None while none may be claimed."""
+        nonlocal claimed
+        if stop or claimed == min(len(items), head + workers + 1):
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def call(i: int, catch) -> None:
+        try:
+            out = None, func(items[i])
+        except catch as exc:
+            out = exc, None
+        with turn:
+            done[i] = out
+            turn.notify_all()
+
+    def helper() -> None:
+        while True:
+            with turn:
+                while (i := claim()) is None:
+                    if stop or claimed == len(items):
+                        return
+                    turn.wait()
+            call(i, BaseException)  # whatever a helper's call raises, the caller raises
+
+    helpers = []
+    try:
+        for n in range(1, workers):
+            thread = threading.Thread(target=helper, name=f"cqlab-sampler-{n}")
+            thread.start()
+            helpers.append(thread)
+        for head in range(len(items)):
+            with turn:
+                turn.notify_all()  # the window moved on
+            while True:
+                with turn:
+                    while head not in done and (i := claim()) is None:
+                        turn.wait()
+                    if head in done:
+                        exc, result = done.pop(head)
+                        break
+                call(i, Exception)
+            if exc is not None:
+                raise exc
+            yield result
+    finally:
+        with turn:
+            stop = True
+            turn.notify_all()
+        for thread in helpers:
+            thread.join()
 
 
 # (get, set) thread-count functions of the OpenBLAS builds that NumPy wheels
@@ -295,7 +351,9 @@ def _blas_thread_control():
 @contextlib.contextmanager
 def sampling_workers(n: int):
     """Fill `draw_chunked` chunks with n threads inside the block (1 outside
-    any block), and hold BLAS to one thread while n > 1.
+    any block), the calling thread included: each call at n > 1 starts
+    n - 1 helper threads, at most one per run, and joins them before it
+    returns.  Hold BLAS to one thread while n > 1.
 
     A worker's per-chunk GEMM is large enough for OpenBLAS to start its own
     thread pool, so several workers plus their BLAS threads would contend

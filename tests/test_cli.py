@@ -318,8 +318,14 @@ def test_unusable_paths_are_one_line_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _refuse_thread_start(thread):
-    raise RuntimeError("can't start new thread")
+_THREAD_START = threading.Thread.start
+
+
+def _start_one_helper(thread):
+    """`Thread.start` that starts the first sampling helper and refuses the rest."""
+    if thread.name != "cqlab-sampler-1":
+        raise RuntimeError("can't start new thread")
+    _THREAD_START(thread)
 
 
 def _refuse_eigh(matrix):
@@ -327,17 +333,18 @@ def _refuse_eigh(matrix):
 
 
 @pytest.mark.parametrize("target, name, replacement, threads", [
-    (threading.Thread, "start", _refuse_thread_start, "2"),  # a worker that cannot start
+    (threading.Thread, "start", _start_one_helper, "3"),  # the second helper cannot start
     (np.linalg, "eigh", _refuse_eigh, "1"),  # spectral_decompose raises NumericalError
 ], ids=["thread-start", "numerical-error"])
 def test_runtime_errors_are_one_line_errors(tmp_path, capsys, monkeypatch, target, name,
                                             replacement, threads):
-    # MINIMAL draws 3 chunks, so 2 threads ask the pool for a worker
+    # MINIMAL draws 3 runs of one chunk, so 3 threads start 2 helpers
     monkeypatch.setattr(target, name, replacement)
     assert main(["moments-check", "--config", str(_write(tmp_path, MINIMAL)),
                  "--out", str(tmp_path / "o"), "--threads", threads]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not [t for t in threading.enumerate() if t.name.startswith("cqlab-sampler-")]
 
 
 def _limit_address_space():  # runs in the child only
@@ -476,7 +483,7 @@ def test_threads_do_not_change_bytes(tmp_path, subcommand, stem):
     cfg_path = CONFIG_DIR / f"{stem}.json"
     # more than one chunk, so the workers have something to split
     assert json.loads(cfg_path.read_text())["mc_samples"] > DEFAULT_CHUNK_SIZE
-    for threads in ("1", "2", "8"):
+    for threads in ("1", "2", "3", "8"):
         rc = main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / threads),
                    "--threads", threads])
         assert rc == 0
@@ -486,7 +493,7 @@ def test_threads_do_not_change_bytes(tmp_path, subcommand, stem):
                     if p.suffix in (".csv", ".dat") or p.name == "result.json")
     assert "result.json" in tables and len(tables) > 1
     for name in tables:
-        for threads in ("2", "8"):
+        for threads in ("2", "3", "8"):
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / threads / name).read_bytes()
 

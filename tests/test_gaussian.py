@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import hashlib
 import math
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -126,13 +126,14 @@ def test_sample_rank_one_axis_coordinates_exactly_zero():
     assert np.all(rho.sample(seed=5, count=5000)[:, 1:] == 0.0)
 
 
-def test_sample_deterministic_across_worker_counts(pool_sizes):
+def test_sample_deterministic_across_worker_counts(helpers_started):
     rho = GaussianState(np.diag([1.0, 2.0, 3.0]))
     one = rho.sample(seed=9, count=20_000)
     with sampling_workers(8):
         eight = rho.sample(seed=9, count=20_000)
     assert np.array_equal(one, eight) and one.shape == (20_000, 3)
-    assert pool_sizes == [5]  # 5 chunks of 4096 rows, one pool thread each
+    # 5 chunks of 4096 rows: the calling thread and 4 helpers, one per run
+    assert helpers_started == [f"cqlab-sampler-{n}" for n in range(1, 5)]
 
 
 # sha256 of the sampled bytes of the SFC64 chunk streams; a diagonal factor
@@ -180,18 +181,25 @@ def test_substream_first_outputs_are_pairwise_distinct():
     assert len(set(firsts)) == len(firsts) == 4 * 1029
 
 
+def _helpers_alive() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("cqlab-sampler-")]
+
+
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every thread pool that `draw_chunked` builds."""
-    requested = []
+def helpers_started(monkeypatch):
+    """The names of the helper threads that `draw_chunked` calls start, in
+    start order; no helper may outlive the test."""
+    started = []
+    start = threading.Thread.start
 
-    class Recorder(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            requested.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    def recording_start(thread):
+        if thread.name.startswith("cqlab-sampler-"):
+            started.append(thread.name)
+        start(thread)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    return requested
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    yield started
+    assert _helpers_alive() == []
 
 
 def _normals(rng, m):
@@ -211,22 +219,22 @@ def _drawn_rows(count: int, width: int, fill=_rows) -> np.ndarray:
 _THREE_CHUNKS = 3 * DEFAULT_CHUNK_SIZE
 
 
-def test_draw_chunked_caps_workers_at_chunk_count(pool_sizes):
+def test_draw_chunked_caps_workers_at_chunk_count(helpers_started):
     with sampling_workers(10 ** 6):
         capped = draw_chunked(5, _THREE_CHUNKS, _rows, 2)
-    assert pool_sizes and max(pool_sizes) <= 3
+    assert helpers_started == ["cqlab-sampler-1", "cqlab-sampler-2"]  # 3 runs, 3 threads
     assert capped.chunk_count == 3
     assert np.array_equal(np.concatenate(capped.partial), _drawn_rows(_THREE_CHUNKS, 2))
 
 
-def test_one_sampling_worker_builds_no_pool(pool_sizes):
+def test_one_sampling_worker_starts_no_helper(helpers_started):
     draw_chunked(5, _THREE_CHUNKS, _rows, 2)
     with sampling_workers(2):
         with sampling_workers(1):
             draw_chunked(5, _THREE_CHUNKS, _rows, 2)
-        assert pool_sizes == []
+        assert helpers_started == []
         draw_chunked(5, _THREE_CHUNKS, _rows, 2)
-    assert pool_sizes == [2]
+    assert helpers_started == ["cqlab-sampler-1"]
 
 
 def _blas_control():
@@ -260,20 +268,68 @@ def test_sampling_workers_rejects_fewer_than_one():
             pass
 
 
-def test_every_chunk_is_filled_by_the_pool():
-    # chunk 0 included: no chunk is drawn on the calling thread before the
-    # pool starts, so a pool of 2 does not add one chunk's time to every call
-    threads = {}
+def test_the_first_two_runs_are_filled_at_once(helpers_started):
+    # the first two fills meet at a barrier, so the helper starts before the
+    # calling thread fills anything: no chunk's time is added in series to every call
+    meet = threading.Barrier(2, timeout=10)
+    threads = []
 
     def fill(rng, m):
-        threads[len(threads)] = threading.current_thread()
+        threads.append(threading.current_thread().name)
+        if len(threads) <= 2:
+            meet.wait()
         return _rows(rng, m)
 
     with sampling_workers(2):
-        pooled = _drawn_rows(_THREE_CHUNKS, 2, fill)
-    assert len(threads) == 3
-    assert threading.main_thread() not in threads.values()
-    assert np.array_equal(pooled, _drawn_rows(_THREE_CHUNKS, 2))
+        rows = _drawn_rows(_THREE_CHUNKS, 2, fill)
+    assert sorted(threads[:2]) == sorted([threading.current_thread().name, "cqlab-sampler-1"])
+    assert len(threads) == 3 and helpers_started == ["cqlab-sampler-1"]
+    assert np.array_equal(rows, _drawn_rows(_THREE_CHUNKS, 2))
+
+
+class _Failure(Exception):
+    """What a fill raises on chunk args[0]."""
+
+
+# the first raw output of substream(5, c), for the chunks of 12 * DEFAULT_CHUNK_SIZE rows of width 2
+_CHUNK_OF = {substream(5, c).bit_generator.random_raw(): c for c in range(12)}
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+@pytest.mark.parametrize("on_caller", [False, True], ids=["helper", "caller"])
+def test_a_failing_run_raises_at_its_turn(workers, on_caller):
+    # the fill raises on every chunk the calling thread (or a helper) fills,
+    # and on the last chunk; the first `workers` fills meet at a barrier, so
+    # each thread fills one of them and both kinds of thread fail
+    caller, before = threading.current_thread(), threading.active_count()
+    meet = threading.Barrier(workers, timeout=10)
+    fills, raised = [], {}
+
+    def fill(rng, m):
+        c = _CHUNK_OF[rng.bit_generator.random_raw()]
+        fills.append(c)
+        if len(fills) <= workers:
+            meet.wait()
+        if (threading.current_thread() is caller) == on_caller or c == 11:
+            raised[c] = _Failure(c)
+            raise raised[c]
+        return m
+
+    with sampling_workers(workers), pytest.raises(_Failure) as drawn:
+        draw_chunked(5, 12 * DEFAULT_CHUNK_SIZE, fill, 2)
+    first = min(raised)
+    assert drawn.value is raised[first]
+    assert threading.active_count() == before and _helpers_alive() == []
+
+    def fail_at(rng, m):  # the same failing chunks at one worker
+        c = _CHUNK_OF[rng.bit_generator.random_raw()]
+        if c in raised:
+            raise _Failure(c)
+        return m
+
+    with pytest.raises(_Failure) as inline:
+        draw_chunked(5, 12 * DEFAULT_CHUNK_SIZE, fail_at, 2)
+    assert inline.value.args == (first,)
 
 
 def test_draw_chunked_keeps_few_chunks_in_flight():
@@ -293,8 +349,9 @@ def test_draw_chunked_keeps_few_chunks_in_flight():
         finally:
             tracemalloc.stop()
 
-    peak(1), peak(2)  # first-call allocations out of the way
-    assert peak(2) <= peak(1) + 64 * 1024
+    peak(1), peak(2), peak(8)  # first-call allocations out of the way
+    for workers in (2, 8):
+        assert peak(workers) <= peak(1) + 64 * 1024
 
 
 @pytest.mark.parametrize("width, rows", [(0, DEFAULT_CHUNK_SIZE), (1, DEFAULT_CHUNK_SIZE),
@@ -629,9 +686,14 @@ def test_pool_runs_keep_the_chunk_by_chunk_merge_tree(width, chunks, workers):
     rows = min(DEFAULT_CHUNK_SIZE, gaussian.BLOCK_VALUES // width)
     count = (chunks - 1) * rows + 1
     want = merged(_chunk_name(substream(5, c), 0) for c in range(chunks))
-    with sampling_workers(workers):
-        batch = draw_chunked(5, count, _chunk_name, width)
-        drawn = _drawn_rows(count, width)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so a lost claim or result would show
+    try:
+        with sampling_workers(workers):
+            batch = draw_chunked(5, count, _chunk_name, width)
+            drawn = _drawn_rows(count, width)
+    finally:
+        sys.setswitchinterval(interval)
     assert batch.chunk_count == chunks and batch.partial == want
     assert np.array_equal(drawn, np.concatenate(
         [_normals(substream(5, c), min(rows, count - c * rows)) for c in range(chunks)]))
