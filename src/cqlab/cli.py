@@ -197,7 +197,8 @@ def main(argv=None) -> int:
                         f"(default ${OUT_DIR_ENV} or ./cqlab-out)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="sampling workers; must not change any result")
+                        help="threads that fill sampling chunks, the calling one "
+                        "included; must not change any result")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

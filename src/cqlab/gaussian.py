@@ -271,41 +271,39 @@ def _in_order(func, items: range, workers: int):
         claimed += 1
         return claimed - 1
 
-    def call(i: int, catch) -> None:
-        try:
-            out = None, func(items[i])
-        except catch as exc:
-            out = exc, None
-        with turn:
-            done[i] = out
-            turn.notify_all()
-
-    def helper() -> None:
+    def work(ready, catch) -> None:
+        """Call claimed items on this thread until ready() holds, keeping a
+        call's exception of type `catch` as its result."""
         while True:
             with turn:
-                while (i := claim()) is None:
-                    if stop or claimed == len(items):
-                        return
+                i = None
+                while not ready() and (i := claim()) is None:
                     turn.wait()
-            call(i, BaseException)  # whatever a helper's call raises, the caller raises
+            if i is None:
+                return
+            try:
+                out = None, func(items[i])
+            except catch as exc:
+                out = exc, None
+            with turn:
+                done[i] = out
+                turn.notify_all()
+            del out  # a waiting thread holds no result
 
+    # a helper works until no item is left, keeping whatever a call raises for the caller
+    helper = (lambda: stop or claimed == len(items), BaseException)
     helpers = []
     try:
         for n in range(1, workers):
-            thread = threading.Thread(target=helper, name=f"cqlab-sampler-{n}")
+            thread = threading.Thread(target=work, args=helper, name=f"cqlab-sampler-{n}")
             thread.start()
             helpers.append(thread)
         for head in range(len(items)):
             with turn:
                 turn.notify_all()  # the window moved on
-            while True:
-                with turn:
-                    while head not in done and (i := claim()) is None:
-                        turn.wait()
-                    if head in done:
-                        exc, result = done.pop(head)
-                        break
-                call(i, Exception)
+            work(lambda: head in done, Exception)
+            with turn:
+                exc, result = done.pop(head)
             if exc is not None:
                 raise exc
             yield result
