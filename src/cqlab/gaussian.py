@@ -290,12 +290,15 @@ def _in_order(func, items: range, workers: int):
                 turn.notify_all()
             del out  # a waiting thread holds no result
 
-    # a helper works until no item is left, keeping whatever a call raises for the caller
-    helper = (lambda: stop or claimed == len(items), BaseException)
+    def exhausted() -> bool:
+        return stop or claimed == len(items)
+
     helpers = []
     try:
         for n in range(1, workers):
-            thread = threading.Thread(target=work, args=helper, name=f"cqlab-sampler-{n}")
+            # a helper keeps whatever its calls raise, for the caller to raise
+            thread = threading.Thread(target=work, args=(exhausted, BaseException),
+                                      name=f"cqlab-sampler-{n}")
             thread.start()
             helpers.append(thread)
         for head in range(len(items)):
