@@ -46,6 +46,11 @@ from .functionals import (
     moment_form,
 )
 from .gaussian import (
+    FINITE_QM_TAG,
+    HIGHER_ORDER_TAG,
+    MOMENTS_TAG,
+    OPERATOR_TAG,
+    STATE_TAG,
     GaussianState,
     Moments,
     chebyshev_tail,
@@ -66,20 +71,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def derive_seed(seed: int, index: int) -> int:
     return (seed + index * _SEED_STRIDE) & _MASK64
 
-
-# The reserved stream tags: those of the seeded operator and state builders
-# and of the experiments that draw their own random state, operators or
-# forms.  `draw_chunked` tags chunk c with c, so no chunk index reaches
-# these, and a builder or experiment seed equal to a run seed never reuses a
-# stream of that run's draws.  A tag is a SeedSequence spawn key
-# (`gaussian.substream`): distinct (seed, tag) pairs give distinct SFC64
-# seeds by construction and independent streams with overwhelming
-# probability, which is all a builder's or chunk's own generator needs.
-OPERATOR_TAG = _MASK64
-STATE_TAG = _MASK64 - 1
-FINITE_QM_TAG = _MASK64 - 2
-HIGHER_ORDER_TAG = _MASK64 - 3
-MOMENTS_TAG = _MASK64 - 4
 
 
 # ---------------------------------------------------------------------------

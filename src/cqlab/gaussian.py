@@ -99,6 +99,22 @@ def substream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(entropy))
 
 
+# The reserved stream tags: those of the seeded operator and state builders
+# (`experiments.build_operator`, `build_state`) and of the experiments that
+# draw their own random state, operators or forms.  `draw_chunked` tags chunk
+# c with c, so no chunk index reaches these, and a builder or experiment
+# seed equal to a run seed never reuses a stream of that run's draws.  A tag
+# is a SeedSequence spawn key (`substream`): distinct (seed, tag) pairs give
+# distinct SFC64 seeds by construction and independent streams with
+# overwhelming probability, which is all a builder's or chunk's own
+# generator needs.
+OPERATOR_TAG = 2 ** 64 - 1
+STATE_TAG = 2 ** 64 - 2
+FINITE_QM_TAG = 2 ** 64 - 3
+HIGHER_ORDER_TAG = 2 ** 64 - 4
+MOMENTS_TAG = 2 ** 64 - 5
+
+
 @dataclass(frozen=True)
 class Moments:
     """Count, mean and M2 (the sum of squared deviations from the mean) of

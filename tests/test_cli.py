@@ -23,6 +23,7 @@ from cqlab.cli import emit_plot_data, load_config, main, run
 from cqlab.errors import ConfigError
 from cqlab.experiments import Check, ExperimentConfig, SweepRow
 from cqlab.gaussian import DEFAULT_CHUNK_SIZE
+from golden import regenerate
 from golden.regenerate import CONFIG_DIR, GOLDEN_PATH, SUBCOMMANDS, key, mismatches, record
 
 
@@ -54,6 +55,7 @@ COS_DIM64 = {
 }
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+WIDE_GOLDEN = json.loads(regenerate.WIDE_GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def _check(result: dict, name: str) -> dict:
@@ -729,8 +731,8 @@ def test_shipped_configs_round_trip(path):
 
 # `draw_chunked` keys chunk c by tag c, so an experiment-local stream with a
 # small tag would reread the draws of a chunk of a run on the same seed
-_RESERVED_TAGS = (experiments.OPERATOR_TAG, experiments.STATE_TAG, experiments.FINITE_QM_TAG,
-                  experiments.HIGHER_ORDER_TAG, experiments.MOMENTS_TAG)
+_RESERVED_TAGS = (gaussian.OPERATOR_TAG, gaussian.STATE_TAG, gaussian.FINITE_QM_TAG,
+                  gaussian.HIGHER_ORDER_TAG, gaussian.MOMENTS_TAG)
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
@@ -761,6 +763,23 @@ def test_every_subcommand_runs_every_shipped_config(tmp_path, capsys, monkeypatc
 
 def test_golden_file_covers_exactly_the_shipped_runs():
     assert set(GOLDEN) == {key(s, p) for s in SUBCOMMANDS for p in CONFIG_DIR.glob("*.json")}
+
+
+@pytest.mark.parametrize("subcommand, path", regenerate.wide_runs(),
+                         ids=lambda x: x.stem if isinstance(x, Path) else x)
+def test_wide_layouts_keep_their_golden_values(tmp_path, subcommand, path):
+    # chunks of BLOCK_VALUES // width rows, runs with a short last one and
+    # rank-sized draws: a change that moves these bits at every --threads
+    # shows here, not only in a by-hand comparison with the parent
+    got = regenerate.run(subcommand, path, tmp_path / "o", regenerate.WIDE_OMIT)
+    assert got["exit"] == 0
+    assert not mismatches(WIDE_GOLDEN[regenerate.wide_key(subcommand, path)], got)
+
+
+def test_wide_golden_file_covers_exactly_the_wide_layouts():
+    runs = regenerate.wide_runs()
+    assert {s for s, _ in runs} <= set(SUBCOMMANDS) and len(runs) == 9
+    assert set(WIDE_GOLDEN) == {regenerate.wide_key(s, p) for s, p in runs}
 
 
 def test_null_means_absent_where_allowed(tmp_path):

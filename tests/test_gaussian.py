@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqlab import experiments, gaussian
+from cqlab import gaussian
 from cqlab.correspondence import t_state
 from cqlab.errors import ClassMembershipError, InvalidCovarianceError
 from cqlab.gaussian import (
@@ -174,8 +174,8 @@ def test_substream_seed_is_taken_mod_2_64():
 
 
 def test_substream_first_outputs_are_pairwise_distinct():
-    reserved = (experiments.OPERATOR_TAG, experiments.STATE_TAG, experiments.FINITE_QM_TAG,
-                experiments.HIGHER_ORDER_TAG, experiments.MOMENTS_TAG)
+    reserved = (gaussian.OPERATOR_TAG, gaussian.STATE_TAG, gaussian.FINITE_QM_TAG,
+                gaussian.HIGHER_ORDER_TAG, gaussian.MOMENTS_TAG)
     firsts = [substream(seed, tag).bit_generator.random_raw()
               for seed in (0, 1, 2 ** 32, MASK64) for tag in (*range(1024), *reserved)]
     assert len(set(firsts)) == len(firsts) == 4 * 1029
