@@ -732,7 +732,7 @@ def test_shipped_configs_round_trip(path):
 # `draw_chunked` keys chunk c by tag c, so an experiment-local stream with a
 # small tag would reread the draws of a chunk of a run on the same seed
 _RESERVED_TAGS = (gaussian.OPERATOR_TAG, gaussian.STATE_TAG, gaussian.FINITE_QM_TAG,
-                  gaussian.HIGHER_ORDER_TAG, gaussian.MOMENTS_TAG)
+                  gaussian.HIGHER_ORDER_TAG, gaussian.MOMENTS_TAG, gaussian.SYMMETRY_TAG)
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
@@ -757,7 +757,7 @@ def test_every_subcommand_runs_every_shipped_config(tmp_path, capsys, monkeypatc
     if rc == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert set(tags) <= set(_RESERVED_TAGS), tags
-    assert len(set(_RESERVED_TAGS)) == len(_RESERVED_TAGS) and min(_RESERVED_TAGS) >= 2 ** 64 - 5
+    assert len(set(_RESERVED_TAGS)) == len(_RESERVED_TAGS) and min(_RESERVED_TAGS) >= 2 ** 64 - 6
     assert not mismatches(GOLDEN[key(subcommand, path)], record(rc, err, tmp_path / "o"))
 
 

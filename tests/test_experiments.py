@@ -50,9 +50,11 @@ from cqlab.functionals import (
     double_factorial,
 )
 from cqlab.gaussian import (
+    COPIES,
     DEFAULT_CHUNK_SIZE,
     GaussianState,
     Moments,
+    copy_steps,
     draw_chunked,
     exact_span_coefficients,
     merged,
@@ -84,6 +86,26 @@ def _chunk_merge(values: np.ndarray, rows: int) -> list[tuple[float, float]]:
     chunk of `rows` rows, merged in chunk order."""
     return merged(Moments.of(values[c:c + rows])
                   for c in range(0, values.shape[0], rows)).mean_stderr()
+
+
+def _copies(state, g: Functional) -> int:
+    """How many signed-permutation copies `mc_average` evaluates per white
+    draw of `state`, whose variable pulled back by `whitened` is g: COPIES
+    on a Gaussian state of rank at least 2 * COPIES, else 1."""
+    return COPIES if isinstance(state, GaussianState) and g.dim >= 2 * COPIES else 1
+
+
+def _copy_mean(g: Functional, z: np.ndarray, ratios, seed: int, copies: int) -> np.ndarray:
+    """The per-draw values `mc_average` reduces for the white rows z held at
+    once: g at z and at its copies - 1 copies `z[:, p_j] * s_j`, each built
+    from the one before, summed in copy order and divided by the count."""
+    values = g.eval_batch(z, ratios)
+    if copies == 1:
+        return values
+    for p, signs in copy_steps(seed, g.dim):
+        z = z[:, p] * signs
+        values += g.eval_batch(z, ratios)
+    return values / copies
 
 
 # a worker holds at most four arrays of BLOCK_VALUES doubles, whatever the sample count
@@ -233,11 +255,14 @@ def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
     ratios = [1.0, 0.3, 1e-3]
     for f in (CosQuadMinusOne(a),
               EvenPolynomial({4: SymmetricForm.from_quadratic_power(np.eye(dim), 2, 1.0)})):
-        # the reference: the draws the state hands over, held at once, with
-        # one worker, and evaluated by the variable it hands back
+        # the reference: the ceil(count / copies) draws the state hands
+        # over, held at once, with one worker, and evaluated by the variable
+        # it hands back, as the mean of their copies at rank 16 and 40
         g, draw = state.whitened(f)
-        x = _drawn_rows(21, count, draw, g.dim)
-        expected = _chunk_merge(g.eval_batch(x, ratios), _chunk_rows(g.dim))
+        copies = _copies(state, g)
+        assert copies == (COPIES if state_name.startswith("gaussian") else 1)
+        x = _drawn_rows(21, -(-count // copies), draw, g.dim)
+        expected = _chunk_merge(_copy_mean(g, x, ratios, 21, copies), _chunk_rows(g.dim))
         with sampling_workers(workers):
             # the default call is the one pair of ratio 1.0, and pair i of a
             # k-ratio call is the one-ratio call at r_i
@@ -338,20 +363,59 @@ def _dim64_cos_sweep():
 @pytest.mark.parametrize("count", [65_536, 3 * 4096 + 17, 4096 + 1025, 2 * 4096 + 1,
                                    65_536 + 3 * 512 + 17])
 def test_blocked_mc_average_matches_one_eval_batch_per_chunk(count, workers):
-    # at dim 64 chunk c is the BLOCK_VALUES // 64 = 512 rows drawn from
-    # substream(seed, c), the last one shorter; the reference evaluates each
-    # chunk in one call, with one worker and no draw_chunked.  Chunks are
-    # filled in runs of 8, and every count but 65,536 leaves a short last
-    # run: 1, 3, 1 and 4 chunks
+    # at rank 64 each white draw is evaluated as COPIES copies, so count
+    # evaluations take ceil(count / COPIES) draws; chunk c is the
+    # BLOCK_VALUES // 64 = 512 draws from substream(seed, c), the last one
+    # shorter, and the reference evaluates each chunk's copy mean in one
+    # call per copy, with one worker and no draw_chunked.  Chunks are filled
+    # in runs of 8, and every count but 65,536 leaves a short last run: 7,
+    # 3, 5 and 1 chunks
     f, state, ratios = _dim64_cos_sweep()
     g, draw = state.whitened(f)
     rows = gaussian.BLOCK_VALUES // g.dim
     assert rows == _chunk_rows(g.dim) < DEFAULT_CHUNK_SIZE
-    values = np.concatenate([g.eval_batch(draw(substream(7, c // rows), min(rows, count - c)),
-                                          ratios) for c in range(0, count, rows)])
+    draws = -(-count // COPIES)
+    values = np.concatenate([_copy_mean(g, draw(substream(7, c // rows), min(rows, draws - c)),
+                                        ratios, 7, COPIES) for c in range(0, draws, rows)])
     expected = _chunk_merge(values, rows)
     with sampling_workers(workers):
         assert mc_average(f, state, count, 7, ratios) == expected
+
+
+def test_rank_7_mc_average_keeps_one_evaluation_per_draw():
+    # below rank 2 * COPIES each draw is evaluated once, as before the
+    # copies: one eval_batch per chunk of count draws, and the values the
+    # parent commit gave (pinned to the golden files' 1e-12 relative)
+    state = build_state({"shape": "random", "seed": 5}, 7, 0.2)
+    f = CosQuadMinusOne(symmetric_from_entries(substream(3, 0).standard_normal((7, 7))))
+    count, ratios = 3 * 4096 + 17, [1.0, 0.1]
+    g, draw = state.whitened(f)
+    assert g.dim == 7 == 2 * COPIES - 1
+    got = mc_average(f, state, count, 19, ratios)
+    assert got == _chunk_merge(g.eval_batch(_drawn_rows(19, count, draw, 7), ratios),
+                               _chunk_rows(7))
+    pinned = [(-0.03611039654925846, 0.0008159076500705877),
+              (-0.0003824652726687248, 1.0211722090922205e-05)]
+    assert np.allclose(got, pinned, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim, kind, draws", [
+    (8, "gaussian", 1025), (7, "gaussian", 4097), (64, "rank1", 4097), (8, "laplace", 4097)])
+def test_mc_average_draws_a_quarter_of_the_count_at_rank_8(monkeypatch, dim, kind, draws):
+    # mc_samples counts evaluations: a Gaussian state of rank >= 8 draws
+    # ceil(N / COPIES) white rows; a lower rank or a non-Gaussian state draws N
+    states = {"gaussian": lambda: build_state({"shape": "random", "seed": 5}, dim, 0.2),
+              "rank1": lambda: pure_state_measure(np.ones(dim), 0.2),
+              "laplace": lambda: SecondMomentState.product_laplace(np.full(dim, 0.1))}
+    counts = []
+
+    def spy(seed, count, fill, width):
+        counts.append(count)
+        return draw_chunked(seed, count, fill, width)
+
+    monkeypatch.setattr(gaussian, "draw_chunked", spy)
+    mc_average(Quadratic(np.eye(dim)), states[kind](), 4097, 3)
+    assert counts == [draws]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -569,13 +633,15 @@ def test_sweep_rows_share_one_rescaled_draw(family, workers):
                            mc_samples=3 * 4096 + 17, seed=23)
     f = experiments.build_functional(cfg.functional_spec, cfg.dim)
     first = build_state(cfg.state_spec, cfg.dim, cfg.alpha_grid[0])
-    # the reference: the white draws of the first state held at once, with
-    # one worker, and evaluated by f pulled back through its active factor
-    # at every grid ratio alpha_i / alpha_0 in one call
+    # the reference: the ceil(N / COPIES) white draws of the first state
+    # (rank 16) held at once, with one worker, and evaluated by f pulled
+    # back through its active factor, as the mean of their copies, at every
+    # grid ratio alpha_i / alpha_0 in one call per copy
     rank = first.active_factor.shape[1]
-    z = _drawn_rows(cfg.seed, cfg.mc_samples, first.white, rank)
-    expected = _chunk_merge(f.pullback(first.active_factor).eval_batch(
-        z, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid]), _chunk_rows(rank))
+    z = _drawn_rows(cfg.seed, -(-cfg.mc_samples // COPIES), first.white, rank)
+    expected = _chunk_merge(_copy_mean(
+        f.pullback(first.active_factor), z, [alpha / cfg.alpha_grid[0] for alpha in cfg.alpha_grid],
+        cfg.seed, COPIES), _chunk_rows(rank))
     with sampling_workers(workers):
         rows = alpha_sweep(cfg)["rows"]
         # row 0 is what the sweep computed before the draw was shared

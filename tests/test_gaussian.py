@@ -17,10 +17,12 @@ from cqlab import gaussian
 from cqlab.correspondence import t_state
 from cqlab.errors import ClassMembershipError, InvalidCovarianceError
 from cqlab.gaussian import (
+    COPIES,
     DEFAULT_CHUNK_SIZE,
     GaussianState,
     Moments,
     chebyshev_tail,
+    copy_steps,
     draw_chunked,
     exact_span_coefficients,
     merged,
@@ -175,10 +177,29 @@ def test_substream_seed_is_taken_mod_2_64():
 
 def test_substream_first_outputs_are_pairwise_distinct():
     reserved = (gaussian.OPERATOR_TAG, gaussian.STATE_TAG, gaussian.FINITE_QM_TAG,
-                gaussian.HIGHER_ORDER_TAG, gaussian.MOMENTS_TAG)
+                gaussian.HIGHER_ORDER_TAG, gaussian.MOMENTS_TAG, gaussian.SYMMETRY_TAG)
     firsts = [substream(seed, tag).bit_generator.random_raw()
               for seed in (0, 1, 2 ** 32, MASK64) for tag in (*range(1024), *reserved)]
-    assert len(set(firsts)) == len(firsts) == 4 * 1029
+    assert len(set(firsts)) == len(firsts) == 4 * 1030
+
+
+# sha256 of the copy steps of (seed 1, rank 64), as CI prints it: the
+# permutations as little-endian int64, then the signs as float64, step by step
+COPY_STEPS_SHA256 = "7c226c687d35d2f79c8ca9681725be10847f7b55ff7a4d5b796e1717b3ca4025"
+
+
+def test_copy_steps_are_signed_permutations_of_the_seed_and_rank():
+    steps = copy_steps(1, 64)
+    assert len(steps) == COPIES - 1
+    for p, signs in steps:
+        assert sorted(p.tolist()) == list(range(64))
+        assert signs.dtype == np.float64 and set(np.abs(signs).tolist()) == {1.0}
+    raw = b"".join(p.astype("<i8").tobytes() + s.astype("<f8").tobytes() for p, s in steps)
+    assert hashlib.sha256(raw).hexdigest() == COPY_STEPS_SHA256
+    # drawn from the seed's SYMMETRY_TAG stream alone
+    rng = substream(1, gaussian.SYMMETRY_TAG)
+    assert np.array_equal(steps[0][0], rng.permutation(64))
+    assert not np.array_equal(copy_steps(2, 64)[0][0], steps[0][0])
 
 
 def _helpers_alive() -> list[str]:
