@@ -525,9 +525,10 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     correlated the stderr is near that of n_samples draws, for about half
     the time; a variable invariant under every signed permutation (A = I on
     an isotropic state) has equal copies and gets twice the stderr of
-    n_samples draws in about half the time.  A chunk builds each copy from
-    the one before, so it holds two (m, r) arrays of normals at most.  At
-    a lower rank, and on any other state, each draw is evaluated once.
+    n_samples draws in about half the time.  A stderr needs two draws, so
+    n_samples must exceed COPIES there.  A chunk builds each copy from the
+    one before, so it holds two (m, r) arrays of normals at most.  At a
+    lower rank, and on any other state, each draw is evaluated once.
     """
     g, draw = state.whitened(f)
     copies = COPIES if isinstance(state, GaussianState) and g.dim >= 2 * COPIES else 1

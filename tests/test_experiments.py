@@ -215,9 +215,14 @@ def test_mc_average_of_a_zero_state_is_zero():
 
 
 def test_one_sample_has_no_stderr():
-    # Moments.mean_stderr divides by count - 1, so every caller refuses one sample
+    # Moments.mean_stderr divides by count - 1, so every caller refuses one
+    # sample; at rank 2 * COPIES, COPIES evaluations are one draw
     with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
         mc_average(Quadratic(np.eye(2)), GaussianState(np.eye(2)), 1, seed=3)
+    rank8 = GaussianState(np.eye(2 * COPIES))
+    with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
+        mc_average(Quadratic(np.eye(2 * COPIES)), rank8, COPIES, seed=3)
+    assert len(mc_average(Quadratic(np.eye(2 * COPIES)), rank8, COPIES + 1, seed=3)) == 1
     with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
         pure_state_experiment(np.array([0.6, 0.8]), 0.1, np.eye(2), 1, 3)
 
