@@ -72,7 +72,6 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed + index * _SEED_STRIDE) & _MASK64
 
 
-
 # ---------------------------------------------------------------------------
 # configuration
 

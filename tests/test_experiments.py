@@ -88,13 +88,6 @@ def _chunk_merge(values: np.ndarray, rows: int) -> list[tuple[float, float]]:
                   for c in range(0, values.shape[0], rows)).mean_stderr()
 
 
-def _copies(state, g: Functional) -> int:
-    """How many signed-permutation copies `mc_average` evaluates per white
-    draw of `state`, whose variable pulled back by `whitened` is g: COPIES
-    on a Gaussian state of rank at least 2 * COPIES, else 1."""
-    return COPIES if isinstance(state, GaussianState) and g.dim >= 2 * COPIES else 1
-
-
 def _copy_mean(g: Functional, z: np.ndarray, ratios, seed: int, copies: int) -> np.ndarray:
     """The per-draw values `mc_average` reduces for the white rows z held at
     once: g at z and at its copies - 1 copies `z[:, p_j] * s_j`, each built
@@ -264,8 +257,7 @@ def test_mc_average_streams_the_same_bits_as_a_full_batch(state_name, workers):
         # over, held at once, with one worker, and evaluated by the variable
         # it hands back, as the mean of their copies at rank 16 and 40
         g, draw = state.whitened(f)
-        copies = _copies(state, g)
-        assert copies == (COPIES if state_name.startswith("gaussian") else 1)
+        copies = COPIES if state_name.startswith("gaussian") else 1
         x = _drawn_rows(21, -(-count // copies), draw, g.dim)
         expected = _chunk_merge(_copy_mean(g, x, ratios, 21, copies), _chunk_rows(g.dim))
         with sampling_workers(workers):
@@ -388,9 +380,9 @@ def test_blocked_mc_average_matches_one_eval_batch_per_chunk(count, workers):
 
 
 def test_rank_7_mc_average_keeps_one_evaluation_per_draw():
-    # below rank 2 * COPIES each draw is evaluated once, as before the
-    # copies: one eval_batch per chunk of count draws, and the values the
-    # parent commit gave (pinned to the golden files' 1e-12 relative)
+    # below rank 2 * COPIES each draw is evaluated once: one eval_batch per
+    # chunk of count draws, and the values of the one-evaluation estimator
+    # from before the copies (pinned to the golden files' 1e-12 relative)
     state = build_state({"shape": "random", "seed": 5}, 7, 0.2)
     f = CosQuadMinusOne(symmetric_from_entries(substream(3, 0).standard_normal((7, 7))))
     count, ratios = 3 * 4096 + 17, [1.0, 0.1]
