@@ -34,8 +34,6 @@ from .correspondence import (
 )
 from .errors import ClassMembershipError, ConfigError
 from .functionals import (
-    MAX_DENSE_ORDER,
-    MAX_DENSE_SIZE,
     CosQuadMinusOne,
     EvenPolynomial,
     Functional,
@@ -44,6 +42,7 @@ from .functionals import (
     SymmetricForm,
     amplify,
     moment_form,
+    require_dense_size,
 )
 from .gaussian import (
     FINITE_QM_TAG,
@@ -717,11 +716,7 @@ def moments_check(cfg: ExperimentConfig) -> dict:
     checked exactly.
     """
     k = cfg.order
-    if 2 * k > MAX_DENSE_ORDER:
-        raise ConfigError(f"moments-check supports orders 2k <= {MAX_DENSE_ORDER}, got k={k}")
-    if cfg.dim ** (2 * k) > MAX_DENSE_SIZE:
-        raise ConfigError(f"moments-check at order {2 * k} and dim {cfg.dim} needs a dense "
-                          f"tensor of more than {MAX_DENSE_SIZE} entries")
+    require_dense_size(2 * k, cfg.dim)
     shape = cfg.state_spec.get("shape", "isotropic")
     rho = build_state(cfg.state_spec, cfg.dim, float(cfg.dim))
     d = rho.covariance

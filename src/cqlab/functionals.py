@@ -69,7 +69,7 @@ def perfect_matchings(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rec(tuple(range(2 * k))))
 
 
-def _require_dense_size(order: int, dim: int) -> None:
+def require_dense_size(order: int, dim: int) -> None:
     """Raise SizeError unless a dense tensor of this order on R^dim is within
     both dense caps."""
     if order > MAX_DENSE_ORDER:
@@ -161,7 +161,7 @@ class SymmetricForm:
         dims = set(t.shape)
         if len(dims) != 1:
             raise DimensionMismatchError(f"tensor axes disagree: shape {t.shape}")
-        _require_dense_size(t.ndim, t.shape[0])
+        require_dense_size(t.ndim, t.shape[0])
         if t.ndim == 2:
             return cls.from_matrix(t)
         return cls("dense", t.ndim, t.shape[0], tensor=symmetrize_tensor(t))
@@ -269,7 +269,7 @@ class SymmetricForm:
         """The form as a dense tensor.  A pairing form's is
         coeff (2m-1)!! sym(M^(x)m), its sum over matchings; calling the form
         sums the matchings themselves, so the two check each other."""
-        _require_dense_size(self.order, self.dim)
+        require_dense_size(self.order, self.dim)
         if self.kind == "zero":
             return np.zeros((self.dim,) * self.order)
         if self.kind == "dense":

@@ -14,9 +14,9 @@ partial as it is drawn, the (count, mean, M2) of each value column
 binary-counter stack, so no caller holds a draw or a per-sample value, and
 a statistic of k columns over `chunks` chunks holds
 O(k * log chunks + workers * BLOCK_VALUES) doubles whatever the sample count.
-Chunks are filled in aligned runs, each a subtree of that merge, inline at
-one worker; at n workers the calling thread and n - 1 helper threads, which
-the call starts and joins, each take the next unfilled run.
+Chunks are filled inline at one worker; at n workers the calling thread and
+n - 1 helper threads, which the call starts and joins, each take the next
+unfilled chunk.
 The number of threads that fill chunks is a resource, not an input:
 `sampling_workers(n)` alone sets it, and it moves no result bit.
 A Gaussian draw is F_a z with z ~ N(0, I_rank), a law that every signed
@@ -34,7 +34,6 @@ import contextvars
 import ctypes
 import functools
 import glob
-import itertools
 import math
 import os
 import threading
@@ -226,22 +225,14 @@ def _merge(a, b):
 
 def merged(partials):
     """The chunk-order merge of `partials` as a binary counter adds them:
-    each partial is merged with the run of equal-size merges before it, and
-    the runs left at the end are merged from the last one back.  So at most
-    log2(n) + 1 partials are held, every merge takes an earlier partial on
-    its left, and the tree depends on the partial count alone.  A partial is
-    anything `+` merges, or a tuple of such, merged entrywise."""
-    return _merged_runs(zip(itertools.repeat(1), partials))
-
-
-def _merged_runs(runs):
-    """`merged` of the chunks behind (k, partial) pairs, each the merge of
-    a run of k consecutive chunks: a run of 2^j chunks that starts at a
-    multiple of 2^j, or the last run of fewer, which no size on the stack
-    equals.  So each run takes the place of its subtree, and the tree and
-    its bits are those of `merged` over the chunks one by one."""
-    stack = []  # (chunks merged, partial), sizes strictly decreasing
-    for size, partial in runs:
+    each partial is merged with each merge before it of as many partials,
+    and the merges left at the end are merged from the last one back.  So
+    at most log2(n) + 1 partials are held, every merge takes an earlier
+    partial on its left, and the tree depends on the partial count alone.
+    A partial is anything `+` merges, or a tuple of such, merged entrywise."""
+    stack = []  # (partials merged, partial), sizes strictly decreasing
+    for partial in partials:
+        size = 1
         while stack and stack[-1][0] == size:
             partial = _merge(stack.pop()[1], partial)
             size *= 2
@@ -262,29 +253,22 @@ def draw_chunked(seed: int, count: int, fill, width: int) -> SampleBatch:
     `[rows]` fill keeps its rows in chunk order) or a tuple of these.
     Chunk c is one `fill` call on the SFC64 stream `substream(seed, c)`, so
     its values depend on (seed, c) and its row count alone, never on how a
-    fill might split it.  The chunks are filled in aligned runs of 2^j
-    chunks, 2^j the largest power of two with 2^j * rows <= DEFAULT_CHUNK_SIZE,
-    so a run covers more than half of DEFAULT_CHUNK_SIZE rows at every
-    width.  A run is the `merged` partial of its chunks, a subtree of the
-    chunk-order merge, and `_merged_runs` continues that merge with the runs
-    in chunk order, so a call holds O(log chunks) partials and the result is
-    independent of `sampling_workers` and of scheduling order.  One worker
-    fills the runs inline; at n workers the calling thread and n - 1 helper
-    threads each take the next unfilled run (`_in_order`).
+    fill might split it.  The partials are merged in chunk order as they
+    come (`merged`), so a call holds O(log chunks) partials and the result
+    is independent of `sampling_workers` and of scheduling order.  One
+    worker fills the chunks inline; at n workers the calling thread and
+    n - 1 helper threads each take the next unfilled chunk (`_in_order`).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     size = min(DEFAULT_CHUNK_SIZE, max(1, BLOCK_VALUES // max(width, 1)))
     n_chunks = (count + size - 1) // size
-    run = 1 << ((DEFAULT_CHUNK_SIZE // size).bit_length() - 1)
 
-    def fill_run(start: int) -> tuple:
-        chunks = range(start, min(start + run, n_chunks))
-        return len(chunks), merged(fill(substream(seed, c), min(size, count - c * size))
-                                   for c in chunks)
+    def fill_chunk(c: int):
+        return fill(substream(seed, c), min(size, count - c * size))
 
-    with contextlib.closing(_in_order(fill_run, range(0, n_chunks, run), _WORKERS.get())) as runs:
-        return SampleBatch(count, n_chunks, _merged_runs(runs))
+    with contextlib.closing(_in_order(fill_chunk, range(n_chunks), _WORKERS.get())) as parts:
+        return SampleBatch(count, n_chunks, merged(parts))
 
 
 def _in_order(func, items: range, workers: int):
@@ -397,8 +381,8 @@ def _blas_thread_control():
 def sampling_workers(n: int):
     """Fill `draw_chunked` chunks with n threads inside the block (1 outside
     any block), the calling thread included: each call at n > 1 starts
-    n - 1 helper threads, at most one per run, and joins them before it
-    returns.  Hold BLAS to one thread while n > 1.
+    n - 1 helper threads, fewer when it has fewer than n chunks, and joins
+    them before it returns.  Hold BLAS to one thread while n > 1.
 
     A worker's per-chunk GEMM is large enough for OpenBLAS to start its own
     thread pool, so several workers plus their BLAS threads would contend

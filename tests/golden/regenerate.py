@@ -2,10 +2,10 @@
 `configs/*.json`, and of the wide layouts, the subcommand `<name>` on each
 `wide/<name>/*.json`: all run in process at --threads 1.
 
-The shipped configs run at dims 1-4, where a chunk is 4096 rows and a run
-one chunk.  The wide configs (dims 16-64, full rank, rank 1 and rank 32)
-reach the paths the shipped ones do not: chunks of BLOCK_VALUES // width
-rows, runs of several chunks with a short last one, and rank-sized draws.
+The shipped configs run at dims 1-4, where a chunk is 4096 rows.  The
+wide configs (dims 16-64, full rank, rank 1 and rank 32) reach the paths
+the shipped ones do not: chunks of BLOCK_VALUES // width rows, a short
+last chunk, and rank-sized draws.
 `wide/README.md` says what each one covers.
 
 `record` reduces one run to what `shipped.json` or `wide.json` pins: its

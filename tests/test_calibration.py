@@ -3,15 +3,18 @@ the standardized errors z = (mean - exact) / stderr of `mc_average` must
 follow N(0, 1) (simulation-based calibration: Cook, Gelman & Rubin 2006;
 Talts et al. 2018, arXiv:1804.06788).
 
-Each case is a variable, a Gaussian state and its exact averages, at a rank
-below 2 * COPIES (each draw evaluated once) and at or above it (each draw
-evaluated as COPIES signed-permutation copies): the sweep rows (sin, cos,
-quadratic) at two dispersion ratios, the `moments-check` statistic (the
-one-term polynomial of a dense order-4 form) and the `higher-order` overlay
-(a quadratic + quartic polynomial).  The quadratic of A = I on an isotropic
-dim-8 state is invariant under every signed permutation, so there its
-copies are equal: a stderr that counted each copy as a draw would be half
-the true one.
+Each case is a variable, a state and its exact averages.  On a Gaussian
+state the cases sit at a rank below 2 * COPIES (each draw evaluated once)
+and at or above it (each draw evaluated as COPIES signed-permutation
+copies): the sweep rows (sin, cos, quadratic) at two dispersion ratios, the
+`moments-check` statistic (the one-term polynomial of a dense order-4 form)
+and the `higher-order` overlay (a quadratic + quartic polynomial).  The
+quadratic of A = I on an isotropic dim-8 state is invariant under every
+signed permutation, so there its copies are equal: a stderr that counted
+each copy as a draw would be half the true one.  The `nongaussian` states
+(product-Laplace and uniform-sphere draws, each evaluated once) take a
+quadratic and quartics (M psi, psi)^2, whose exact averages are written
+out below, since `closed_form` is the Gaussian one.
 
 The seeds, sample count and band below were fixed before any result was
 seen.  A case that fails is a finding about the estimator: never re-seed,
@@ -27,9 +30,11 @@ import math
 import numpy as np
 import pytest
 
-from cqlab.experiments import build_functional, build_state
+from cqlab.experiments import build_functional, build_second_moment_state, build_state
 from cqlab.functionals import EvenPolynomial, Quadratic, SymmetricForm
-from cqlab.gaussian import COPIES, Moments, copy_steps, draw_chunked, mc_average, substream
+from cqlab.gaussian import (COPIES, GaussianState, Moments, copy_steps, draw_chunked,
+                            mc_average, substream)
+from cqlab.hilbert import trace_product
 
 SEEDS = range(1000, 1200)
 SAMPLES = 2048  # evaluations per run: 512 draws of COPIES copies at rank >= 2 * COPIES
@@ -56,26 +61,61 @@ def _operator(seed: int) -> dict:
     return {"random": {"seed": seed}}
 
 
+def _gaussian_case(f, state: GaussianState, ratios):
+    return f, state, ratios, f.closed_form(state, ratios)
+
+
 def _sweep_case(family: str, dim: int):
     f = build_functional({"family": family, "operator": _operator(3)}, dim)
-    return f, build_state({"shape": "random", "seed": 5}, dim, 0.3), (1.0, 0.1)
+    return _gaussian_case(f, build_state({"shape": "random", "seed": 5}, dim, 0.3), (1.0, 0.1))
 
 
 def _moments_case(dim: int):
     # moments-check: the state has trace dim, the form standard normal entries
     form = SymmetricForm.from_dense(substream(7, 0).standard_normal((dim,) * 4))
-    return EvenPolynomial({4: form}), build_state({"shape": "random", "seed": 5}, dim, dim), (1.0,)
+    return _gaussian_case(EvenPolynomial({4: form}),
+                          build_state({"shape": "random", "seed": 5}, dim, dim), (1.0,))
 
 
 def _overlay_case(dim: int):
     f = build_functional({"family": "even-polynomial", "quadratic": _operator(4),
                           "quartic": {"operator": _operator(6), "coeff": 0.5}}, dim)
-    return f, build_state({"shape": "random", "seed": 5}, dim, 0.1), (1.0,)
+    return _gaussian_case(f, build_state({"shape": "random", "seed": 5}, dim, 0.1), (1.0,))
 
 
-# name: () -> (variable, Gaussian state, dispersion ratios)
+# the `nongaussian` states of the calibration: dim 4 at dispersion 0.1
+NONGAUSSIAN_DIM, NONGAUSSIAN_ALPHA = 4, 0.1
+
+
+def _nongaussian_case(sampler: str, term: str, operator):
+    """A quadratic (A psi, psi) or quartic (M psi, psi)^2 of `operator`, the
+    identity or a random one, on a `nongaussian` state, with its exact
+    average.  The quadratic's is Tr BA on any state of covariance B.  On
+    independent Laplace coordinates of variances v_i, the quartic's adds to
+    the Gaussian 2 Tr BMBM + (Tr BM)^2 each coordinate's fourth cumulant,
+    3 v_i^2, times M_ii^2.  On the sphere of radius R in R^d it is
+    R^4 (2 Tr M^2 + (Tr M)^2) / (d (d + 2))."""
+    state = build_second_moment_state({"sampler": sampler}, NONGAUSSIAN_DIM, NONGAUSSIAN_ALPHA)
+    b = state.covariance
+    if term == "quadratic":
+        f = build_functional({"family": "quadratic", "operator": operator}, state.dim)
+        return f, state, (1.0,), [trace_product(b, f.operator)]
+    m = build_functional({"family": "quadratic", "operator": operator}, state.dim).operator
+    f = build_functional({"family": "even-polynomial", "quartic": {"operator": operator}},
+                         state.dim)
+    if sampler == "product-laplace":
+        bm = b @ m
+        exact = (2.0 * np.trace(bm @ bm) + np.trace(bm) ** 2
+                 + np.sum(3.0 * np.diag(b) ** 2 * np.diag(m) ** 2))
+    else:
+        d = state.dim
+        exact = NONGAUSSIAN_ALPHA ** 2 * (2.0 * np.trace(m @ m) + np.trace(m) ** 2) / (d * (d + 2))
+    return f, state, (1.0,), [float(exact)]
+
+
+# name: () -> (variable, state, dispersion ratios, exact averages)
 CASES = {
-    "quadratic-identity-isotropic-dim8": lambda: (
+    "quadratic-identity-isotropic-dim8": lambda: _gaussian_case(
         Quadratic(np.eye(8)), build_state({"shape": "isotropic"}, 8, 0.3), (1.0,)),
     **{f"{family}-rank{dim}": functools.partial(_sweep_case, family, dim)
        for family in ("sin-quad", "cos-quad-minus-one", "quadratic") for dim in (4, 16)},
@@ -83,6 +123,16 @@ CASES = {
     "moments-check-rank8": functools.partial(_moments_case, 8),
     "higher-order-overlay-rank4": functools.partial(_overlay_case, 4),
     "higher-order-overlay-rank12": functools.partial(_overlay_case, 12),
+    "product-laplace-quadratic": functools.partial(
+        _nongaussian_case, "product-laplace", "quadratic", _operator(3)),
+    "product-laplace-quartic-identity": functools.partial(
+        _nongaussian_case, "product-laplace", "quartic", "identity"),
+    "product-laplace-quartic": functools.partial(
+        _nongaussian_case, "product-laplace", "quartic", _operator(6)),
+    "uniform-sphere-quadratic": functools.partial(
+        _nongaussian_case, "uniform-sphere", "quadratic", _operator(3)),
+    "uniform-sphere-quartic": functools.partial(
+        _nongaussian_case, "uniform-sphere", "quartic", _operator(6)),
 }
 
 
@@ -114,8 +164,7 @@ def _scaled_stderr(factor: float):
 
 @functools.cache
 def _case(name: str):
-    f, state, ratios = CASES[name]()
-    return f, state, ratios, f.closed_form(state, ratios)
+    return CASES[name]()
 
 
 @functools.cache
@@ -160,9 +209,14 @@ def test_sd_band_holds_sd_1_and_rejects_a_stderr_off_by_half():
 
 
 def test_cases_span_both_estimators():
-    ranks = {name: case()[1].active_factor.shape[1] for name, case in CASES.items()}
+    states = {name: _case(name)[1] for name in CASES}
+    ranks = {name: state.active_factor.shape[1] for name, state in states.items()
+             if isinstance(state, GaussianState)}
     assert min(ranks.values()) < 2 * COPIES <= max(ranks.values())
     assert ranks["quadratic-identity-isotropic-dim8"] == 2 * COPIES
+    # the non-Gaussian states, whose draws are each evaluated once
+    assert {state.kind for name, state in states.items() if name not in ranks} == {
+        "product-laplace", "uniform-sphere-radius"}
 
 
 @pytest.mark.parametrize("name", list(CASES))

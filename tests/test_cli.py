@@ -146,6 +146,20 @@ def test_moments_check_run(tmp_path):
     assert _check(result, "moment")["passed"] is True
 
 
+@pytest.mark.parametrize("dim, order, message", [
+    (2, 4, "dense forms are capped at order 6"),
+    (64, 3, "dense tensor of order 6 at dim 64 is too large"),
+])
+def test_moments_check_refuses_a_dense_tensor_past_the_caps(tmp_path, capsys, dim, order,
+                                                            message):
+    # order k draws a dense tensor of order 2k on R^dim
+    cfg = dict(MINIMAL, dim=dim, order=order)
+    rc = main(["moments-check", "--config", str(_write(tmp_path, cfg)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_pure_state_rejects_nonunit_vector(tmp_path):
     cfg = {
         "dim": 2,
@@ -340,7 +354,7 @@ def _refuse_eigh(matrix):
 ], ids=["thread-start", "numerical-error"])
 def test_runtime_errors_are_one_line_errors(tmp_path, capsys, monkeypatch, target, name,
                                             replacement, threads):
-    # MINIMAL draws 3 runs of one chunk, so 3 threads start 2 helpers
+    # MINIMAL draws 3 chunks, so 3 threads start 2 helpers
     monkeypatch.setattr(target, name, replacement)
     assert main(["moments-check", "--config", str(_write(tmp_path, MINIMAL)),
                  "--out", str(tmp_path / "o"), "--threads", threads]) == 1
@@ -735,28 +749,58 @@ _RESERVED_TAGS = (gaussian.OPERATOR_TAG, gaussian.STATE_TAG, gaussian.FINITE_QM_
                   gaussian.HIGHER_ORDER_TAG, gaussian.MOMENTS_TAG, gaussian.SYMMETRY_TAG)
 
 
+def _spy_stream_tags(monkeypatch) -> list:
+    """Record the tag of every stream that `experiments` and `gaussian` open,
+    in order, and check at each `draw_chunked` return that the call opened
+    one stream per chunk, tags 0 to its chunk count - 1 in chunk order,
+    besides reserved ones; a stream opened outside any `draw_chunked` call
+    is recorded with a chunk count of 0.  Returns the list of (tag, chunk
+    count of the call that opened it).  One sampling worker only: the check
+    reads the tags in call order."""
+    substream, draw_chunked = gaussian.substream, gaussian.draw_chunked
+    tags = []
+
+    def spy(seed, tag):
+        tags.append((tag, 0))
+        return substream(seed, tag)
+
+    def chunked(*args, **kwargs):
+        start = len(tags)
+        batch = draw_chunked(*args, **kwargs)
+        opened = [t for t, _ in tags[start:]]
+        assert [t for t in opened if t not in _RESERVED_TAGS] == list(range(batch.chunk_count))
+        tags[start:] = [(t, batch.chunk_count) for t in opened]
+        return batch
+
+    for module in (experiments, gaussian):
+        monkeypatch.setattr(module, "substream", spy)
+        monkeypatch.setattr(module, "draw_chunked", chunked)
+    return tags
+
+
+def _stray_tags(tags: list) -> list:
+    """The tags that are neither reserved nor a chunk index below the chunk
+    count of the `draw_chunked` call that opened them."""
+    return [t for t, chunks in tags if t not in _RESERVED_TAGS and not 0 <= t < chunks]
+
+
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_every_subcommand_runs_every_shipped_config(tmp_path, capsys, monkeypatch, path,
                                                     subcommand):
     # a shipped config either passes under a subcommand or does not apply to
     # it; a failed gate (exit 2) here is a defect of the program.  Every
-    # stream an experiment opens itself has a reserved tag, and the run
-    # leaves the exit code, error line and table values of tests/golden.
-    tags = []
-
-    def spy(seed, tag):
-        tags.append(tag)
-        return gaussian.substream(seed, tag)
-
-    monkeypatch.setattr(experiments, "substream", spy)
+    # stream the run opens is a chunk of a draw or has a reserved tag, and
+    # the run leaves the exit code, error line and table values of
+    # tests/golden.
+    tags = _spy_stream_tags(monkeypatch)
     rc = main([subcommand, "--config", str(path), "--out", str(tmp_path / "o"),
                "--threads", "1"])
     err = capsys.readouterr().err
     assert rc in (0, 1), err
     if rc == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert set(tags) <= set(_RESERVED_TAGS), tags
+    assert not _stray_tags(tags), tags
     assert len(set(_RESERVED_TAGS)) == len(_RESERVED_TAGS) and min(_RESERVED_TAGS) >= 2 ** 64 - 6
     assert not mismatches(GOLDEN[key(subcommand, path)], record(rc, err, tmp_path / "o"))
 
@@ -767,12 +811,17 @@ def test_golden_file_covers_exactly_the_shipped_runs():
 
 @pytest.mark.parametrize("subcommand, path", regenerate.wide_runs(),
                          ids=lambda x: x.stem if isinstance(x, Path) else x)
-def test_wide_layouts_keep_their_golden_values(tmp_path, subcommand, path):
-    # chunks of BLOCK_VALUES // width rows, runs with a short last one and
-    # rank-sized draws: a change that moves these bits at every --threads
-    # shows here, not only in a by-hand comparison with the parent
+def test_wide_layouts_keep_their_golden_values(tmp_path, monkeypatch, subcommand, path):
+    # chunks of BLOCK_VALUES // width rows, a short last chunk and rank-sized
+    # draws: a change that moves these bits at every --threads shows here,
+    # not only in a by-hand comparison with the parent.  The dim-64 cos
+    # sweep is at rank 64, so it draws its copy steps from SYMMETRY_TAG.
+    tags = _spy_stream_tags(monkeypatch)
     got = regenerate.run(subcommand, path, tmp_path / "o", regenerate.WIDE_OMIT)
     assert got["exit"] == 0
+    assert not _stray_tags(tags), tags
+    if (subcommand, path.stem) == ("sweep", "dim64"):
+        assert (gaussian.SYMMETRY_TAG, 0) in tags
     assert not mismatches(WIDE_GOLDEN[regenerate.wide_key(subcommand, path)], got)
 
 

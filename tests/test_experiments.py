@@ -11,7 +11,7 @@ import pytest
 
 from cqlab import experiments, gaussian
 from cqlab.correspondence import EXACT_CLASS_RTOL, quantum_average, t_state, t_variable
-from cqlab.errors import ConfigError
+from cqlab.errors import ConfigError, SizeError
 from cqlab.experiments import (
     CONFIG_SCHEMA,
     ExperimentConfig,
@@ -221,7 +221,7 @@ def test_one_sample_has_no_stderr():
 
 
 def test_mc_average_independent_of_workers():
-    # 14 chunks: the merge leaves runs of 8, 4 and 2 chunks on its stack
+    # 14 chunks: the merge leaves merges of 8, 4 and 2 chunks on its stack
     rho = GaussianState(np.eye(3) * 0.2)
     f = Quadratic(np.eye(3))
     count, ratios = 13 * DEFAULT_CHUNK_SIZE + 17, [1.0, 0.1, 1e-3]
@@ -364,9 +364,8 @@ def test_blocked_mc_average_matches_one_eval_batch_per_chunk(count, workers):
     # evaluations take ceil(count / COPIES) draws; chunk c is the
     # BLOCK_VALUES // 64 = 512 draws from substream(seed, c), the last one
     # shorter, and the reference evaluates each chunk's copy mean in one
-    # call per copy, with one worker and no draw_chunked.  Chunks are filled
-    # in runs of 8, and every count but 65,536 leaves a short last run: 7,
-    # 3, 5 and 1 chunks
+    # call per copy, with one worker and no draw_chunked.  Every count but
+    # 65,536 leaves a short last chunk
     f, state, ratios = _dim64_cos_sweep()
     g, draw = state.whitened(f)
     rows = gaussian.BLOCK_VALUES // g.dim
@@ -1048,7 +1047,7 @@ def test_moments_check_refuses_a_tensor_over_the_dense_cap(monkeypatch):
     monkeypatch.setattr(experiments, "substream", no_draw)
     cfg = ExperimentConfig(dim=17, alpha_grid=(0.1,), functional_spec={"family": "quadratic"},
                            state_spec={"shape": "isotropic"}, mc_samples=1000, seed=1, order=3)
-    with pytest.raises(ConfigError, match="more than 20000000 entries"):
+    with pytest.raises(SizeError, match="order 6 at dim 17 is too large"):
         moments_check(cfg)
 
 

@@ -134,7 +134,7 @@ def test_sample_deterministic_across_worker_counts(helpers_started):
     with sampling_workers(8):
         eight = rho.sample(seed=9, count=20_000)
     assert np.array_equal(one, eight) and one.shape == (20_000, 3)
-    # 5 chunks of 4096 rows: the calling thread and 4 helpers, one per run
+    # 5 chunks of 4096 rows: the calling thread and 4 helpers, one per chunk
     assert helpers_started == [f"cqlab-sampler-{n}" for n in range(1, 5)]
 
 
@@ -243,7 +243,7 @@ _THREE_CHUNKS = 3 * DEFAULT_CHUNK_SIZE
 def test_draw_chunked_caps_workers_at_chunk_count(helpers_started):
     with sampling_workers(10 ** 6):
         capped = draw_chunked(5, _THREE_CHUNKS, _rows, 2)
-    assert helpers_started == ["cqlab-sampler-1", "cqlab-sampler-2"]  # 3 runs, 3 threads
+    assert helpers_started == ["cqlab-sampler-1", "cqlab-sampler-2"]  # 3 chunks, 3 threads
     assert capped.chunk_count == 3
     assert np.array_equal(np.concatenate(capped.partial), _drawn_rows(_THREE_CHUNKS, 2))
 
@@ -289,7 +289,7 @@ def test_sampling_workers_rejects_fewer_than_one():
             pass
 
 
-def test_the_first_two_runs_are_filled_at_once(helpers_started):
+def test_the_first_two_chunks_are_filled_at_once(helpers_started):
     # the first two fills meet at a barrier, so the helper starts before the
     # calling thread fills anything: no chunk's time is added in series to every call
     meet = threading.Barrier(2, timeout=10)
@@ -318,7 +318,7 @@ _CHUNK_OF = {substream(5, c).bit_generator.random_raw(): c for c in range(12)}
 
 @pytest.mark.parametrize("workers", [2, 8])
 @pytest.mark.parametrize("on_caller", [False, True], ids=["helper", "caller"])
-def test_a_failing_run_raises_at_its_turn(workers, on_caller):
+def test_a_failing_chunk_raises_at_its_turn(workers, on_caller):
     # the fill raises on every chunk the calling thread (or a helper) fills,
     # and on the last chunk; the first `workers` fills meet at a barrier, so
     # each thread fills one of them and both kinds of thread fail
@@ -355,9 +355,9 @@ def test_a_failing_run_raises_at_its_turn(workers, on_caller):
 
 def test_draw_chunked_keeps_few_chunks_in_flight():
     # A chunk's partial here is its 4 kB of draws, summed elementwise when
-    # merged.  One future per run, all submitted up front, would hold each
-    # partial until its turn; a pool's threads and queue cost about 18 kB
-    # whatever the chunk count.
+    # merged.  No chunk more than `workers` past the one merged next is
+    # claimed, so at most workers + 1 partials are held whatever the chunk
+    # count; filling every chunk before merging would hold all 500.
     def fill(rng, m):
         return np.zeros(m, dtype=np.uint8)
 
@@ -380,7 +380,7 @@ def test_draw_chunked_keeps_few_chunks_in_flight():
                                          (gaussian.BLOCK_VALUES + 1, 1)])
 def test_a_chunk_is_one_fill_of_at_most_block_values_draws(width, rows):
     # chunk c is one fill of `rows` rows from substream(seed, c), the last
-    # chunk holding what is left; pool threads may make the calls in any order
+    # chunk holding what is left; sampling threads may make the calls in any order
     last = max(1, rows // 3)
     sizes = [rows] * 3 + [last]
     want = np.concatenate([substream(5, c).standard_normal(m) for c, m in enumerate(sizes)])
@@ -702,8 +702,9 @@ def _chunk_name(rng, m):
 @pytest.mark.parametrize("width, chunks", [(64, 8), (64, 19), (40, 11), (17, 5), (16, 3),
                                            (8, 3)])
 def test_pool_runs_keep_the_chunk_by_chunk_merge_tree(width, chunks, workers):
-    # a run merges an aligned run of 8 chunks at width 64, 4 at 40, 2 at 16
-    # and 17 and 1 at 8; the last run is cut short
+    # chunks of 512 rows at width 64, 819 at 40, 1927 at 17, 2048 at 16 and
+    # 4096 at 8, the last one a single row: the merge tree is the one of
+    # the chunks merged one by one, whichever thread fills each chunk
     rows = min(DEFAULT_CHUNK_SIZE, gaussian.BLOCK_VALUES // width)
     count = (chunks - 1) * rows + 1
     want = merged(_chunk_name(substream(5, c), 0) for c in range(chunks))
@@ -721,7 +722,7 @@ def test_pool_runs_keep_the_chunk_by_chunk_merge_tree(width, chunks, workers):
 
 
 def test_draw_chunked_keeps_a_partial_and_no_rows():
-    count = 13 * DEFAULT_CHUNK_SIZE + 17  # 14 chunks: runs of 8, 4 and 2 are left on the stack
+    count = 13 * DEFAULT_CHUNK_SIZE + 17  # 14 chunks: merges of 8, 4 and 2 are left on the stack
 
     def fill(rng, m):
         return Moments.of(_normals(rng, m))
