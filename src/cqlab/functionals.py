@@ -548,6 +548,18 @@ class ScaledFunctional(Functional):
         return [self.factor * v for v in self.base.closed_form(rho, ratios)]
 
 
+def holds_dense_term(f: Functional) -> bool:
+    """Whether f is, or scales, an even polynomial with a dense form term.
+    Such a variable's `pullback` contracts the whole tensor on every axis
+    and builds a new form, whose evaluation packs its own weights: at order
+    4 and dim 64 that is a 128 MiB tensor and a (2080, 2080) weight matrix
+    per pullback, where a quadratic-form family or a pairing form pulls
+    back one r x r matrix."""
+    if isinstance(f, ScaledFunctional):  # which never wraps another one
+        f = f.base
+    return isinstance(f, EvenPolynomial) and any(q.kind == "dense" for q in f.terms.values())
+
+
 def amplify(f: Functional, alpha: float) -> Functional:
     """Gain form f_alpha = f / alpha of a variable."""
     if not alpha > 0.0:

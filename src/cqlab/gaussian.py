@@ -24,7 +24,11 @@ permutation Q of z's coordinates keeps, so f(F_a Q z) is distributed as
 f(F_a z).  `mc_average` reads that at rank >= 2 * COPIES: each white draw
 is evaluated at z and at COPIES - 1 signed permutations of it, and the mean
 of those copies is one draw's value.  `mc_samples` counts evaluations, so N
-of them take ceil(N / COPIES) draws, fewer normal fills.
+of them take ceil(N / COPIES) draws, fewer normal fills.  The copies are
+variables, f pulled back through each signed permutation once per call, so
+a chunk evaluates them all on its one draw; only a variable with a dense
+form term, whose pullback holds a new tensor per copy, gathers the copies
+in every chunk instead.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidCovarianceError
-from .functionals import Functional
+from .functionals import Functional, holds_dense_term
 from .hilbert import as_vector, outer_product, require_symmetric, spectral_decompose
 
 DEFAULT_CHUNK_SIZE = 4096
@@ -140,6 +144,16 @@ def copy_steps(seed: int, rank: int) -> list[tuple[np.ndarray, np.ndarray]]:
     rng = substream(seed, SYMMETRY_TAG)
     return [(rng.permutation(rank), 1.0 - 2.0 * rng.integers(0, 2, rank))
             for _ in range(COPIES - 1)]
+
+
+def _copy_maps(seed: int, rank: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(p, s) of copies 1 to COPIES - 1: copy j of z is `z[:, p] * s`, the
+    first j of `copy_steps(seed, rank)` composed, bit for bit."""
+    maps, p, s = [], np.arange(rank), np.ones(rank)
+    for step, signs in copy_steps(seed, rank):
+        p, s = p[step], s[step] * signs
+        maps.append((p, s))
+    return maps
 
 
 @dataclass(frozen=True)
@@ -510,21 +524,33 @@ def mc_average(f: Functional, state, n_samples: int, seed: int,
     the time; a variable invariant under every signed permutation (A = I on
     an isotropic state) has equal copies and gets twice the stderr of
     n_samples draws in about half the time.  A stderr needs two draws, so
-    n_samples must exceed COPIES there.  A chunk builds each copy from the
-    one before, so it holds two (m, r) arrays of normals at most.  At a
-    lower rank, and on any other state, each draw is evaluated once.
+    n_samples must exceed COPIES there.  At a lower rank, and on any other
+    state, each draw is evaluated once.
+
+    Copy j of z is z Q_j, Q_j the signed permutation of the first j steps,
+    so g at the copy is the variable g_j = `g.pullback(Q_j^T)` at z: the
+    call builds the COPIES - 1 variables once, their operators g's entries
+    permuted and sign-flipped, exactly, and a chunk evaluates g and each
+    g_j on its one array of normals, with no gather or flip.  Pulling back
+    a dense form term contracts its whole tensor and packs new weights for
+    each copy (`functionals.holds_dense_term`), which took CI's order-4
+    dim-64 `moments-check` past its 1 GiB limit at 8 threads.  So a
+    variable with one keeps g, and a chunk gathers and flips each copy,
+    `z[:, p] * s`.
     """
     g, draw = state.whitened(f)
     copies = COPIES if isinstance(state, GaussianState) and g.dim >= 2 * COPIES else 1
-    steps = copy_steps(seed, g.dim) if copies > 1 else []
+    maps = _copy_maps(seed, g.dim) if copies > 1 else []
+    gather = holds_dense_term(g)
+    # z @ Q_j = z[:, p] * signs, so Q_j is the identity's columns p flipped
+    variables = [g if gather else g.pullback((np.eye(g.dim)[:, p] * signs).T)
+                 for p, signs in maps]
 
     def fill(rng: np.random.Generator, m: int) -> Moments:
         z = draw(rng, m)
         values = g.eval_batch(z, ratios)
-        for p, signs in steps:
-            z = z[:, p]  # the previous copy is freed: two (m, rank) arrays at most
-            z *= signs
-            values += g.eval_batch(z, ratios)
+        for variable, (p, signs) in zip(variables, maps):
+            values += variable.eval_batch(z[:, p] * signs if gather else z, ratios)
         if copies > 1:
             values /= copies
         return Moments.of(values)

@@ -3,9 +3,10 @@
 `wide/<name>/*.json`: all run in process at --threads 1.
 
 The shipped configs run at dims 1-4, where a chunk is 4096 rows.  The
-wide configs (dims 16-64, full rank, rank 1 and rank 32) reach the paths
+wide configs (dims 8-64, full rank, rank 1 and rank 32) reach the paths
 the shipped ones do not: chunks of BLOCK_VALUES // width rows, a short
-last chunk, and rank-sized draws.
+last chunk, rank-sized draws, and signed-permutation copies at rank 8 and
+above, both pulled back and gathered.
 `wide/README.md` says what each one covers.
 
 `record` reduces one run to what `shipped.json` or `wide.json` pins: its

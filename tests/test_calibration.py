@@ -14,7 +14,11 @@ signed permutation, so there its copies are equal: a stderr that counted
 each copy as a draw would be half the true one.  The `nongaussian` states
 (product-Laplace and uniform-sphere draws, each evaluated once) take a
 quadratic and quartics (M psi, psi)^2, whose exact averages are written
-out below, since `closed_form` is the Gaussian one.
+out below, since `closed_form` is the Gaussian one.  The amplified
+pure-state mean is (A psi, psi) / alpha on the rank-1 state
+alpha psi (x) psi of the shipped `pure_state.json`, whose exact average is
+(A psi, psi): `pure_state_experiment` reports it from chunks it draws and
+reduces itself, so its check runs the experiment as well as `mc_average`.
 
 The seeds, sample count and band below were fixed before any result was
 seen.  A case that fails is a finding about the estimator: never re-seed,
@@ -26,14 +30,17 @@ from __future__ import annotations
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cqlab.experiments import build_functional, build_second_moment_state, build_state
-from cqlab.functionals import EvenPolynomial, Quadratic, SymmetricForm
+from cqlab.cli import load_config
+from cqlab.experiments import (build_functional, build_operator, build_second_moment_state,
+                               build_state, pure_state_experiment)
+from cqlab.functionals import EvenPolynomial, Quadratic, SymmetricForm, amplify
 from cqlab.gaussian import (COPIES, GaussianState, Moments, copy_steps, draw_chunked,
-                            mc_average, substream)
+                            mc_average, pure_state_measure, substream)
 from cqlab.hilbert import trace_product
 
 SEEDS = range(1000, 1200)
@@ -113,6 +120,29 @@ def _nongaussian_case(sampler: str, term: str, operator):
     return f, state, (1.0,), [float(exact)]
 
 
+# the shipped pure-state run: psi, the operator A and the first grid alpha
+PURE_STATE = load_config(Path(__file__).resolve().parents[1] / "configs" / "pure_state.json")
+PURE_PSI = np.array(PURE_STATE.state_spec["psi"])
+PURE_OPERATOR = build_operator(PURE_STATE.functional_spec["operator"], PURE_STATE.dim)
+PURE_ALPHA = PURE_STATE.alpha_grid[0]
+
+
+def _pure_state_case():
+    """The amplified variable (A psi, psi) / alpha on the rank-1 state
+    alpha psi (x) psi, whose exact average is the quantum one, (A psi, psi)."""
+    return (amplify(Quadratic(PURE_OPERATOR), PURE_ALPHA), pure_state_measure(PURE_PSI, PURE_ALPHA),
+            (1.0,), [float(PURE_PSI @ PURE_OPERATOR @ PURE_PSI)])
+
+
+def pure_state_amplified_average(f, state, n_samples: int, seed: int, ratios):
+    """The amplified_average check of `pure_state_experiment` on the shipped
+    pure-state inputs, the variable and state of `_pure_state_case`, as one
+    (mean, stderr): the experiment draws and reduces its own chunks."""
+    report = pure_state_experiment(PURE_PSI, PURE_ALPHA, PURE_OPERATOR, n_samples, seed)
+    check = next(c for c in report["checks"] if c.name == "amplified_average")
+    return [(check.statistic, check.stderr)]
+
+
 # name: () -> (variable, state, dispersion ratios, exact averages)
 CASES = {
     "quadratic-identity-isotropic-dim8": lambda: _gaussian_case(
@@ -123,6 +153,7 @@ CASES = {
     "moments-check-rank8": functools.partial(_moments_case, 8),
     "higher-order-overlay-rank4": functools.partial(_overlay_case, 4),
     "higher-order-overlay-rank12": functools.partial(_overlay_case, 12),
+    "pure-state-amplified": _pure_state_case,
     "product-laplace-quadratic": functools.partial(
         _nongaussian_case, "product-laplace", "quadratic", _operator(3)),
     "product-laplace-quartic-identity": functools.partial(
@@ -222,6 +253,10 @@ def test_cases_span_both_estimators():
 @pytest.mark.parametrize("name", list(CASES))
 def test_mc_average_stderr_is_calibrated(name):
     assert not calibration_failures(mc_average, name)
+
+
+def test_pure_state_amplified_average_stderr_is_calibrated():
+    assert not calibration_failures(pure_state_amplified_average, "pure-state-amplified")
 
 
 @pytest.mark.parametrize("defect", list(DEFECTS))

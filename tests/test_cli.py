@@ -827,7 +827,7 @@ def test_wide_layouts_keep_their_golden_values(tmp_path, monkeypatch, subcommand
 
 def test_wide_golden_file_covers_exactly_the_wide_layouts():
     runs = regenerate.wide_runs()
-    assert {s for s, _ in runs} <= set(SUBCOMMANDS) and len(runs) == 9
+    assert {s for s, _ in runs} <= set(SUBCOMMANDS) and len(runs) == 10
     assert set(WIDE_GOLDEN) == {regenerate.wide_key(s, p) for s, p in runs}
 
 

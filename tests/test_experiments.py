@@ -42,12 +42,14 @@ from cqlab.functionals import (
     CosQuadMinusOne,
     EvenPolynomial,
     Functional,
+    QuadFormFunctional,
     Quadratic,
     ScaledFunctional,
     SinQuad,
     SymmetricForm,
     amplify,
     double_factorial,
+    holds_dense_term,
 )
 from cqlab.gaussian import (
     COPIES,
@@ -90,14 +92,19 @@ def _chunk_merge(values: np.ndarray, rows: int) -> list[tuple[float, float]]:
 
 def _copy_mean(g: Functional, z: np.ndarray, ratios, seed: int, copies: int) -> np.ndarray:
     """The per-draw values `mc_average` reduces for the white rows z held at
-    once: g at z and at its copies - 1 copies `z[:, p_j] * s_j`, each built
-    from the one before, summed in copy order and divided by the count."""
+    once: g at z and each copy variable g o Q_j^T at z, summed in copy order
+    and divided by the count.  z @ Q_j is copy j, `z[:, p_j] * s_j` of copy
+    j - 1, so Q_j is Q_(j-1) with its columns permuted and flipped.  A
+    variable with a dense form term is evaluated at the copies themselves,
+    each gathered from the one before."""
     values = g.eval_batch(z, ratios)
     if copies == 1:
         return values
+    q, copy = np.eye(g.dim), z
     for p, signs in copy_steps(seed, g.dim):
-        z = z[:, p] * signs
-        values += g.eval_batch(z, ratios)
+        q, copy = q[:, p] * signs, copy[:, p] * signs
+        values += (g.eval_batch(copy, ratios) if holds_dense_term(g)
+                   else g.pullback(q.T).eval_batch(z, ratios))
     return values / copies
 
 
@@ -412,6 +419,52 @@ def test_mc_average_draws_a_quarter_of_the_count_at_rank_8(monkeypatch, dim, kin
     monkeypatch.setattr(gaussian, "draw_chunked", spy)
     mc_average(Quadratic(np.eye(dim)), states[kind](), 4097, 3)
     assert counts == [draws]
+
+
+def _dense_rank8():
+    # a moments-check variable: the one-term polynomial of a dense order-4
+    # form, on a full-rank dim-8 state, whose chunks hold 4096 draws
+    state = build_state({"shape": "random", "seed": 5}, 8, 8.0)
+    return EvenPolynomial({4: SymmetricForm.from_dense(substream(5, 0).standard_normal((8,) * 4))}), state
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("variable, cls, pullbacks", [
+    ("cos-rank64", QuadFormFunctional, COPIES), ("dense-rank8", EvenPolynomial, 1)])
+def test_copies_are_pulled_back_once_per_call(monkeypatch, variable, cls, pullbacks, workers):
+    # 65,536 evaluations are 32 chunks of 512 draws at rank 64 and 4 chunks
+    # of 4096 at rank 8.  The copy variables g o Q_j^T are built once per
+    # call, beside the whitening pullback, not once per chunk; a dense form
+    # term is pulled back by the whitening alone, and its copies are gathered
+    f, state = _dim64_cos_sweep()[:2] if variable == "cos-rank64" else _dense_rank8()
+    original, calls = cls.pullback, []
+
+    def spy(self, fmat):
+        calls.append(fmat.shape)
+        return original(self, fmat)
+
+    monkeypatch.setattr(cls, "pullback", spy)
+    with sampling_workers(workers):
+        mc_average(f, state, 65_536, 7)
+    rank = state.active_factor.shape[1]
+    assert calls == [(state.dim, rank)] + [(rank, rank)] * (pullbacks - 1)
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_dense_mc_average_evaluates_the_gathered_copies(workers):
+    # each copy of a dense-term variable's draws is gathered and flipped
+    # from the one before, so the values are g's at the copies themselves:
+    # 9,233 evaluations are 2,309 draws, one chunk of at most 4096 rows at
+    # width 8, and 12 * 4096 + 17 are 12,293 draws, four chunks, the last
+    # of 5 rows
+    f, state = _dense_rank8()
+    g, draw = state.whitened(f)
+    assert holds_dense_term(g) and g.dim == 2 * COPIES
+    for count in (9_233, 12 * 4096 + 17):
+        z = _drawn_rows(11, -(-count // COPIES), draw, g.dim)
+        expected = _chunk_merge(_copy_mean(g, z, [1.0, 0.1], 11, COPIES), _chunk_rows(g.dim))
+        with sampling_workers(workers):
+            assert mc_average(f, state, count, 11, [1.0, 0.1]) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -701,7 +701,7 @@ def _chunk_name(rng, m):
 @pytest.mark.parametrize("workers", [1, 2, 8])
 @pytest.mark.parametrize("width, chunks", [(64, 8), (64, 19), (40, 11), (17, 5), (16, 3),
                                            (8, 3)])
-def test_pool_runs_keep_the_chunk_by_chunk_merge_tree(width, chunks, workers):
+def test_threads_keep_the_chunk_by_chunk_merge_tree(width, chunks, workers):
     # chunks of 512 rows at width 64, 819 at 40, 1927 at 17, 2048 at 16 and
     # 4096 at 8, the last one a single row: the merge tree is the one of
     # the chunks merged one by one, whichever thread fills each chunk
